@@ -158,6 +158,13 @@ def _atomic_write(path: Path, text: str):
     tmp.replace(path)
 
 
+def _open_cache(run_dir: Path) -> AnnotationCache:
+    try:
+        return AnnotationCache(run_dir / "cache" / "annotations.ndjson")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _acquire_lock(run_dir: Path, resume: bool):
     lock = run_dir / ".lock"
     if lock.exists() and not resume:
@@ -172,14 +179,11 @@ def _fit_initial_summary(bags, labels, keyphrase_cfg, seed):
     return summarize_top_keyphrases(fit, top_n=int(keyphrase_cfg.get("top_n", 50)))
 
 
-def _make_summary_provider(oracle, observations, labels, bags, keyphrase_cfg, seed):
+def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
     """Residual-model summary on the conditioning subset, for LLM proposals."""
     def provider(concepts, subset):
         rows = np.asarray(subset, dtype=int)
-        sub_obs = [observations[i] for i in rows]
-        records = oracle.annotate(sub_obs, concepts)
-        values = {(r.observation_id, r.concept_id): r.value for r in records}
-        design = np.array([[values[(o.id, c.id)] for c in concepts] for o in sub_obs])
+        design = np.column_stack(data.columns(concepts))[rows]
         sub_bags = [bags[i] for i in rows]
         try:
             vocab, bow = build_bow(sub_bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
@@ -205,16 +209,16 @@ def cmd_run(args) -> int:
     try:
         _atomic_write(run_dir / "config.snapshot", json.dumps(cfg.to_dict(), indent=2))
         observations, labels = load_dataset(cfg.dataset)
-        cache = AnnotationCache(run_dir / "cache" / "annotations.ndjson")
+        cache = _open_cache(run_dir)
         oracle = build_oracle(cfg, observations, labels, cache)
 
         bags = oracle.extract_keyphrases(observations)
         summary = _fit_initial_summary(bags, labels, cfg.keyphrase, cfg.sampler.seed)
+        data = gibbs_data_from_oracle(observations, labels, oracle)
         if isinstance(oracle, LLMOracle):
             oracle.summary_provider = _make_summary_provider(
-                oracle, observations, labels, bags, cfg.keyphrase, cfg.sampler.seed)
+                data, labels, bags, cfg.keyphrase, cfg.sampler.seed)
         init = oracle.initialize_concepts(summary, cfg.sampler.k)
-        data = gibbs_data_from_oracle(observations, labels, oracle)
 
         checkpoint = run_dir / "checkpoints" / "chain.json"
         resume_payload = None
@@ -265,7 +269,7 @@ def cmd_run(args) -> int:
             truth = ConceptSet(pc.concept for pc in pool
                                if pc.concept.question in cfg.truth)
             posterior_sets = [s.concept_set for s in trace.posterior_samples()]
-            report = _recovery_for_run(posterior_sets, truth, oracle, observations)
+            report = _recovery_for_run(posterior_sets, truth, data)
             _atomic_write(run_dir / "reports" / "recovery.json",
                           json.dumps(report.to_dict(), indent=2))
         return EXIT_OK
@@ -276,14 +280,9 @@ def cmd_run(args) -> int:
         lock.unlink(missing_ok=True)
 
 
-def _recovery_for_run(samples: list[ConceptSet], truth: ConceptSet, oracle, observations):
-    concepts = {c.id: c for cs in samples for c in cs}
-    concepts.update({c.id: c for c in truth})
-    records = oracle.annotate(observations, list(concepts.values()))
-    panel: dict[str, np.ndarray] = {}
-    for cid, concept in concepts.items():
-        panel[cid] = np.array([r.value for r in records
-                               if r.concept_id == cid])
+def _recovery_for_run(samples: list[ConceptSet], truth: ConceptSet, data):
+    concepts = list({c.id: c for cs in [*samples, truth] for c in cs}.values())
+    panel = {c.id: col for c, col in zip(concepts, data.columns(concepts))}
     return recovery_report(samples, truth, ConceptMatchRule(), panel)
 
 
@@ -309,7 +308,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("run contains no posterior samples")
     observations, _ = load_dataset(Path(args.input), require_labels=False)
     train_obs, train_labels = load_dataset(cfg.dataset)
-    cache = AnnotationCache(run_dir / "cache" / "annotations.ndjson")
+    cache = _open_cache(run_dir)
     oracle = build_oracle(cfg, train_obs, train_labels, cache)
 
     concepts = {c.id: c for s in samples for c in s.concept_set}
@@ -342,19 +341,13 @@ def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     cfg, samples = _load_run(run_dir)
     observations, labels = load_dataset(cfg.dataset)
-    cache = AnnotationCache(run_dir / "cache" / "annotations.ndjson")
+    cache = _open_cache(run_dir)
     oracle = build_oracle(cfg, observations, labels, cache)
 
-    concepts = {c.id: c for s in samples for c in s.concept_set}
-    records = oracle.annotate(observations, list(concepts.values()))
-    values = {(r.observation_id, r.concept_id): r.value for r in records}
-    rows_by_sample = []
-    for s in samples:
-        rows_by_sample.append(np.array([
-            [values[(o.id, c.id)] for c in s.concept_set] + [1.0]
-            for o in observations]))
-    scores = np.mean([[sigmoid_predict(s.theta, row) for row in rows]
-                      for s, rows in zip(samples, rows_by_sample)], axis=0)
+    data = gibbs_data_from_oracle(observations, labels, oracle)
+    data.fill([c for s in samples for c in s.concept_set])
+    scores = np.mean([[sigmoid_predict(s.theta, row) for row in data.phi(s.concept_set).values]
+                      for s in samples], axis=0)
     report = {
         "n": len(observations),
         "auc": auc(scores, labels),
@@ -369,8 +362,7 @@ def cmd_eval(args) -> int:
         truth = ConceptSet([pc.concept for pc in pool
                             if pc.concept.question in truth_questions]
                            or [Concept(q) for q in truth_questions])
-        recovery = _recovery_for_run([s.concept_set for s in samples],
-                                     truth, oracle, observations)
+        recovery = _recovery_for_run([s.concept_set for s in samples], truth, data)
         report["recovery"] = recovery.to_dict()
     out = run_dir / "reports" / "metrics.json"
     out.parent.mkdir(exist_ok=True)

@@ -10,7 +10,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import rankdata
 
 from .concepts import Concept, ConceptSet
 from .model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
@@ -33,7 +32,10 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUC requires both classes present")
-    ranks = rankdata(scores)
+    # midranks: tied scores share the mean of the ranks they span
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2)[group]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

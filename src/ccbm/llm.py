@@ -334,16 +334,16 @@ class LLMOracle(ConceptOracle):
                  concepts: Sequence[Concept]) -> list[AnnotationRecord]:
         pairs = [(obs.id, c.id) for obs in observations for c in concepts]
         cached = self.cache.get_many(pairs)
-        todo = [obs for obs in observations
-                if any((obs.id, c.id) not in cached for c in concepts)]
+        # ask each observation only for the concepts it has no cached value for
+        todo = [(obs, lacking) for obs in observations
+                if (lacking := [c for c in concepts if (obs.id, c.id) not in cached])]
         fresh: list[AnnotationRecord] = []
         if todo:
             with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                rows = list(pool.map(lambda o: self._annotate_one(o, concepts), todo))
-            for obs, values in zip(todo, rows):
-                for c, v in zip(concepts, values):
-                    if (obs.id, c.id) not in cached:
-                        fresh.append(AnnotationRecord(obs.id, c.id, v, "llm"))
+                rows = list(pool.map(lambda job: self._annotate_one(*job), todo))
+            for (obs, lacking), values in zip(todo, rows):
+                fresh.extend(AnnotationRecord(obs.id, c.id, v, "llm")
+                             for c, v in zip(lacking, values))
         self.cache.put_many(fresh)
         self.annotation_pairs += len(fresh)
         values = dict(cached)

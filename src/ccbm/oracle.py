@@ -117,7 +117,8 @@ class AnnotationCache:
     """Append-only (observation, concept) -> value store.
 
     Backed by a newline-delimited JSON log when given a path; the log is
-    compacted on load (last record wins) and survives crashes mid-run.
+    compacted on load (last record wins) and survives crashes mid-run: an
+    unterminated last line, left by a torn append, is dropped and cut off.
     Supports concurrent readers with serialized appends.
     """
 
@@ -132,13 +133,21 @@ class AnnotationCache:
             self._load()
 
     def _load(self):
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        raw = self.path.read_bytes()
+        complete = raw.rfind(b"\n") + 1
+        for lineno, line in enumerate(raw[:complete].decode("utf-8").split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
                 rec = json.loads(line)
                 self._store[(rec["observation_id"], rec["concept_id"])] = rec["value"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"{self.path}:{lineno}: corrupt annotation record: {exc}") from exc
+        if complete < len(raw):
+            # a crash mid-append left an unterminated last line: drop it, so the
+            # next append starts on a fresh line
+            with open(self.path, "r+b") as fh:
+                fh.truncate(complete)
 
     def get_many(self, pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], float]:
         found = {}

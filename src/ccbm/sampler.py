@@ -59,8 +59,8 @@ class SamplerConfig:
 class GibbsData:
     """Annotated training data as seen by the chain.
 
-    phi(concepts) returns the (cached) n x (len+1) design for any concept
-    list, with the intercept column appended.
+    Keeps a per-concept column store, filled by column_fn only for concepts not
+    stored yet; phi(concepts) stacks stored columns and the intercept column.
     """
 
     def __init__(self, labels: np.ndarray, row_ids: Sequence[str],
@@ -70,14 +70,27 @@ class GibbsData:
         if self.labels.shape[0] != len(self.row_ids):
             raise ValueError("labels must align with row ids")
         self._column_fn = column_fn
+        self._columns: dict[str, np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return self.labels.shape[0]
 
+    def fill(self, concepts: Sequence[Concept]):
+        """Store the columns of the given concepts, in one column_fn call."""
+        missing = list({c.id: c for c in concepts if c.id not in self._columns}.values())
+        if missing:
+            columns = np.asarray(self._column_fn(missing), dtype=float).T.copy()
+            self._columns.update(zip((c.id for c in missing), columns))
+
+    def columns(self, concepts: Sequence[Concept]) -> list[np.ndarray]:
+        """The stored n-vector of each concept, filling any not stored yet."""
+        self.fill(concepts)
+        return [self._columns[c.id] for c in concepts]
+
     def phi(self, concepts: Sequence[Concept]) -> AnnotationMatrix:
-        cols = self._column_fn(list(concepts))
-        return AnnotationMatrix.build(cols, self.row_ids)
+        return AnnotationMatrix(values=np.column_stack([*self.columns(concepts), np.ones(self.n)]),
+                                row_ids=self.row_ids)
 
 
 def gibbs_data_from_oracle(observations, labels, oracle: ConceptOracle) -> GibbsData:
@@ -183,23 +196,27 @@ def _multi_try_weights(state: ConceptSet, slot: int, subset: np.ndarray,
                        proposal: OracleProposal, marginals: _MarginalCache):
     """log w_m for surviving candidates, and log w_0 for the incumbent."""
     kept = _candidate_sets(state, slot, proposal)
+    # one oracle round trip for every column the candidate designs need
+    marginals.data.fill([*state.concepts, *(c for i, c in kept if proposal.q_weights[i] > 0)])
     log_ws, states = [], []
+    lpb_current = None
     for i, cand in kept:
         q = proposal.q_weights[i]
         if q <= 0:
             log_ws.append(-np.inf)
             states.append(None)
             continue
-        if cand.id == state[slot].id:
-            cand_state = state
-        else:
-            cand_state = state.replace(slot, cand)
-        log_ws.append(marginals.log_partial_bayes(cand_state.concepts, subset) + np.log(q))
+        cand_state = state if cand.id == state[slot].id else state.replace(slot, cand)
+        lpb = marginals.log_partial_bayes(cand_state.concepts, subset)
+        if cand_state is state:
+            lpb_current = lpb  # a re-proposed incumbent: reuse its fit for w_0
+        log_ws.append(lpb + np.log(q))
         states.append(cand_state)
     if proposal.q_current <= 0:
         raise ValueError("q_current must be positive for the multi-try update")
-    log_w0 = (marginals.log_partial_bayes(state.concepts, subset)
-              + np.log(proposal.q_current))
+    if lpb_current is None:
+        lpb_current = marginals.log_partial_bayes(state.concepts, subset)
+    log_w0 = lpb_current + np.log(proposal.q_current)
     return kept, np.asarray(log_ws), states, log_w0
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .concepts import Concept, ConceptSet
 from .model import sigmoid
@@ -60,7 +60,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
             raise ValueError("correlation matrix must be pool-size square")
         latent = rng.multivariate_normal(np.zeros(p_count), corr, size=spec.n,
                                          method="cholesky")
-        features = (latent < norm.ppf(probs)[None, :]).astype(float)
+        features = (latent < ndtri(probs)[None, :]).astype(float)
     else:
         features = (rng.random((spec.n, p_count)) < probs[None, :]).astype(float)
 

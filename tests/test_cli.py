@@ -158,6 +158,15 @@ class TestRunErrors:
         config = write_config(workspace, tmp_path / "run", dataset=str(bad))
         assert cli.main(["run", "--config", str(config)]) == 2
 
+    def test_corrupt_cache_log(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "corrupt"
+        (run_dir / "cache").mkdir(parents=True)
+        (run_dir / "cache" / "annotations.ndjson").write_text('{"observation_id": \n{}\n')
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "annotations.ndjson:1" in capsys.readouterr().err
+        assert not (run_dir / ".lock").exists()
+
 
 class TestKillResume:
     def test_interrupt_then_resume_matches_uninterrupted(

@@ -35,6 +35,34 @@ class TestAuc:
         with pytest.raises(MetricUndefinedError):
             auc(np.array([0.2, 0.4]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("levels", [None, 2, 5, 50])
+    def test_matches_rankdata_reference_exactly(self, levels):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(levels or 0)
+        for _ in range(50):
+            n = int(rng.integers(2, 300))
+            scores = rng.random(n) if levels is None else rng.integers(0, levels, n) / levels
+            labels = np.r_[0, 1, (rng.random(n - 2) < 0.4).astype(int)]
+            ranks = rankdata(scores)
+            n_pos = int(labels.sum())
+            reference = (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) \
+                / (n_pos * (n - n_pos))
+            assert auc(scores, labels) == reference
+
+    def test_cli_import_skips_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ccbm
+        src = str(Path(ccbm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ccbm.cli"],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                             check=True)
+        assert "ccbm.cli" in out.stderr
+        assert "scipy.stats" not in out.stderr
+
 
 class TestBrier:
     def test_hand_case(self):

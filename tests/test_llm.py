@@ -279,6 +279,33 @@ class TestAnnotate:
         assert len(post.requests) == 1
         assert oracle.annotation_pairs == 2
 
+    def test_asks_only_for_missing_concepts(self):
+        a, b = self.concepts
+        oracle, post, _ = make_oracle([chat_body({"answers": [1]}),
+                                       chat_body({"answers": [0]})])
+        obs = [Observation("o1", "a red small thing")]
+        oracle.annotate(obs, [a])
+        records = oracle.annotate(obs, [a, b])
+        assert [r.value for r in records] == [1.0, 0.0]
+        assert b.question in post.prompts[1]
+        assert a.question not in post.prompts[1]
+        assert oracle.annotation_pairs == 2
+
+    def test_each_observation_asked_for_its_own_missing_concepts(self):
+        a, b = self.concepts
+        oracle, post, _ = make_oracle([chat_body({"answers": [1]}),
+                                       chat_body({"answers": [1, 0]}),
+                                       chat_body({"answers": [0]}),
+                                       chat_body({"answers": [1, 0]})])
+        obs = [Observation(f"o{i}", f"note {i}") for i in range(3)]
+        oracle.annotate(obs[1:2], [a])
+        records = oracle.annotate(obs, [a, b])
+        assert [r.value for r in records] == [1.0, 0.0] * 3
+        for prompt, note in zip(post.prompts[1:], ("note 0", "note 1", "note 2")):
+            assert note in prompt and b.question in prompt
+            assert (a.question in prompt) == (note != "note 1")
+        assert oracle.annotation_pairs == 6
+
     def test_prompt_is_label_blind(self):
         # identical observations with different labels produce identical prompts
         prompts = []

@@ -80,6 +80,31 @@ class TestAnnotationCache:
             fh.write("\n")
         assert len(AnnotationCache(path)) == 1
 
+    def test_torn_last_record_dropped_and_cut(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        writer = AnnotationCache(path)
+        writer.put_many([AnnotationRecord("o1", "c1", 0.25, "llm"),
+                         AnnotationRecord("o2", "c1", 0.75, "llm")])
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-20])  # a crash mid-append
+        reopened = AnnotationCache(path)
+        assert reopened.get_many([("o1", "c1"), ("o2", "c1")]) == {("o1", "c1"): 0.25}
+        assert path.read_bytes() == raw[:raw.index(b"\n") + 1]
+        reopened.put_many([AnnotationRecord("o3", "c1", 1.0, "llm")])
+        again = AnnotationCache(path)
+        assert again.get_many([("o1", "c1"), ("o3", "c1")]) == \
+            {("o1", "c1"): 0.25, ("o3", "c1"): 1.0}
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        writer = AnnotationCache(path)
+        writer.put_many([AnnotationRecord("o1", "c1", 0.5, "llm")])
+        with open(path, "a") as fh:
+            fh.write('{"observation_id": "o2", "conc\n')
+        writer.put_many([AnnotationRecord("o3", "c1", 0.5, "llm")])
+        with pytest.raises(ValueError, match=r"cache\.ndjson:2"):
+            AnnotationCache(path)
+
 
 class TestOracleProposal:
     def test_duplicate_candidates_rejected(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,3 +410,101 @@ class TestSamplerConfig:
         cfg = SamplerConfig(k=3, t_epochs=4, m_candidates=5, omega=0.4,
                             gamma=2.0, seed=42, mode="single_try")
         assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def per_record_design(oracle, observations, concepts):
+    """The design as assembled before the column store: one dict entry per pair."""
+    records = oracle.annotate(observations, concepts)
+    values = {(r.observation_id, r.concept_id): r.value for r in records}
+    return np.array([[values[(o.id, c.id)] for c in concepts] + [1.0]
+                     for o in observations])
+
+
+class TestColumnStore:
+    def test_phi_matches_per_record_assembly(self, pool_dataset):
+        obs = pool_dataset.observations
+        pool = [pc.concept for pc in pool_dataset.pool_concepts]
+        data = gibbs_data_from_oracle(obs, pool_dataset.labels, make_oracle(pool_dataset))
+        reference = make_oracle(pool_dataset)
+        subset = draw_subset(data.n, 0.5, np.random.default_rng(5))
+        for concepts in ([pool[3], pool[1]],           # nothing stored yet
+                         [pool[1], pool[3]],           # all stored, new order
+                         [pool[0], pool[3], pool[8]],  # stored and unstored mixed
+                         [pool[2], pool[2], pool[1]]):  # a repeated concept
+            phi = data.phi(concepts)
+            assert phi.row_ids == tuple(o.id for o in obs)
+            assert np.array_equal(phi.values, per_record_design(reference, obs, concepts))
+            assert np.array_equal(phi.values[subset], per_record_design(
+                reference, [obs[i] for i in subset], concepts))
+
+    def test_only_unstored_concepts_reach_column_fn(self):
+        data, concepts, _, columns, _ = make_env(0, n_concepts=4)
+        calls = []
+        inner = data._column_fn
+        data._column_fn = lambda cs: calls.append([c.id for c in cs]) or inner(cs)
+        a, b, c, d = concepts
+        data.phi([a, b])
+        data.phi([b, a])
+        data.fill([c, a, c, d])
+        data.phi([d, c, a])
+        assert calls == [[a.id, b.id], [c.id, d.id]]
+        assert np.array_equal(data.phi([c]).values[:, 0], columns[c.id])
+
+    def test_pool_chain_annotates_each_pair_once(self, pool_dataset):
+        # M covers every eligible concept, so every proposal re-proposes the incumbent
+        oracle = make_oracle(pool_dataset)
+        data = gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels, oracle)
+        cfg = SamplerConfig(k=2, t_epochs=3, m_candidates=10, seed=7, mode="multi_try")
+        init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
+        run_gibbs(data, oracle, cfg, init)
+        assert oracle.annotation_pairs == len(oracle.cache) == 60 * 10
+        assert oracle.cache.misses == oracle.annotation_pairs
+
+    def test_reproposed_incumbent_fits_its_subset_marginal_once(self, monkeypatch, rng):
+        import ccbm.sampler as sampler
+        fits = []
+        real = sampler.log_marginal_likelihood
+        monkeypatch.setattr(sampler, "log_marginal_likelihood",
+                            lambda phi, y, cfg: fits.append(phi.n) or real(phi, y, cfg))
+        data, concepts, state, _, _ = make_env(2, n_concepts=4)
+        candidates = [state[1], concepts[2], concepts[3]]
+        proposal = OracleProposal(candidates, np.array([0.3, 0.3, 0.2]), 0.3)
+        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=3)
+        multi_ss_mh_update(state, 1, np.arange(10), data, None, cfg, rng,
+                           proposal=proposal)
+        # one full and one subset fit per candidate state, the incumbent's included
+        assert sorted(fits) == [10] * 3 + [20] * 3
+
+
+class AnsweringPost:
+    """Chat transport that answers every annotation question with 1."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def __call__(self, url, headers, payload):
+        prompt = payload["messages"][0]["content"]
+        self.prompts.append(prompt)
+        block = prompt.split("Questions:\n", 1)[1].split("\n\nnote:", 1)[0]
+        answers = [1.0] * len(block.splitlines())
+        return {"choices": [{"message": {"content": json.dumps({"answers": answers})}}]}
+
+
+def test_llm_multi_try_update_sends_one_prompt_per_observation():
+    from ccbm.llm import ChatClient, LLMConfig, LLMOracle
+    config = LLMConfig(endpoint="http://fake/v1/chat", model="test", max_in_flight=1)
+    post = AnsweringPost()
+    oracle = LLMOracle(config, client=ChatClient(config, post_fn=post))
+    obs = [Observation(f"o{i}", f"note {i}") for i in range(12)]
+    labels = np.arange(12) % 2
+    data = gibbs_data_from_oracle(obs, labels, oracle)
+    concepts = [Concept(f"Is attribute {i} set?") for i in range(5)]
+    state = ConceptSet(concepts[:2])
+    data.fill(state)
+    assert len(post.prompts) == len(obs)
+    proposal = OracleProposal([state[1], *concepts[2:]], np.full(4, 0.2), 0.2)
+    cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=4)
+    multi_ss_mh_update(state, 1, np.arange(6), data, oracle, cfg,
+                       np.random.default_rng(0), proposal=proposal)
+    assert len(post.prompts) == 2 * len(obs)
+    assert oracle.annotation_pairs == len(obs) * len(concepts)

@@ -92,3 +92,10 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, pool=[("q?", "f")], true_support=[3],
                           coefficients=[1.0])
+
+
+def test_copula_threshold_matches_normal_ppf():
+    from scipy.special import ndtri
+    from scipy.stats import norm
+    probs = np.r_[0.0, np.linspace(1e-6, 1 - 1e-6, 10_001), 1.0]
+    assert np.array_equal(ndtri(probs), norm.ppf(probs))
