@@ -29,7 +29,7 @@ from .model import posterior_predictive, sigmoid_predict
 from .oracle import (AnnotationCache, ConceptOracle, Observation, OracleError,
                      PoolConcept, PoolOracle)
 from .sampler import (OracleFailure, SamplerConfig, gibbs_data_from_oracle,
-                      load_checkpoint, run_gibbs)
+                      load_checkpoint, run_gibbs, subset_size)
 from .synthetic import SyntheticSpec, clinical_spec, generate_synthetic
 
 EXIT_OK = 0
@@ -173,8 +173,28 @@ def _acquire_lock(run_dir: Path, resume: bool):
     return lock
 
 
+def _load_resume(checkpoint: Path, sampler: SamplerConfig) -> dict:
+    """The checkpoint to resume from, which must match the run's sampler config."""
+    if not checkpoint.exists():
+        raise ConfigError(f"--resume given but {checkpoint} does not exist")
+    try:
+        payload = load_checkpoint(checkpoint)
+    except ValueError as exc:
+        raise ConfigError(f"cannot resume: {exc}") from exc
+    saved = payload["config"].to_dict()
+    changed = [f"{key} {saved[key]!r} -> {value!r}"
+               for key, value in sampler.to_dict().items() if saved[key] != value]
+    if changed:
+        raise ConfigError(f"cannot resume: the sampler config differs from {checkpoint}: "
+                          + ", ".join(changed))
+    return payload
+
+
 def _fit_initial_summary(bags, labels, keyphrase_cfg, seed):
-    vocab, bow = build_bow(bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
+    try:
+        vocab, bow = build_bow(bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
+    except ValueError as exc:
+        raise ConfigError(f"cannot summarize the dataset's keyphrases: {exc}") from exc
     fit = fit_keyphrase_model(bow, None, labels, seed=seed, vocabulary=vocab)
     return summarize_top_keyphrases(fit, top_n=int(keyphrase_cfg.get("top_n", 50)))
 
@@ -207,8 +227,14 @@ def cmd_run(args) -> int:
     lock = _acquire_lock(run_dir, resume=args.resume)
     started = time.time()
     try:
+        checkpoint = run_dir / "checkpoints" / "chain.json"
+        resume_payload = _load_resume(checkpoint, cfg.sampler) if args.resume else None
         _atomic_write(run_dir / "config.snapshot", json.dumps(cfg.to_dict(), indent=2))
         observations, labels = load_dataset(cfg.dataset)
+        try:
+            subset_size(len(observations), cfg.sampler.omega)
+        except ValueError as exc:
+            raise ConfigError(f"dataset {cfg.dataset} is too small: {exc}") from exc
         cache = _open_cache(run_dir)
         oracle = build_oracle(cfg, observations, labels, cache)
 
@@ -220,12 +246,6 @@ def cmd_run(args) -> int:
                 data, labels, bags, cfg.keyphrase, cfg.sampler.seed)
         init = oracle.initialize_concepts(summary, cfg.sampler.k)
 
-        checkpoint = run_dir / "checkpoints" / "chain.json"
-        resume_payload = None
-        if args.resume:
-            if not checkpoint.exists():
-                raise ConfigError(f"--resume given but {checkpoint} does not exist")
-            resume_payload = load_checkpoint(checkpoint)
         trace = run_gibbs(data, oracle, cfg.sampler, init,
                           checkpoint_path=checkpoint, resume_from=resume_payload)
 

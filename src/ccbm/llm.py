@@ -201,13 +201,20 @@ class LLMOracle(ConceptOracle):
                 phrases.extend(entry.get("synonyms", []))
         normalized = sorted({p for p in (normalize_phrase(s) for s in phrases) if p})
         self._bag_cache[obs.id] = normalized
-        if self._bag_cache_path is not None:
-            self._bag_cache_path.write_text(json.dumps(self._bag_cache))
         return normalized
 
     def extract_keyphrases(self, observations: Sequence[Observation]) -> list[KeyphraseBag]:
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            results = list(pool.map(self._extract_one, observations))
+        cached = len(self._bag_cache)
+        try:
+            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+                results = list(pool.map(self._extract_one, observations))
+        finally:
+            # one write per call, after the workers are done, so what they
+            # extracted before a failure is kept and the file is never torn
+            if self._bag_cache_path is not None and len(self._bag_cache) > cached:
+                tmp = self._bag_cache_path.with_name(self._bag_cache_path.name + ".tmp")
+                tmp.write_text(json.dumps(self._bag_cache))
+                tmp.replace(self._bag_cache_path)
         return [KeyphraseBag(obs.id, frozenset(phrases))
                 for obs, phrases in zip(observations, results)]
 

@@ -8,7 +8,7 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,9 +127,105 @@ def sigmoid_predict(theta: np.ndarray, phi_row: np.ndarray) -> float:
     return float(sigmoid(theta @ phi_row))
 
 
-def _objective(theta: np.ndarray, phi: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    z = phi @ theta
-    return float(np.sum(-y * z + log1pexp(z)) + 0.5 * theta @ theta / gamma**2)
+def _objective(theta: np.ndarray, X: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """Penalized negative log-likelihood of each design X[e] at its own theta[e].
+
+    theta holds one (d, 1) column per design and y is an (n, 1) column.
+    """
+    z = X @ theta
+    # (0.5 theta)^T theta as a (1, d) @ (d, 1) product, one per design
+    return ((-y * z + log1pexp(z)).sum(axis=1)[:, 0]
+            + ((0.5 * theta).transpose(0, 2, 1) @ theta)[:, 0, 0] / gamma**2)
+
+
+class _Stack:
+    """Results for a stack of designs, filled in as designs leave it.
+
+    A stack whose designs all leave at once keeps its arrays as they are;
+    only a partial exit needs the index bookkeeping.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.index: Optional[np.ndarray] = None  # original position of each pending design
+        self.out: Optional[Sequence[np.ndarray]] = None
+
+    def settle(self, mask: np.ndarray, arrays: Sequence[np.ndarray]) -> bool:
+        """Record the pending designs under mask; True once none is pending."""
+        count = np.count_nonzero(mask)
+        if count == 0:
+            return False
+        if self.out is None:
+            if count == self.size:
+                self.out = arrays
+                return True
+            self.index = np.arange(self.size)
+            self.out = [np.empty((self.size, *a.shape[1:])) for a in arrays]
+        for out, a in zip(self.out, arrays):
+            out[self.index[mask]] = a[mask]
+        self.index = self.index[~mask]
+        return count == len(mask)
+
+
+def _line_search(X, y, gamma, theta, g, grad, step):
+    """Backtracking line search along -step, per design; every design tries
+    the same step lengths 1, 1/2, 1/4, ... until it accepts one."""
+    decrement = (grad.transpose(0, 2, 1) @ step)[:, 0, 0]
+    # the epsilon term absorbs floating-point noise once the decrement falls
+    # below machine precision
+    slack = 1e-12 * np.maximum(1.0, np.abs(g))
+    stack = _Stack(len(g))
+    t = 1.0
+    for _ in range(50):
+        cand = theta - t * step
+        g_cand = _objective(cand, X, y, gamma)
+        ok = g_cand <= g - 1e-4 * t * decrement + slack
+        if stack.settle(ok, (cand, g_cand)):
+            return stack.out
+        if stack.index is not None and len(stack.index) < len(g):
+            X, theta, g, step, decrement, slack = (
+                a[~ok] for a in (X, theta, g, step, decrement, slack))
+        t *= 0.5
+    raise OptimizationError("line search failed to make progress", theta[0, :, 0])
+
+
+def _newton(X: np.ndarray, y: np.ndarray, gamma: float, tol: float,
+            max_iter: int) -> Sequence[np.ndarray]:
+    """Damped Newton from 0 for a stack of designs X (E, n, d) sharing labels y.
+
+    Returns theta (E, d), the objective (E,) and sigmoid(X theta) (E, n, 1)
+    at the optimum. Designs leave the stack as they converge; one that fails
+    raises OptimizationError with its last iterate. Vectors are kept as
+    columns, so each product is a matrix-vector product per design, as in
+    a fit of that design alone.
+    """
+    y = np.asarray(y, dtype=float)
+    if X.shape[1] != y.shape[0]:
+        raise ValueError("rows of phi must align with labels")
+    y = y[:, None]
+    prior = np.eye(X.shape[2]) / gamma**2
+    stack = _Stack(X.shape[0])
+    theta = np.zeros((X.shape[0], X.shape[2], 1))
+    g = _objective(theta, X, y, gamma)
+    Xt = X.transpose(0, 2, 1)
+    for it in range(max_iter + 1):
+        p = sigmoid(X @ theta)
+        grad = Xt @ (p - y) + theta / gamma**2
+        converged = np.abs(grad).max(axis=1)[:, 0] <= tol
+        if stack.settle(converged, (theta, g, p)):
+            theta, g, p = stack.out
+            return theta[:, :, 0], g, p
+        if stack.index is not None and len(stack.index) < len(g):
+            X, theta, g, p, grad = (a[~converged] for a in (X, theta, g, p, grad))
+            Xt = X.transpose(0, 2, 1)
+        if it == max_iter:
+            raise OptimizationError(
+                f"Newton did not converge in {max_iter} iterations "
+                f"(grad inf-norm {np.max(np.abs(grad[0])):.3e})", theta[0, :, 0])
+        w = p * (1.0 - p)
+        H = (X * w).transpose(0, 2, 1) @ X + prior
+        step = np.linalg.solve(H, grad)
+        theta, g = _line_search(X, y, gamma, theta, g, grad, step)
 
 
 def map_estimate(phi: AnnotationMatrix, y: np.ndarray, cfg: ModelConfig,
@@ -141,44 +237,33 @@ def map_estimate(phi: AnnotationMatrix, y: np.ndarray, cfg: ModelConfig,
     strongly convex so Newton with backtracking always converges in a handful
     of steps at this dimension.
     """
-    X = phi.values
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("rows of phi must align with labels")
-    d = X.shape[1]
-    gamma = cfg.gamma
-    theta = np.zeros(d)
-    if X.shape[0] == 0:
-        return theta  # prior mode
-    g = _objective(theta, X, y, gamma)
-    for _ in range(max_iter):
-        z = X @ theta
-        p = sigmoid(z)
-        grad = X.T @ (p - y) + theta / gamma**2
-        if np.max(np.abs(grad)) <= tol:
-            return theta
-        w = p * (1.0 - p)
-        H = (X * w[:, None]).T @ X + np.eye(d) / gamma**2
-        step = np.linalg.solve(H, grad)
-        # backtracking line search; the epsilon term absorbs floating-point
-        # noise once the decrement falls below machine precision
-        t = 1.0
-        for _ in range(50):
-            cand = theta - t * step
-            g_cand = _objective(cand, X, y, gamma)
-            if g_cand <= g - 1e-4 * t * (grad @ step) + 1e-12 * max(1.0, abs(g)):
-                theta, g = cand, g_cand
-                break
-            t *= 0.5
-        else:
-            raise OptimizationError("line search failed to make progress", theta)
-    z = X @ theta
-    grad = X.T @ (sigmoid(z) - y) + theta / gamma**2
-    if np.max(np.abs(grad)) <= tol:
-        return theta
-    raise OptimizationError(
-        f"Newton did not converge in {max_iter} iterations "
-        f"(grad inf-norm {np.max(np.abs(grad)):.3e})", theta)
+    return _newton(phi.values[None], y, cfg.gamma, tol, max_iter)[0][0]
+
+
+def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
+                             tol: float = 1e-8, max_iter: int = 100
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Laplace log marginal likelihoods of a stack of designs X (E, n, d).
+
+    The designs share the labels y and the N(0, gamma^2 I) prior; the caller
+    has validated their values (see AnnotationMatrix). Returns the log
+    marginals (E,), the MAP coefficients (E, d) and log det H (E,). Each
+    design's results are bit-identical to fitting it alone.
+    """
+    d = X.shape[2]
+    theta, g, p = _newton(X, y, gamma, tol, max_iter)
+    w = p * (1.0 - p)
+    H = (X * w).transpose(0, 2, 1) @ X + np.eye(d) / gamma**2
+    try:
+        chol = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:  # H >= gamma^-2 I, so this is diagnostic only
+        raise NumericalError(
+            f"Hessian factorization failed (cond ~ {np.max(np.linalg.cond(H)):.3e})") from exc
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    value = -g - 0.5 * d * np.log(gamma**2) - 0.5 * log_det
+    if not np.all(np.isfinite(value)):
+        raise NumericalError("non-finite log marginal likelihood")
+    return value, theta, log_det
 
 
 def log_marginal_likelihood(phi: AnnotationMatrix, y: np.ndarray,
@@ -190,25 +275,9 @@ def log_marginal_likelihood(phi: AnnotationMatrix, y: np.ndarray,
     (2 pi)^{d/2} factors from the prior normalization and the Gaussian
     integral cancel exactly. For empty data this is identically 0.
     """
-    X = phi.values
-    y = np.asarray(y, dtype=float)
-    d = X.shape[1]
-    gamma = cfg.gamma
-    theta = map_estimate(phi, y, cfg)
-    g = _objective(theta, X, y, gamma)
-    p = sigmoid(X @ theta)
-    w = p * (1.0 - p)
-    H = (X * w[:, None]).T @ X + np.eye(d) / gamma**2
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:  # H >= gamma^-2 I, so this is diagnostic only
-        raise NumericalError(
-            f"Hessian factorization failed (cond ~ {np.linalg.cond(H):.3e})") from exc
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    value = -g - 0.5 * d * np.log(gamma**2) - 0.5 * log_det
-    if not np.isfinite(value):
-        raise NumericalError("non-finite log marginal likelihood")
-    return LogMarginal(value=float(value), theta_map=theta, log_det_hessian=log_det)
+    value, theta, log_det = log_marginal_likelihoods(phi.values[None], y, cfg.gamma)
+    return LogMarginal(value=float(value[0]), theta_map=theta[0],
+                       log_det_hessian=float(log_det[0]))
 
 
 def log_partial_bayes(phi: AnnotationMatrix, y: np.ndarray, subset_s: np.ndarray,

@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
-from .model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
+from .model import log_marginal_likelihoods
+# ccbm.oracle.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
+from .model import log_marginal_likelihood  # noqa: F401
 
 
 class OracleError(RuntimeError):
@@ -346,14 +348,15 @@ class PoolOracle(ConceptOracle):
             raise ProposalError("no pool concepts outside the conditioning set")
         ctx_idx = [self._by_id[c.id] for c in context]
         rows = np.asarray(rows, dtype=int)
-        cfg = ModelConfig(gamma=self.gamma, k=len(context) + 1)
-        log_scores = np.empty(len(eligible))
-        row_ids = tuple(self.observations[i].id for i in rows)
-        y = self.labels[rows]
-        for pos, j in enumerate(eligible):
-            cols = self._matrix[np.ix_(rows, ctx_idx + [j])]
-            phi = AnnotationMatrix.build(cols, row_ids)
-            log_scores[pos] = log_marginal_likelihood(phi, y, cfg).value
+        sub = self._matrix[rows]
+        # one design per eligible concept: context columns, candidate, intercept
+        X = np.empty((len(eligible), sub.shape[0], len(ctx_idx) + 2))
+        X[:, :, :-2] = sub[:, ctx_idx]
+        X[:, :, -2] = sub[:, eligible].T
+        X[:, :, -1] = 1.0
+        if X.size and (X[:, :, :-1].min() < 0 or X[:, :, :-1].max() > 1):
+            raise ValueError("concept annotation values must lie in [0, 1]")
+        log_scores = log_marginal_likelihoods(X, self.labels[rows], self.gamma)[0]
         log_scores -= log_scores.max()
         probs = np.exp(log_scores)
         probs /= probs.sum()

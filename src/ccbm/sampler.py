@@ -1,8 +1,8 @@
 """Metropolis-within-Gibbs over concept sets.
 
 Implements the split-sample update, its multiple-try variant, the greedy
-warm-start, and the chain driver with per-epoch RNG checkpoints so a run can
-resume exactly.
+warm-start, and the chain driver with per-epoch checkpoints (a small header
+plus an append-only chain log) so a run can resume exactly.
 """
 
 from __future__ import annotations
@@ -105,13 +105,18 @@ def gibbs_data_from_oracle(observations, labels, oracle: ConceptOracle) -> Gibbs
     return GibbsData(labels, [o.id for o in obs], column_fn)
 
 
-def draw_subset(n: int, omega: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random subset of size floor(omega * n), without replacement."""
+def subset_size(n: int, omega: float) -> int:
+    """floor(omega * n), which must leave at least one row on each side."""
     size = int(np.floor(omega * n))
     if size < 1 or size > n - 1:
         raise ValueError(
             f"subset size floor({omega} * {n}) = {size} is degenerate; need 1 <= size <= n-1")
-    return np.sort(rng.choice(n, size=size, replace=False))
+    return size
+
+
+def draw_subset(n: int, omega: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random subset of size floor(omega * n), without replacement."""
+    return np.sort(rng.choice(n, size=subset_size(n, omega), replace=False))
 
 
 @dataclass
@@ -287,25 +292,6 @@ class ChainTrace:
     def acceptance_rate(self) -> float:
         return self.acceptance_count / self.proposal_count if self.proposal_count else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": [s.to_dict() for s in self.samples],
-            "acceptance_count": self.acceptance_count,
-            "proposal_count": self.proposal_count,
-            "rng_state_checkpoints": self.rng_state_checkpoints,
-            "update_log": self.update_log,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ChainTrace":
-        return ChainTrace(
-            samples=[PosteriorSample.from_dict(s) for s in d["samples"]],
-            acceptance_count=d["acceptance_count"],
-            proposal_count=d["proposal_count"],
-            rng_state_checkpoints=d["rng_state_checkpoints"],
-            update_log=d.get("update_log", []),
-        )
-
 
 class OracleFailure(RuntimeError):
     """Raised when the oracle fails mid-run; the checkpoint path is attached."""
@@ -319,29 +305,85 @@ def _rng_state(rng: np.random.Generator) -> dict:
     return json.loads(json.dumps(rng.bit_generator.state))
 
 
+CHECKPOINT_FORMAT = "ccbm-checkpoint-v2"
+
+
+def _log_path(path: Path) -> Path:
+    """The chain log that belongs to the checkpoint header at path."""
+    return Path(path).with_suffix(".log")
+
+
 def save_checkpoint(path: Path, trace: ChainTrace, cfg: SamplerConfig,
-                    state: ConceptSet, epoch_done: int, rng: np.random.Generator):
-    payload = {
-        "format": "ccbm-checkpoint-v1",
+                    state: ConceptSet, epoch_done: int, rng: np.random.Generator,
+                    log_offset: int, entry: Optional[dict] = None) -> int:
+    """Commit the chain as it stands after epoch_done.
+
+    The chain log next to path (see _log_path) is first cut to
+    log_offset, the end of what the last header committed, so an uncommitted
+    tail is dropped; entry, one epoch's samples, update-log lines and RNG
+    state, is appended as one NDJSON line. Then the header (config, state,
+    RNG state, counters and the new log offset) atomically replaces path.
+    Returns the new log offset.
+    """
+    with open(_log_path(path), "ab") as log:
+        log.truncate(log_offset)
+        if entry is not None:
+            line = (json.dumps(entry) + "\n").encode("utf-8")
+            log.write(line)
+            log_offset += len(line)
+    header = {
+        "format": CHECKPOINT_FORMAT,
         "config": cfg.to_dict(),
         "epoch_done": epoch_done,
         "state": [{"question": c.question} for c in state],
         "rng_state": _rng_state(rng),
-        "trace": trace.to_dict(),
+        "acceptance_count": trace.acceptance_count,
+        "proposal_count": trace.proposal_count,
+        "log_offset": log_offset,
     }
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
+    tmp.write_text(json.dumps(header))
     tmp.replace(path)
+    return log_offset
 
 
 def load_checkpoint(path: Path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "ccbm-checkpoint-v1":
-        raise ValueError(f"{path} is not a recognized checkpoint file")
-    payload["trace"] = ChainTrace.from_dict(payload["trace"])
-    payload["state"] = ConceptSet(Concept(c["question"]) for c in payload["state"])
-    payload["config"] = SamplerConfig.from_dict(payload["config"])
-    return payload
+    """Read a header and the chain log up to its committed offset.
+
+    Raises ValueError naming the file when either is unreadable, of another
+    format, or inconsistent with the other.
+    """
+    path = Path(path)
+    try:
+        header = json.loads(path.read_text())
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"format {fmt!r} is not {CHECKPOINT_FORMAT}; start a fresh run")
+        offset = header["log_offset"]
+        with open(_log_path(path), "rb") as log:
+            raw = log.read(offset)
+        if len(raw) != offset or (raw and not raw.endswith(b"\n")):
+            raise ValueError(f"{_log_path(path)} ends before the committed offset {offset}")
+        entries = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+        if [e["epoch"] for e in entries] != list(range(header["epoch_done"] + 1)):
+            raise ValueError(f"{_log_path(path)} does not hold epochs 0..{header['epoch_done']}")
+        trace = ChainTrace(
+            samples=[PosteriorSample.from_dict(s) for e in entries for s in e["samples"]],
+            acceptance_count=header["acceptance_count"],
+            proposal_count=header["proposal_count"],
+            rng_state_checkpoints=[e["rng_state"] for e in entries],
+            update_log=[line for e in entries for line in e["update_log"]])
+        return {
+            "config": SamplerConfig.from_dict(header["config"]),
+            "epoch_done": header["epoch_done"],
+            "state": ConceptSet(Concept(c["question"]) for c in header["state"]),
+            "rng_state": header["rng_state"],
+            "log_offset": offset,
+            "trace": trace,
+        }
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is not a usable checkpoint: {exc}") from exc
 
 
 _UPDATES = {
@@ -356,9 +398,10 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
     """Run warm-start then sampling epochs, appending one sample per slot update.
 
     Deterministic given (cfg.seed, data, a deterministic oracle). When
-    checkpoint_path is set, a resumable checkpoint is written after every
-    epoch and on oracle failure. Pass a payload from load_checkpoint as
-    resume_from to continue an interrupted run exactly.
+    checkpoint_path is set, a checkpoint is committed at the start and after
+    every epoch (see save_checkpoint); an oracle failure leaves the last one
+    in place. Pass a payload from load_checkpoint as resume_from to continue
+    an interrupted run exactly.
     """
     update = _UPDATES[cfg.mode]
     marginals = _MarginalCache(data, cfg.gamma)
@@ -368,19 +411,23 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
         trace = resume_from["trace"]
         state = resume_from["state"]
         start_epoch = resume_from["epoch_done"] + 1
+        log_offset = resume_from["log_offset"]
         rng = np.random.default_rng()
         rng.bit_generator.state = resume_from["rng_state"]
     else:
         trace = ChainTrace()
         state = init
         start_epoch = 0
+        log_offset = 0
         rng = np.random.default_rng(cfg.seed)
+    if checkpoint_path is not None:
+        # the last committed epoch boundary, which an oracle failure leaves in place
+        log_offset = save_checkpoint(checkpoint_path, trace, cfg, state,
+                                     start_epoch - 1, rng, log_offset)
 
     for epoch in range(start_epoch, total_epochs):
         warm = epoch < cfg.warm_start_epochs
-        # snapshot so a mid-epoch oracle failure checkpoints a clean epoch boundary
-        snap = (len(trace.samples), len(trace.update_log), trace.acceptance_count,
-                trace.proposal_count, state, _rng_state(rng))
+        first_sample, first_line = len(trace.samples), len(trace.update_log)
         for slot in range(cfg.k):
             subset = draw_subset(data.n, cfg.omega, rng)
             try:
@@ -390,13 +437,6 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                 else:
                     result = update(state, slot, subset, data, oracle, cfg, rng, marginals)
             except OracleError as exc:
-                if checkpoint_path is not None:
-                    trace.samples = trace.samples[:snap[0]]
-                    trace.update_log = trace.update_log[:snap[1]]
-                    trace.acceptance_count, trace.proposal_count = snap[2], snap[3]
-                    rollback = np.random.default_rng()
-                    rollback.bit_generator.state = snap[5]
-                    save_checkpoint(checkpoint_path, trace, cfg, snap[4], epoch - 1, rollback)
                 raise OracleFailure(f"oracle failed at epoch {epoch} slot {slot}: {exc}",
                                     checkpoint_path) from exc
             state = result.state
@@ -417,7 +457,12 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
             })
         trace.rng_state_checkpoints.append(_rng_state(rng))
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, trace, cfg, state, epoch, rng)
+            entry = {"epoch": epoch,
+                     "samples": [s.to_dict() for s in trace.samples[first_sample:]],
+                     "update_log": trace.update_log[first_line:],
+                     "rng_state": trace.rng_state_checkpoints[-1]}
+            log_offset = save_checkpoint(checkpoint_path, trace, cfg, state, epoch, rng,
+                                         log_offset, entry)
 
     _mark_burn_in(trace, cfg)
     return trace

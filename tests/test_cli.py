@@ -151,6 +151,46 @@ class TestRunErrors:
         config = write_config(workspace, tmp_path / "fresh")
         assert cli.main(["run", "--config", str(config), "--resume"]) == 2
 
+    @pytest.mark.parametrize("header", [
+        "{}", "{not json", json.dumps({"format": "ccbm-checkpoint-v1", "trace": {}})])
+    def test_unusable_checkpoint(self, workspace, tmp_path, capsys, header):
+        run_dir = tmp_path / "resume"
+        (run_dir / "checkpoints").mkdir(parents=True)
+        (run_dir / "checkpoints" / "chain.json").write_text(header)
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        assert "chain.json" in capsys.readouterr().err
+        assert not (run_dir / ".lock").exists()
+
+    def test_resume_with_another_sampler_config(self, workspace, finished_run, tmp_path,
+                                                capsys):
+        run_dir = tmp_path / "resume"
+        (run_dir / "checkpoints").mkdir(parents=True)
+        for name in ("chain.json", "chain.log"):
+            (run_dir / "checkpoints" / name).write_bytes(
+                (finished_run / "checkpoints" / name).read_bytes())
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume", "--seed", "4"]) == 2
+        assert "seed 3 -> 4" in capsys.readouterr().err
+        assert not (run_dir / ".lock").exists()
+        assert not (run_dir / "config.snapshot").exists()
+
+    @pytest.mark.parametrize("texts, omega, message", [
+        (["feat0", "feat0 feat1", "feat1"], 0.3, "floor(0.3 * 3) = 0"),
+        (["feat0 feat1"], 0.5, "floor(0.5 * 1) = 0"),
+        (["feat0", "feat1", "feat2", "feat3"], 0.5, "empty vocabulary")])
+    def test_dataset_too_small(self, workspace, tmp_path, capsys, texts, omega, message):
+        dataset = tmp_path / "tiny.ndjson"
+        dataset.write_text("".join(json.dumps({"id": f"t{i}", "text": text, "label": i % 2})
+                                   + "\n" for i, text in enumerate(texts)))
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, dataset=str(dataset),
+                              sampler=dict(SAMPLER, omega=omega))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (run_dir / "checkpoints" / "chain.json").exists()
+        assert not (run_dir / ".lock").exists()
+
     def test_duplicate_dataset_ids(self, workspace, tmp_path):
         bad = tmp_path / "bad.ndjson"
         row = json.dumps({"id": "dup", "text": "feat0", "label": 1})

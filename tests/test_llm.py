@@ -159,6 +159,54 @@ class TestExtractKeyphrases:
         assert bags[0].phrases == {"alpha"}
         assert post2.requests == []
 
+    def test_bag_cache_written_once_by_concurrent_workers(self, tmp_path, monkeypatch):
+        import re
+        import sys
+        import threading
+        from pathlib import Path
+        cache_path = tmp_path / "bags.json"
+        writes = []
+        write_text, replace = Path.write_text, Path.replace
+
+        def recording_write_text(self, *args, **kwargs):
+            writes.append(("write", self.name))
+            return write_text(self, *args, **kwargs)
+
+        def recording_replace(self, target):
+            writes.append(("replace", self.name, Path(target).name))
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "write_text", recording_write_text)
+        monkeypatch.setattr(Path, "replace", recording_replace)
+        lock = threading.Lock()
+        prompts = []
+
+        def post(url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                prompts.append(prompt)
+            word = re.search(r"note (word\d+)", prompt).group(1)
+            return chat_body({"keyphrases": [word, "shared"]})
+
+        config = make_config(max_in_flight=4)
+        observations = [Observation(f"o{i}", f"note word{i}") for i in range(50)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            oracle = LLMOracle(config, client=ChatClient(config, post_fn=post),
+                               bag_cache_path=cache_path)
+            bags = oracle.extract_keyphrases(observations)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(prompts) == 50
+        assert writes == [("write", "bags.json.tmp"), ("replace", "bags.json.tmp", "bags.json")]
+        assert json.loads(cache_path.read_text()) == {
+            b.observation_id: sorted(b.phrases) for b in bags}
+
+        reloaded, post2, _ = make_oracle([], config=config, bag_cache_path=cache_path)
+        assert reloaded.extract_keyphrases(observations) == bags
+        assert post2.requests == []
+
 
 class TestInitializeConcepts:
     def test_top_k_returned(self):

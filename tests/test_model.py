@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
-from ccbm.model import (AnnotationMatrix, ModelConfig, PosteriorSample,
-                        log1pexp, log_marginal_likelihood, log_partial_bayes,
+from ccbm.model import (AnnotationMatrix, ModelConfig, OptimizationError,
+                        PosteriorSample, log1pexp, log_marginal_likelihood,
+                        log_marginal_likelihoods, log_partial_bayes,
                         map_estimate, posterior_predictive, sigmoid,
                         sigmoid_predict)
 
@@ -16,6 +17,111 @@ def random_instance(rng, n, gamma):
     phi = AnnotationMatrix.build(rng.random((n, 1)), [str(i) for i in range(n)])
     y = (rng.random(n) < 0.5).astype(float)
     return phi, y, ModelConfig(gamma=gamma, k=1)
+
+
+def serial_objective(theta, X, y, gamma):
+    z = X @ theta
+    return float(np.sum(-y * z + log1pexp(z)) + 0.5 * theta @ theta / gamma**2)
+
+
+def serial_map(X, y, gamma, tol=1e-8, max_iter=100):
+    """The one-design damped Newton the stacked solver replaced, kept as its reference."""
+    d = X.shape[1]
+    theta = np.zeros(d)
+    if X.shape[0] == 0:
+        return theta
+    g = serial_objective(theta, X, y, gamma)
+    for _ in range(max_iter):
+        z = X @ theta
+        p = sigmoid(z)
+        grad = X.T @ (p - y) + theta / gamma**2
+        if np.max(np.abs(grad)) <= tol:
+            return theta
+        w = p * (1.0 - p)
+        H = (X * w[:, None]).T @ X + np.eye(d) / gamma**2
+        step = np.linalg.solve(H, grad)
+        t = 1.0
+        for _ in range(50):
+            cand = theta - t * step
+            g_cand = serial_objective(cand, X, y, gamma)
+            if g_cand <= g - 1e-4 * t * (grad @ step) + 1e-12 * max(1.0, abs(g)):
+                theta, g = cand, g_cand
+                break
+            t *= 0.5
+        else:
+            raise OptimizationError("line search failed to make progress", theta)
+    grad = X.T @ (sigmoid(X @ theta) - y) + theta / gamma**2
+    if np.max(np.abs(grad)) <= tol:
+        return theta
+    raise OptimizationError("Newton did not converge", theta)
+
+
+def serial_laplace(X, y, gamma, max_iter=100):
+    """(log marginal, theta, log det H) as the serial Laplace fit computed them."""
+    d = X.shape[1]
+    theta = serial_map(X, y, gamma, max_iter=max_iter)
+    g = serial_objective(theta, X, y, gamma)
+    p = sigmoid(X @ theta)
+    w = p * (1.0 - p)
+    H = (X * w[:, None]).T @ X + np.eye(d) / gamma**2
+    log_det = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(H)))))
+    return float(-g - 0.5 * d * np.log(gamma**2) - 0.5 * log_det), theta, log_det
+
+
+def random_stack(rng, E, n, d):
+    """E designs of d-1 concept columns (binary or graded) plus the intercept."""
+    cols = rng.random((E, n, d - 1))
+    if rng.random() < 0.5:
+        cols = (cols < 0.5).astype(float)
+    return np.concatenate([cols, np.ones((E, n, 1))], axis=2)
+
+
+class TestStackedSolver:
+    def test_bitwise_equal_to_serial_fits(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            E, n, d = int(rng.integers(1, 10)), int(rng.integers(0, 400)), int(rng.integers(2, 7))
+            gamma = float(rng.choice([0.5, 1.0, 2.0]))
+            X = random_stack(rng, E, n, d)
+            y = (rng.random(n) < 0.5).astype(float)
+            values, thetas, log_dets = log_marginal_likelihoods(X, y, gamma)
+            for e in range(E):
+                value, theta, log_det = serial_laplace(X[e], y, gamma)
+                assert values[e] == value and log_dets[e] == log_det
+                assert np.array_equal(thetas[e], theta)
+
+    def test_single_design_bitwise_equal_to_serial_fit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n, d = int(rng.integers(0, 400)), int(rng.integers(2, 7))
+            gamma = float(rng.choice([0.5, 1.0, 2.0]))
+            X = random_stack(rng, 1, n, d)[0]
+            y = (rng.random(n) < 0.5).astype(float)
+            phi = AnnotationMatrix(values=X, row_ids=tuple(map(str, range(n))))
+            cfg = ModelConfig(gamma=gamma, k=d - 1)
+            value, theta, log_det = serial_laplace(X, y, gamma)
+            lm = log_marginal_likelihood(phi, y, cfg)
+            assert lm.value == value and lm.log_det_hessian == log_det
+            assert np.array_equal(lm.theta_map, theta)
+            assert np.array_equal(map_estimate(phi, y, cfg), serial_map(X, y, gamma))
+
+    def test_unconverged_design_raises(self):
+        # a design that converges at once beside a separable one that needs
+        # more than three Newton steps
+        n = 40
+        y = np.arange(n) % 2.0
+        X = np.ones((2, n, 2))
+        X[0, :, 0] = 0.0
+        X[1, :, 0] = y
+        log_marginal_likelihoods(X[:1], y, 4.0, max_iter=3)  # the first alone converges
+        with pytest.raises(OptimizationError) as serial_failure:
+            serial_map(X[1], y, 4.0, max_iter=3)
+        with pytest.raises(OptimizationError) as failure:
+            log_marginal_likelihoods(X, y, 4.0, max_iter=3)
+        assert np.array_equal(failure.value.theta, serial_failure.value.theta)
+        phi = AnnotationMatrix(values=X[1], row_ids=tuple(map(str, range(n))))
+        with pytest.raises(OptimizationError):
+            map_estimate(phi, y, ModelConfig(gamma=4.0, k=1), max_iter=3)
 
 
 class TestSigmoid:

@@ -4,6 +4,7 @@ import pytest
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior
 from ccbm.keyphrase import KeyphraseSummary
+from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
 from ccbm.oracle import (AnnotationCache, AnnotationError, AnnotationRecord,
                          Observation, OracleMode, OracleProposal, PoolConcept,
                          PoolOracle, ProposalError, keyword_value,
@@ -177,6 +178,32 @@ class TestPoolProposals:
         assert set(got) == set(want)
         for cid in want:
             assert got[cid] == pytest.approx(want[cid], abs=1e-9)
+
+    def test_stacked_weights_equal_one_fit_per_candidate(self, pool_dataset):
+        oracle = make_oracle(pool_dataset)
+        context = [pool_dataset.pool_concepts[j].concept for j in (4, 1)]
+        rows = np.sort(np.random.default_rng(3).choice(60, size=30, replace=False))
+        eligible, probs = oracle.partial_posterior_weights(context, rows)
+        # the loop the stacked solve replaced: context columns, candidate, intercept
+        cols = [4, 1]
+        log_scores = np.array([log_marginal_likelihood(
+            AnnotationMatrix.build(pool_dataset.annotations[np.ix_(rows, cols + [j])],
+                                   [str(i) for i in rows]),
+            pool_dataset.labels[rows], ModelConfig(gamma=1.0, k=3)).value for j in eligible])
+        log_scores -= log_scores.max()
+        want = np.exp(log_scores)
+        want /= want.sum()
+        assert eligible == [0, 2, 3, 5, 6, 7, 8, 9]
+        assert np.array_equal(probs, want)
+
+    def test_out_of_range_annotations_rejected(self, pool_dataset):
+        matrix = pool_dataset.annotations.copy()
+        matrix[0, 3] = 1.5
+        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
+                            pool_dataset.labels, gamma=1.0, annotation_matrix=matrix)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            oracle.partial_posterior_weights([pool_dataset.pool_concepts[4].concept],
+                                             np.arange(30))
 
     def test_exact_mode_returns_top_m_descending(self, pool_dataset):
         oracle = make_oracle(pool_dataset)

@@ -332,6 +332,69 @@ class TestCheckpointResume:
         with pytest.raises(ValueError):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("header", [
+        "[]", "not json",
+        json.dumps({"format": "ccbm-checkpoint-v1", "trace": {}}),
+        json.dumps({"format": "ccbm-checkpoint-v2", "epoch_done": 0, "log_offset": 10})])
+    def test_unusable_header_rejected_by_name(self, tmp_path, header):
+        bad = tmp_path / "x.json"
+        bad.write_text(header)
+        with pytest.raises(ValueError, match="x.json"):
+            load_checkpoint(bad)
+
+    def test_header_stays_small_and_log_grows_linearly(self, tmp_path, pool_dataset,
+                                                       monkeypatch):
+        import ccbm.sampler as sampler
+        sizes = []
+        real = sampler.save_checkpoint
+
+        def recording(path, *args):
+            offset = real(path, *args)
+            sizes.append((path.stat().st_size, path.with_suffix(".log").stat().st_size))
+            return offset
+
+        monkeypatch.setattr(sampler, "save_checkpoint", recording)
+        oracle = make_oracle(pool_dataset)
+        data = gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels, oracle)
+        cfg = SamplerConfig(k=2, t_epochs=40, m_candidates=10, seed=5, mode="single_try")
+        init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
+        run_gibbs(data, oracle, cfg, init, checkpoint_path=tmp_path / "chain.json")
+        assert len(sizes) == 1 + 41  # the start header, then one per epoch
+        headers = [h for h, _ in sizes]
+        assert max(headers) - min(headers) < 32
+        growth = np.diff([log for _, log in sizes[1:]])
+        assert sizes[0][1] == 0 and growth.min() > 0.8 * growth.max()
+
+    def test_uncommitted_tail_ignored_then_cut(self, tmp_path, pool_dataset):
+        cfg = SamplerConfig(k=2, t_epochs=4, m_candidates=5, seed=13, keep_last=2,
+                            mode="multi_try")
+        init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
+        oracle = make_oracle(pool_dataset)
+        reference = tmp_path / "ref" / "chain.json"
+        reference.parent.mkdir()
+        run_gibbs(gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels,
+                                         oracle), oracle, cfg, init, checkpoint_path=reference)
+
+        flaky = FlakyOracle(make_oracle(pool_dataset), fail_at=7)
+        ckpt = tmp_path / "chain.json"
+        with pytest.raises(OracleFailure):
+            run_gibbs(gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels,
+                                             flaky), flaky, cfg, init, checkpoint_path=ckpt)
+        committed = ckpt.with_suffix(".log").read_bytes()
+        with open(ckpt.with_suffix(".log"), "ab") as log:
+            log.write(b'{"epoch": 3, "samples": [{"concepts": []}]}\n{"epoch": 4, "sa')
+        payload = load_checkpoint(ckpt)
+        assert payload["log_offset"] == len(committed)
+        assert len(payload["trace"].samples) == 2 * (payload["epoch_done"] + 1)
+
+        oracle = make_oracle(pool_dataset)
+        run_gibbs(gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels,
+                                         oracle), oracle, cfg, init, checkpoint_path=ckpt,
+                  resume_from=payload)
+        assert ckpt.read_bytes() == reference.read_bytes()
+        assert ckpt.with_suffix(".log").read_bytes() == \
+            reference.with_suffix(".log").read_bytes()
+
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, pool_dataset):
         kwargs = dict(k=2, t_epochs=4, m_candidates=5, seed=13, keep_last=2)
         reference = pool_chain(pool_dataset, "exact", "multi_try", kwargs)
