@@ -25,11 +25,14 @@ from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
                        recovery_report, support_frequencies)
 from .keyphrase import (build_bow, fit_keyphrase_model, summarize_top_keyphrases)
 from .llm import LLMConfig, LLMOracle
-from .model import posterior_predictive, sigmoid_predict
+from .model import sigmoid_predict_many
+# ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
+# bench/tracing.py wraps them by name
+from .model import posterior_predictive, sigmoid_predict  # noqa: F401
 from .oracle import (AnnotationCache, ConceptOracle, Observation, OracleError,
                      PoolConcept, PoolOracle)
-from .sampler import (OracleFailure, SamplerConfig, gibbs_data_from_oracle,
-                      load_checkpoint, run_gibbs, subset_size)
+from .sampler import (OracleFailure, SamplerConfig, annotation_table,
+                      gibbs_data_from_oracle, load_checkpoint, run_gibbs, subset_size)
 from .synthetic import SyntheticSpec, clinical_spec, generate_synthetic
 
 EXIT_OK = 0
@@ -144,8 +147,11 @@ def build_oracle(cfg: RunConfig, observations, labels,
     llm_cfg = LLMConfig.from_dict(
         {k: v for k, v in cfg.oracle.items() if k not in ("type", "bag_cache")})
     bag_cache = cfg.oracle.get("bag_cache")
-    return LLMOracle(llm_cfg, cache=cache,
-                     bag_cache_path=Path(bag_cache) if bag_cache else None)
+    try:
+        return LLMOracle(llm_cfg, cache=cache,
+                         bag_cache_path=Path(bag_cache) if bag_cache else None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -318,42 +324,97 @@ def _load_run(run_dir: Path):
     cfg = RunConfig.load(run_dir / "config.snapshot")
     samples = [PosteriorSample.from_dict(json.loads(line))
                for line in samples_path.read_text().splitlines() if line]
-    return cfg, [s for s in samples if not s.burn_in]
+    samples = [s for s in samples if not s.burn_in]
+    if not samples:
+        raise ConfigError("run contains no posterior samples")
+    return cfg, samples
+
+
+def _concept_set_groups(samples) -> list[tuple[ConceptSet, list[int]]]:
+    """Each distinct concept set, in order of first use, with its samples' indices."""
+    groups: dict[ConceptSet, list[int]] = {}
+    for j, s in enumerate(samples):
+        groups.setdefault(s.concept_set, []).append(j)
+    return list(groups.items())
+
+
+def _sample_probabilities(samples, groups, designs) -> np.ndarray:
+    """Every sample's plug-in probability on every row, as an (n, S) matrix:
+    one product per concept set, over that set's (n, d) design."""
+    probs = np.empty((designs[0].shape[0], len(samples)))
+    for (_, members), X in zip(groups, designs):
+        probs[:, members] = sigmoid_predict_many(
+            X, np.array([samples[j].theta for j in members]))
+    return probs
+
+
+def _annotate_rows(oracle, observations, concepts) -> tuple[np.ndarray, dict[int, str]]:
+    """The (n, C) concept values of every row, from one annotate call.
+
+    If that call fails, each row is annotated alone; a row whose call fails
+    keeps zeros and its error message is returned by row index.
+    """
+    try:
+        return annotation_table(oracle, observations, concepts), {}
+    except OracleError:
+        pass
+    values = np.zeros((len(observations), len(concepts)))
+    errors = {}
+    for i, obs in enumerate(observations):
+        try:
+            values[i] = annotation_table(oracle, [obs], concepts)[0]
+        except OracleError as exc:
+            errors[i] = str(exc)
+    return values, errors
+
+
+def _check_training_ids(observations, train_obs):
+    """Annotations are cached by observation id, so an input row that reuses a
+    training id with other text would be scored on the training row's values."""
+    train_text = {o.id: o.payload for o in train_obs}
+    for obs in observations:
+        if train_text.get(obs.id, obs.payload) != obs.payload:
+            raise ConfigError(f"input observation {obs.id!r} reuses a training id with "
+                              "different text; give it an id of its own")
 
 
 def cmd_predict(args) -> int:
     run_dir = Path(args.run)
     cfg, samples = _load_run(run_dir)
-    if not samples:
-        raise ConfigError("run contains no posterior samples")
     observations, _ = load_dataset(Path(args.input), require_labels=False)
     train_obs, train_labels = load_dataset(cfg.dataset)
+    _check_training_ids(observations, train_obs)
     cache = _open_cache(run_dir)
     oracle = build_oracle(cfg, train_obs, train_labels, cache)
 
-    concepts = {c.id: c for s in samples for c in s.concept_set}
-    out_lines = []
-    for obs in observations:
-        try:
-            records = oracle.annotate([obs], list(concepts.values()))
-        except OracleError as exc:
-            out_lines.append(json.dumps({"id": obs.id, "error": str(exc)}))
-            continue
-        values = {r.concept_id: r.value for r in records}
-        breakdown = []
-        rows = []
-        for s in samples:
-            row = np.array([values[c.id] for c in s.concept_set] + [1.0])
-            rows.append(row)
-            breakdown.append({
-                "concepts": [c.question for c in s.concept_set],
-                "values": [values[c.id] for c in s.concept_set],
-                "probability": sigmoid_predict(s.theta, row),
-            })
-        prob = posterior_predictive(samples, rows)
-        out_lines.append(json.dumps({"id": obs.id, "probability": prob,
-                                     "per_sample": breakdown}))
-    Path(args.output).write_text("".join(line + "\n" for line in out_lines))
+    concepts = list({c.id: c for s in samples for c in s.concept_set}.values())
+    column = {c.id: j for j, c in enumerate(concepts)}
+    values, errors = _annotate_rows(oracle, observations, concepts)
+    groups = _concept_set_groups(samples)
+    set_values = [values[:, [column[c.id] for c in cs]] for cs, _ in groups]
+    ones = np.ones((len(observations), 1))
+    probs = _sample_probabilities(samples, groups, [np.hstack([v, ones]) for v in set_values])
+    ensemble = np.mean(probs, axis=1)
+
+    # Lines are written one at a time, and each (row, concept set) part of a
+    # per-sample record is encoded once: a sample adds only its probability.
+    # The bytes equal json.dumps of the whole record.
+    heads = ['{"concepts": ' + json.dumps([c.question for c in cs]) + ', "values": '
+             for cs, _ in groups]
+    index = {cs: g for g, (cs, _) in enumerate(groups)}
+    group_of = [index[s.concept_set] for s in samples]
+    set_rows = [v.tolist() for v in set_values]
+    with open(args.output, "w") as fh:
+        for i, obs in enumerate(observations):
+            if i in errors:
+                fh.write(json.dumps({"id": obs.id, "error": errors[i]}) + "\n")
+                continue
+            prefixes = [head + json.dumps(v[i]) + ', "probability": '
+                        for head, v in zip(heads, set_rows)]
+            per_sample = ", ".join([prefixes[g] + repr(p) + "}"
+                                    for g, p in zip(group_of, probs[i].tolist())])
+            fh.write(f'{{"id": {json.dumps(obs.id)}, "probability": {float(ensemble[i])!r}, '
+                     f'"per_sample": [{per_sample}]}}\n')
     return EXIT_OK
 
 
@@ -366,15 +427,17 @@ def cmd_eval(args) -> int:
 
     data = gibbs_data_from_oracle(observations, labels, oracle)
     data.fill([c for s in samples for c in s.concept_set])
-    scores = np.mean([[sigmoid_predict(s.theta, row) for row in data.phi(s.concept_set).values]
-                      for s in samples], axis=0)
+    groups = _concept_set_groups(samples)
+    probs = _sample_probabilities(samples, groups, [data.phi(cs).values for cs, _ in groups])
+    # (S, n) layout, averaged over samples in sample order
+    scores = np.ascontiguousarray(probs.T).mean(axis=0)
     report = {
         "n": len(observations),
         "auc": auc(scores, labels),
         "brier": brier(scores, labels),
         "support_frequencies": {
-            " | ".join(sorted(c.question for c in cs)): freq
-            for cs, freq in _frequencies_by_set(samples).items()},
+            " | ".join(sorted(c.question for c in cs)): len(members) / len(samples)
+            for cs, members in groups},
     }
     if args.truth:
         truth_questions = json.loads(Path(args.truth).read_text())
@@ -389,13 +452,6 @@ def cmd_eval(args) -> int:
     _atomic_write(out, json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))
     return EXIT_OK
-
-
-def _frequencies_by_set(samples):
-    freq: dict = {}
-    for s in samples:
-        freq[s.concept_set] = freq.get(s.concept_set, 0) + 1
-    return {cs: n / len(samples) for cs, n in freq.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,14 @@ class LLMOracle(ConceptOracle):
         self._bag_cache_path = Path(bag_cache_path) if bag_cache_path else None
         self._bag_cache: dict[str, list[str]] = {}
         if self._bag_cache_path is not None and self._bag_cache_path.exists():
-            self._bag_cache = json.loads(self._bag_cache_path.read_text())
+            try:
+                self._bag_cache = json.loads(self._bag_cache_path.read_text())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ValueError(
+                    f"corrupt keyphrase bag cache {self._bag_cache_path}: {exc}") from exc
+            if not isinstance(self._bag_cache, dict):
+                raise ValueError(
+                    f"corrupt keyphrase bag cache {self._bag_cache_path}: not a JSON object")
 
     def _template(self, name: str) -> str:
         return load_template(name, self.config.prompt_dir)

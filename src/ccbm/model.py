@@ -127,6 +127,26 @@ def sigmoid_predict(theta: np.ndarray, phi_row: np.ndarray) -> float:
     return float(sigmoid(theta @ phi_row))
 
 
+def sigmoid_predict_many(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """sigma(theta . row) for every row of the (n, d) design X and every row of
+    the (S, d) thetas, as an (n, S) matrix.
+
+    theta . row is summed column by column in index order, which is how
+    theta @ row sums short vectors: on 0/1 designs with d <= 13 each entry
+    equals sigmoid_predict(theta, row) bit for bit, where one X @ thetas.T
+    product would not.
+    """
+    X = np.asarray(X, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != X.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: thetas have shape {thetas.shape}, design has {X.shape}")
+    z = X[:, :1] * thetas[:, 0]
+    for j in range(1, X.shape[1]):
+        z = z + X[:, j:j + 1] * thetas[:, j]
+    return sigmoid(z)
+
+
 def _objective(theta: np.ndarray, X: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     """Penalized negative log-likelihood of each design X[e] at its own theta[e].
 

@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from .concepts import Concept, ConceptSet
 from .model import (AnnotationMatrix, ModelConfig, PosteriorSample,
                     log_marginal_likelihood)
-from .oracle import ConceptOracle, OracleError, OracleProposal
+from .oracle import ConceptOracle, Observation, OracleError, OracleProposal
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,21 @@ class GibbsData:
                                 row_ids=self.row_ids)
 
 
+def annotation_table(oracle: ConceptOracle, observations: Sequence[Observation],
+                     concepts: Sequence[Concept]) -> np.ndarray:
+    """The (n, C) values of every concept for every observation, from one
+    annotate call."""
+    records = oracle.annotate(observations, concepts)
+    values = {(r.observation_id, r.concept_id): r.value for r in records}
+    return np.array([[values[(o.id, c.id)] for c in concepts] for o in observations],
+                    dtype=float).reshape(len(observations), len(concepts))
+
+
 def gibbs_data_from_oracle(observations, labels, oracle: ConceptOracle) -> GibbsData:
     """Bind a dataset to an oracle's annotate operation."""
     obs = list(observations)
-
-    def column_fn(concepts):
-        records = oracle.annotate(obs, concepts)
-        values = {(r.observation_id, r.concept_id): r.value for r in records}
-        return np.array([[values[(o.id, c.id)] for c in concepts] for o in obs])
-
-    return GibbsData(labels, [o.id for o in obs], column_fn)
+    return GibbsData(labels, [o.id for o in obs],
+                     lambda concepts: annotation_table(oracle, obs, concepts))
 
 
 def subset_size(n: int, omega: float) -> int:

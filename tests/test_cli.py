@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ccbm import cli
-from ccbm.oracle import OracleError, PoolOracle
+from ccbm.evaluate import auc, brier
+from ccbm.model import posterior_predictive, sigmoid_predict
+from ccbm.oracle import AnnotationCache, OracleError, PoolOracle
 
 SAMPLER = {"k": 2, "t_epochs": 4, "m_candidates": 4, "omega": 0.5,
            "gamma": 1.0, "seed": 3, "warm_start_epochs": 1, "keep_last": 2,
@@ -44,6 +47,69 @@ def finished_run(workspace):
     config = write_config(workspace, run_dir)
     assert cli.main(["run", "--config", str(config)]) == 0
     return run_dir
+
+
+@pytest.fixture(scope="module")
+def many_sets_run(workspace):
+    """A run whose posterior samples span several concept sets."""
+    run_dir = workspace / "run-many-sets"
+    config = write_config(
+        workspace, run_dir,
+        oracle={"type": "pool", "pool": str(workspace / "data" / "pool.json"),
+                "weight_mode": "uniform"},
+        sampler=dict(SAMPLER, k=3, t_epochs=12, m_candidates=3, keep_last=0))
+    assert cli.main(["run", "--config", str(config)]) == 0
+    return run_dir
+
+
+def reference_predictions(run_dir, input_path) -> bytes:
+    """predictions.ndjson as the per-row loop wrote it: one annotate call per
+    row, one sigmoid_predict per (row, sample), one posterior_predictive per row
+    and json.dumps of each whole record."""
+    cfg, samples = cli._load_run(run_dir)
+    observations, _ = cli.load_dataset(input_path, require_labels=False)
+    train_obs, train_labels = cli.load_dataset(cfg.dataset)
+    oracle = cli.build_oracle(cfg, train_obs, train_labels, AnnotationCache())
+    concepts = {c.id: c for s in samples for c in s.concept_set}
+    out = []
+    for obs in observations:
+        try:
+            records = oracle.annotate([obs], list(concepts.values()))
+        except OracleError as exc:
+            out.append(json.dumps({"id": obs.id, "error": str(exc)}))
+            continue
+        values = {r.concept_id: r.value for r in records}
+        breakdown, rows = [], []
+        for s in samples:
+            row = np.array([values[c.id] for c in s.concept_set] + [1.0])
+            rows.append(row)
+            breakdown.append({"concepts": [c.question for c in s.concept_set],
+                              "values": [values[c.id] for c in s.concept_set],
+                              "probability": sigmoid_predict(s.theta, row)})
+        out.append(json.dumps({"id": obs.id,
+                               "probability": posterior_predictive(samples, rows),
+                               "per_sample": breakdown}))
+    return "".join(line + "\n" for line in out).encode()
+
+
+def predict(run_dir, input_path, output) -> bytes:
+    assert cli.main(["predict", "--run", str(run_dir), "--input", str(input_path),
+                     "--output", str(output)]) == 0
+    return output.read_bytes()
+
+
+def unseen_rows(workspace, n=25):
+    """Rows of another simulated dataset, under ids the training set lacks."""
+    path = workspace / "unseen.ndjson"
+    if not path.exists():
+        assert cli.main(["simulate", "--out", str(workspace / "unseen-data"), "--n", str(n),
+                         "--seed", "12", "--pool-size", "8",
+                         "--coefficients", "2.5,-2.5"]) == 0
+        rows = [json.loads(line) for line in
+                (workspace / "unseen-data" / "dataset.ndjson").read_text().splitlines()]
+        path.write_text("".join(json.dumps({"id": "unseen-" + r["id"], "text": r["text"]})
+                                + "\n" for r in rows))
+    return path
 
 
 class TestSimulate:
@@ -208,6 +274,18 @@ class TestRunErrors:
         assert not (run_dir / ".lock").exists()
 
 
+    def test_corrupt_bag_cache(self, workspace, tmp_path, capsys):
+        bags = tmp_path / "bags.json"
+        bags.write_text('{"a": ["x"], "b": ')
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir,
+                              oracle={"type": "llm", "endpoint": "http://127.0.0.1:9/v1",
+                                      "model": "none", "bag_cache": str(bags)})
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert "bags.json" in capsys.readouterr().err
+        assert not (run_dir / ".lock").exists()
+
+
 class TestKillResume:
     def test_interrupt_then_resume_matches_uninterrupted(
             self, workspace, finished_run, monkeypatch):
@@ -263,6 +341,73 @@ class TestPredict:
         assert rec["id"] == "fresh-1"
         assert 0.0 <= rec["probability"] <= 1.0
 
+    @pytest.mark.parametrize("run", ["finished_run", "many_sets_run"])
+    @pytest.mark.parametrize("rows", ["training", "unseen"])
+    def test_matches_per_row_reference(self, workspace, tmp_path, request, run, rows):
+        run_dir = request.getfixturevalue(run)
+        inputs = (workspace / "data" / "dataset.ndjson" if rows == "training"
+                  else unseen_rows(workspace))
+        got = predict(run_dir, inputs, tmp_path / "p.ndjson")
+        assert got == reference_predictions(run_dir, inputs)
+        if run == "many_sets_run":
+            _, samples = cli._load_run(run_dir)
+            assert len({s.concept_set for s in samples}) > 1
+
+    def test_one_annotate_call(self, workspace, finished_run, tmp_path, monkeypatch):
+        calls = []
+        original = PoolOracle.annotate
+
+        def counted(self, observations, concepts):
+            calls.append(len(observations))
+            return original(self, observations, concepts)
+
+        monkeypatch.setattr(PoolOracle, "annotate", counted)
+        predict(finished_run, unseen_rows(workspace), tmp_path / "p.ndjson")
+        assert calls == [25]
+
+    def test_failing_row_gets_an_error_line(self, workspace, many_sets_run, tmp_path,
+                                            monkeypatch):
+        inputs = unseen_rows(workspace)
+        clean = predict(many_sets_run, inputs, tmp_path / "clean.ndjson").splitlines()
+        bad_id = json.loads(clean[3])["id"]
+        original = PoolOracle.annotate
+
+        def failing(self, observations, concepts):
+            if any(o.id == bad_id for o in observations):
+                raise OracleError(f"cannot annotate {bad_id}")
+            return original(self, observations, concepts)
+
+        monkeypatch.setattr(PoolOracle, "annotate", failing)
+        got = predict(many_sets_run, inputs, tmp_path / "patched.ndjson").splitlines()
+        assert len(got) == len(clean)
+        assert json.loads(got[3]) == {"id": bad_id, "error": f"cannot annotate {bad_id}"}
+        assert got[:3] + got[4:] == clean[:3] + clean[4:]
+
+    def test_reused_training_id_with_other_text(self, tmp_path, capsys):
+        # the recorded case: after a clinical fit on simulate seed 2, this text
+        # was scored on the training row obs-2-00013's values (0.005, not 0.997)
+        assert cli.main(["simulate", "--out", str(tmp_path / "data"), "--n", "200",
+                         "--seed", "2", "--clinical", "--n-decoys", "5"]) == 0
+        config = {"dataset": str(tmp_path / "data" / "dataset.ndjson"),
+                  "output_dir": str(tmp_path / "run"),
+                  "oracle": {"type": "pool", "pool": str(tmp_path / "data" / "pool.json"),
+                             "weight_mode": "uniform"},
+                  "sampler": dict(SAMPLER, k=5, t_epochs=1, m_candidates=5, seed=0,
+                                  keep_last=0)}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(tmp_path / "config.json")]) == 0
+        text = "unemployed, retired, alcohol, drugs"
+        reused = tmp_path / "reused.ndjson"
+        reused.write_text(json.dumps({"id": "obs-2-00013", "text": text}) + "\n")
+        assert cli.main(["predict", "--run", str(tmp_path / "run"), "--input", str(reused),
+                         "--output", str(tmp_path / "o.ndjson")]) == 2
+        assert "obs-2-00013" in capsys.readouterr().err
+        assert not (tmp_path / "o.ndjson").exists()
+        fresh = tmp_path / "fresh.ndjson"
+        fresh.write_text(json.dumps({"id": "fresh-1", "text": text}) + "\n")
+        rec = json.loads(predict(tmp_path / "run", fresh, tmp_path / "o.ndjson"))
+        assert rec["probability"] > 0.9
+
     def test_missing_run_dir(self, workspace, tmp_path):
         assert cli.main(["predict", "--run", str(tmp_path),
                          "--input", str(workspace / "data" / "dataset.ndjson"),
@@ -279,6 +424,25 @@ class TestEval:
         assert sum(report["support_frequencies"].values()) == pytest.approx(1.0)
         printed = json.loads(capsys.readouterr().out)
         assert printed["auc"] == report["auc"]
+
+    @pytest.mark.parametrize("run", ["finished_run", "many_sets_run"])
+    def test_matches_per_row_reference(self, request, capsys, run):
+        run_dir = request.getfixturevalue(run)
+        assert cli.main(["eval", "--run", str(run_dir)]) == 0
+        # the per-row loop: an (S, n) matrix of sigmoid_predict, averaged over samples
+        cfg, samples = cli._load_run(run_dir)
+        observations, labels = cli.load_dataset(cfg.dataset)
+        oracle = cli.build_oracle(cfg, observations, labels, AnnotationCache())
+        data = cli.gibbs_data_from_oracle(observations, labels, oracle)
+        scores = np.mean([[sigmoid_predict(s.theta, row)
+                           for row in data.phi(s.concept_set).values] for s in samples], axis=0)
+        reference = {"n": len(observations), "auc": auc(scores, labels),
+                     "brier": brier(scores, labels),
+                     "support_frequencies": {
+                         " | ".join(sorted(c.question for c in cs)): n / len(samples)
+                         for cs, n in Counter(s.concept_set for s in samples).items()}}
+        assert (run_dir / "reports" / "metrics.json").read_text() == \
+            json.dumps(reference, indent=2)
 
     def test_recovery_with_truth_file(self, workspace, finished_run):
         assert cli.main(["eval", "--run", str(finished_run),

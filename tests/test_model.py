@@ -8,7 +8,7 @@ from ccbm.model import (AnnotationMatrix, ModelConfig, OptimizationError,
                         PosteriorSample, log1pexp, log_marginal_likelihood,
                         log_marginal_likelihoods, log_partial_bayes,
                         map_estimate, posterior_predictive, sigmoid,
-                        sigmoid_predict)
+                        sigmoid_predict, sigmoid_predict_many)
 
 from conftest import quadrature_log_marginal
 
@@ -299,6 +299,41 @@ class TestAnnotationMatrix:
         phi = AnnotationMatrix.build(np.array([[0.2], [0.8]]), ["a", "b"])
         assert phi.values.shape == (2, 2)
         assert np.all(phi.values[:, -1] == 1.0)
+
+
+class TestSigmoidPredictMany:
+    """The batched scorer against one sigmoid_predict per (row, theta)."""
+
+    @staticmethod
+    def _instances(seed, binary, count=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            d, n, s = (int(v) for v in rng.integers(1, [8, 30, 20]))
+            X = (rng.random((n, d)) < 0.5).astype(float) if binary else rng.random((n, d))
+            X[:, -1] = 1.0
+            yield X, rng.normal(0.0, 3.0, (s, d))
+
+    @staticmethod
+    def _reference(X, thetas):
+        return np.array([[sigmoid_predict(t, row) for t in thetas] for row in X])
+
+    def test_binary_designs_bitwise(self):
+        for X, thetas in self._instances(0, binary=True):
+            assert np.array_equal(sigmoid_predict_many(X, thetas), self._reference(X, thetas))
+
+    def test_fractional_designs_within_bound(self):
+        # the two summation orders of theta . row differ by at most
+        # (d - 1) eps sum_j |x_j theta_j| (sigma' <= 1/4 carries a quarter of it
+        # to p), plus a few eps for evaluating sigma at two nearby points
+        eps = np.finfo(float).eps
+        for X, thetas in self._instances(1, binary=False):
+            got, ref = sigmoid_predict_many(X, thetas), self._reference(X, thetas)
+            bound = (X.shape[1] - 1) * eps * (np.abs(X) @ np.abs(thetas).T) / 4 + 4 * eps
+            assert np.all(np.abs(got - ref) <= bound)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            sigmoid_predict_many(np.ones((4, 3)), np.zeros((2, 2)))
 
 
 class TestPosteriorPredictive:
