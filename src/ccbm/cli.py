@@ -23,9 +23,10 @@ from . import __version__
 from .concepts import Concept, ConceptSet
 from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
                        recovery_report, support_frequencies)
-from .keyphrase import (build_bow, fit_keyphrase_model, summarize_top_keyphrases)
+from .keyphrase import (KeyphraseSummary, build_bow, fit_keyphrase_model,
+                        summarize_top_keyphrases)
 from .llm import LLMConfig, LLMOracle
-from .model import sigmoid_predict_many
+from .model import OptimizationError, sigmoid_predict_many
 # ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
 # bench/tracing.py wraps them by name
 from .model import posterior_predictive, sigmoid_predict  # noqa: F401
@@ -171,11 +172,34 @@ def _open_cache(run_dir: Path) -> AnnotationCache:
         raise ConfigError(str(exc)) from exc
 
 
-def _acquire_lock(run_dir: Path, resume: bool):
+def _acquire_lock(run_dir: Path):
+    """Create run_dir/.lock holding this process's pid, atomically.
+
+    A lock whose recorded pid is no longer alive was left by a run that died,
+    and is taken over. A lock held by a live pid, or one that names no
+    process, is refused.
+    """
     lock = run_dir / ".lock"
-    if lock.exists() and not resume:
-        raise ConfigError(f"run directory {run_dir} is locked by another run")
-    lock.write_text(str(os.getpid()))
+    while True:
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            break
+        except FileExistsError:
+            pass
+        try:
+            # signal 0 only checks; a pid <= 0 names a process group and is refused
+            os.kill(int(lock.read_text()), 0)
+        except FileNotFoundError:
+            continue  # released meanwhile
+        except ProcessLookupError:
+            lock.unlink(missing_ok=True)
+            continue
+        except (OSError, ValueError, OverflowError):
+            pass  # alive under another user, or no pid
+        raise ConfigError(f"run directory {run_dir} is locked by another run; remove {lock} "
+                          "if no run is using the directory")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(str(os.getpid()))
     return lock
 
 
@@ -196,13 +220,26 @@ def _load_resume(checkpoint: Path, sampler: SamplerConfig) -> dict:
     return payload
 
 
+def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg, seed) -> KeyphraseSummary:
+    """Top keyphrases of the residual model. Labels of one class leave nothing
+    to explain, and a fit that does not converge is reported and ranks no
+    phrase: either way the summary carries no residual signal."""
+    if len(np.unique(labels)) < 2:
+        return KeyphraseSummary(entries=[], residual_signal=False)
+    try:
+        fit = fit_keyphrase_model(bow, concepts, labels, seed=seed, vocabulary=vocab)
+    except OptimizationError as exc:
+        print(f"warning: keyphrase model not fitted: {exc}", file=sys.stderr)
+        return KeyphraseSummary(entries=[], residual_signal=False)
+    return summarize_top_keyphrases(fit, top_n=int(keyphrase_cfg.get("top_n", 50)))
+
+
 def _fit_initial_summary(bags, labels, keyphrase_cfg, seed):
     try:
         vocab, bow = build_bow(bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
     except ValueError as exc:
         raise ConfigError(f"cannot summarize the dataset's keyphrases: {exc}") from exc
-    fit = fit_keyphrase_model(bow, None, labels, seed=seed, vocabulary=vocab)
-    return summarize_top_keyphrases(fit, top_n=int(keyphrase_cfg.get("top_n", 50)))
+    return _residual_summary(vocab, bow, None, labels, keyphrase_cfg, seed)
 
 
 def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
@@ -215,8 +252,7 @@ def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
             vocab, bow = build_bow(sub_bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
         except ValueError:
             return []
-        fit = fit_keyphrase_model(bow, design, labels[rows], seed=seed, vocabulary=vocab)
-        return summarize_top_keyphrases(fit, top_n=int(keyphrase_cfg.get("top_n", 50)))
+        return _residual_summary(vocab, bow, design, labels[rows], keyphrase_cfg, seed)
     return provider
 
 
@@ -230,7 +266,7 @@ def cmd_run(args) -> int:
     run_dir = cfg.output_dir
     for sub in ("cache", "checkpoints", "reports"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    lock = _acquire_lock(run_dir, resume=args.resume)
+    lock = _acquire_lock(run_dir)
     started = time.time()
     try:
         checkpoint = run_dir / "checkpoints" / "chain.json"
@@ -429,15 +465,17 @@ def cmd_eval(args) -> int:
     data.fill([c for s in samples for c in s.concept_set])
     groups = _concept_set_groups(samples)
     probs = _sample_probabilities(samples, groups, [data.phi(cs).values for cs, _ in groups])
+    frequencies = support_frequencies([s.concept_set for s in samples])
     # (S, n) layout, averaged over samples in sample order
     scores = np.ascontiguousarray(probs.T).mean(axis=0)
     report = {
         "n": len(observations),
         "auc": auc(scores, labels),
         "brier": brier(scores, labels),
+        # one support reached in several slot orders is one key
         "support_frequencies": {
-            " | ".join(sorted(c.question for c in cs)): len(members) / len(samples)
-            for cs, members in groups},
+            " | ".join(sorted(c.question for c in cs)): frequencies[cs.id_set()]
+            for cs, _ in groups},
     }
     if args.truth:
         truth_questions = json.loads(Path(args.truth).read_text())

@@ -1,18 +1,17 @@
-"""Keyphrase residual model: bag-of-words design, ridge-penalized logistic fit
-with cross-validated penalty, and the ranked top-keyphrase summary used to
-prompt concept proposals.
+"""Keyphrase residual model: bag-of-words design, ridge-penalized binary
+logistic fit with cross-validated penalty, and the ranked top-keyphrase
+summary used to prompt concept proposals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
-from .model import log1pexp, sigmoid
+from .model import SharedDesign, log1pexp
 from .oracle import KeyphraseBag
 
 CONCEPT_RIDGE = 1e-6  # tiny fixed ridge on concept columns, conditioning only
@@ -25,10 +24,6 @@ class Vocabulary:
 
     index: dict[str, int]
     doc_freq: dict[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
 
     def phrases(self) -> list[str]:
         return sorted(self.index, key=self.index.get)
@@ -58,13 +53,12 @@ def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[Vocabulary
 
 @dataclass
 class KeyphraseModelFit:
-    beta_w: np.ndarray          # (V,) binary or (R, V) multinomial
-    beta_c: np.ndarray          # (C,) or (R, C)
-    intercept: np.ndarray       # scalar array or (R,)
+    beta_w: np.ndarray          # (V,) phrase coefficients
+    beta_c: np.ndarray          # (C,) concept coefficients
+    intercept: np.ndarray       # (1,)
     lambda_: float
     cv_scores: list[tuple[float, float]]
     vocabulary: Optional[Vocabulary]
-    classes: np.ndarray
 
 
 @dataclass
@@ -93,146 +87,61 @@ def _penalties(n_concepts: int, n_words: int, lam: float) -> np.ndarray:
     ])
 
 
-def _fit_binary(X: np.ndarray, y: np.ndarray, pen: np.ndarray,
-                max_iter: int = 200, tol: float = 1e-8) -> np.ndarray:
-    d = X.shape[1]
-    beta = np.zeros(d)
-
-    def obj(b):
-        z = X @ b
-        return float(np.sum(-y * z + log1pexp(z)) + 0.5 * np.sum(pen * b * b))
-
-    g = obj(beta)
-    for _ in range(max_iter):
-        z = X @ beta
-        p = sigmoid(z)
-        grad = X.T @ (p - y) + pen * beta
-        if np.max(np.abs(grad)) <= tol:
-            break
-        w = np.maximum(p * (1 - p), 1e-10)
-        H = (X * w[:, None]).T @ X + np.diag(pen + 1e-10)
-        step = np.linalg.solve(H, grad)
-        t = 1.0
-        for _ in range(50):
-            cand = beta - t * step
-            gc = obj(cand)
-            if gc <= g - 1e-4 * t * (grad @ step) + 1e-12 * max(1.0, abs(g)):
-                beta, g = cand, gc
-                break
-            t *= 0.5
-        else:
-            break
-    return beta
-
-
-def _fit_multinomial(X: np.ndarray, onehot: np.ndarray, pen: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    r = onehot.shape[1]
-
-    def obj_grad(flat):
-        B = flat.reshape(r, d)
-        Z = X @ B.T
-        Z -= Z.max(axis=1, keepdims=True)
-        expZ = np.exp(Z)
-        P = expZ / expZ.sum(axis=1, keepdims=True)
-        loss = -np.sum(onehot * np.log(np.maximum(P, 1e-300)))
-        loss += 0.5 * np.sum(pen[None, :] * B * B)
-        grad = (P - onehot).T @ X + pen[None, :] * B
-        return loss, grad.ravel()
-
-    res = scipy.optimize.minimize(obj_grad, np.zeros(r * d), jac=True, method="L-BFGS-B",
-                                  options={"maxiter": 1000, "ftol": 1e-14, "gtol": 1e-9})
-    return res.x.reshape(r, d)
-
-
-def _heldout_loss(X_tr, y_tr, X_te, y_te, pen, classes) -> float:
-    if len(classes) == 2:
-        beta = _fit_binary(X_tr, (y_tr == classes[1]).astype(float), pen)
-        z = X_te @ beta
-        y_bin = (y_te == classes[1]).astype(float)
-        return float(np.mean(-y_bin * z + log1pexp(z)))
-    onehot_tr = (y_tr[:, None] == classes[None, :]).astype(float)
-    B = _fit_multinomial(X_tr, onehot_tr, pen)
-    Z = X_te @ B.T
-    Z -= Z.max(axis=1, keepdims=True)
-    logP = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
-    idx = np.searchsorted(classes, y_te)
-    return float(-np.mean(logP[np.arange(len(y_te)), idx]))
-
-
 def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
                         lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-                        folds: int = 5, seed: int = 0, family: str = "auto",
+                        folds: int = 5, seed: int = 0,
                         vocabulary: Optional[Vocabulary] = None) -> KeyphraseModelFit:
-    """Fit the keyphrase model with lambda chosen by k-fold cross-validation.
+    """Fit the binary keyphrase model with lambda chosen by k-fold cross-validation.
 
     Only the bag-of-words block is penalized by lambda; concept columns carry
     a tiny fixed ridge for conditioning and the intercept is unpenalized.
-    The argmin lambda is the first occurrence in grid order.
+    The whole grid is one stacked solve over the shared design: each
+    (lambda, fold) pair weights its training rows 1 and its held-out rows 0.
+    A fold whose training rows hold one class is skipped. The argmin lambda
+    is the first occurrence in grid order. y must hold 0/1 labels of both
+    classes; a fit that does not converge raises OptimizationError.
     """
     y = np.asarray(y)
-    classes = np.unique(y)
     if folds < 2:
         raise ValueError("cross-validation requires folds >= 2")
-    if family == "auto":
-        family = "binary" if len(classes) == 2 else "multinomial"
+    if set(np.unique(y).tolist()) != {0, 1}:
+        raise ValueError("the keyphrase model needs 0/1 labels of both classes")
     X, n_c, n_w = _design(bow, concepts)
+    y = y.astype(float)
     n = X.shape[0]
-    multiclass = family == "multinomial"
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_of = np.empty(n, dtype=int)
     fold_of[order] = np.arange(n) % folds
+    train = [fold_of != f for f in range(folds)]
+    train = [tr for tr in train if 0 < y[tr].sum() < np.count_nonzero(tr)]
 
+    design = SharedDesign(X, y)
     cv_scores: list[tuple[float, float]] = []
-    for lam in lambda_grid:
-        pen = _penalties(n_c, n_w, lam)
-        losses = []
-        for f in range(folds):
-            te = fold_of == f
-            tr = ~te
-            if len(np.unique(y[tr])) < len(classes):
-                continue  # degenerate fold; skip
-            if multiclass and len(classes) == 2:
-                losses.append(_heldout_multinomial_binary(X[tr], y[tr], X[te], y[te], pen, classes))
-            else:
-                losses.append(_heldout_loss(X[tr], y[tr], X[te], y[te], pen, classes))
-        cv_scores.append((float(lam), float(np.mean(losses))))
+    if train:
+        penalties = [_penalties(n_c, n_w, lam) for lam in lambda_grid]
+        beta = design.fit(np.tile(np.array(train, dtype=float), (len(lambda_grid), 1)),
+                          np.repeat(penalties, len(train), axis=0))
+        z = beta @ X.T
+        losses = (-y * z + log1pexp(z)).reshape(len(lambda_grid), len(train), n)
+    for i, lam in enumerate(lambda_grid):
+        heldout = [float(np.mean(losses[i, f][~tr])) for f, tr in enumerate(train)]
+        cv_scores.append((float(lam), float(np.mean(heldout)) if heldout else float("nan")))
     best_lambda = min(cv_scores, key=lambda t: t[1])[0]
 
-    pen = _penalties(n_c, n_w, best_lambda)
-    if multiclass:
-        onehot = (y[:, None] == classes[None, :]).astype(float)
-        B = _fit_multinomial(X, onehot, pen)
-        beta_c, beta_w, intercept = B[:, :n_c], B[:, n_c:n_c + n_w], B[:, -1]
-    else:
-        beta = _fit_binary(X, (y == classes[1]).astype(float), pen)
-        beta_c, beta_w, intercept = beta[:n_c], beta[n_c:n_c + n_w], beta[-1:]
-    return KeyphraseModelFit(beta_w=beta_w, beta_c=beta_c, intercept=intercept,
-                             lambda_=best_lambda, cv_scores=cv_scores,
-                             vocabulary=vocabulary, classes=classes)
+    beta = design.fit(np.ones((1, n)), _penalties(n_c, n_w, best_lambda)[None])[0]
+    return KeyphraseModelFit(beta_w=beta[n_c:n_c + n_w], beta_c=beta[:n_c],
+                             intercept=beta[-1:], lambda_=best_lambda,
+                             cv_scores=cv_scores, vocabulary=vocabulary)
 
 
-def _heldout_multinomial_binary(X_tr, y_tr, X_te, y_te, pen, classes) -> float:
-    onehot_tr = (y_tr[:, None] == classes[None, :]).astype(float)
-    B = _fit_multinomial(X_tr, onehot_tr, pen)
-    Z = X_te @ B.T
-    Z -= Z.max(axis=1, keepdims=True)
-    logP = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
-    idx = np.searchsorted(classes, y_te)
-    return float(-np.mean(logP[np.arange(len(y_te)), idx]))
-
-
-def summarize_top_keyphrases(fit: KeyphraseModelFit, top_n: int = 50,
-                             class_index: Optional[int] = None) -> KeyphraseSummary:
+def summarize_top_keyphrases(fit: KeyphraseModelFit, top_n: int = 50) -> KeyphraseSummary:
     """Top phrases by absolute coefficient, descending; ties break lexicographically."""
     vocabulary = fit.vocabulary
     if vocabulary is None:
         raise ValueError("fit carries no vocabulary; pass one to fit_keyphrase_model")
     beta_w = fit.beta_w
-    if beta_w.ndim == 2:
-        beta_w = beta_w[class_index if class_index is not None else -1]
     phrases = vocabulary.phrases()
     if len(phrases) != len(beta_w):
         raise ValueError("vocabulary does not match the fitted coefficients")

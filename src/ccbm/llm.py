@@ -326,7 +326,9 @@ class LLMOracle(ConceptOracle):
 
     # -- annotation -------------------------------------------------------
 
-    def _annotate_one(self, obs: Observation, concepts: Sequence[Concept]) -> list[float]:
+    def _annotate_one(self, obs: Observation,
+                      concepts: Sequence[Concept]) -> Optional[list[float]]:
+        """The observation's answers, or None after a failed call."""
         questions = "\n".join(f"{i + 1}. {c.question}" for i, c in enumerate(concepts))
         prompt = self._template("annotate").format(questions=questions, note=obs.payload)
         try:
@@ -337,12 +339,11 @@ class LLMOracle(ConceptOracle):
                     f"expected {len(concepts)} answers, got {answers!r}")
             return [float(a) for a in answers]
         except (OracleError, AnnotationError, KeyError, TypeError, ValueError):
-            # never drop an observation; impute and flag every concept value
             self.imputed_values += len(concepts)
             self.run_log.append({"event": "annotation_imputed",
                                  "observation_id": obs.id,
                                  "n_concepts": len(concepts)})
-            return [0.5] * len(concepts)
+            return None
 
     def annotate(self, observations: Sequence[Observation],
                  concepts: Sequence[Concept]) -> list[AnnotationRecord]:
@@ -352,13 +353,18 @@ class LLMOracle(ConceptOracle):
         todo = [(obs, lacking) for obs in observations
                 if (lacking := [c for c in concepts if (obs.id, c.id) not in cached])]
         fresh: list[AnnotationRecord] = []
+        imputed: list[AnnotationRecord] = []
         if todo:
             with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
                 rows = list(pool.map(lambda job: self._annotate_one(*job), todo))
             for (obs, lacking), values in zip(todo, rows):
-                fresh.extend(AnnotationRecord(obs.id, c.id, v, "llm")
-                             for c, v in zip(lacking, values))
+                # never drop an observation: a failed call imputes 0.5 for this
+                # call only and is not cached, so a later call asks again
+                (imputed if values is None else fresh).extend(
+                    AnnotationRecord(obs.id, c.id, v, "llm")
+                    for c, v in zip(lacking, values or [0.5] * len(lacking)))
         self.cache.put_many(fresh)
+        fresh += imputed
         self.annotation_pairs += len(fresh)
         values = dict(cached)
         values.update({(r.observation_id, r.concept_id):

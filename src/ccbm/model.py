@@ -1,8 +1,9 @@
 """Probability core for the logistic concept model.
 
 Gaussian-prior MAP estimation, Laplace-approximated log marginal likelihoods,
-partial Bayes factors, and the posterior-predictive ensemble. Everything here
-is a pure function of its inputs.
+the damped Newton solver that every penalized logistic fit runs through, and
+the posterior-predictive ensemble. Everything here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class ModelConfig:
 
     gamma: float
     k: int
-    include_intercept: bool = True
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -77,15 +77,11 @@ class AnnotationMatrix:
         return self.values.shape[1]
 
     @staticmethod
-    def build(concept_values: np.ndarray, row_ids: Sequence[str],
-              include_intercept: bool = True) -> "AnnotationMatrix":
+    def build(concept_values: np.ndarray, row_ids: Sequence[str]) -> "AnnotationMatrix":
         concept_values = np.atleast_2d(np.asarray(concept_values, dtype=float))
-        if include_intercept:
-            ones = np.ones((concept_values.shape[0], 1))
-            values = np.hstack([concept_values, ones])
-        else:
-            values = concept_values
-        return AnnotationMatrix(values=values, row_ids=tuple(row_ids))
+        ones = np.ones((concept_values.shape[0], 1))
+        return AnnotationMatrix(values=np.hstack([concept_values, ones]),
+                                row_ids=tuple(row_ids))
 
 
 @dataclass
@@ -147,15 +143,107 @@ def sigmoid_predict_many(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return sigmoid(z)
 
 
-def _objective(theta: np.ndarray, X: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """Penalized negative log-likelihood of each design X[e] at its own theta[e].
+class _Designs:
+    """Stacked designs X (E, n, d) sharing the labels y and the N(0, gamma^2 I)
+    prior: the fits of the concept model.
 
-    theta holds one (d, 1) column per design and y is an (n, 1) column.
+    theta holds one (d, 1) column per design, so each product is a
+    matrix-vector product per design, as in a fit of that design alone.
     """
-    z = X @ theta
-    # (0.5 theta)^T theta as a (1, d) @ (d, 1) product, one per design
-    return ((-y * z + log1pexp(z)).sum(axis=1)[:, 0]
-            + ((0.5 * theta).transpose(0, 2, 1) @ theta)[:, 0, 0] / gamma**2)
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, gamma: float):
+        y = np.asarray(y, dtype=float)
+        if X.shape[1] != y.shape[0]:
+            raise ValueError("rows of phi must align with labels")
+        self.X, self.y, self.gamma = X, y[:, None], gamma
+        self.Xt = X.transpose(0, 2, 1)
+        self.size, self.d = X.shape[0], X.shape[2]
+        self.prior = np.eye(self.d) / gamma**2
+
+    def take(self, keep: np.ndarray) -> "_Designs":
+        return _Designs(self.X[keep], self.y[:, 0], self.gamma)
+
+    def objective(self, theta: np.ndarray) -> np.ndarray:
+        z = self.X @ theta
+        # (0.5 theta)^T theta as a (1, d) @ (d, 1) product, one per design
+        return ((-self.y * z + log1pexp(z)).sum(axis=1)[:, 0]
+                + ((0.5 * theta).transpose(0, 2, 1) @ theta)[:, 0, 0] / self.gamma**2)
+
+    def gradient(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = sigmoid(self.X @ theta)
+        return self.Xt @ (p - self.y) + theta / self.gamma**2, p
+
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        w = p * (1.0 - p)
+        return (self.X * w).transpose(0, 2, 1) @ self.X + self.prior
+
+
+class SharedDesign:
+    """One (n, d) design X with 0/1 labels y, fitted under many row weightings
+    and per-coordinate ridge penalties in one stacked solve.
+
+    The Hessian of every fit is one product W @ Q of the (E, n) weighted
+    curvatures with the (n, d(d+1)/2) table Q of column-pair products, which
+    is built once here. Q takes n d(d+1)/2 floats.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X = np.asarray(X, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        n, d = self.X.shape
+        if self.y.shape != (n,):
+            raise ValueError("labels must align with design rows")
+        rows, cols = np.triu_indices(d)
+        self.pairs = np.empty((n, len(rows)))
+        for j in range(d):  # filled in place, one block of columns per j
+            start = j * d - j * (j - 1) // 2
+            np.multiply(self.X[:, j:j + 1], self.X[:, j:], out=self.pairs[:, start:start + d - j])
+        # column of pairs holding each entry of the symmetric d x d Hessian
+        self.unpack = np.empty((d, d), dtype=int)
+        self.unpack[rows, cols] = self.unpack[cols, rows] = np.arange(len(rows))
+        self.unpack = self.unpack.ravel()
+
+    def fit(self, weights: np.ndarray, penalty: np.ndarray, tol: float = 1e-8,
+            max_iter: int = 200) -> np.ndarray:
+        """MAP coefficients (E, d) of the E losses
+        sum_i weights[e, i] [-y_i z_i + log(1 + exp(z_i))] + 1/2 sum_j penalty[e, j] beta_j^2,
+        by damped Newton from 0; raises OptimizationError if one does not converge."""
+        return _newton(_Penalized(self, np.asarray(weights, dtype=float),
+                                  np.asarray(penalty, dtype=float)), tol, max_iter)[0]
+
+
+class _Penalized:
+    """The fits of a SharedDesign under row weights (E, n) and penalties (E, d).
+
+    The curvature is floored at 1e-10 and 1e-10 is added to the Hessian's
+    diagonal, so an unpenalized coordinate stays solvable on saturated rows.
+    """
+
+    def __init__(self, design: SharedDesign, weights: np.ndarray, penalty: np.ndarray):
+        self.design, self.weights, self.penalty = design, weights, penalty
+        self.size, self.d = penalty.shape
+
+    def take(self, keep: np.ndarray) -> "_Penalized":
+        return _Penalized(self.design, self.weights[keep], self.penalty[keep])
+
+    def objective(self, theta: np.ndarray) -> np.ndarray:
+        beta = theta[:, :, 0]
+        z = beta @ self.design.X.T
+        return ((self.weights * (-self.design.y * z + log1pexp(z))).sum(axis=1)
+                + 0.5 * (self.penalty * beta * beta).sum(axis=1))
+
+    def gradient(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        beta = theta[:, :, 0]
+        p = sigmoid(beta @ self.design.X.T)
+        grad = (self.weights * (p - self.design.y)) @ self.design.X + self.penalty * beta
+        return grad[:, :, None], p
+
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        packed = (self.weights * np.maximum(p * (1.0 - p), 1e-10)) @ self.design.pairs
+        H = packed[:, self.design.unpack].reshape(self.size, self.d, self.d)
+        diag = np.arange(self.d)
+        H[:, diag, diag] += self.penalty + 1e-10
+        return H
 
 
 class _Stack:
@@ -187,7 +275,7 @@ class _Stack:
         return count == len(mask)
 
 
-def _line_search(X, y, gamma, theta, g, grad, step):
+def _line_search(problem, theta, g, grad, step):
     """Backtracking line search along -step, per design; every design tries
     the same step lengths 1, 1/2, 1/4, ... until it accepts one."""
     decrement = (grad.transpose(0, 2, 1) @ step)[:, 0, 0]
@@ -198,54 +286,44 @@ def _line_search(X, y, gamma, theta, g, grad, step):
     t = 1.0
     for _ in range(50):
         cand = theta - t * step
-        g_cand = _objective(cand, X, y, gamma)
+        g_cand = problem.objective(cand)
         ok = g_cand <= g - 1e-4 * t * decrement + slack
         if stack.settle(ok, (cand, g_cand)):
             return stack.out
         if stack.index is not None and len(stack.index) < len(g):
-            X, theta, g, step, decrement, slack = (
-                a[~ok] for a in (X, theta, g, step, decrement, slack))
+            problem = problem.take(~ok)
+            theta, g, step, decrement, slack = (
+                a[~ok] for a in (theta, g, step, decrement, slack))
         t *= 0.5
     raise OptimizationError("line search failed to make progress", theta[0, :, 0])
 
 
-def _newton(X: np.ndarray, y: np.ndarray, gamma: float, tol: float,
-            max_iter: int) -> Sequence[np.ndarray]:
-    """Damped Newton from 0 for a stack of designs X (E, n, d) sharing labels y.
+def _newton(problem, tol: float, max_iter: int) -> Sequence[np.ndarray]:
+    """Damped Newton from 0 for a stack of penalized logistic fits (_Designs
+    or _Penalized).
 
-    Returns theta (E, d), the objective (E,) and sigmoid(X theta) (E, n, 1)
-    at the optimum. Designs leave the stack as they converge; one that fails
-    raises OptimizationError with its last iterate. Vectors are kept as
-    columns, so each product is a matrix-vector product per design, as in
-    a fit of that design alone.
+    Returns theta (E, d), the objective (E,) and the fitted probabilities at
+    the optimum. Fits leave the stack as they converge; one that fails
+    raises OptimizationError with its last iterate.
     """
-    y = np.asarray(y, dtype=float)
-    if X.shape[1] != y.shape[0]:
-        raise ValueError("rows of phi must align with labels")
-    y = y[:, None]
-    prior = np.eye(X.shape[2]) / gamma**2
-    stack = _Stack(X.shape[0])
-    theta = np.zeros((X.shape[0], X.shape[2], 1))
-    g = _objective(theta, X, y, gamma)
-    Xt = X.transpose(0, 2, 1)
+    stack = _Stack(problem.size)
+    theta = np.zeros((problem.size, problem.d, 1))
+    g = problem.objective(theta)
     for it in range(max_iter + 1):
-        p = sigmoid(X @ theta)
-        grad = Xt @ (p - y) + theta / gamma**2
+        grad, p = problem.gradient(theta)
         converged = np.abs(grad).max(axis=1)[:, 0] <= tol
         if stack.settle(converged, (theta, g, p)):
             theta, g, p = stack.out
             return theta[:, :, 0], g, p
         if stack.index is not None and len(stack.index) < len(g):
-            X, theta, g, p, grad = (a[~converged] for a in (X, theta, g, p, grad))
-            Xt = X.transpose(0, 2, 1)
+            problem = problem.take(~converged)
+            theta, g, p, grad = (a[~converged] for a in (theta, g, p, grad))
         if it == max_iter:
             raise OptimizationError(
                 f"Newton did not converge in {max_iter} iterations "
                 f"(grad inf-norm {np.max(np.abs(grad[0])):.3e})", theta[0, :, 0])
-        w = p * (1.0 - p)
-        H = (X * w).transpose(0, 2, 1) @ X + prior
-        step = np.linalg.solve(H, grad)
-        theta, g = _line_search(X, y, gamma, theta, g, grad, step)
+        step = np.linalg.solve(problem.hessian(p), grad)
+        theta, g = _line_search(problem, theta, g, grad, step)
 
 
 def map_estimate(phi: AnnotationMatrix, y: np.ndarray, cfg: ModelConfig,
@@ -257,7 +335,7 @@ def map_estimate(phi: AnnotationMatrix, y: np.ndarray, cfg: ModelConfig,
     strongly convex so Newton with backtracking always converges in a handful
     of steps at this dimension.
     """
-    return _newton(phi.values[None], y, cfg.gamma, tol, max_iter)[0][0]
+    return _newton(_Designs(phi.values[None], y, cfg.gamma), tol, max_iter)[0][0]
 
 
 def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
@@ -271,9 +349,9 @@ def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
     design's results are bit-identical to fitting it alone.
     """
     d = X.shape[2]
-    theta, g, p = _newton(X, y, gamma, tol, max_iter)
-    w = p * (1.0 - p)
-    H = (X * w).transpose(0, 2, 1) @ X + np.eye(d) / gamma**2
+    designs = _Designs(X, y, gamma)
+    theta, g, p = _newton(designs, tol, max_iter)
+    H = designs.hessian(p)
     try:
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:  # H >= gamma^-2 I, so this is diagnostic only
@@ -298,19 +376,6 @@ def log_marginal_likelihood(phi: AnnotationMatrix, y: np.ndarray,
     value, theta, log_det = log_marginal_likelihoods(phi.values[None], y, cfg.gamma)
     return LogMarginal(value=float(value[0]), theta_map=theta[0],
                        log_det_hessian=float(log_det[0]))
-
-
-def log_partial_bayes(phi: AnnotationMatrix, y: np.ndarray, subset_s: np.ndarray,
-                      cfg: ModelConfig) -> float:
-    """log p(y_{S^c} | y_S, c, X) as a difference of two Laplace marginals."""
-    subset_s = np.asarray(subset_s, dtype=int)
-    if subset_s.size and (subset_s.min() < 0 or subset_s.max() >= phi.n):
-        raise ValueError("subset indices out of range")
-    full = log_marginal_likelihood(phi, y, cfg)
-    phi_s = AnnotationMatrix(values=phi.values[subset_s],
-                             row_ids=tuple(phi.row_ids[i] for i in subset_s))
-    part = log_marginal_likelihood(phi_s, np.asarray(y)[subset_s], cfg)
-    return full.value - part.value
 
 
 @dataclass

@@ -152,6 +152,8 @@ class _MarginalCache:
         return self._cache[key]
 
     def subset(self, concepts: Sequence[Concept], subset: np.ndarray) -> float:
+        if subset.size and (subset.min() < 0 or subset.max() >= self.data.n):
+            raise ValueError("subset indices out of range")
         phi = self.data.phi(concepts)
         sub = AnnotationMatrix(values=phi.values[subset],
                                row_ids=tuple(phi.row_ids[i] for i in subset))
@@ -159,6 +161,7 @@ class _MarginalCache:
         return log_marginal_likelihood(sub, self.data.labels[subset], cfg).value
 
     def log_partial_bayes(self, concepts: Sequence[Concept], subset: np.ndarray) -> float:
+        """log p(y_{S^c} | y_S, c, X) as a difference of two Laplace marginals."""
         return self.full(concepts)[0] - self.subset(concepts, subset)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -6,9 +9,11 @@ import numpy as np
 import pytest
 
 from ccbm import cli
+from ccbm.concepts import Concept
 from ccbm.evaluate import auc, brier
-from ccbm.model import posterior_predictive, sigmoid_predict
-from ccbm.oracle import AnnotationCache, OracleError, PoolOracle
+from ccbm.model import OptimizationError, posterior_predictive, sigmoid_predict
+from ccbm.oracle import AnnotationCache, KeyphraseBag, OracleError, PoolOracle
+from ccbm.sampler import GibbsData
 
 SAMPLER = {"k": 2, "t_epochs": 4, "m_candidates": 4, "omega": 0.5,
            "gamma": 1.0, "seed": 3, "warm_start_epochs": 1, "keep_last": 2,
@@ -206,12 +211,39 @@ class TestRunErrors:
                               sampler=dict(SAMPLER, omega=2.0))
         assert cli.main(["run", "--config", str(config)]) == 2
 
-    def test_lock_conflict(self, workspace, tmp_path):
+    def test_lock_conflict(self, workspace, finished_run, tmp_path):
+        # a lock held by a live process is refused, with or without --resume
         run_dir = tmp_path / "locked"
-        run_dir.mkdir()
-        (run_dir / ".lock").write_text("12345")
+        (run_dir / "checkpoints").mkdir(parents=True)
+        for name in ("chain.json", "chain.log"):
+            (run_dir / "checkpoints" / name).write_bytes(
+                (finished_run / "checkpoints" / name).read_bytes())
+        (run_dir / ".lock").write_text(str(os.getpid()))
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config)]) == 2
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        assert (run_dir / ".lock").read_text() == str(os.getpid())
+
+    def test_stale_lock_taken_over(self, workspace, tmp_path):
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait(timeout=60)
+        run_dir = tmp_path / "stale"
+        run_dir.mkdir()
+        (run_dir / ".lock").write_text(str(exited.pid))
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert (run_dir / "samples.jsonl").exists()
+        assert not (run_dir / ".lock").exists()
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "9" * 30])
+    def test_lock_naming_no_process_refused(self, workspace, tmp_path, capsys, content):
+        run_dir = tmp_path / "unreadable"
+        run_dir.mkdir()
+        (run_dir / ".lock").write_text(content)
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert ".lock if no run is using the directory" in capsys.readouterr().err
+        assert (run_dir / ".lock").read_text() == content
 
     def test_resume_without_checkpoint(self, workspace, tmp_path):
         config = write_config(workspace, tmp_path / "fresh")
@@ -311,6 +343,76 @@ class TestKillResume:
         assert cli.main(["run", "--config", str(config), "--resume"]) == 0
         assert (run_dir / "samples.jsonl").read_bytes() == \
             (finished_run / "samples.jsonl").read_bytes()
+
+
+    def test_crashed_run_leaves_a_lock_that_resume_takes_over(self, workspace, finished_run):
+        run_dir = workspace / "run-crashed"
+        config = write_config(workspace, run_dir)
+        # the run dies at its fifth proposal, without any cleanup
+        script = (
+            "import os, sys\n"
+            "from ccbm import cli\n"
+            "from ccbm.oracle import PoolOracle\n"
+            "propose, calls = PoolOracle.propose, []\n"
+            "def crash(self, *args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 5:\n"
+            "        os._exit(9)\n"
+            "    return propose(self, *args, **kwargs)\n"
+            "PoolOracle.propose = crash\n"
+            "cli.main(['run', '--config', sys.argv[1]])\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        crashed = subprocess.Popen([sys.executable, "-c", script, str(config)],
+                                   env=dict(os.environ, PYTHONPATH=src))
+        assert crashed.wait(timeout=300) == 9
+        assert (run_dir / ".lock").read_text() == str(crashed.pid)
+        assert (run_dir / "checkpoints" / "chain.json").exists()
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 0
+        assert (run_dir / "samples.jsonl").read_bytes() == \
+            (finished_run / "samples.jsonl").read_bytes()
+        assert not (run_dir / ".lock").exists()
+
+
+class TestResidualSummary:
+    @staticmethod
+    def bags(n):
+        return [KeyphraseBag(f"o{i}", frozenset({"a", "b"} if i % 3 else {"a", "c"}))
+                for i in range(n)]
+
+    def test_one_class_run_exits_3_without_fitting(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        rows = [json.loads(line) for line in
+                (workspace / "data" / "dataset.ndjson").read_text().splitlines()]
+        dataset = tmp_path / "positives.ndjson"
+        dataset.write_text("".join(json.dumps(dict(r, label=1)) + "\n" for r in rows))
+        monkeypatch.setattr(cli, "fit_keyphrase_model", pytest.fail)
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, dataset=str(dataset))
+        assert cli.main(["run", "--config", str(config)]) == 3
+        assert "keyphrase summary is empty" in capsys.readouterr().err
+        assert not (run_dir / ".lock").exists()
+
+    def test_one_class_subset_gets_no_signal_without_fitting(self, monkeypatch):
+        monkeypatch.setattr(cli, "fit_keyphrase_model", pytest.fail)
+        labels = np.array([0, 1] * 6)
+        data = GibbsData(labels, [f"o{i}" for i in range(12)],
+                         lambda concepts: np.zeros((12, len(concepts))))
+        provider = cli._make_summary_provider(data, labels, self.bags(12), {}, 0)
+        summary = provider([Concept("Is it a?")], np.arange(1, 12, 2))
+        assert summary.entries == [] and not summary.residual_signal
+
+    def test_unconverged_fit_is_reported_and_gives_no_signal(self, workspace, tmp_path,
+                                                             capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise OptimizationError("Newton did not converge in 200 iterations", np.zeros(3))
+        monkeypatch.setattr(cli, "fit_keyphrase_model", unconverged)
+        summary = cli._fit_initial_summary(self.bags(12), np.array([0, 1] * 6), {}, 0)
+        assert summary.entries == [] and not summary.residual_signal
+        assert "did not converge" in capsys.readouterr().err
+        config = write_config(workspace, tmp_path / "run")
+        assert cli.main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "keyphrase summary is empty" in err
 
 
 class TestPredict:
@@ -439,10 +541,20 @@ class TestEval:
         reference = {"n": len(observations), "auc": auc(scores, labels),
                      "brier": brier(scores, labels),
                      "support_frequencies": {
-                         " | ".join(sorted(c.question for c in cs)): n / len(samples)
-                         for cs, n in Counter(s.concept_set for s in samples).items()}}
+                         support: n / len(samples) for support, n in Counter(
+                             " | ".join(sorted(c.question for c in s.concept_set))
+                             for s in samples).items()}}
         assert (run_dir / "reports" / "metrics.json").read_text() == \
             json.dumps(reference, indent=2)
+
+    def test_support_reached_in_several_orders_sums_its_frequencies(self, many_sets_run):
+        assert cli.main(["eval", "--run", str(many_sets_run)]) == 0
+        _, samples = cli._load_run(many_sets_run)
+        orders = Counter(cs.id_set() for cs in {s.concept_set for s in samples})
+        assert max(orders.values()) > 1  # some support is reached in two slot orders
+        report = json.loads((many_sets_run / "reports" / "metrics.json").read_text())
+        assert len(report["support_frequencies"]) == len(orders)
+        assert sum(report["support_frequencies"].values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_recovery_with_truth_file(self, workspace, finished_run):
         assert cli.main(["eval", "--run", str(finished_run),

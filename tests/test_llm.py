@@ -380,6 +380,24 @@ class TestAnnotate:
         assert [r.value for r in records] == [0.5, 0.5]
         assert oracle.imputed_values == 2
 
+    def test_imputed_values_are_not_cached(self, tmp_path):
+        log = tmp_path / "annotations.ndjson"
+        obs = [Observation("o1", "note one"), Observation("o2", "note two")]
+        oracle, _, _ = make_oracle([chat_body({"answers": [1, 0]})]
+                                   + [requests.ConnectionError("down")] * 3,
+                                   cache=AnnotationCache(log))
+        records = oracle.annotate(obs, self.concepts)
+        assert [r.value for r in records] == [1.0, 0.0, 0.5, 0.5]
+        assert oracle.imputed_values == 2
+        assert [json.loads(line)["observation_id"]
+                for line in log.read_text().splitlines()] == ["o1", "o1"]
+        # the next run asks again for what was imputed, and only for that
+        oracle, post, _ = make_oracle([chat_body({"answers": [0, 1]})],
+                                      cache=AnnotationCache(log))
+        records = oracle.annotate(obs, self.concepts)
+        assert [r.value for r in records] == [1.0, 0.0, 0.0, 1.0]
+        assert len(post.prompts) == 1 and "note two" in post.prompts[0]
+
     def test_out_of_range_values_clamped(self):
         oracle, _, _ = make_oracle([chat_body({"answers": [1.4, -0.2]})])
         records = oracle.annotate([Observation("o1", "note")], self.concepts)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.model import (AnnotationMatrix, ModelConfig, OptimizationError,
                         PosteriorSample, log1pexp, log_marginal_likelihood,
-                        log_marginal_likelihoods, log_partial_bayes,
-                        map_estimate, posterior_predictive, sigmoid,
-                        sigmoid_predict, sigmoid_predict_many)
+                        log_marginal_likelihoods, map_estimate,
+                        posterior_predictive, sigmoid, sigmoid_predict,
+                        sigmoid_predict_many)
+from ccbm.sampler import GibbsData, _MarginalCache
 
 from conftest import quadrature_log_marginal
 
@@ -252,38 +253,52 @@ class TestLogMarginal:
 
 
 class TestPartialBayes:
+    """_MarginalCache.log_partial_bayes: log p(y_{S^c} | y_S, c, X) as a
+    difference of two Laplace marginals."""
+
+    @staticmethod
+    def marginals(phi, y, cfg):
+        data = GibbsData(y, phi.row_ids, lambda concepts: phi.values[:, :-1])
+        return _MarginalCache(data, cfg.gamma), [Concept("Is it x?")]
+
     def test_full_subset_is_zero(self, rng):
         phi, y, cfg = random_instance(rng, 8, 1.0)
-        assert log_partial_bayes(phi, y, np.arange(8), cfg) == 0.0
+        cache, concepts = self.marginals(phi, y, cfg)
+        assert cache.log_partial_bayes(concepts, np.arange(8)) == 0.0
 
     def test_empty_subset_is_full_marginal(self, rng):
         phi, y, cfg = random_instance(rng, 8, 1.0)
         full = log_marginal_likelihood(phi, y, cfg).value
-        assert log_partial_bayes(phi, y, np.array([], dtype=int), cfg) == full
+        cache, concepts = self.marginals(phi, y, cfg)
+        assert cache.log_partial_bayes(concepts, np.array([], dtype=int)) == full
 
     def test_chain_rule_identity(self, rng):
         phi, y, cfg = random_instance(rng, 10, 1.0)
         s = np.array([0, 2, 5, 7])
         phi_s = AnnotationMatrix(values=phi.values[s],
                                  row_ids=tuple(phi.row_ids[i] for i in s))
+        cache, concepts = self.marginals(phi, y, cfg)
         lhs = log_marginal_likelihood(phi, y, cfg).value
         rhs = (log_marginal_likelihood(phi_s, y[s], cfg).value
-               + log_partial_bayes(phi, y, s, cfg))
+               + cache.log_partial_bayes(concepts, s))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_matches_quadrature_difference(self):
         rng = np.random.default_rng(42)
         phi, y, cfg = random_instance(rng, 8, 1.0)
         s = np.arange(4)
-        lpb = log_partial_bayes(phi, y, s, cfg)
+        cache, concepts = self.marginals(phi, y, cfg)
+        lpb = cache.log_partial_bayes(concepts, s)
         ref = (quadrature_log_marginal(phi.values, y, cfg.gamma)
                - quadrature_log_marginal(phi.values[s], y[s], cfg.gamma))
         assert abs(lpb - ref) / abs(ref) <= 0.02
 
     def test_out_of_range_subset_rejected(self, rng):
         phi, y, cfg = random_instance(rng, 5, 1.0)
-        with pytest.raises(ValueError):
-            log_partial_bayes(phi, y, np.array([7]), cfg)
+        cache, concepts = self.marginals(phi, y, cfg)
+        for index in (7, -1):
+            with pytest.raises(ValueError):
+                cache.log_partial_bayes(concepts, np.array([index]))
 
 
 class TestAnnotationMatrix:
