@@ -16,8 +16,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .concepts import Concept, ConceptSet
-from .model import (AnnotationMatrix, ModelConfig, PosteriorSample,
-                    log_marginal_likelihood)
+from .model import AnnotationMatrix, PosteriorSample, log_marginal_likelihoods
+# ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
+from .model import log_marginal_likelihood  # noqa: F401
 from .oracle import ConceptOracle, Observation, OracleError, OracleProposal
 
 
@@ -60,7 +61,8 @@ class GibbsData:
     """Annotated training data as seen by the chain.
 
     Keeps a per-concept column store, filled by column_fn only for concepts not
-    stored yet; phi(concepts) stacks stored columns and the intercept column.
+    stored yet; designs(concept_sets) stacks stored columns and the intercept
+    column.
     """
 
     def __init__(self, labels: np.ndarray, row_ids: Sequence[str],
@@ -77,10 +79,16 @@ class GibbsData:
         return self.labels.shape[0]
 
     def fill(self, concepts: Sequence[Concept]):
-        """Store the columns of the given concepts, in one column_fn call."""
+        """Store the columns of the given concepts, in one column_fn call.
+
+        A column is checked to lie in [0, 1] here, once, so designs built from
+        stored columns need no further check.
+        """
         missing = list({c.id: c for c in concepts if c.id not in self._columns}.values())
         if missing:
             columns = np.asarray(self._column_fn(missing), dtype=float).T.copy()
+            if not np.all((columns >= 0.0) & (columns <= 1.0)):
+                raise ValueError("concept annotation values must lie in [0, 1]")
             self._columns.update(zip((c.id for c in missing), columns))
 
     def columns(self, concepts: Sequence[Concept]) -> list[np.ndarray]:
@@ -88,9 +96,26 @@ class GibbsData:
         self.fill(concepts)
         return [self._columns[c.id] for c in concepts]
 
+    def designs(self, concept_sets: Sequence[Sequence[Concept]],
+                rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (E, n, K+1) stack of the designs of E concept sets of one size K:
+        each set's stored columns in its order, then the intercept column.
+        With rows, only those rows of each design."""
+        self.fill([c for concepts in concept_sets for c in concepts])
+        ids = list({c.id: None for concepts in concept_sets for c in concepts})
+        stored = np.array([self._columns[i] for i in ids]).T
+        if rows is not None:
+            stored = stored[rows]
+        position = {i: j for j, i in enumerate(ids)}
+        index = np.array([[position[c.id] for c in concepts] for concepts in concept_sets])
+        X = np.empty((len(concept_sets), stored.shape[0], index.shape[1] + 1))
+        X[:, :, :-1] = stored[:, index].transpose(1, 0, 2)
+        X[:, :, -1] = 1.0
+        return X
+
+    # ccbm eval builds its designs here; bench/tracing.py also wraps phi by name
     def phi(self, concepts: Sequence[Concept]) -> AnnotationMatrix:
-        return AnnotationMatrix(values=np.column_stack([*self.columns(concepts), np.ones(self.n)]),
-                                row_ids=self.row_ids)
+        return AnnotationMatrix(values=self.designs([concepts])[0], row_ids=self.row_ids)
 
 
 def annotation_table(oracle: ConceptOracle, observations: Sequence[Observation],
@@ -135,34 +160,44 @@ class UpdateResult:
 
 
 class _MarginalCache:
-    """Memoizes full-data Laplace fits per ordered concept tuple."""
+    """Laplace fits of the chain's concept sets.
+
+    Full-data fits are memoized per ordered concept tuple; the fits on a
+    conditioning subset change with every update and are not.
+    """
 
     def __init__(self, data: GibbsData, gamma: float):
         self.data = data
         self.gamma = gamma
         self._cache: dict[tuple[str, ...], tuple[float, np.ndarray]] = {}
 
-    def full(self, concepts: Sequence[Concept]) -> tuple[float, np.ndarray]:
-        key = tuple(c.id for c in concepts)
-        if key not in self._cache:
-            phi = self.data.phi(concepts)
-            cfg = ModelConfig(gamma=self.gamma, k=len(concepts))
-            lm = log_marginal_likelihood(phi, self.data.labels, cfg)
-            self._cache[key] = (lm.value, lm.theta_map)
-        return self._cache[key]
+    def _full_fits(self, concept_sets: Sequence[Sequence[Concept]]
+                   ) -> list[tuple[float, np.ndarray]]:
+        """(log marginal, MAP theta) of each set on the full data; the sets not
+        memoized yet are fitted in one stacked solve."""
+        keys = [tuple(c.id for c in concepts) for concepts in concept_sets]
+        todo = {key: concepts for key, concepts in zip(keys, concept_sets)
+                if key not in self._cache}
+        if todo:
+            values, thetas, _ = log_marginal_likelihoods(
+                self.data.designs(list(todo.values())), self.data.labels, self.gamma)
+            self._cache.update(zip(todo, zip(map(float, values), thetas)))
+        return [self._cache[key] for key in keys]
 
-    def subset(self, concepts: Sequence[Concept], subset: np.ndarray) -> float:
+    def full(self, concepts: Sequence[Concept]) -> tuple[float, np.ndarray]:
+        return self._full_fits([concepts])[0]
+
+    def log_partial_bayes(self, concept_sets: Sequence[Sequence[Concept]],
+                          subset: np.ndarray) -> np.ndarray:
+        """log p(y_{S^c} | y_S, c, X) of each of several concept sets of one
+        size, as a difference of two Laplace marginals: the full-data fits
+        (memoized) and the subset fits, each set of fits one stacked solve."""
         if subset.size and (subset.min() < 0 or subset.max() >= self.data.n):
             raise ValueError("subset indices out of range")
-        phi = self.data.phi(concepts)
-        sub = AnnotationMatrix(values=phi.values[subset],
-                               row_ids=tuple(phi.row_ids[i] for i in subset))
-        cfg = ModelConfig(gamma=self.gamma, k=len(concepts))
-        return log_marginal_likelihood(sub, self.data.labels[subset], cfg).value
-
-    def log_partial_bayes(self, concepts: Sequence[Concept], subset: np.ndarray) -> float:
-        """log p(y_{S^c} | y_S, c, X) as a difference of two Laplace marginals."""
-        return self.full(concepts)[0] - self.subset(concepts, subset)
+        full = np.array([value for value, _ in self._full_fits(concept_sets)])
+        sub = log_marginal_likelihoods(self.data.designs(concept_sets, subset),
+                                       self.data.labels[subset], self.gamma)[0]
+        return full - sub
 
 
 def _candidate_sets(state: ConceptSet, slot: int, proposal: OracleProposal):
@@ -197,9 +232,9 @@ def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsDa
         # identical annotation columns; delta is exactly 0
         return UpdateResult(state, True, 0.0, proposal, candidate)
     cand_state = state.replace(slot, candidate)
-    delta = (marginals.log_partial_bayes(cand_state.concepts, subset)
-             - marginals.log_partial_bayes(state.concepts, subset))
-    log_alpha = min(0.0, delta)
+    lpb_current, lpb_candidate = marginals.log_partial_bayes(
+        [state.concepts, cand_state.concepts], subset)
+    log_alpha = min(0.0, lpb_candidate - lpb_current)
     accepted = np.log(rng.random()) < log_alpha
     return UpdateResult(cand_state if accepted else state, bool(accepted),
                         log_alpha, proposal, candidate)
@@ -207,30 +242,31 @@ def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsDa
 
 def _multi_try_weights(state: ConceptSet, slot: int, subset: np.ndarray,
                        proposal: OracleProposal, marginals: _MarginalCache):
-    """log w_m for surviving candidates, and log w_0 for the incumbent."""
-    kept = _candidate_sets(state, slot, proposal)
-    # one oracle round trip for every column the candidate designs need
-    marginals.data.fill([*state.concepts, *(c for i, c in kept if proposal.q_weights[i] > 0)])
-    log_ws, states = [], []
-    lpb_current = None
-    for i, cand in kept:
-        q = proposal.q_weights[i]
-        if q <= 0:
-            log_ws.append(-np.inf)
-            states.append(None)
-            continue
-        cand_state = state if cand.id == state[slot].id else state.replace(slot, cand)
-        lpb = marginals.log_partial_bayes(cand_state.concepts, subset)
-        if cand_state is state:
-            lpb_current = lpb  # a re-proposed incumbent: reuse its fit for w_0
-        log_ws.append(lpb + np.log(q))
-        states.append(cand_state)
+    """log w_m for surviving candidates, and log w_0 for the incumbent.
+
+    The incumbent and every candidate with q > 0 are scored in one call; a
+    re-proposed incumbent is scored once, as the incumbent.
+    """
     if proposal.q_current <= 0:
         raise ValueError("q_current must be positive for the multi-try update")
-    if lpb_current is None:
-        lpb_current = marginals.log_partial_bayes(state.concepts, subset)
-    log_w0 = lpb_current + np.log(proposal.q_current)
-    return kept, np.asarray(log_ws), states, log_w0
+    kept = _candidate_sets(state, slot, proposal)
+    # the incumbent first, so its columns are filled before the candidates'
+    scored = [state]
+    rows = []  # each kept candidate's row of scored; None where q = 0
+    for i, cand in kept:
+        if proposal.q_weights[i] <= 0:
+            rows.append(None)
+        elif cand.id == state[slot].id:
+            rows.append(0)
+        else:
+            rows.append(len(scored))
+            scored.append(state.replace(slot, cand))
+    lpb = marginals.log_partial_bayes([s.concepts for s in scored], subset)
+    log_ws = np.array([-np.inf if r is None else lpb[r] + np.log(proposal.q_weights[i])
+                       for (i, _), r in zip(kept, rows)])
+    states = [None if r is None else scored[r] for r in rows]
+    log_w0 = lpb[0] + np.log(proposal.q_current)
+    return kept, log_ws, states, log_w0
 
 
 def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsData,
@@ -290,7 +326,6 @@ class ChainTrace:
     samples: list[PosteriorSample] = field(default_factory=list)
     acceptance_count: int = 0
     proposal_count: int = 0
-    rng_state_checkpoints: list[dict] = field(default_factory=list)
     update_log: list[dict] = field(default_factory=list)
 
     def posterior_samples(self) -> list[PosteriorSample]:
@@ -379,7 +414,6 @@ def load_checkpoint(path: Path) -> dict:
             samples=[PosteriorSample.from_dict(s) for e in entries for s in e["samples"]],
             acceptance_count=header["acceptance_count"],
             proposal_count=header["proposal_count"],
-            rng_state_checkpoints=[e["rng_state"] for e in entries],
             update_log=[line for e in entries for line in e["update_log"]])
         return {
             "config": SamplerConfig.from_dict(header["config"]),
@@ -463,12 +497,11 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                 "accepted": result.accepted,
                 "phase": "warm_start" if warm else "sample",
             })
-        trace.rng_state_checkpoints.append(_rng_state(rng))
         if checkpoint_path is not None:
             entry = {"epoch": epoch,
                      "samples": [s.to_dict() for s in trace.samples[first_sample:]],
                      "update_log": trace.update_log[first_line:],
-                     "rng_state": trace.rng_state_checkpoints[-1]}
+                     "rng_state": _rng_state(rng)}
             log_offset = save_checkpoint(checkpoint_path, trace, cfg, state, epoch, rng,
                                          log_offset, entry)
 

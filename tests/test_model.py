@@ -254,7 +254,7 @@ class TestLogMarginal:
 
 class TestPartialBayes:
     """_MarginalCache.log_partial_bayes: log p(y_{S^c} | y_S, c, X) as a
-    difference of two Laplace marginals."""
+    difference of two Laplace marginals, here of one concept set."""
 
     @staticmethod
     def marginals(phi, y, cfg):
@@ -264,13 +264,13 @@ class TestPartialBayes:
     def test_full_subset_is_zero(self, rng):
         phi, y, cfg = random_instance(rng, 8, 1.0)
         cache, concepts = self.marginals(phi, y, cfg)
-        assert cache.log_partial_bayes(concepts, np.arange(8)) == 0.0
+        assert cache.log_partial_bayes([concepts], np.arange(8))[0] == 0.0
 
     def test_empty_subset_is_full_marginal(self, rng):
         phi, y, cfg = random_instance(rng, 8, 1.0)
         full = log_marginal_likelihood(phi, y, cfg).value
         cache, concepts = self.marginals(phi, y, cfg)
-        assert cache.log_partial_bayes(concepts, np.array([], dtype=int)) == full
+        assert cache.log_partial_bayes([concepts], np.array([], dtype=int))[0] == full
 
     def test_chain_rule_identity(self, rng):
         phi, y, cfg = random_instance(rng, 10, 1.0)
@@ -280,7 +280,7 @@ class TestPartialBayes:
         cache, concepts = self.marginals(phi, y, cfg)
         lhs = log_marginal_likelihood(phi, y, cfg).value
         rhs = (log_marginal_likelihood(phi_s, y[s], cfg).value
-               + cache.log_partial_bayes(concepts, s))
+               + cache.log_partial_bayes([concepts], s)[0])
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_matches_quadrature_difference(self):
@@ -288,7 +288,7 @@ class TestPartialBayes:
         phi, y, cfg = random_instance(rng, 8, 1.0)
         s = np.arange(4)
         cache, concepts = self.marginals(phi, y, cfg)
-        lpb = cache.log_partial_bayes(concepts, s)
+        lpb = cache.log_partial_bayes([concepts], s)[0]
         ref = (quadrature_log_marginal(phi.values, y, cfg.gamma)
                - quadrature_log_marginal(phi.values[s], y[s], cfg.gamma))
         assert abs(lpb - ref) / abs(ref) <= 0.02
@@ -298,7 +298,7 @@ class TestPartialBayes:
         cache, concepts = self.marginals(phi, y, cfg)
         for index in (7, -1):
             with pytest.raises(ValueError):
-                cache.log_partial_bayes(concepts, np.array([index]))
+                cache.log_partial_bayes([concepts], np.array([index]))
 
 
 class TestAnnotationMatrix:

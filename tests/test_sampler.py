@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
+from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
                          OracleProposal, PoolConcept, PoolOracle)
-from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, draw_subset,
+import ccbm.sampler as sampler
+from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, _candidate_sets,
+                          _MarginalCache, _multi_try_weights, draw_subset,
                           gibbs_data_from_oracle, greedy_warm_start_update,
                           load_checkpoint, multi_ss_mh_update, run_gibbs,
                           save_checkpoint, ss_mh_update)
@@ -35,12 +38,20 @@ def make_env(seed, n=20, n_concepts=4, k=2):
     return data, concepts, state, columns, rng
 
 
-def pool_chain(data, weight_mode, mode, cfg_kwargs, init_indices=(5, 7)):
+def pool_chain(data, weight_mode, mode, cfg_kwargs, init_indices=(5, 7),
+               checkpoint_path=None):
     oracle = make_oracle(data, weight_mode=weight_mode)
     gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
     cfg = SamplerConfig(mode=mode, **cfg_kwargs)
     init = ConceptSet([data.pool_concepts[i].concept for i in init_indices])
-    return run_gibbs(gibbs, oracle, cfg, init)
+    return run_gibbs(gibbs, oracle, cfg, init, checkpoint_path=checkpoint_path)
+
+
+def chain_log_rng_states(checkpoint):
+    """The RNG state after each epoch, from the chain log, and the header's."""
+    entries = [json.loads(line) for line in
+               checkpoint.with_suffix(".log").read_text().splitlines()]
+    return [e["rng_state"] for e in entries], json.loads(checkpoint.read_text())["rng_state"]
 
 
 class TestDrawSubset:
@@ -253,12 +264,14 @@ class TestRunGibbs:
         assert len(states) == 1
         assert trace.acceptance_rate == 1.0
 
-    def test_deterministic_reruns_are_identical(self, pool_dataset):
+    def test_deterministic_reruns_are_identical(self, pool_dataset, tmp_path):
         kwargs = dict(k=2, t_epochs=5, m_candidates=5, seed=7, keep_last=2)
-        a = pool_chain(pool_dataset, "exact", "multi_try", kwargs)
-        b = pool_chain(pool_dataset, "exact", "multi_try", kwargs)
+        ckpt_a, ckpt_b = tmp_path / "a.json", tmp_path / "b.json"
+        a = pool_chain(pool_dataset, "exact", "multi_try", kwargs, checkpoint_path=ckpt_a)
+        b = pool_chain(pool_dataset, "exact", "multi_try", kwargs, checkpoint_path=ckpt_b)
         assert [s.to_dict() for s in a.samples] == [s.to_dict() for s in b.samples]
-        assert a.rng_state_checkpoints == b.rng_state_checkpoints
+        assert ckpt_a.with_suffix(".log").read_text() == ckpt_b.with_suffix(".log").read_text()
+        assert chain_log_rng_states(ckpt_a) == chain_log_rng_states(ckpt_b)
         assert a.update_log == b.update_log
 
     def test_no_duplicate_concepts_in_any_state(self, pool_dataset):
@@ -397,7 +410,9 @@ class TestCheckpointResume:
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, pool_dataset):
         kwargs = dict(k=2, t_epochs=4, m_candidates=5, seed=13, keep_last=2)
-        reference = pool_chain(pool_dataset, "exact", "multi_try", kwargs)
+        reference_ckpt = tmp_path / "reference.json"
+        reference = pool_chain(pool_dataset, "exact", "multi_try", kwargs,
+                               checkpoint_path=reference_ckpt)
 
         flaky = FlakyOracle(make_oracle(pool_dataset), fail_at=7)
         data = gibbs_data_from_oracle(pool_dataset.observations,
@@ -417,7 +432,9 @@ class TestCheckpointResume:
         assert [s.to_dict() for s in resumed.samples] == \
             [s.to_dict() for s in reference.samples]
         assert resumed.acceptance_count == reference.acceptance_count
-        assert resumed.rng_state_checkpoints == reference.rng_state_checkpoints
+        assert ckpt.with_suffix(".log").read_text() == \
+            reference_ckpt.with_suffix(".log").read_text()
+        assert chain_log_rng_states(ckpt) == chain_log_rng_states(reference_ckpt)
 
 
 class TestDetailedBalance:
@@ -525,18 +542,208 @@ class TestColumnStore:
 
     def test_reproposed_incumbent_fits_its_subset_marginal_once(self, monkeypatch, rng):
         import ccbm.sampler as sampler
-        fits = []
-        real = sampler.log_marginal_likelihood
-        monkeypatch.setattr(sampler, "log_marginal_likelihood",
-                            lambda phi, y, cfg: fits.append(phi.n) or real(phi, y, cfg))
+        stacks = []
+        real = sampler.log_marginal_likelihoods
+        monkeypatch.setattr(sampler, "log_marginal_likelihoods",
+                            lambda X, y, gamma: stacks.append(X.shape[:2]) or real(X, y, gamma))
         data, concepts, state, _, _ = make_env(2, n_concepts=4)
         candidates = [state[1], concepts[2], concepts[3]]
         proposal = OracleProposal(candidates, np.array([0.3, 0.3, 0.2]), 0.3)
         cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=3)
+        marginals = sampler._MarginalCache(data, cfg.gamma)
         multi_ss_mh_update(state, 1, np.arange(10), data, None, cfg, rng,
-                           proposal=proposal)
-        # one full and one subset fit per candidate state, the incumbent's included
-        assert sorted(fits) == [10] * 3 + [20] * 3
+                           marginals=marginals, proposal=proposal)
+        # one full and one subset design per candidate state, the incumbent's
+        # included, in one stacked solve each
+        assert stacks == [(3, 20), (3, 10)]
+        # the full-data fits are memoized: scoring the same states again solves
+        # only their subset stack, and the recorded sample's fit is a lookup
+        stacks.clear()
+        multi_ss_mh_update(state, 1, np.arange(10), data, None, cfg, rng,
+                           marginals=marginals, proposal=proposal)
+        marginals.full(state.concepts)
+        assert stacks == [(3, 10)]
+
+    def test_out_of_range_column_rejected_once_at_fill(self, monkeypatch, rng):
+        import ccbm.model as model
+        data, concepts, state, columns, _ = make_env(3, n_concepts=5)
+        columns[concepts[3].id][4] = 1.5
+        columns[concepts[4].id][0] = np.nan
+        for bad in (concepts[3], concepts[4]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                data.fill([concepts[2], bad])
+            assert concepts[2].id not in data._columns and bad.id not in data._columns
+
+        def no_scan(self):
+            raise AssertionError("a stored column was range-checked again")
+
+        monkeypatch.setattr(model.AnnotationMatrix, "__post_init__", no_scan)
+        proposal = OracleProposal([state[1], concepts[2]], np.array([0.5, 0.5]), 0.5)
+        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=2)
+        for update in (multi_ss_mh_update, ss_mh_update, greedy_warm_start_update):
+            update(state, 1, np.arange(10), data, None, cfg, rng, proposal=proposal)
+
+
+class SerialMarginals:
+    """The reference for _MarginalCache: each concept set's full-data fit
+    (memoized) and then its subset fit, each solved alone."""
+
+    def __init__(self, data, gamma):
+        self.data, self.gamma, self._cache = data, gamma, {}
+
+    def full(self, concepts):
+        key = tuple(c.id for c in concepts)
+        if key not in self._cache:
+            lm = log_marginal_likelihood(self.data.phi(concepts), self.data.labels,
+                                         ModelConfig(gamma=self.gamma, k=len(concepts)))
+            self._cache[key] = (lm.value, lm.theta_map)
+        return self._cache[key]
+
+    def subset(self, concepts, subset):
+        if subset.size and (subset.min() < 0 or subset.max() >= self.data.n):
+            raise ValueError("subset indices out of range")
+        phi = self.data.phi(concepts)
+        sub = AnnotationMatrix(values=phi.values[subset],
+                               row_ids=tuple(phi.row_ids[i] for i in subset))
+        return log_marginal_likelihood(sub, self.data.labels[subset],
+                                       ModelConfig(gamma=self.gamma, k=len(concepts))).value
+
+    def log_partial_bayes(self, concepts, subset):
+        return self.full(concepts)[0] - self.subset(concepts, subset)
+
+
+def serial_multi_try_weights(state, slot, subset, proposal, marginals):
+    """The reference for _multi_try_weights: one candidate at a time."""
+    kept = _candidate_sets(state, slot, proposal)
+    marginals.data.fill([*state.concepts, *(c for i, c in kept if proposal.q_weights[i] > 0)])
+    log_ws, states = [], []
+    lpb_current = None
+    for i, cand in kept:
+        q = proposal.q_weights[i]
+        if q <= 0:
+            log_ws.append(-np.inf)
+            states.append(None)
+            continue
+        cand_state = state if cand.id == state[slot].id else state.replace(slot, cand)
+        lpb = marginals.log_partial_bayes(cand_state.concepts, subset)
+        if cand_state is state:
+            lpb_current = lpb
+        log_ws.append(lpb + np.log(q))
+        states.append(cand_state)
+    if proposal.q_current <= 0:
+        raise ValueError("q_current must be positive for the multi-try update")
+    if lpb_current is None:
+        lpb_current = marginals.log_partial_bayes(state.concepts, subset)
+    log_w0 = lpb_current + np.log(proposal.q_current)
+    return kept, np.asarray(log_ws), states, log_w0
+
+
+def serial_ss_mh_update(state, slot, subset, data, oracle, cfg, rng, marginals, proposal):
+    """The reference for ss_mh_update: the candidate's fits, then the current state's."""
+    kept = _candidate_sets(state, slot, proposal)
+    if not kept:
+        return sampler.UpdateResult(state, False, -np.inf, proposal)
+    weights = np.array([proposal.q_weights[i] for i, _ in kept])
+    pick = rng.choice(len(kept), p=weights / weights.sum())
+    candidate = kept[int(pick)][1]
+    if candidate.id == state[slot].id:
+        return sampler.UpdateResult(state, True, 0.0, proposal, candidate)
+    cand_state = state.replace(slot, candidate)
+    delta = (marginals.log_partial_bayes(cand_state.concepts, subset)
+             - marginals.log_partial_bayes(state.concepts, subset))
+    log_alpha = min(0.0, delta)
+    accepted = np.log(rng.random()) < log_alpha
+    return sampler.UpdateResult(cand_state if accepted else state, bool(accepted),
+                                log_alpha, proposal, candidate)
+
+
+UPDATES = {"multi_try": multi_ss_mh_update, "warm_start": greedy_warm_start_update,
+           "single_try": ss_mh_update}
+
+
+def serial_update(mode, state, slot, subset, data, cfg, rng, marginals, proposal):
+    if mode == "single_try":
+        return serial_ss_mh_update(state, slot, subset, data, None, cfg, rng, marginals,
+                                   proposal)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "_multi_try_weights", serial_multi_try_weights)
+        return UPDATES[mode](state, slot, subset, data, None, cfg, rng, marginals, proposal)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def rng_copy(rng):
+    copy = np.random.default_rng()
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+class TestStackedScorer:
+    """_MarginalCache.log_partial_bayes scores all of an update's concept sets
+    in two stacked solves; every weight and decision equals SerialMarginals'
+    bit for bit."""
+
+    @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
+    @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
+    def test_matches_serial_reference_on_pool_chains(self, mode, weight_mode):
+        reproposed = zero_q = 0
+        for seed, m in ((0, 3), (1, 10), (2, 6), (3, 9)):
+            data = make_pool_dataset(n=40, seed=20 + seed)
+            oracle = make_oracle(data, weight_mode=weight_mode)
+            stacked = _MarginalCache(
+                gibbs_data_from_oracle(data.observations, data.labels, oracle), 1.0)
+            serial = SerialMarginals(
+                gibbs_data_from_oracle(data.observations, data.labels, oracle), 1.0)
+            cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=m)
+            rng = np.random.default_rng(seed)
+            state = ConceptSet(data.pool_concepts[int(i)].concept
+                               for i in rng.choice(10, size=2, replace=False))
+            for step in range(20):
+                slot = step % 2
+                n = stacked.data.n
+                subset = (np.array([], dtype=int) if step == 3 else np.arange(n) if step == 7
+                          else draw_subset(n, 0.5, rng))
+                proposal = oracle.propose(state.without(slot), state[slot], subset, m, rng)
+                if step % 3 == 1 and len(proposal.candidates) > 1:
+                    q = proposal.q_weights.copy()
+                    q[rng.random(len(q)) < 0.5] = 0.0
+                    q[rng.integers(len(q))] = proposal.q_weights.max()
+                    proposal = OracleProposal(proposal.candidates, q, proposal.q_current)
+                reproposed += state[slot] in proposal.candidates
+                zero_q += int(np.sum(proposal.q_weights == 0))
+                if mode != "single_try":
+                    got = _multi_try_weights(state, slot, subset, proposal, stacked)
+                    want = serial_multi_try_weights(state, slot, subset, proposal, serial)
+                    assert got[0] == want[0] and got[2] == want[2]
+                    assert bits(got[1]) == bits(want[1]) and bits(got[3]) == bits(want[3])
+                a, b = rng_copy(rng), rng_copy(rng)
+                result = UPDATES[mode](state, slot, subset, stacked.data, None, cfg, a,
+                                       stacked, proposal)
+                ref = serial_update(mode, state, slot, subset, serial.data, cfg, b, serial,
+                                    proposal)
+                assert (result.state, result.accepted, result.chosen) == \
+                    (ref.state, ref.accepted, ref.chosen)
+                assert bits(result.log_alpha) == bits(ref.log_alpha)
+                assert bits(result.log_weights if result.log_weights is not None else []) == \
+                    bits(ref.log_weights if ref.log_weights is not None else [])
+                assert a.bit_generator.state == b.bit_generator.state
+                (lml, theta), (ref_lml, ref_theta) = (
+                    stacked.full(result.state.concepts), serial.full(result.state.concepts))
+                assert bits(lml) == bits(ref_lml) and bits(theta) == bits(ref_theta)
+                state, rng = result.state, a
+        assert reproposed > 0 and zero_q > 0
+
+    @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
+    def test_out_of_range_subset_rejected(self, mode):
+        data, concepts, state, _, _ = make_env(9)
+        proposal = OracleProposal([concepts[2], concepts[3]], np.array([0.5, 0.5]), 0.5)
+        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=2)
+        for index in (data.n, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                UPDATES[mode](state, 1, np.array([0, index]), data, None, cfg,
+                              np.random.default_rng(0), proposal=proposal)
 
 
 class AnsweringPost:
