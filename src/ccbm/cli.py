@@ -139,14 +139,25 @@ def load_pool(spec) -> list[PoolConcept]:
 
 def build_oracle(cfg: RunConfig, observations, labels,
                  cache: AnnotationCache) -> ConceptOracle:
-    okind = cfg.oracle["type"]
-    if okind == "pool":
-        pool = load_pool(cfg.oracle["pool"])
-        return PoolOracle(pool, observations, labels, gamma=cfg.sampler.gamma,
-                          weight_mode=cfg.oracle.get("weight_mode", "exact"),
-                          cache=cache)
-    llm_cfg = LLMConfig.from_dict(
-        {k: v for k, v in cfg.oracle.items() if k not in ("type", "bag_cache")})
+    """The configured oracle; a config mistake raises ConfigError naming the field."""
+    if cfg.oracle["type"] == "pool":
+        if "pool" not in cfg.oracle:
+            raise ConfigError("oracle config is missing the 'pool' field")
+        try:
+            pool = load_pool(cfg.oracle["pool"])
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read oracle.pool {cfg.oracle['pool']}: {exc!r}") from exc
+        try:
+            return PoolOracle(pool, observations, labels, gamma=cfg.sampler.gamma,
+                              weight_mode=cfg.oracle.get("weight_mode", "exact"),
+                              cache=cache)
+        except ValueError as exc:
+            raise ConfigError(f"invalid pool oracle config: {exc}") from exc
+    try:
+        llm_cfg = LLMConfig.from_dict(
+            {k: v for k, v in cfg.oracle.items() if k not in ("type", "bag_cache")})
+    except TypeError as exc:  # a missing or unknown field
+        raise ConfigError(f"invalid LLM oracle config: {exc}") from exc
     bag_cache = cfg.oracle.get("bag_cache")
     try:
         return LLMOracle(llm_cfg, cache=cache,

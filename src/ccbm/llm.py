@@ -43,7 +43,6 @@ class LLMConfig:
     request_timeout: float = 120.0
     max_in_flight: int = 4
     prompt_dir: Optional[str] = None
-    task_description: Optional[str] = None  # None keeps the label masked as "Y"
 
     def to_dict(self) -> dict:
         return {
@@ -55,7 +54,6 @@ class LLMConfig:
             "request_timeout": self.request_timeout,
             "max_in_flight": self.max_in_flight,
             "prompt_dir": self.prompt_dir,
-            "task_description": self.task_description,
         }
 
     @staticmethod
@@ -185,9 +183,6 @@ class LLMOracle(ConceptOracle):
 
     def _template(self, name: str) -> str:
         return load_template(name, self.config.prompt_dir)
-
-    def _task_blurb(self) -> str:
-        return self.config.task_description or "Y"
 
     # -- keyphrase extraction ---------------------------------------------
 

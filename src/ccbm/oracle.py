@@ -214,10 +214,14 @@ class PoolConcept:
     keyword: str
 
 
+def keyword_pattern(keyword: str) -> re.Pattern:
+    """Matches the keyword as a whole word in lowercased text."""
+    return re.compile(r"\b" + re.escape(keyword.lower()) + r"\b")
+
+
 def keyword_value(payload: str, keyword: str) -> float:
     """Binary extraction: 1.0 iff the keyword occurs as a whole word."""
-    pattern = r"\b" + re.escape(keyword.lower()) + r"\b"
-    return 1.0 if re.search(pattern, payload.lower()) else 0.0
+    return 1.0 if keyword_pattern(keyword).search(payload.lower()) else 0.0
 
 
 class PoolOracle(ConceptOracle):
@@ -253,6 +257,9 @@ class PoolOracle(ConceptOracle):
         self.cache = cache if cache is not None else AnnotationCache()
         self._by_id = {pc.concept.id: i for i, pc in enumerate(self.pool)}
         self._obs_row = {obs.id: i for i, obs in enumerate(self.observations)}
+        # one pattern per keyword: one alternation would miss a keyword that
+        # another keyword contains
+        self._patterns = [keyword_pattern(pc.keyword) for pc in self.pool]
         if annotation_matrix is not None:
             matrix = np.asarray(annotation_matrix, dtype=float)
             if matrix.shape != (len(self.observations), len(self.pool)):
@@ -260,32 +267,39 @@ class PoolOracle(ConceptOracle):
             self._matrix = matrix
         else:
             self._matrix = np.array([
-                [keyword_value(obs.payload, pc.keyword) for pc in self.pool]
+                self._keyword_values(obs.payload, range(len(self.pool)))
                 for obs in self.observations
             ], dtype=float)
         self.annotation_pairs = 0  # extraction "calls": cache misses filled by this oracle
 
     # -- extraction -------------------------------------------------------
 
-    def _value(self, obs: Observation, pool_index: int) -> float:
+    def _keyword_values(self, payload: str, pool_indices: Sequence[int]) -> list[float]:
+        text = payload.lower()
+        return [1.0 if self._patterns[j].search(text) else 0.0 for j in pool_indices]
+
+    def _values(self, obs: Observation, pool_indices: Sequence[int]) -> list[float]:
+        """The given pool concepts' values for one observation: its row of the
+        training matrix, or else keyword matches on its text."""
         row = self._obs_row.get(obs.id)
         if row is not None:
-            return float(self._matrix[row, pool_index])
-        return keyword_value(obs.payload, self.pool[pool_index].keyword)
+            return [float(self._matrix[row, j]) for j in pool_indices]
+        return self._keyword_values(obs.payload, pool_indices)
 
     def annotate(self, observations: Sequence[Observation],
                  concepts: Sequence[Concept]) -> list[AnnotationRecord]:
         pairs = [(obs.id, c.id) for obs in observations for c in concepts]
         cached = self.cache.get_many(pairs)
+        indices = [self._by_id.get(c.id) for c in concepts]
         fresh = []
         for obs in observations:
-            for c in concepts:
-                if (obs.id, c.id) in cached:
-                    continue
-                idx = self._by_id.get(c.id)
-                if idx is None:
+            todo = [(c, j) for c, j in zip(concepts, indices) if (obs.id, c.id) not in cached]
+            for c, j in todo:
+                if j is None:
                     raise AnnotationError(f"concept {c.question!r} is not in the pool")
-                fresh.append(AnnotationRecord(obs.id, c.id, self._value(obs, idx), "pool"))
+            values = self._values(obs, [j for _, j in todo])
+            fresh.extend(AnnotationRecord(obs.id, c.id, v, "pool")
+                         for (c, _), v in zip(todo, values))
         self.cache.put_many(fresh)
         self.annotation_pairs += len(fresh)
         values = dict(cached)
@@ -294,41 +308,44 @@ class PoolOracle(ConceptOracle):
                 for obs in observations for c in concepts]
 
     def extract_keyphrases(self, observations: Sequence[Observation]) -> list[KeyphraseBag]:
-        bags = []
-        for obs in observations:
-            active = {normalize_phrase(pc.keyword)
-                      for i, pc in enumerate(self.pool) if self._value(obs, i) >= 0.5}
-            bags.append(KeyphraseBag(obs.id, frozenset(active)))
-        return bags
+        keys = [normalize_phrase(pc.keyword) for pc in self.pool]
+        return [KeyphraseBag(obs.id, frozenset(
+                    key for key, v in zip(keys, self._values(obs, range(len(keys)))) if v >= 0.5))
+                for obs in observations]
 
     # -- initialization ---------------------------------------------------
 
     def initialize_concepts(self, keyphrase_summary, k: int) -> ConceptSet:
-        """Top-k pool concepts by absolute correlation with summary phrase indicators."""
+        """Top-k pool concepts by absolute correlation with summary phrase
+        indicators over the training rows.
+
+        Scores are rounded to 1e-9 and ties go to pool order, so rounding noise
+        in the correlations cannot pick among concepts that score alike.
+        """
         phrases = [entry[0] for entry in getattr(keyphrase_summary, "entries", keyphrase_summary)]
         if not phrases:
             raise InitializationError("keyphrase summary is empty")
-        bags = self.extract_keyphrases(self.observations)
-        indicator = np.array([
-            [1.0 if phrase in bag.phrases else 0.0 for phrase in phrases]
-            for bag in bags
-        ])
-        scores = np.zeros(len(self.pool))
-        for j in range(len(self.pool)):
-            col = self._matrix[:, j]
-            if np.std(col) == 0:
-                continue
-            best = 0.0
-            for p in range(indicator.shape[1]):
-                ind = indicator[:, p]
-                if np.std(ind) == 0:
-                    continue
-                best = max(best, abs(float(np.corrcoef(col, ind)[0, 1])))
-            scores[j] = best
-        order = np.argsort(-scores, kind="stable")[:k]
-        if len(order) < k:
+        if len(self.pool) < k:
             raise InitializationError(f"pool has fewer than {k} concepts")
-        return ConceptSet(self.pool[int(j)].concept for j in sorted(order, key=lambda j: (-scores[j], j)))
+        # a training row's bag holds the phrase of every keyword at >= 0.5 in
+        # its matrix row (see extract_keyphrases)
+        active = self._matrix >= 0.5
+        keys = np.array([normalize_phrase(pc.keyword) for pc in self.pool])
+        indicator = np.column_stack([active[:, keys == phrase].any(axis=1)
+                                     for phrase in phrases]).astype(float)
+        # |corr| of every (pool column, indicator) pair as one product of
+        # centered, unit-norm columns; a constant column scores 0
+        scores = np.zeros(len(self.pool))
+        x = self._matrix - self._matrix.mean(axis=0)
+        z = indicator - indicator.mean(axis=0)
+        live_x = np.ptp(self._matrix, axis=0) > 0
+        live_z = np.ptp(indicator, axis=0) > 0
+        if live_x.any() and live_z.any():
+            x, z = x[:, live_x], z[:, live_z]
+            corr = (x / np.linalg.norm(x, axis=0)).T @ (z / np.linalg.norm(z, axis=0))
+            scores[live_x] = np.abs(corr).max(axis=1)
+        order = np.argsort(-np.round(scores, 9), kind="stable")[:k]
+        return ConceptSet(self.pool[int(j)].concept for j in order)
 
     # -- proposals --------------------------------------------------------
 

@@ -102,15 +102,11 @@ class GibbsData:
         each set's stored columns in its order, then the intercept column.
         With rows, only those rows of each design."""
         self.fill([c for concepts in concept_sets for c in concepts])
-        ids = list({c.id: None for concepts in concept_sets for c in concepts})
-        stored = np.array([self._columns[i] for i in ids]).T
-        if rows is not None:
-            stored = stored[rows]
-        position = {i: j for j, i in enumerate(ids)}
-        index = np.array([[position[c.id] for c in concepts] for concepts in concept_sets])
-        X = np.empty((len(concept_sets), stored.shape[0], index.shape[1] + 1))
-        X[:, :, :-1] = stored[:, index].transpose(1, 0, 2)
-        X[:, :, -1] = 1.0
+        rows = slice(None) if rows is None else rows
+        X = np.ones((len(concept_sets), len(self.labels[rows]), len(concept_sets[0]) + 1))
+        for e, concepts in enumerate(concept_sets):
+            for j, c in enumerate(concepts):
+                X[e, :, j] = self._columns[c.id][rows]
         return X
 
     # ccbm eval builds its designs here; bench/tracing.py also wraps phi by name

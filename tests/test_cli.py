@@ -318,6 +318,25 @@ class TestRunErrors:
         assert not (run_dir / ".lock").exists()
 
 
+    @pytest.mark.parametrize("oracle, field", [
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "temperature": 0.5}, "temperature"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "task_description": "predict readmission"}, "task_description"),
+        ({"type": "pool"}, "pool"),
+        ({"type": "pool", "pool": "<pool>", "weight_mode": "bogus"}, "weight_mode"),
+    ])
+    def test_oracle_config_mistake(self, workspace, tmp_path, capsys, oracle, field):
+        if oracle.get("pool") == "<pool>":
+            oracle = dict(oracle, pool=str(workspace / "data" / "pool.json"))
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, oracle=oracle)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err and "Traceback" not in err
+        assert not (run_dir / ".lock").exists()
+
+
 class TestKillResume:
     def test_interrupt_then_resume_matches_uninterrupted(
             self, workspace, finished_run, monkeypatch):

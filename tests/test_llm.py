@@ -407,6 +407,5 @@ class TestAnnotate:
 
 class TestLLMConfig:
     def test_round_trip(self):
-        cfg = make_config(task_description="predict readmission",
-                          prompt_dir="/tmp/prompts")
+        cfg = make_config(prompt_dir="/tmp/prompts")
         assert LLMConfig.from_dict(cfg.to_dict()) == cfg

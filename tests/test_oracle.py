@@ -291,6 +291,36 @@ class TestPoolInitialization:
         with pytest.raises(Exception):
             oracle.initialize_concepts(KeyphraseSummary(entries=[]), k=2)
 
+    def test_ties_go_to_pool_order_without_extracting(self, pool_dataset, monkeypatch):
+        # every keyword is a summary phrase whose indicator is its own column, so
+        # every concept scores 1 up to rounding noise
+        oracle = make_oracle(pool_dataset)
+        monkeypatch.setattr(oracle, "extract_keyphrases", None)
+        summary = [(f"feat{j}", 1.0, 1) for j in reversed(range(10))]
+        init = oracle.initialize_concepts(summary, k=3)
+        assert list(init) == [pool_dataset.pool_concepts[j].concept for j in range(3)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_pair_corrcoef_reference(self, pool_dataset, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.random(pool_dataset.annotations.shape)
+        matrix[:, 7] = 0.25  # a constant column scores 0
+        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
+                            pool_dataset.labels, gamma=1.0, annotation_matrix=matrix)
+        phrases = [f"feat{j}" for j in rng.choice(10, size=3, replace=False)]
+        bags = oracle.extract_keyphrases(pool_dataset.observations)
+        indicator = np.array([[phrase in bag.phrases for phrase in phrases] for bag in bags],
+                             dtype=float)
+        scores = np.zeros(10)
+        for j in range(10):
+            if np.std(matrix[:, j]) == 0:
+                continue
+            scores[j] = max((abs(np.corrcoef(matrix[:, j], ind)[0, 1])
+                             for ind in indicator.T if np.std(ind) > 0), default=0.0)
+        want = np.argsort(-np.round(scores, 9), kind="stable")[:4]
+        init = oracle.initialize_concepts([(p, 1.0, 1) for p in phrases], k=4)
+        assert list(init) == [pool_dataset.pool_concepts[j].concept for j in want]
+
 
 class TestPoolKeyphrases:
     def test_bags_are_active_keywords(self, pool_dataset):
