@@ -32,8 +32,8 @@ from .model import OptimizationError, sigmoid_predict_many
 from .model import posterior_predictive, sigmoid_predict  # noqa: F401
 from .oracle import (AnnotationCache, ConceptOracle, Observation, OracleError,
                      PoolConcept, PoolOracle)
-from .sampler import (OracleFailure, SamplerConfig, annotation_table,
-                      gibbs_data_from_oracle, load_checkpoint, run_gibbs, subset_size)
+from .sampler import (OracleFailure, SamplerConfig, gibbs_data_from_oracle,
+                      load_checkpoint, run_gibbs, subset_size)
 from .synthetic import SyntheticSpec, clinical_spec, generate_synthetic
 
 EXIT_OK = 0
@@ -310,6 +310,7 @@ def cmd_run(args) -> int:
         epochs: dict[int, float] = {}
         for s in trace.samples:
             epochs[s.epoch] = s.log_marginal_full
+        llm = oracle if isinstance(oracle, LLMOracle) else None
         manifest = {
             "version": __version__,
             "config": cfg.to_dict(),
@@ -325,6 +326,10 @@ def cmd_run(args) -> int:
                 "cache_hits": cache.hits,
                 "cache_misses": cache.misses,
                 "clamp_events": cache.clamp_events,
+                # this invocation's LLM work; null for the pool oracle
+                "llm_calls": llm.client.call_count if llm else None,
+                "llm_retries": llm.client.retry_count if llm else None,
+                "imputed_values": llm.imputed_values if llm else None,
                 "cost_accounting": {
                     "n": len(observations),
                     "k": cfg.sampler.k,
@@ -402,14 +407,14 @@ def _annotate_rows(oracle, observations, concepts) -> tuple[np.ndarray, dict[int
     keeps zeros and its error message is returned by row index.
     """
     try:
-        return annotation_table(oracle, observations, concepts), {}
+        return oracle.annotate(observations, concepts), {}
     except OracleError:
         pass
     values = np.zeros((len(observations), len(concepts)))
     errors = {}
     for i, obs in enumerate(observations):
         try:
-            values[i] = annotation_table(oracle, [obs], concepts)[0]
+            values[i] = oracle.annotate([obs], concepts)[0]
         except OracleError as exc:
             errors[i] = str(exc)
     return values, errors
@@ -535,7 +540,7 @@ def cmd_enumerate(args) -> int:
     observations, labels = load_dataset(Path(args.dataset))
     pool = load_pool(Path(args.pool))
     oracle = PoolOracle(pool, observations, labels, gamma=args.gamma)
-    annotations = oracle._matrix
+    annotations = oracle.matrix
     posterior = enumerate_posterior([pc.concept for pc in pool], args.k,
                                     labels, annotations, gamma=args.gamma)
     by_question = {pc.concept.id: pc.concept.question for pc in pool}

@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -23,12 +25,14 @@ import numpy as np
 import requests
 
 from .concepts import Concept, ConceptSet
-from .oracle import (AnnotationCache, AnnotationError, AnnotationRecord,
-                     ConceptOracle, InitializationError, KeyphraseBag,
-                     Observation, OracleError, OracleProposal, ProposalError,
-                     normalize_phrase)
+from .oracle import (AnnotationCache, AnnotationError, ConceptOracle,
+                     InitializationError, KeyphraseBag, Observation, OracleError,
+                     OracleProposal, ProposalError, append_lines, cached_table,
+                     fresh_pairs, normalize_phrase, read_log)
 
 WEIGHT_FLOOR = 1e-3  # floor for zero/missing weights, as a fraction of candidate mass
+# how every line of the keyphrase bag log begins
+BAG_LINE_HEAD = b'{"observation_id": "'
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,8 @@ class ChatClient:
 
     post_fn(url, headers, payload) -> response body dict; the default uses
     requests. Parse failures count as retryable errors so a flaky model gets
-    the same second chances as a flaky network.
+    the same second chances as a flaky network. call_count and retry_count
+    are counted under a lock, since the oracle calls from worker threads.
     """
 
     def __init__(self, config: LLMConfig,
@@ -105,6 +110,7 @@ class ChatClient:
         self.sleep_fn = sleep_fn
         self.call_count = 0
         self.retry_count = 0
+        self._count_lock = threading.Lock()
 
     def _http_post(self, url: str, headers: dict, payload: dict) -> dict:
         response = requests.post(url, headers=headers, json=payload,
@@ -132,9 +138,11 @@ class ChatClient:
             if attempt > 0:
                 self.sleep_fn(self.config.backoff_seconds[
                     min(attempt - 1, len(self.config.backoff_seconds) - 1)])
-                self.retry_count += 1
+                with self._count_lock:
+                    self.retry_count += 1
             try:
-                self.call_count += 1
+                with self._count_lock:
+                    self.call_count += 1
                 body = self.post_fn(self.config.endpoint, self._headers(), payload)
                 content = body["choices"][0]["message"]["content"]
                 return parse_json_content(content)
@@ -168,18 +176,33 @@ class LLMOracle(ConceptOracle):
         self.summary_provider = summary_provider
         self.run_log: list[dict] = []
         self.annotation_pairs = 0
-        self.imputed_values = 0
+        self.imputed_values = 0  # counted under _lock: worker threads impute
+        self._lock = threading.Lock()
         self._bag_cache_path = Path(bag_cache_path) if bag_cache_path else None
         self._bag_cache: dict[str, list[str]] = {}
         if self._bag_cache_path is not None and self._bag_cache_path.exists():
-            try:
-                self._bag_cache = json.loads(self._bag_cache_path.read_text())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ValueError(
-                    f"corrupt keyphrase bag cache {self._bag_cache_path}: {exc}") from exc
-            if not isinstance(self._bag_cache, dict):
-                raise ValueError(
-                    f"corrupt keyphrase bag cache {self._bag_cache_path}: not a JSON object")
+            self._load_bags(self._bag_cache_path)
+
+    def _load_bags(self, path: Path):
+        """Read the keyphrase bag log: one {"observation_id", "phrases"} line
+        per extracted observation, read like the annotation log."""
+        hint = f"{path} is only a cache and can be deleted"
+        with open(path, "rb") as fh:
+            head = fh.read(len(BAG_LINE_HEAD))
+        if not BAG_LINE_HEAD.startswith(head):
+            raise ValueError(f"keyphrase bag cache {path} is not a bag log, one JSON "
+                             f"record per line (an older single-object file?); {hint}")
+
+        def apply(records):
+            for rec in records:
+                if not isinstance(rec["phrases"], list):
+                    raise TypeError("phrases must be a list")
+                self._bag_cache[rec["observation_id"]] = rec["phrases"]
+
+        try:
+            read_log(path, apply, "keyphrase bag record")
+        except ValueError as exc:
+            raise ValueError(f"{exc}; {hint}") from exc
 
     def _template(self, name: str) -> str:
         return load_template(name, self.config.prompt_dir)
@@ -206,17 +229,18 @@ class LLMOracle(ConceptOracle):
         return normalized
 
     def extract_keyphrases(self, observations: Sequence[Observation]) -> list[KeyphraseBag]:
-        cached = len(self._bag_cache)
+        known = len(self._bag_cache)
         try:
             with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
                 results = list(pool.map(self._extract_one, observations))
         finally:
-            # one write per call, after the workers are done, so what they
-            # extracted before a failure is kept and the file is never torn
-            if self._bag_cache_path is not None and len(self._bag_cache) > cached:
-                tmp = self._bag_cache_path.with_name(self._bag_cache_path.name + ".tmp")
-                tmp.write_text(json.dumps(self._bag_cache))
-                tmp.replace(self._bag_cache_path)
+            # one append per call, after the workers are done, so what they
+            # extracted before a failure is kept; lines go in input order
+            if self._bag_cache_path is not None and len(self._bag_cache) > known:
+                fresh = set(islice(self._bag_cache, known, None))
+                append_lines(self._bag_cache_path, [
+                    json.dumps({"observation_id": oid, "phrases": self._bag_cache[oid]}) + "\n"
+                    for oid in dict.fromkeys(obs.id for obs in observations) if oid in fresh])
         return [KeyphraseBag(obs.id, frozenset(phrases))
                 for obs, phrases in zip(observations, results)]
 
@@ -332,40 +356,45 @@ class LLMOracle(ConceptOracle):
             if not isinstance(answers, list) or len(answers) != len(concepts):
                 raise AnnotationError(
                     f"expected {len(concepts)} answers, got {answers!r}")
-            return [float(a) for a in answers]
+            values = [float(a) for a in answers]
+            if any(v != v for v in values):
+                raise ValueError("NaN answer")
+            return values
         except (OracleError, AnnotationError, KeyError, TypeError, ValueError):
-            self.imputed_values += len(concepts)
+            with self._lock:
+                self.imputed_values += len(concepts)
             self.run_log.append({"event": "annotation_imputed",
                                  "observation_id": obs.id,
                                  "n_concepts": len(concepts)})
             return None
 
     def annotate(self, observations: Sequence[Observation],
-                 concepts: Sequence[Concept]) -> list[AnnotationRecord]:
-        pairs = [(obs.id, c.id) for obs in observations for c in concepts]
-        cached = self.cache.get_many(pairs)
-        # ask each observation only for the concepts it has no cached value for
-        todo = [(obs, lacking) for obs in observations
-                if (lacking := [c for c in concepts if (obs.id, c.id) not in cached])]
-        fresh: list[AnnotationRecord] = []
-        imputed: list[AnnotationRecord] = []
-        if todo:
-            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                rows = list(pool.map(lambda job: self._annotate_one(*job), todo))
-            for (obs, lacking), values in zip(todo, rows):
-                # never drop an observation: a failed call imputes 0.5 for this
-                # call only and is not cached, so a later call asks again
-                (imputed if values is None else fresh).extend(
-                    AnnotationRecord(obs.id, c.id, v, "llm")
-                    for c, v in zip(lacking, values or [0.5] * len(lacking)))
-        self.cache.put_many(fresh)
-        fresh += imputed
-        self.annotation_pairs += len(fresh)
-        values = dict(cached)
-        values.update({(r.observation_id, r.concept_id):
-                       min(1.0, max(0.0, r.value)) for r in fresh})
-        return [AnnotationRecord(obs.id, c.id, values[(obs.id, c.id)], "llm")
-                for obs in observations for c in concepts]
+                 concepts: Sequence[Concept]) -> np.ndarray:
+        """Cached values; for the rest, one call per observation asking only
+        for its uncached concepts. Answers are clamped to [0, 1] and cached."""
+        table, missing = cached_table(self.cache, observations, concepts)
+        todo = [(r, np.flatnonzero(missing[r]).tolist())
+                for r in np.flatnonzero(missing.any(axis=1)).tolist()]
+        if not todo:
+            return table
+        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+            answers = list(pool.map(
+                lambda job: self._annotate_one(observations[job[0]],
+                                               [concepts[j] for j in job[1]]), todo))
+        rows, cols, values = [], [], []
+        for (r, lacking), got in zip(todo, answers):
+            # never drop an observation: a failed call imputes 0.5 for this
+            # call only and is not cached, so a later call asks again
+            if got is None:
+                table[r, lacking] = 0.5
+                continue
+            table[r, lacking] = np.clip(got, 0.0, 1.0)
+            rows += [r] * len(lacking)
+            cols += lacking
+            values += got
+        self.cache.put_many(fresh_pairs(observations, concepts, rows, cols), values, "llm")
+        self.annotation_pairs += int(missing.sum())
+        return table
 
 
 def _summary_phrases(summary) -> list[str]:

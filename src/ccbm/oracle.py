@@ -14,9 +14,10 @@ import re
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -55,14 +56,6 @@ class Observation:
 class KeyphraseBag:
     observation_id: str
     phrases: frozenset[str]
-
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    observation_id: str
-    concept_id: str
-    value: float
-    source: str  # llm | pool | human-override
 
 
 @dataclass(frozen=True)
@@ -115,13 +108,67 @@ def normalize_phrase(phrase: str) -> str:
     return " ".join(tokens[:2])
 
 
+LOG_BLOCK_BYTES = 1 << 18  # complete lines parsed per json.loads when a log is read
+
+
+def read_log(path: Path, apply: Callable[[list], None], what: str):
+    """Pass the records of an append-only NDJSON log to apply, one block of
+    complete lines at a time, then cut off an unterminated last line.
+
+    Each block of about LOG_BLOCK_BYTES is parsed by one json.loads of its
+    lines joined into an array. A block that does not parse, parses to
+    another number of records than it has lines, or holds a record apply
+    rejects (KeyError, TypeError, ValueError) is parsed again line by line:
+    blank lines are skipped and the first corrupt line raises ValueError
+    naming path:line. An unterminated last line, left by a torn append, is
+    dropped and cut off, so the next append starts on a fresh line.
+    """
+    complete, lineno, tail = 0, 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(LOG_BLOCK_BYTES):
+            block = tail + chunk
+            end = block.rfind(b"\n") + 1
+            block, tail = block[:end], block[end:]
+            if block:
+                _apply_block(path, block, lineno, apply, what)
+                lineno += block.count(b"\n")
+                complete += end
+    if tail:
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
+
+
+def _apply_block(path: Path, block: bytes, lines_before: int, apply, what: str):
+    try:
+        text = block.decode("utf-8")
+        records = json.loads("[" + text[:-1].replace("\n", ",") + "]")
+        if len(records) == text.count("\n"):
+            apply(records)
+            return
+    except (KeyError, TypeError, ValueError):
+        pass
+    for lineno, line in enumerate(block.split(b"\n")[:-1], lines_before + 1):
+        if not line.strip():
+            continue
+        try:
+            apply([json.loads(line)])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: corrupt {what}: {exc}") from exc
+
+
+def append_lines(path: Path, lines: Sequence[str]):
+    """Append newline-terminated lines to a log in one write."""
+    with open(path, "a") as fh:
+        fh.write("".join(lines))
+
+
 class AnnotationCache:
     """Append-only (observation, concept) -> value store.
 
     Backed by a newline-delimited JSON log when given a path; the log is
-    compacted on load (last record wins) and survives crashes mid-run: an
-    unterminated last line, left by a torn append, is dropped and cut off.
-    Supports concurrent readers with serialized appends.
+    compacted on load (last record wins), read in blocks by read_log, which
+    drops a torn last line. Each id is held as one string object however many
+    records name it. Supports concurrent readers with serialized appends.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -135,50 +182,46 @@ class AnnotationCache:
             self._load()
 
     def _load(self):
-        raw = self.path.read_bytes()
-        complete = raw.rfind(b"\n") + 1
-        for lineno, line in enumerate(raw[:complete].decode("utf-8").split("\n"), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                self._store[(rec["observation_id"], rec["concept_id"])] = rec["value"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{self.path}:{lineno}: corrupt annotation record: {exc}") from exc
-        if complete < len(raw):
-            # a crash mid-append left an unterminated last line: drop it, so the
-            # next append starts on a fresh line
-            with open(self.path, "r+b") as fh:
-                fh.truncate(complete)
+        ids: dict[str, str] = {}
+        share = ids.setdefault
+        store = self._store
 
-    def get_many(self, pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], float]:
-        found = {}
-        for pair in pairs:
-            if pair in self._store:
-                found[pair] = self._store[pair]
-        self.hits += len(found)
-        self.misses += len(pairs) - len(found)
-        return found
-
-    def put_many(self, records: Sequence[AnnotationRecord]):
-        with self._lock:
-            lines = []
+        def apply(records):
             for rec in records:
-                value = rec.value
-                if value < 0.0 or value > 1.0:
+                oid, cid = rec["observation_id"], rec["concept_id"]
+                store[share(oid, oid), share(cid, cid)] = rec["value"]
+
+        read_log(self.path, apply, "annotation record")
+
+    def get_many(self, pairs: Sequence[tuple[str, str]]) -> list[Optional[float]]:
+        """The cached value of each pair, None where there is none."""
+        values = list(map(self._store.get, pairs))
+        missing = values.count(None)
+        self.hits += len(values) - missing
+        self.misses += missing
+        return values
+
+    def put_many(self, pairs: Sequence[tuple[str, str]], values: Sequence[float],
+                 source: str):
+        """Store each pair's value, clamped to [0, 1], and append one log line
+        per pair: the line json.dumps writes for the record, built from a
+        template, with each id quoted once and one timestamp per call."""
+        with self._lock:
+            clamped = []
+            for value in map(float, values):
+                if not 0.0 <= value <= 1.0:  # NaN included, so every line reads back
                     value = min(1.0, max(0.0, value))
                     self.clamp_events += 1
-                self._store[(rec.observation_id, rec.concept_id)] = value
-                lines.append(json.dumps({
-                    "observation_id": rec.observation_id,
-                    "concept_id": rec.concept_id,
-                    "value": value,
-                    "source": rec.source,
-                    "timestamp": time.time(),
-                }))
-            if self.path is not None and lines:
-                with open(self.path, "a") as fh:
-                    fh.write("\n".join(lines) + "\n")
+                clamped.append(value)
+            self._store.update(zip(pairs, clamped))
+            if self.path is None or not clamped:
+                return
+            quoted = {i: json.dumps(i) for i in set(chain.from_iterable(pairs))}
+            tail = f', "source": {json.dumps(source)}, "timestamp": {time.time()!r}}}\n'
+            append_lines(self.path, [
+                f'{{"observation_id": {quoted[oid]}, "concept_id": {quoted[cid]}, '
+                f'"value": {value!r}{tail}'
+                for (oid, cid), value in zip(pairs, clamped)])
 
     def __len__(self) -> int:
         return len(self._store)
@@ -202,8 +245,24 @@ class ConceptOracle(ABC):
 
     @abstractmethod
     def annotate(self, observations: Sequence[Observation],
-                 concepts: Sequence[Concept]) -> list[AnnotationRecord]:
-        ...
+                 concepts: Sequence[Concept]) -> np.ndarray:
+        """The (n, C) table of every concept's value for every observation."""
+
+
+def cached_table(cache: AnnotationCache, observations: Sequence[Observation],
+                 concepts: Sequence[Concept]) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, C) table of cached values, NaN where none is cached, and the
+    mask of those uncached cells, from one get_many call."""
+    cids = [c.id for c in concepts]
+    values = cache.get_many([(obs.id, cid) for obs in observations for cid in cids])
+    table = np.array(values, dtype=float).reshape(len(observations), len(cids))
+    return table, np.isnan(table)
+
+
+def fresh_pairs(observations: Sequence[Observation], concepts: Sequence[Concept],
+                rows: Sequence[int], cols: Sequence[int]) -> list[tuple[str, str]]:
+    """The (observation id, concept id) of each of the given table cells."""
+    return [(observations[r].id, concepts[c].id) for r, c in zip(rows, cols)]
 
 
 @dataclass(frozen=True)
@@ -260,17 +319,24 @@ class PoolOracle(ConceptOracle):
         # one pattern per keyword: one alternation would miss a keyword that
         # another keyword contains
         self._patterns = [keyword_pattern(pc.keyword) for pc in self.pool]
+        self._matrix: Optional[np.ndarray] = None
         if annotation_matrix is not None:
             matrix = np.asarray(annotation_matrix, dtype=float)
             if matrix.shape != (len(self.observations), len(self.pool)):
                 raise ValueError("annotation matrix shape must be (n_obs, pool size)")
             self._matrix = matrix
-        else:
+        self.annotation_pairs = 0  # extraction "calls": cache misses filled by this oracle
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (n_obs, pool size) values of the training observations: the
+        given matrix, or else keyword matches, computed on first use."""
+        if self._matrix is None:
             self._matrix = np.array([
                 self._keyword_values(obs.payload, range(len(self.pool)))
                 for obs in self.observations
-            ], dtype=float)
-        self.annotation_pairs = 0  # extraction "calls": cache misses filled by this oracle
+            ], dtype=float).reshape(len(self.observations), len(self.pool))
+        return self._matrix
 
     # -- extraction -------------------------------------------------------
 
@@ -283,29 +349,35 @@ class PoolOracle(ConceptOracle):
         training matrix, or else keyword matches on its text."""
         row = self._obs_row.get(obs.id)
         if row is not None:
-            return [float(self._matrix[row, j]) for j in pool_indices]
+            return self.matrix[row, list(pool_indices)].tolist()
         return self._keyword_values(obs.payload, pool_indices)
 
     def annotate(self, observations: Sequence[Observation],
-                 concepts: Sequence[Concept]) -> list[AnnotationRecord]:
-        pairs = [(obs.id, c.id) for obs in observations for c in concepts]
-        cached = self.cache.get_many(pairs)
-        indices = [self._by_id.get(c.id) for c in concepts]
-        fresh = []
-        for obs in observations:
-            todo = [(c, j) for c, j in zip(concepts, indices) if (obs.id, c.id) not in cached]
-            for c, j in todo:
-                if j is None:
-                    raise AnnotationError(f"concept {c.question!r} is not in the pool")
-            values = self._values(obs, [j for _, j in todo])
-            fresh.extend(AnnotationRecord(obs.id, c.id, v, "pool")
-                         for (c, _), v in zip(todo, values))
-        self.cache.put_many(fresh)
-        self.annotation_pairs += len(fresh)
-        values = dict(cached)
-        values.update({(r.observation_id, r.concept_id): r.value for r in fresh})
-        return [AnnotationRecord(obs.id, c.id, values[(obs.id, c.id)], "pool")
-                for obs in observations for c in concepts]
+                 concepts: Sequence[Concept]) -> np.ndarray:
+        """Cached values; the rest from the training matrix for training rows
+        and from keyword matches on the text for any other row."""
+        table, missing = cached_table(self.cache, observations, concepts)
+        rows, cols = np.nonzero(missing)
+        if not rows.size:
+            return table
+        pool_index = np.array([self._by_id.get(c.id, -1) for c in concepts], dtype=int)
+        unknown = cols[pool_index[cols] < 0]
+        if unknown.size:
+            raise AnnotationError(
+                f"concept {concepts[unknown.min()].question!r} is not in the pool")
+        train = np.array([self._obs_row.get(obs.id, -1) for obs in observations], dtype=int)
+        on_train = train[rows] >= 0
+        if on_train.any():
+            r, c = rows[on_train], cols[on_train]
+            table[r, c] = self.matrix[train[r], pool_index[c]]
+        for r in np.unique(rows[~on_train]).tolist():
+            lacking = np.flatnonzero(missing[r])
+            table[r, lacking] = self._keyword_values(observations[r].payload,
+                                                     pool_index[lacking].tolist())
+        self.cache.put_many(fresh_pairs(observations, concepts, rows.tolist(), cols.tolist()),
+                            table[rows, cols].tolist(), "pool")
+        self.annotation_pairs += len(rows)
+        return table
 
     def extract_keyphrases(self, observations: Sequence[Observation]) -> list[KeyphraseBag]:
         keys = [normalize_phrase(pc.keyword) for pc in self.pool]
@@ -329,16 +401,16 @@ class PoolOracle(ConceptOracle):
             raise InitializationError(f"pool has fewer than {k} concepts")
         # a training row's bag holds the phrase of every keyword at >= 0.5 in
         # its matrix row (see extract_keyphrases)
-        active = self._matrix >= 0.5
+        active = self.matrix >= 0.5
         keys = np.array([normalize_phrase(pc.keyword) for pc in self.pool])
         indicator = np.column_stack([active[:, keys == phrase].any(axis=1)
                                      for phrase in phrases]).astype(float)
         # |corr| of every (pool column, indicator) pair as one product of
         # centered, unit-norm columns; a constant column scores 0
         scores = np.zeros(len(self.pool))
-        x = self._matrix - self._matrix.mean(axis=0)
+        x = self.matrix - self.matrix.mean(axis=0)
         z = indicator - indicator.mean(axis=0)
-        live_x = np.ptp(self._matrix, axis=0) > 0
+        live_x = np.ptp(self.matrix, axis=0) > 0
         live_z = np.ptp(indicator, axis=0) > 0
         if live_x.any() and live_z.any():
             x, z = x[:, live_x], z[:, live_z]
@@ -365,7 +437,7 @@ class PoolOracle(ConceptOracle):
             raise ProposalError("no pool concepts outside the conditioning set")
         ctx_idx = [self._by_id[c.id] for c in context]
         rows = np.asarray(rows, dtype=int)
-        sub = self._matrix[rows]
+        sub = self.matrix[rows]
         # one design per eligible concept: context columns, candidate, intercept
         X = np.empty((len(eligible), sub.shape[0], len(ctx_idx) + 2))
         X[:, :, :-2] = sub[:, ctx_idx]

@@ -19,7 +19,7 @@ from .concepts import Concept, ConceptSet
 from .model import AnnotationMatrix, PosteriorSample, log_marginal_likelihoods
 # ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
 from .model import log_marginal_likelihood  # noqa: F401
-from .oracle import ConceptOracle, Observation, OracleError, OracleProposal
+from .oracle import ConceptOracle, OracleError, OracleProposal
 
 
 @dataclass(frozen=True)
@@ -114,21 +114,11 @@ class GibbsData:
         return AnnotationMatrix(values=self.designs([concepts])[0], row_ids=self.row_ids)
 
 
-def annotation_table(oracle: ConceptOracle, observations: Sequence[Observation],
-                     concepts: Sequence[Concept]) -> np.ndarray:
-    """The (n, C) values of every concept for every observation, from one
-    annotate call."""
-    records = oracle.annotate(observations, concepts)
-    values = {(r.observation_id, r.concept_id): r.value for r in records}
-    return np.array([[values[(o.id, c.id)] for c in concepts] for o in observations],
-                    dtype=float).reshape(len(observations), len(concepts))
-
-
 def gibbs_data_from_oracle(observations, labels, oracle: ConceptOracle) -> GibbsData:
     """Bind a dataset to an oracle's annotate operation."""
     obs = list(observations)
     return GibbsData(labels, [o.id for o in obs],
-                     lambda concepts: annotation_table(oracle, obs, concepts))
+                     lambda concepts: oracle.annotate(obs, concepts))
 
 
 def subset_size(n: int, omega: float) -> int:

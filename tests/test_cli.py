@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 from ccbm import cli
 from ccbm.concepts import Concept
@@ -79,11 +82,11 @@ def reference_predictions(run_dir, input_path) -> bytes:
     out = []
     for obs in observations:
         try:
-            records = oracle.annotate([obs], list(concepts.values()))
+            row = oracle.annotate([obs], list(concepts.values()))[0]
         except OracleError as exc:
             out.append(json.dumps({"id": obs.id, "error": str(exc)}))
             continue
-        values = {r.concept_id: r.value for r in records}
+        values = dict(zip(concepts, row.tolist()))
         breakdown, rows = [], []
         for s in samples:
             row = np.array([values[c.id] for c in s.concept_set] + [1.0])
@@ -163,6 +166,8 @@ class TestRun:
         assert acct["init_pairs"] == 40 * 2
         assert manifest["config"]["sampler"]["seed"] == 3
         assert 0.0 <= manifest["acceptance_rate"] <= 1.0
+        # LLM work is not counted for the pool oracle
+        assert oracle["llm_calls"] is oracle["llm_retries"] is oracle["imputed_values"] is None
 
     def test_recovery_report_on_concentrated_testbed(self, finished_run):
         report = json.loads((finished_run / "reports" / "recovery.json").read_text())
@@ -318,6 +323,19 @@ class TestRunErrors:
         assert not (run_dir / ".lock").exists()
 
 
+    def test_corrupt_bag_log_line(self, workspace, tmp_path, capsys):
+        bags = tmp_path / "bags.ndjson"
+        bags.write_text('{"observation_id": "a", "phrases": ["x"]}\n{"observation_id": \n'
+                        '{"observation_id": "b", "phrases": []}\n')
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir,
+                              oracle={"type": "llm", "endpoint": "http://127.0.0.1:9/v1",
+                                      "model": "none", "bag_cache": str(bags)})
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "bags.ndjson:2" in err and "can be deleted" in err and "Traceback" not in err
+        assert not (run_dir / ".lock").exists()
+
     @pytest.mark.parametrize("oracle, field", [
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
           "temperature": 0.5}, "temperature"),
@@ -335,6 +353,61 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err and "Traceback" not in err
         assert not (run_dir / ".lock").exists()
+
+
+class TestLLMRunCounts:
+    """The manifest counts LLM calls, retries and imputations as the transport
+    saw them, and a flaky transport that always answers on a retry leaves the
+    samples as they were."""
+
+    class Transport:
+        def __init__(self, fake, flaky):
+            self.fake, self.flaky = fake, flaky
+            self.lock = threading.Lock()
+            self.calls = self.failures = 0
+            self.seen = set()
+
+        def __call__(self, url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            with self.lock:
+                self.calls += 1
+                fail = (self.flaky and prompt not in self.seen
+                        and hashlib.sha256(prompt.encode()).digest()[0] % 3 == 0)
+                self.seen.add(prompt)
+                self.failures += fail
+            if fail:
+                raise requests.ConnectionError("flaky")
+            return self.fake(url, headers, payload)
+
+    def test_flaky_transport(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from fake_llm import FakeChatTransport
+        from ccbm.llm import ChatClient
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--out", str(data), "--n", "60", "--seed", "4",
+                         "--clinical", "--n-decoys", "5"]) == 0
+        texts = [json.loads(line)["text"]
+                 for line in (data / "dataset.ndjson").read_text().splitlines()]
+        results = {}
+        for flaky in (False, True):
+            transport = self.Transport(FakeChatTransport(texts), flaky)
+            monkeypatch.setattr(ChatClient, "_http_post", staticmethod(transport))
+            run_dir = tmp_path / f"run-{flaky}"
+            config = tmp_path / f"config-{flaky}.json"
+            config.write_text(json.dumps({
+                "dataset": str(data / "dataset.ndjson"), "output_dir": str(run_dir),
+                "oracle": {"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "fake",
+                           "max_in_flight": 4, "backoff_seconds": [0, 0, 0]},
+                "sampler": dict(SAMPLER, k=4, t_epochs=2, m_candidates=4)}))
+            assert cli.main(["run", "--config", str(config)]) == 0
+            oracle = json.loads((run_dir / "manifest.json").read_text())["oracle"]
+            assert oracle["llm_calls"] == transport.calls
+            assert oracle["llm_retries"] == transport.failures
+            assert oracle["imputed_values"] == 0
+            results[flaky] = (run_dir / "samples.jsonl").read_bytes(), transport
+        assert results[True][1].failures > 0 and results[False][1].failures == 0
+        assert results[True][1].calls == results[False][1].calls + results[True][1].failures
+        assert results[True][0] == results[False][0]
 
 
 class TestKillResume:
@@ -485,6 +558,13 @@ class TestPredict:
         monkeypatch.setattr(PoolOracle, "annotate", counted)
         predict(finished_run, unseen_rows(workspace), tmp_path / "p.ndjson")
         assert calls == [25]
+
+    def test_pool_run_never_builds_the_training_matrix(self, workspace, finished_run,
+                                                       tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(PoolOracle, "matrix", property(lambda self: built.append(1)))
+        predict(finished_run, unseen_rows(workspace), tmp_path / "p.ndjson")
+        assert built == []
 
     def test_failing_row_gets_an_error_line(self, workspace, many_sets_run, tmp_path,
                                             monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -163,23 +166,20 @@ class TestExtractKeyphrases:
         import re
         import sys
         import threading
-        from pathlib import Path
-        cache_path = tmp_path / "bags.json"
-        writes = []
-        write_text, replace = Path.write_text, Path.replace
-
-        def recording_write_text(self, *args, **kwargs):
-            writes.append(("write", self.name))
-            return write_text(self, *args, **kwargs)
-
-        def recording_replace(self, target):
-            writes.append(("replace", self.name, Path(target).name))
-            return replace(self, target)
-
-        monkeypatch.setattr(Path, "write_text", recording_write_text)
-        monkeypatch.setattr(Path, "replace", recording_replace)
+        import ccbm.llm
+        cache_path = tmp_path / "bags.ndjson"
         lock = threading.Lock()
         prompts = []
+        appends = []
+        append_lines = ccbm.llm.append_lines
+
+        def recording_append(path, lines):
+            # who appends, how many prompts were answered by then, how many lines
+            appends.append((threading.current_thread() is threading.main_thread(),
+                            len(prompts), len(lines)))
+            return append_lines(path, lines)
+
+        monkeypatch.setattr(ccbm.llm, "append_lines", recording_append)
 
         def post(url, headers, payload):
             prompt = payload["messages"][0]["content"]
@@ -196,16 +196,59 @@ class TestExtractKeyphrases:
             oracle = LLMOracle(config, client=ChatClient(config, post_fn=post),
                                bag_cache_path=cache_path)
             bags = oracle.extract_keyphrases(observations)
+            # a call that extracts nothing new appends nothing
+            assert oracle.extract_keyphrases(observations[:10]) == bags[:10]
         finally:
             sys.setswitchinterval(switch)
         assert len(prompts) == 50
-        assert writes == [("write", "bags.json.tmp"), ("replace", "bags.json.tmp", "bags.json")]
-        assert json.loads(cache_path.read_text()) == {
-            b.observation_id: sorted(b.phrases) for b in bags}
+        # one append per call, from the calling thread, after every worker is done
+        assert appends == [(True, 50, 50)]
+        assert [json.loads(line) for line in cache_path.read_text().splitlines()] == [
+            {"observation_id": b.observation_id, "phrases": sorted(b.phrases)} for b in bags]
 
         reloaded, post2, _ = make_oracle([], config=config, bag_cache_path=cache_path)
         assert reloaded.extract_keyphrases(observations) == bags
         assert post2.requests == []
+
+
+class TestBagLog:
+    def written(self, path, n=3):
+        oracle, _, _ = make_oracle([chat_body({"keyphrases": [f"word{i}"]}) for i in range(n)],
+                                   bag_cache_path=path)
+        return oracle.extract_keyphrases([Observation(f"o{i}", f"note {i}") for i in range(n)])
+
+    def test_torn_tail_dropped_and_cut(self, tmp_path):
+        path = tmp_path / "bags.ndjson"
+        self.written(path)
+        raw = path.read_bytes()
+        for cut in range(raw.rindex(b"\n", 0, len(raw) - 1) + 1, len(raw)):
+            path.write_bytes(raw[:cut])
+            oracle, post, _ = make_oracle([chat_body({"keyphrases": ["fresh"]})],
+                                          bag_cache_path=path)
+            assert path.read_bytes() == raw[:raw.rindex(b"\n", 0, cut) + 1]
+            bags = oracle.extract_keyphrases([Observation(f"o{i}", f"note {i}")
+                                              for i in range(3)])
+            assert [sorted(b.phrases) for b in bags] == [["word0"], ["word1"], ["fresh"]]
+            assert len(post.requests) == 1
+            assert [json.loads(line)["observation_id"]
+                    for line in path.read_text().splitlines()] == ["o0", "o1", "o2"]
+
+    def test_corrupt_middle_line_names_the_file(self, tmp_path):
+        path = tmp_path / "bags.ndjson"
+        self.written(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + '{"observation_id": "o1", "phr\n' + lines[2])
+        with pytest.raises(ValueError, match=r"bags\.ndjson:2: .*only a cache and can be deleted"):
+            make_oracle([], bag_cache_path=path)
+
+    @pytest.mark.parametrize("content", ['{"o1": ["alpha"], "o2": []}', "{}",
+                                         '{"observation_id": ["alpha"]}'])
+    def test_old_single_object_file_names_the_file(self, tmp_path, content):
+        path = tmp_path / "bags.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=r"bags\.json .*only a cache and can be deleted"):
+            make_oracle([], bag_cache_path=path)
+        assert path.read_text() == content
 
 
 class TestInitializeConcepts:
@@ -318,12 +361,12 @@ class TestAnnotate:
     def test_values_parsed_and_cached(self):
         oracle, post, _ = make_oracle([chat_body({"answers": [1, 0]})])
         obs = [Observation("o1", "a red small thing", label=1)]
-        records = oracle.annotate(obs, self.concepts)
-        assert [r.value for r in records] == [1.0, 0.0]
+        table = oracle.annotate(obs, self.concepts)
+        assert table.tolist() == [[1.0, 0.0]]
         assert oracle.annotation_pairs == 2
         # warm repeat: no new calls, no new pairs
         again = oracle.annotate(obs, self.concepts)
-        assert [r.value for r in again] == [1.0, 0.0]
+        assert again.tolist() == [[1.0, 0.0]]
         assert len(post.requests) == 1
         assert oracle.annotation_pairs == 2
 
@@ -333,8 +376,8 @@ class TestAnnotate:
                                        chat_body({"answers": [0]})])
         obs = [Observation("o1", "a red small thing")]
         oracle.annotate(obs, [a])
-        records = oracle.annotate(obs, [a, b])
-        assert [r.value for r in records] == [1.0, 0.0]
+        table = oracle.annotate(obs, [a, b])
+        assert table.tolist() == [[1.0, 0.0]]
         assert b.question in post.prompts[1]
         assert a.question not in post.prompts[1]
         assert oracle.annotation_pairs == 2
@@ -347,8 +390,8 @@ class TestAnnotate:
                                        chat_body({"answers": [1, 0]})])
         obs = [Observation(f"o{i}", f"note {i}") for i in range(3)]
         oracle.annotate(obs[1:2], [a])
-        records = oracle.annotate(obs, [a, b])
-        assert [r.value for r in records] == [1.0, 0.0] * 3
+        table = oracle.annotate(obs, [a, b])
+        assert table.tolist() == [[1.0, 0.0]] * 3
         for prompt, note in zip(post.prompts[1:], ("note 0", "note 1", "note 2")):
             assert note in prompt and b.question in prompt
             assert (a.question in prompt) == (note != "note 1")
@@ -369,15 +412,15 @@ class TestAnnotate:
 
     def test_failure_imputes_half_and_flags(self):
         oracle, post, _ = make_oracle([chat_body({"answers": [1]})])  # wrong length
-        records = oracle.annotate([Observation("o1", "note")], self.concepts)
-        assert [r.value for r in records] == [0.5, 0.5]
+        table = oracle.annotate([Observation("o1", "note")], self.concepts)
+        assert table.tolist() == [[0.5, 0.5]]
         assert oracle.imputed_values == 2
         assert any(e["event"] == "annotation_imputed" for e in oracle.run_log)
 
     def test_transport_failure_imputes_after_retries(self):
         oracle, post, sleeps = make_oracle([requests.ConnectionError("down")] * 3)
-        records = oracle.annotate([Observation("o1", "note")], self.concepts)
-        assert [r.value for r in records] == [0.5, 0.5]
+        table = oracle.annotate([Observation("o1", "note")], self.concepts)
+        assert table.tolist() == [[0.5, 0.5]]
         assert oracle.imputed_values == 2
 
     def test_imputed_values_are_not_cached(self, tmp_path):
@@ -386,23 +429,129 @@ class TestAnnotate:
         oracle, _, _ = make_oracle([chat_body({"answers": [1, 0]})]
                                    + [requests.ConnectionError("down")] * 3,
                                    cache=AnnotationCache(log))
-        records = oracle.annotate(obs, self.concepts)
-        assert [r.value for r in records] == [1.0, 0.0, 0.5, 0.5]
+        table = oracle.annotate(obs, self.concepts)
+        assert table.tolist() == [[1.0, 0.0], [0.5, 0.5]]
         assert oracle.imputed_values == 2
         assert [json.loads(line)["observation_id"]
                 for line in log.read_text().splitlines()] == ["o1", "o1"]
         # the next run asks again for what was imputed, and only for that
         oracle, post, _ = make_oracle([chat_body({"answers": [0, 1]})],
                                       cache=AnnotationCache(log))
-        records = oracle.annotate(obs, self.concepts)
-        assert [r.value for r in records] == [1.0, 0.0, 0.0, 1.0]
+        table = oracle.annotate(obs, self.concepts)
+        assert table.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert len(post.prompts) == 1 and "note two" in post.prompts[0]
 
     def test_out_of_range_values_clamped(self):
         oracle, _, _ = make_oracle([chat_body({"answers": [1.4, -0.2]})])
-        records = oracle.annotate([Observation("o1", "note")], self.concepts)
-        assert [r.value for r in records] == [1.0, 0.0]
+        table = oracle.annotate([Observation("o1", "note")], self.concepts)
+        assert table.tolist() == [[1.0, 0.0]]
         assert oracle.cache.clamp_events == 2
+
+
+class TestAnnotationTable:
+    concepts = [Concept("Is it red?"), Concept("Is it large?"), Concept("Is it round?")]
+
+    def test_clamped_imputed_and_partly_cached_rows(self, tmp_path):
+        log = tmp_path / "annotations.ndjson"
+        obs = [Observation(f"o{i}", f"note {i}") for i in range(4)]
+        a, b, c = self.concepts
+        cache = AnnotationCache(log)
+        cache.put_many([("o2", a.id), ("o3", a.id), ("o3", b.id), ("o3", c.id)],
+                       [0.25, 1.0, 0.0, 1.0], "llm")
+        answers = {"note 0": [1.4, -0.2, 0.5], "note 2": [0.75, 2.0]}
+
+        def post(url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            for note, values in answers.items():
+                if note in prompt:
+                    return chat_body({"answers": values})
+            raise requests.ConnectionError("down")  # note 1 fails every attempt
+
+        config = make_config(max_in_flight=3)
+        oracle = LLMOracle(config, cache=cache,
+                           client=ChatClient(config, post_fn=post, sleep_fn=lambda s: None))
+        table = oracle.annotate(obs, self.concepts)
+        assert table.tolist() == [[1.0, 0.0, 0.5],
+                                  [0.5, 0.5, 0.5],   # imputed for this call only
+                                  [0.25, 0.75, 1.0],
+                                  [1.0, 0.0, 1.0]]
+        assert oracle.imputed_values == 3
+        assert oracle.annotation_pairs == 8
+        assert cache.clamp_events == 3
+        assert (cache.hits, cache.misses) == (4, 8)
+        # the per-record reference: every record the call cached, clamped,
+        # row by row and in concept order within a row; nothing for o1
+        written = [json.loads(line) for line in log.read_text().splitlines()][4:]
+        assert [(r["observation_id"], r["concept_id"], r["value"], r["source"])
+                for r in written] == [("o0", a.id, 1.0, "llm"), ("o0", b.id, 0.0, "llm"),
+                                      ("o0", c.id, 0.5, "llm"), ("o2", b.id, 0.75, "llm"),
+                                      ("o2", c.id, 1.0, "llm")]
+        assert len({r["timestamp"] for r in written}) == 1
+        assert AnnotationCache(log).get_many([("o1", x.id) for x in self.concepts]) == \
+            [None] * 3
+
+    def test_nan_answer_is_imputed_not_cached(self):
+        oracle, _, _ = make_oracle([chat_body({"answers": [float("nan"), 1]})])
+        table = oracle.annotate([Observation("o1", "note")], self.concepts[:2])
+        assert table.tolist() == [[0.5, 0.5]]
+        assert oracle.imputed_values == 2 and len(oracle.cache) == 0
+
+
+class TestLLMCounts:
+    """call_count, retry_count and imputed_values are counted from the worker
+    threads; with a flaky transport they equal the transport's own counts."""
+
+    class FlakyPost:
+        def __init__(self, fail_first, fail_always=()):
+            self.fail_first, self.fail_always = fail_first, set(fail_always)
+            self.lock = threading.Lock()
+            self.calls = self.failures = 0
+            self.seen = set()
+
+        def __call__(self, url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            note = int(re.search(r"note number (\d+)", prompt).group(1))
+            with self.lock:
+                self.calls += 1
+                first = note not in self.seen
+                self.seen.add(note)
+                fail = note in self.fail_always or (first and note % self.fail_first == 0)
+                self.failures += fail
+            if fail:
+                raise requests.ConnectionError("flaky")
+            return chat_body({"answers": [note % 2, 1]})
+
+    def run(self, post, n=300):
+        config = make_config(max_in_flight=4)
+        oracle = LLMOracle(config, client=ChatClient(config, post_fn=post,
+                                                     sleep_fn=lambda s: None))
+        observations = [Observation(f"o{i}", f"note number {i}") for i in range(n)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = oracle.annotate(observations, TestAnnotate.concepts)
+        finally:
+            sys.setswitchinterval(switch)
+        return oracle, table
+
+    def test_retries_counted_like_the_transport(self):
+        post = self.FlakyPost(fail_first=3)
+        oracle, table = self.run(post)
+        assert post.failures == 100
+        assert oracle.client.call_count == post.calls == 400
+        assert oracle.client.retry_count == post.failures
+        assert oracle.imputed_values == 0
+        assert table[:, 0].tolist() == [float(i % 2) for i in range(300)]
+
+    def test_imputations_counted_like_the_transport(self):
+        always = range(0, 300, 7)
+        post = self.FlakyPost(fail_first=5, fail_always=always)
+        oracle, table = self.run(post)
+        retries = post.failures - len(always)  # the last failed attempt is not retried
+        assert oracle.client.call_count == post.calls
+        assert oracle.client.retry_count == retries
+        assert oracle.imputed_values == 2 * len(always)
+        assert table[list(always)].tolist() == [[0.5, 0.5]] * len(always)
 
 
 class TestLLMConfig:

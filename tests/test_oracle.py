@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior
 from ccbm.keyphrase import KeyphraseSummary
 from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
-from ccbm.oracle import (AnnotationCache, AnnotationError, AnnotationRecord,
-                         Observation, OracleMode, OracleProposal, PoolConcept,
+from ccbm.oracle import (AnnotationCache, AnnotationError, Observation, OracleMode, OracleProposal, PoolConcept,
                          PoolOracle, ProposalError, keyword_value,
                          normalize_phrase)
 
@@ -44,39 +45,38 @@ class TestKeywordValue:
 class TestAnnotationCache:
     def test_hit_miss_accounting(self):
         cache = AnnotationCache()
-        cache.put_many([AnnotationRecord("o1", "c1", 1.0, "pool")])
+        cache.put_many([("o1", "c1")], [1.0], "pool")
         found = cache.get_many([("o1", "c1"), ("o1", "c2")])
-        assert found == {("o1", "c1"): 1.0}
+        assert found == [1.0, None]
         assert cache.hits == 1 and cache.misses == 1
 
     def test_out_of_range_values_clamped_and_counted(self):
         cache = AnnotationCache()
-        cache.put_many([AnnotationRecord("o1", "c1", 1.7, "llm"),
-                        AnnotationRecord("o1", "c2", -0.2, "llm")])
-        assert cache.get_many([("o1", "c1")])[("o1", "c1")] == 1.0
-        assert cache.get_many([("o1", "c2")])[("o1", "c2")] == 0.0
+        cache.put_many([("o1", "c1"), ("o1", "c2")], [1.7, -0.2], "llm")
+        assert cache.get_many([("o1", "c1")]) == [1.0]
+        assert cache.get_many([("o1", "c2")]) == [0.0]
         assert cache.clamp_events == 2
 
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         first = AnnotationCache(path)
-        first.put_many([AnnotationRecord("o1", "c1", 0.25, "llm")])
+        first.put_many([("o1", "c1")], [0.25], "llm")
         second = AnnotationCache(path)
-        assert second.get_many([("o1", "c1")]) == {("o1", "c1"): 0.25}
+        assert second.get_many([("o1", "c1")]) == [0.25]
 
     def test_compaction_last_record_wins(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         writer = AnnotationCache(path)
-        writer.put_many([AnnotationRecord("o1", "c1", 0.2, "llm")])
-        writer.put_many([AnnotationRecord("o1", "c1", 0.9, "human-override")])
+        writer.put_many([("o1", "c1")], [0.2], "llm")
+        writer.put_many([("o1", "c1")], [0.9], "human-override")
         reloaded = AnnotationCache(path)
-        assert reloaded.get_many([("o1", "c1")]) == {("o1", "c1"): 0.9}
+        assert reloaded.get_many([("o1", "c1")]) == [0.9]
         assert len(reloaded) == 1
 
     def test_partial_trailing_line_tolerated(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         writer = AnnotationCache(path)
-        writer.put_many([AnnotationRecord("o1", "c1", 0.5, "llm")])
+        writer.put_many([("o1", "c1")], [0.5], "llm")
         with open(path, "a") as fh:
             fh.write("\n")
         assert len(AnnotationCache(path)) == 1
@@ -84,25 +84,23 @@ class TestAnnotationCache:
     def test_torn_last_record_dropped_and_cut(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         writer = AnnotationCache(path)
-        writer.put_many([AnnotationRecord("o1", "c1", 0.25, "llm"),
-                         AnnotationRecord("o2", "c1", 0.75, "llm")])
+        writer.put_many([("o1", "c1"), ("o2", "c1")], [0.25, 0.75], "llm")
         raw = path.read_bytes()
         path.write_bytes(raw[:-20])  # a crash mid-append
         reopened = AnnotationCache(path)
-        assert reopened.get_many([("o1", "c1"), ("o2", "c1")]) == {("o1", "c1"): 0.25}
+        assert reopened.get_many([("o1", "c1"), ("o2", "c1")]) == [0.25, None]
         assert path.read_bytes() == raw[:raw.index(b"\n") + 1]
-        reopened.put_many([AnnotationRecord("o3", "c1", 1.0, "llm")])
+        reopened.put_many([("o3", "c1")], [1.0], "llm")
         again = AnnotationCache(path)
-        assert again.get_many([("o1", "c1"), ("o3", "c1")]) == \
-            {("o1", "c1"): 0.25, ("o3", "c1"): 1.0}
+        assert again.get_many([("o1", "c1"), ("o3", "c1")]) == [0.25, 1.0]
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         writer = AnnotationCache(path)
-        writer.put_many([AnnotationRecord("o1", "c1", 0.5, "llm")])
+        writer.put_many([("o1", "c1")], [0.5], "llm")
         with open(path, "a") as fh:
             fh.write('{"observation_id": "o2", "conc\n')
-        writer.put_many([AnnotationRecord("o3", "c1", 0.5, "llm")])
+        writer.put_many([("o3", "c1")], [0.5], "llm")
         with pytest.raises(ValueError, match=r"cache\.ndjson:2"):
             AnnotationCache(path)
 
@@ -126,18 +124,17 @@ class TestPoolAnnotate:
     def test_matrix_values_for_training_rows(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
         concepts = [pool_dataset.pool_concepts[2].concept]
-        records = oracle.annotate(pool_dataset.observations[:5], concepts)
+        table = oracle.annotate(pool_dataset.observations[:5], concepts)
         expected = pool_dataset.annotations[:5, 2]
-        assert [r.value for r in records] == expected.tolist()
+        assert table[:, 0].tolist() == expected.tolist()
 
     def test_keyword_fallback_for_unseen_observation(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
         new = Observation("new-1", "The record notes: feat0, feat7.")
-        records = oracle.annotate([new], [pc.concept for pc in pool_dataset.pool_concepts])
-        values = {r.concept_id: r.value for r in records}
-        by_id = {pc.concept.id: pc.keyword for pc in pool_dataset.pool_concepts}
-        for cid, value in values.items():
-            assert value == (1.0 if by_id[cid] in ("feat0", "feat7") else 0.0)
+        table = oracle.annotate([new], [pc.concept for pc in pool_dataset.pool_concepts])
+        assert table.shape == (1, len(pool_dataset.pool_concepts))
+        for pc, value in zip(pool_dataset.pool_concepts, table[0]):
+            assert value == (1.0 if pc.keyword in ("feat0", "feat7") else 0.0)
 
     def test_unknown_concept_raises(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
@@ -154,6 +151,103 @@ class TestPoolAnnotate:
         oracle.annotate(pool_dataset.observations, concepts)
         assert oracle.annotation_pairs == cost_after_first
         assert oracle.cache.hits == 60 * 3
+
+
+class TestPoolAnnotationTable:
+    """The (n, C) table against values taken one pair at a time: the
+    dataset's matrix for training rows, keyword_value for other rows."""
+
+    def reference(self, data, observations, concepts, cached=()):
+        row = {o.id: i for i, o in enumerate(data.observations)}
+        pool = {pc.concept.id: (j, pc.keyword) for j, pc in enumerate(data.pool_concepts)}
+        cached = dict(cached)
+        out = np.empty((len(observations), len(concepts)))
+        for i, obs in enumerate(observations):
+            for c_idx, c in enumerate(concepts):
+                j, keyword = pool[c.id]
+                if (obs.id, c.id) in cached:
+                    out[i, c_idx] = cached[(obs.id, c.id)]
+                elif obs.id in row:
+                    out[i, c_idx] = data.annotations[row[obs.id], j]
+                else:
+                    out[i, c_idx] = keyword_value(obs.payload, keyword)
+        return out
+
+    def unseen(self, n=12):
+        rng = np.random.default_rng(4)
+        return [Observation(f"new-{i}", "The record notes: " + ", ".join(
+                    f"feat{j}" for j in sorted(rng.choice(10, size=3, replace=False))) + ".")
+                for i in range(n)]
+
+    def test_matrix_and_keyword_paths(self, pool_dataset):
+        oracle = make_oracle(pool_dataset)
+        concepts = [pool_dataset.pool_concepts[j].concept for j in (7, 2, 5, 0)]
+        rows = pool_dataset.observations[10:30] + self.unseen() + pool_dataset.observations[:3]
+        table = oracle.annotate(rows, concepts)
+        assert table.shape == (len(rows), len(concepts))
+        assert np.array_equal(table, self.reference(pool_dataset, rows, concepts))
+        assert oracle.annotation_pairs == table.size
+        # cached on the way: the same call again is all hits and returns the same table
+        assert np.array_equal(oracle.annotate(rows, concepts), table)
+        assert oracle.annotation_pairs == table.size
+        assert oracle.cache.hits == table.size
+
+    def test_partly_cached_rows(self, pool_dataset):
+        oracle = make_oracle(pool_dataset)
+        concepts = [pool_dataset.pool_concepts[j].concept for j in (1, 4, 9)]
+        rows = pool_dataset.observations[:8] + self.unseen(6)
+        # cached values win over the matrix and the keywords, which they differ from
+        cached = {(rows[i].id, concepts[j].id): 0.25 for i, j in
+                  [(0, 0), (0, 2), (3, 1), (9, 0), (9, 1), (9, 2), (12, 2)]}
+        oracle.cache.put_many(list(cached), list(cached.values()), "human-override")
+        table = oracle.annotate(rows, concepts)
+        assert np.array_equal(table, self.reference(pool_dataset, rows, concepts, cached))
+        assert oracle.annotation_pairs == table.size - len(cached)
+        assert (oracle.cache.hits, oracle.cache.misses) == (len(cached),
+                                                            table.size - len(cached))
+
+    def test_fresh_values_reach_the_log_in_row_order(self, pool_dataset, tmp_path):
+        log = tmp_path / "annotations.ndjson"
+        oracle = make_oracle(pool_dataset)
+        oracle.cache = AnnotationCache(log)
+        concepts = [pool_dataset.pool_concepts[j].concept for j in (3, 6)]
+        rows = self.unseen(3) + pool_dataset.observations[:2]
+        oracle.cache.put_many([(rows[1].id, concepts[0].id)], [0.5], "human-override")
+        table = oracle.annotate(rows, concepts)
+        written = [json.loads(line) for line in log.read_text().splitlines()][1:]
+        assert [(r["observation_id"], r["concept_id"], r["value"], r["source"])
+                for r in written] == [
+            (obs.id, c.id, table[i, j], "pool") for i, obs in enumerate(rows)
+            for j, c in enumerate(concepts) if (i, j) != (1, 0)]
+
+    def test_unknown_concept_raises_before_anything_is_cached(self, pool_dataset):
+        oracle = make_oracle(pool_dataset)
+        alien = Concept("Is this concept from outer space?")
+        concepts = [pool_dataset.pool_concepts[0].concept, alien]
+        with pytest.raises(AnnotationError, match="outer space"):
+            oracle.annotate(pool_dataset.observations[:4], concepts)
+        assert len(oracle.cache) == 0 and oracle.annotation_pairs == 0
+        # an unknown concept whose values are all cached is not asked for
+        rows = pool_dataset.observations[:2]
+        oracle.cache.put_many([(o.id, alien.id) for o in rows], [1.0, 0.0], "human-override")
+        table = oracle.annotate(rows, concepts)
+        assert table[:, 1].tolist() == [1.0, 0.0]
+        assert table[:, 0].tolist() == pool_dataset.annotations[:2, 0].tolist()
+
+    def test_empty_table(self, pool_dataset):
+        oracle = make_oracle(pool_dataset)
+        assert oracle.annotate([], [pool_dataset.pool_concepts[0].concept]).shape == (0, 1)
+        assert oracle.annotate(pool_dataset.observations[:3], []).shape == (3, 0)
+
+    def test_training_matrix_built_on_first_use(self, pool_dataset):
+        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
+                            pool_dataset.labels, gamma=1.0)
+        concepts = [pc.concept for pc in pool_dataset.pool_concepts]
+        oracle.annotate(self.unseen(), concepts)
+        assert oracle._matrix is None
+        table = oracle.annotate(pool_dataset.observations, concepts)
+        assert oracle._matrix is not None
+        assert np.array_equal(table, pool_dataset.annotations)
 
 
 class TestPoolProposals:

@@ -493,9 +493,10 @@ class TestSamplerConfig:
 
 
 def per_record_design(oracle, observations, concepts):
-    """The design as assembled before the column store: one dict entry per pair."""
-    records = oracle.annotate(observations, concepts)
-    values = {(r.observation_id, r.concept_id): r.value for r in records}
+    """The design assembled one record at a time, as before the column store
+    and the annotation table: one annotate call and one dict entry per pair."""
+    values = {(o.id, c.id): float(oracle.annotate([o], [c])[0, 0])
+              for o in observations for c in concepts}
     return np.array([[values[(o.id, c.id)] for c in concepts] + [1.0]
                      for o in observations])
 
