@@ -443,26 +443,29 @@ def cmd_predict(args) -> int:
     column = {c.id: j for j, c in enumerate(concepts)}
     values, errors = _annotate_rows(oracle, observations, concepts)
     groups = _concept_set_groups(samples)
-    set_values = [values[:, [column[c.id] for c in cs]] for cs, _ in groups]
+    set_columns = [[column[c.id] for c in cs] for cs, _ in groups]
+    set_values = [values[:, cols] for cols in set_columns]
     ones = np.ones((len(observations), 1))
     probs = _sample_probabilities(samples, groups, [np.hstack([v, ones]) for v in set_values])
     ensemble = np.mean(probs, axis=1)
 
-    # Lines are written one at a time, and each (row, concept set) part of a
-    # per-sample record is encoded once: a sample adds only its probability.
-    # The bytes equal json.dumps of the whole record.
-    heads = ['{"concepts": ' + json.dumps([c.question for c in cs]) + ', "values": '
+    # Lines are written one at a time. Each value of a row is encoded once, as
+    # its repr, which is how json.dumps writes a finite float (oracle values lie
+    # in [0, 1]); each (row, concept set) part of a per-sample record is encoded
+    # once, and a sample adds only its probability. The bytes equal json.dumps
+    # of the whole record.
+    heads = ['{"concepts": ' + json.dumps([c.question for c in cs]) + ', "values": ['
              for cs, _ in groups]
     index = {cs: g for g, (cs, _) in enumerate(groups)}
     group_of = [index[s.concept_set] for s in samples]
-    set_rows = [v.tolist() for v in set_values]
     with open(args.output, "w") as fh:
-        for i, obs in enumerate(observations):
+        for i, (obs, row) in enumerate(zip(observations, values.tolist())):
             if i in errors:
                 fh.write(json.dumps({"id": obs.id, "error": errors[i]}) + "\n")
                 continue
-            prefixes = [head + json.dumps(v[i]) + ', "probability": '
-                        for head, v in zip(heads, set_rows)]
+            cells = list(map(repr, row))
+            prefixes = [head + ", ".join([cells[j] for j in cols]) + '], "probability": '
+                        for head, cols in zip(heads, set_columns)]
             per_sample = ", ".join([prefixes[g] + repr(p) + "}"
                                     for g, p in zip(group_of, probs[i].tolist())])
             fh.write(f'{{"id": {json.dumps(obs.id)}, "probability": {float(ensemble[i])!r}, '

@@ -94,23 +94,16 @@ class LogMarginal:
 
 
 def log1pexp(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe log(1 + exp(z))."""
+    """Overflow-safe log(1 + exp(z)), without branches."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z > 0
-    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
-    out[~pos] = np.log1p(np.exp(z[~pos]))
-    return out
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def sigmoid(z):
+    """Overflow-safe 1 / (1 + exp(-z)), without branches."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_predict(theta: np.ndarray, phi_row: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 """Metropolis-within-Gibbs over concept sets.
 
 Implements the split-sample update, its multiple-try variant, the greedy
-warm-start, and the chain driver with per-epoch checkpoints (a small header
-plus an append-only chain log) so a run can resume exactly.
+warm-start, and the chain driver. Its checkpoint is a header written once when
+a fresh chain starts plus an append-only chain log of one self-contained line
+per finished epoch, so a run can resume exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .concepts import Concept, ConceptSet
 from .model import AnnotationMatrix, PosteriorSample, log_marginal_likelihoods
 # ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
 from .model import log_marginal_likelihood  # noqa: F401
-from .oracle import ConceptOracle, OracleError, OracleProposal
+from .oracle import ConceptOracle, OracleError, OracleProposal, append_lines, read_log
 
 
 @dataclass(frozen=True)
@@ -330,11 +331,10 @@ class OracleFailure(RuntimeError):
         self.checkpoint = checkpoint
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return json.loads(json.dumps(rng.bit_generator.state))
-
-
-CHECKPOINT_FORMAT = "ccbm-checkpoint-v2"
+CHECKPOINT_FORMAT = "ccbm-checkpoint-v3"
+# one chain-log line: a finished epoch, and the chain as it stands after it
+_EPOCH_FIELDS = ("epoch", "samples", "update_log", "state", "rng_state",
+                 "acceptance_count", "proposal_count")
 
 
 def _log_path(path: Path) -> Path:
@@ -342,73 +342,70 @@ def _log_path(path: Path) -> Path:
     return Path(path).with_suffix(".log")
 
 
-def save_checkpoint(path: Path, trace: ChainTrace, cfg: SamplerConfig,
-                    state: ConceptSet, epoch_done: int, rng: np.random.Generator,
-                    log_offset: int, entry: Optional[dict] = None) -> int:
-    """Commit the chain as it stands after epoch_done.
+def _questions(state: ConceptSet) -> list[dict]:
+    return [{"question": c.question} for c in state]
 
-    The chain log next to path (see _log_path) is first cut to
-    log_offset, the end of what the last header committed, so an uncommitted
-    tail is dropped; entry, one epoch's samples, update-log lines and RNG
-    state, is appended as one NDJSON line. Then the header (config, state,
-    RNG state, counters and the new log offset) atomically replaces path.
-    Returns the new log offset.
+
+def _concept_set(questions: list[dict]) -> ConceptSet:
+    return ConceptSet(Concept(c["question"]) for c in questions)
+
+
+def save_checkpoint(path: Path, record: dict, start: bool = False):
+    """Commit one record of the chain whose header is at path.
+
+    With start, record is the header of a fresh chain: the chain log next to
+    path (see _log_path) is emptied first, so a crash before the header lands
+    never pairs it with an old log, then the header replaces path atomically.
+    Otherwise record is one finished epoch, appended to the log as one line.
     """
-    with open(_log_path(path), "ab") as log:
-        log.truncate(log_offset)
-        if entry is not None:
-            line = (json.dumps(entry) + "\n").encode("utf-8")
-            log.write(line)
-            log_offset += len(line)
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "config": cfg.to_dict(),
-        "epoch_done": epoch_done,
-        "state": [{"question": c.question} for c in state],
-        "rng_state": _rng_state(rng),
-        "acceptance_count": trace.acceptance_count,
-        "proposal_count": trace.proposal_count,
-        "log_offset": log_offset,
-    }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(header))
-    tmp.replace(path)
-    return log_offset
+    if start:
+        _log_path(path).write_bytes(b"")
+        tmp = path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(record))
+        tmp.replace(path)
+    else:
+        append_lines(_log_path(path), [json.dumps(record) + "\n"])
 
 
 def load_checkpoint(path: Path) -> dict:
-    """Read a header and the chain log up to its committed offset.
+    """Read a header and its chain log, to resume after the log's last epoch,
+    or from the header's start when the log holds none.
 
-    Raises ValueError naming the file when either is unreadable, of another
-    format, or inconsistent with the other.
+    The log is read by read_log, so a torn last line is dropped and cut off.
+    Raises ValueError naming the file when the header is unreadable or of
+    another format, or when a log line is corrupt or breaks the run of epochs
+    0, 1, 2, ...
     """
     path = Path(path)
+    epochs: list[dict] = []
+
+    def apply(records):
+        # every field is read here, so read_log names a line that lacks one
+        parsed = [{key: e[key] for key in _EPOCH_FIELDS} for e in records]
+        for i, e in enumerate(parsed, len(epochs)):
+            if e["epoch"] != i:
+                raise ValueError(f"epoch {e['epoch']} where epoch {i} belongs")
+            e["samples"] = [PosteriorSample.from_dict(s) for s in e["samples"]]
+            e["state"] = _concept_set(e["state"])
+        epochs.extend(parsed)
+
     try:
         header = json.loads(path.read_text())
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"format {fmt!r} is not {CHECKPOINT_FORMAT}; start a fresh run")
-        offset = header["log_offset"]
-        with open(_log_path(path), "rb") as log:
-            raw = log.read(offset)
-        if len(raw) != offset or (raw and not raw.endswith(b"\n")):
-            raise ValueError(f"{_log_path(path)} ends before the committed offset {offset}")
-        entries = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
-        if [e["epoch"] for e in entries] != list(range(header["epoch_done"] + 1)):
-            raise ValueError(f"{_log_path(path)} does not hold epochs 0..{header['epoch_done']}")
+        config = SamplerConfig.from_dict(header["config"])
+        read_log(_log_path(path), apply, "chain epoch")
+        last = epochs[-1] if epochs else {
+            "epoch": -1, "acceptance_count": 0, "proposal_count": 0,
+            "state": _concept_set(header["state"]), "rng_state": header["rng_state"]}
         trace = ChainTrace(
-            samples=[PosteriorSample.from_dict(s) for e in entries for s in e["samples"]],
-            acceptance_count=header["acceptance_count"],
-            proposal_count=header["proposal_count"],
-            update_log=[line for e in entries for line in e["update_log"]])
-        return {
-            "config": SamplerConfig.from_dict(header["config"]),
-            "epoch_done": header["epoch_done"],
-            "state": ConceptSet(Concept(c["question"]) for c in header["state"]),
-            "rng_state": header["rng_state"],
-            "log_offset": offset,
-            "trace": trace,
-        }
+            samples=[s for e in epochs for s in e["samples"]],
+            acceptance_count=last["acceptance_count"],
+            proposal_count=last["proposal_count"],
+            update_log=[line for e in epochs for line in e["update_log"]])
+        return {"config": config, "epoch_done": last["epoch"], "state": last["state"],
+                "rng_state": last["rng_state"], "trace": trace}
     except (OSError, UnicodeDecodeError, json.JSONDecodeError,
             KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} is not a usable checkpoint: {exc}") from exc
@@ -426,10 +423,11 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
     """Run warm-start then sampling epochs, appending one sample per slot update.
 
     Deterministic given (cfg.seed, data, a deterministic oracle). When
-    checkpoint_path is set, a checkpoint is committed at the start and after
-    every epoch (see save_checkpoint); an oracle failure leaves the last one
-    in place. Pass a payload from load_checkpoint as resume_from to continue
-    an interrupted run exactly.
+    checkpoint_path is set, a fresh chain writes its header there and every
+    finished epoch appends one line to the chain log (see save_checkpoint);
+    an oracle failure leaves the last finished epoch as the resume point.
+    Pass a payload from load_checkpoint as resume_from to continue an
+    interrupted run exactly.
     """
     update = _UPDATES[cfg.mode]
     marginals = _MarginalCache(data, cfg.gamma)
@@ -439,19 +437,18 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
         trace = resume_from["trace"]
         state = resume_from["state"]
         start_epoch = resume_from["epoch_done"] + 1
-        log_offset = resume_from["log_offset"]
         rng = np.random.default_rng()
         rng.bit_generator.state = resume_from["rng_state"]
     else:
         trace = ChainTrace()
         state = init
         start_epoch = 0
-        log_offset = 0
         rng = np.random.default_rng(cfg.seed)
-    if checkpoint_path is not None:
-        # the last committed epoch boundary, which an oracle failure leaves in place
-        log_offset = save_checkpoint(checkpoint_path, trace, cfg, state,
-                                     start_epoch - 1, rng, log_offset)
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, {
+                "format": CHECKPOINT_FORMAT, "config": cfg.to_dict(),
+                "state": _questions(state), "rng_state": rng.bit_generator.state},
+                start=True)
 
     for epoch in range(start_epoch, total_epochs):
         warm = epoch < cfg.warm_start_epochs
@@ -484,12 +481,13 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                 "phase": "warm_start" if warm else "sample",
             })
         if checkpoint_path is not None:
-            entry = {"epoch": epoch,
-                     "samples": [s.to_dict() for s in trace.samples[first_sample:]],
-                     "update_log": trace.update_log[first_line:],
-                     "rng_state": _rng_state(rng)}
-            log_offset = save_checkpoint(checkpoint_path, trace, cfg, state, epoch, rng,
-                                         log_offset, entry)
+            save_checkpoint(checkpoint_path, {
+                "epoch": epoch,
+                "samples": [s.to_dict() for s in trace.samples[first_sample:]],
+                "update_log": trace.update_log[first_line:],
+                "state": _questions(state), "rng_state": rng.bit_generator.state,
+                "acceptance_count": trace.acceptance_count,
+                "proposal_count": trace.proposal_count})
 
     _mark_burn_in(trace, cfg)
     return trace

@@ -230,8 +230,9 @@ def test_criterion_7_determinism_and_resume(cli_workspace, monkeypatch):
 
     monkeypatch.setattr(PoolOracle, "propose", flaky)
     assert cli.main(["run", "--config", str(config)]) == 3
-    checkpoint = json.loads((run_dir / "checkpoints" / "chain.json").read_text())
-    assert checkpoint["epoch_done"] == 1
+    # the chain log's last line is the last finished epoch
+    last = (run_dir / "checkpoints" / "chain.log").read_text().splitlines()[-1]
+    assert json.loads(last)["epoch"] == 1
     monkeypatch.setattr(PoolOracle, "propose", original)
     assert cli.main(["run", "--config", str(config), "--resume"]) == 0
     assert (run_dir / "samples.jsonl").read_bytes() == bytes_a

@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ccbm.concepts import Concept
 from ccbm.evaluate import auc, brier
 from ccbm.model import OptimizationError, posterior_predictive, sigmoid_predict
 from ccbm.oracle import AnnotationCache, KeyphraseBag, OracleError, PoolOracle
-from ccbm.sampler import GibbsData
+from ccbm.sampler import GibbsData, load_checkpoint
 
 SAMPLER = {"k": 2, "t_epochs": 4, "m_candidates": 4, "omega": 0.5,
            "gamma": 1.0, "seed": 3, "warm_start_epochs": 1, "keep_last": 2,
@@ -463,6 +464,83 @@ class TestKillResume:
         assert (run_dir / "samples.jsonl").read_bytes() == \
             (finished_run / "samples.jsonl").read_bytes()
         assert not (run_dir / ".lock").exists()
+
+    @staticmethod
+    def copy_checkpoint(finished_run, run_dir, log: bytes, header: Optional[str] = None):
+        (run_dir / "checkpoints").mkdir(parents=True)
+        (run_dir / "checkpoints" / "chain.json").write_text(
+            header or (finished_run / "checkpoints" / "chain.json").read_text())
+        (run_dir / "checkpoints" / "chain.log").write_bytes(log)
+
+    def test_cut_at_every_offset_of_the_last_two_lines(self, workspace, finished_run,
+                                                       tmp_path):
+        """A kill between or during epochs leaves chain.log cut anywhere in its
+        last two lines. Every such cut loads as the chain after its last whole
+        line, with the torn rest cut off; the resume from each kind of cut
+        (inside the second-last line, at the line boundary, inside the last
+        line, or no cut) writes the uninterrupted run's samples.jsonl and
+        chain.log byte for byte."""
+        log = (finished_run / "checkpoints" / "chain.log").read_bytes()
+        starts = [0] + [i + 1 for i, b in enumerate(log) if b == ord("\n")]
+        second_last, last = starts[-3], starts[-2]
+        loaded = {}
+        self.copy_checkpoint(finished_run, tmp_path / "load", b"")
+        header = tmp_path / "load" / "checkpoints" / "chain.json"
+        for cut in range(second_last, len(log) + 1):
+            whole = max(start for start in starts if start <= cut)
+            header.with_suffix(".log").write_bytes(log[:cut])
+            payload = load_checkpoint(header)
+            assert header.with_suffix(".log").read_bytes() == log[:whole], cut
+            assert payload["epoch_done"] == starts.index(whole) - 1, cut
+            trace = payload["trace"]
+            chain = (payload["state"], payload["rng_state"], trace.update_log,
+                     trace.acceptance_count, trace.proposal_count,
+                     [sample.to_dict() for sample in trace.samples])
+            assert loaded.setdefault(whole, chain) == chain, cut
+        for cut in (second_last + 1, last - 1, last, last + 1, len(log) - 1, len(log)):
+            run_dir = tmp_path / f"resume-{cut}"
+            self.copy_checkpoint(finished_run, run_dir, log[:cut])
+            config = write_config(workspace, run_dir)
+            assert cli.main(["run", "--config", str(config), "--resume"]) == 0
+            for name in ("samples.jsonl", "checkpoints/chain.log"):
+                assert (run_dir / name).read_bytes() == \
+                    (finished_run / name).read_bytes(), (cut, name)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:1] + [b"{not json"] + lines[2:], "chain.log:2: corrupt"),
+        (lambda lines: lines[:1] + [b'{"epoch": 1}'] + lines[2:], "chain.log:2: corrupt"),
+        (lambda lines: lines[:2] + lines[3:], "chain.log:3: corrupt chain epoch: "
+                                              "epoch 3 where epoch 2 belongs")])
+    def test_corrupt_or_gapped_log_exits_2_naming_the_line(
+            self, workspace, finished_run, tmp_path, capsys, edit, message):
+        lines = (finished_run / "checkpoints" / "chain.log").read_bytes().splitlines()
+        run_dir = tmp_path / "resume"
+        self.copy_checkpoint(finished_run, run_dir, b"\n".join(edit(lines)) + b"\n")
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (run_dir / "samples.jsonl").exists()
+
+    def test_v2_header_exits_2(self, workspace, finished_run, tmp_path, capsys):
+        run_dir = tmp_path / "resume"
+        self.copy_checkpoint(finished_run, run_dir,
+                             (finished_run / "checkpoints" / "chain.log").read_bytes(),
+                             json.dumps({"format": "ccbm-checkpoint-v2", "epoch_done": 4,
+                                         "log_offset": 0}))
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        assert "'ccbm-checkpoint-v2' is not ccbm-checkpoint-v3; start a fresh run" in \
+            capsys.readouterr().err
+
+    def test_fresh_run_over_a_stale_log_starts_a_new_one(self, workspace, finished_run,
+                                                         tmp_path):
+        run_dir = tmp_path / "fresh"
+        stale = (finished_run / "checkpoints" / "chain.log").read_bytes()
+        self.copy_checkpoint(finished_run, run_dir, stale + stale + b'{"epoch": 9')
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        for name in ("samples.jsonl", "checkpoints/chain.json", "checkpoints/chain.log"):
+            assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
 class TestResidualSummary:

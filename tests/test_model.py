@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,50 @@ class TestSigmoid:
         assert sigmoid(np.array([800.0]))[0] == 1.0
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         assert np.isfinite(log1pexp(np.array([800.0, -800.0]))).all()
+
+
+def masked_log1pexp(z):
+    """The masked reference: one branch per sign of z."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z > 0
+    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
+    out[~pos] = np.log1p(np.exp(z[~pos]))
+    return out
+
+
+def masked_sigmoid(z):
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestBranchFreeKernels:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(11)
+        magnitudes = 10.0 ** rng.uniform(-300, 300, size=4000)
+        signs = rng.choice([-1.0, 1.0], size=4000)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.79, -709.79, 745.2, -745.2,
+                 1e308, -1e308, 1.0, -1.0, 36.0, -36.0, 1e-300, -1e-300]
+        return [np.concatenate([magnitudes * signs, edges]),
+                rng.normal(scale=8.0, size=(9, 30)),
+                rng.normal(scale=40.0, size=(25, 800))]
+
+    @pytest.mark.parametrize("kernel, reference", [(log1pexp, masked_log1pexp),
+                                                    (sigmoid, masked_sigmoid)])
+    def test_bit_identical_to_masked_reference(self, kernel, reference):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow fails the test
+            for z in self.inputs():
+                got, want = kernel(z), reference(z)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)  # NaN stays NaN, of either sign
+                assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestMapEstimate:

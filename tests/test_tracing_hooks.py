@@ -3,6 +3,7 @@ hooks must resolve, or `bench/run.py --trace 1` fails on entry."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -31,3 +32,23 @@ def test_tracer_hooks_resolve_and_unwind():
     for hook, original in zip(tracing.HOOKS, originals):
         assert hooked(*hook[:3]) is original, hook
     assert tracer.roots == []
+
+
+def test_traced_run_records_each_checkpoint_save(tmp_path):
+    # bench/run.py --trace 1 stats the header the traced save_checkpoint was given
+    from ccbm import cli
+    tracing = load_tracing()
+    assert cli.main(["simulate", "--out", str(tmp_path / "data"), "--n", "40",
+                     "--seed", "11", "--pool-size", "8", "--coefficients", "2.5,-2.5"]) == 0
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": str(tmp_path / "data" / "dataset.ndjson"), "output_dir": str(run_dir),
+        "oracle": {"type": "pool", "pool": str(tmp_path / "data" / "pool.json")},
+        "sampler": {"k": 2, "t_epochs": 4, "m_candidates": 4, "seed": 3,
+                    "warm_start_epochs": 1}}))
+    with tracing.Tracer() as tracer:
+        assert cli.main(["run", "--config", str(config)]) == 0
+    saves = tracing.spans_named(tracer.root("cli.run"), "sampler.checkpoint")
+    header = (run_dir / "checkpoints" / "chain.json").stat().st_size
+    assert [span.value for span in saves] == [header] * (1 + 1 + 4)  # start, then each epoch
