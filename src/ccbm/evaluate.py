@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .concepts import Concept, ConceptSet
-from .model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
+from .model import AnnotationMatrix, ModelConfig, log_marginal_likelihoods, logsumexp
+
+ENUMERATION_CHUNK = 1024  # supports per stacked solve; bounds the (E, n, d) design stack
 
 
 class MetricUndefinedError(ValueError):
@@ -202,25 +203,40 @@ def enumerate_posterior(pool: Sequence[Concept], k: int, y: np.ndarray,
     """Exact posterior over unordered k-subsets of the pool, uniform prior.
 
     Uses the Laplace log marginal likelihood for each support and normalizes
-    in log space. Refuses when the number of supports exceeds the budget.
+    in log space. Supports are scored in stacked solves of at most
+    ENUMERATION_CHUNK designs, each bit-identical to fitting it alone.
+    Refuses when the number of supports exceeds the budget.
     """
     n_support = math.comb(len(pool), k)
     if n_support > budget:
         raise ValueError(
             f"enumeration would visit {n_support} supports, over the budget of {budget}")
     annotations = np.asarray(annotations, dtype=float)
+    if annotations.ndim != 2 or annotations.shape[1] != len(pool):
+        raise ValueError("annotations need one column per pool concept")
     y = np.asarray(y, dtype=float)
     row_ids = tuple(str(i) for i in range(annotations.shape[0]))
     cfg = ModelConfig(gamma=gamma, k=k)
-    supports = []
+    phi = AnnotationMatrix.build(annotations, row_ids).values
+    combos = list(itertools.combinations(range(len(pool)), k))
+    if not combos:
+        return {}
+    # Each support's design is its concept columns, then the intercept (phi's
+    # last column). A design's memory layout changes the rounding of its
+    # products, so each one is laid out as AnnotationMatrix.build(annotations[:, combo])
+    # lays it out: column-major, or row-major when k = 1 (numpy's choice for
+    # blocks of one column, which are both).
+    columns = np.array([combo + (len(pool),) for combo in combos])
     log_probs = []
-    for combo in itertools.combinations(range(len(pool)), k):
-        phi = AnnotationMatrix.build(annotations[:, combo], row_ids)
-        log_probs.append(log_marginal_likelihood(phi, y, cfg).value)
-        supports.append(frozenset(pool[j].id for j in combo))
-    log_probs = np.asarray(log_probs)
+    for start in range(0, len(combos), ENUMERATION_CHUNK):
+        X = phi.T[columns[start:start + ENUMERATION_CHUNK]].transpose(0, 2, 1)
+        if k == 1:
+            X = np.ascontiguousarray(X)
+        log_probs.append(log_marginal_likelihoods(X, y, cfg.gamma)[0])
+    log_probs = np.concatenate(log_probs)
     log_z = logsumexp(log_probs)
-    return {s: float(np.exp(lp - log_z)) for s, lp in zip(supports, log_probs)}
+    return {frozenset(pool[j].id for j in combo): float(np.exp(lp - log_z))
+            for combo, lp in zip(combos, log_probs)}
 
 
 def support_frequencies(samples: Sequence[ConceptSet]) -> dict[frozenset[str], float]:

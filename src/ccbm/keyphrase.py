@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import SharedDesign, log1pexp
 from .oracle import KeyphraseBag
@@ -29,8 +28,8 @@ class Vocabulary:
         return sorted(self.index, key=self.index.get)
 
 
-def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[Vocabulary, sp.csr_matrix]:
-    """Binary presence matrix over phrases with document frequency >= min_df."""
+def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[Vocabulary, np.ndarray]:
+    """Dense float 0/1 presence matrix over phrases with document frequency >= min_df."""
     df: dict[str, int] = {}
     for bag in bags:
         for phrase in bag.phrases:
@@ -46,8 +45,8 @@ def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[Vocabulary
             if j is not None:
                 rows.append(i)
                 cols.append(j)
-    matrix = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                           shape=(len(bags), len(kept)))
+    matrix = np.zeros((len(bags), len(kept)))
+    matrix[rows, cols] = 1.0
     return Vocabulary(index=index, doc_freq={p: df[p] for p in kept}), matrix
 
 
@@ -70,7 +69,7 @@ class KeyphraseSummary:
 
 
 def _design(bow, concepts: Optional[np.ndarray]) -> tuple[np.ndarray, int, int]:
-    X_w = np.asarray(bow.todense()) if sp.issparse(bow) else np.asarray(bow, dtype=float)
+    X_w = np.asarray(bow, dtype=float)
     n = X_w.shape[0]
     X_c = np.zeros((n, 0)) if concepts is None else np.atleast_2d(np.asarray(concepts, dtype=float))
     if X_c.shape[0] != n:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import requests
 
 from .concepts import Concept, ConceptSet
 from .oracle import (AnnotationCache, AnnotationError, ConceptOracle,
@@ -97,22 +96,29 @@ class ChatClient:
     """Minimal chat-completions client with retry/backoff.
 
     post_fn(url, headers, payload) -> response body dict; the default uses
-    requests. Parse failures count as retryable errors so a flaky model gets
-    the same second chances as a flaky network. call_count and retry_count
-    are counted under a lock, since the oracle calls from worker threads.
+    requests, which is imported only when a client with that default is
+    built. Transport failures (OSError, which every requests exception
+    derives from) and parse failures are retried, so a flaky model gets the
+    same second chances as a flaky network. call_count and retry_count are
+    counted under a lock, since the oracle calls from worker threads.
     """
 
     def __init__(self, config: LLMConfig,
                  post_fn: Optional[Callable[[str, dict, dict], dict]] = None,
                  sleep_fn: Callable[[float], None] = time.sleep):
         self.config = config
-        self.post_fn = post_fn if post_fn is not None else self._http_post
+        if post_fn is None:
+            import requests  # noqa: F401  -- fail here, not in a worker thread, if it is missing
+            post_fn = self._http_post
+        self.post_fn = post_fn
         self.sleep_fn = sleep_fn
         self.call_count = 0
         self.retry_count = 0
         self._count_lock = threading.Lock()
 
     def _http_post(self, url: str, headers: dict, payload: dict) -> dict:
+        import requests
+
         response = requests.post(url, headers=headers, json=payload,
                                  timeout=self.config.request_timeout)
         response.raise_for_status()
@@ -146,8 +152,8 @@ class ChatClient:
                 body = self.post_fn(self.config.endpoint, self._headers(), payload)
                 content = body["choices"][0]["message"]["content"]
                 return parse_json_content(content)
-            except (requests.RequestException, KeyError, IndexError,
-                    json.JSONDecodeError, TypeError) as exc:
+            except (OSError, KeyError, IndexError, json.JSONDecodeError,
+                    TypeError) as exc:
                 last_error = exc
         raise OracleError(
             f"request failed after {self.config.max_retries} attempts: {last_error}")

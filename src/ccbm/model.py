@@ -99,6 +99,28 @@ def log1pexp(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-D array.
+
+    Follows scipy.special.logsumexp's order of operations, so the result is
+    bit-identical to it: the elements equal to the max are set to -inf in
+    place (the length, and so numpy's pairwise summation order, is kept) and
+    enter as log(m) for their count m.
+    """
+    a = np.array(a, dtype=float)
+    a_max = np.max(a)
+    if not np.isfinite(a_max):  # all -inf (or an inf/nan entry): the direct sum decides
+        with np.errstate(divide="ignore"):
+            return float(np.log(np.sum(np.exp(a))))
+    at_max = a == a_max
+    m = float(np.count_nonzero(at_max))
+    a[at_max] = -np.inf
+    s = np.sum(np.exp(a - a_max))
+    if s != 0:
+        s /= m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def sigmoid(z):
     """Overflow-safe 1 / (1 + exp(-z)), without branches."""
     z = np.asarray(z, dtype=float)

@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .concepts import Concept, ConceptSet
-from .model import AnnotationMatrix, PosteriorSample, log_marginal_likelihoods
+from .model import (AnnotationMatrix, PosteriorSample, log_marginal_likelihoods,
+                    logsumexp)
 # ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
 from .model import log_marginal_likelihood  # noqa: F401
 from .oracle import ConceptOracle, OracleError, OracleProposal, append_lines, read_log

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .concepts import Concept, ConceptSet
 from .model import sigmoid
@@ -54,7 +53,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     if spec.feature_correlations is not None:
         # Gaussian copula: correlated latent normals thresholded at each
-        # feature's marginal quantile.
+        # feature's marginal quantile. scipy is loaded here only, so no other
+        # path pays for importing it.
+        from scipy.special import ndtri
+
         corr = np.asarray(spec.feature_correlations, dtype=float)
         if corr.shape != (p_count, p_count):
             raise ValueError("correlation matrix must be pool-size square")
@@ -68,14 +70,17 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     labels = (rng.random(spec.n) < sigmoid(logits)).astype(int)
 
     pool_concepts = [PoolConcept(Concept(question), keyword) for question, keyword in spec.pool]
+    names = [name for _, name in spec.pool]
+    phrases = [normalize_phrase(name) for name in names]
     observations = []
     bags = []
-    for i in range(spec.n):
-        active = [spec.pool[j][1] for j in range(p_count) if features[i, j] >= 0.5]
-        text = "The record notes: " + (", ".join(active) if active else "nothing notable") + "."
+    for i, row in enumerate(features >= 0.5):
+        active = np.flatnonzero(row).tolist()
+        listed = ", ".join([names[j] for j in active]) if active else "nothing notable"
+        text = "The record notes: " + listed + "."
         obs_id = f"obs-{spec.seed}-{i:05d}"
         observations.append(Observation(id=obs_id, payload=text, label=int(labels[i])))
-        bags.append(KeyphraseBag(obs_id, frozenset(normalize_phrase(a) for a in active)))
+        bags.append(KeyphraseBag(obs_id, frozenset([phrases[j] for j in active])))
 
     truth = ConceptSet(pool_concepts[j].concept for j in spec.true_support)
     return SyntheticData(observations=observations, labels=labels, annotations=features,

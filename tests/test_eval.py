@@ -1,13 +1,25 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ccbm
+from ccbm import evaluate
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import (ConceptMatchRule, InconclusiveMatchError,
                            MetricUndefinedError, auc, brier, concepts_match,
                            enumerate_posterior, predictive_entropy,
                            recovery_report, support_frequencies, tv_distance)
+from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
 
 from conftest import make_pool_dataset
+
+SRC = str(Path(ccbm.__file__).resolve().parents[1])
 
 
 class TestAuc:
@@ -49,20 +61,49 @@ class TestAuc:
                 / (n_pos * (n - n_pos))
             assert auc(scores, labels) == reference
 
-    def test_cli_import_skips_scipy_stats(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import ccbm
-        src = str(Path(ccbm.__file__).resolve().parents[1])
+    def test_cli_import_loads_no_scipy_and_no_requests(self):
         out = subprocess.run([sys.executable, "-X", "importtime", "-c", "import ccbm.cli"],
-                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
                              check=True)
         assert "ccbm.cli" in out.stderr
-        for module in ("scipy.stats", "scipy.optimize"):
-            assert module not in out.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                    if line.startswith("import time:") and "|" in line}
+        for package in ("scipy", "requests"):
+            assert not {m for m in imported if m == package or m.startswith(package + ".")}
+
+
+# Runs the pool-oracle commands end to end in one fresh interpreter, then
+# prints which modules of scipy and requests it loaded.
+POOL_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+from ccbm.cli import main
+
+ws = Path(sys.argv[1])
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+run(["simulate", "--out", str(ws / "data"), "--n", "30", "--seed", "4", "--pool-size", "5"])
+config = {"dataset": str(ws / "data" / "dataset.ndjson"), "output_dir": str(ws / "run"),
+          "oracle": {"type": "pool", "pool": str(ws / "data" / "pool.json")},
+          "sampler": {"k": 2, "t_epochs": 2, "m_candidates": 3, "mode": "multi_try",
+                      "warm_start_epochs": 0, "seed": 1}}
+(ws / "config.json").write_text(json.dumps(config))
+run(["run", "--config", str(ws / "config.json")])
+run(["predict", "--run", str(ws / "run"), "--input", str(ws / "data" / "dataset.ndjson"),
+     "--output", str(ws / "predictions.ndjson")])
+run(["eval", "--run", str(ws / "run"), "--truth", str(ws / "data" / "truth.json")])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "requests"))))
+"""
+
+
+def test_pool_commands_load_no_scipy_and_no_requests(tmp_path):
+    out = subprocess.run([sys.executable, "-c", POOL_COMMANDS_SCRIPT, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                         text=True, check=True)
+    assert (tmp_path / "predictions.ndjson").stat().st_size > 0
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == []
 
 
 class TestBrier:
@@ -260,6 +301,44 @@ class TestEnumeratePosterior:
         with pytest.raises(ValueError, match="budget"):
             enumerate_posterior(pool, 2, pool_dataset.labels,
                                 pool_dataset.annotations, gamma=1.0, budget=10)
+
+    @staticmethod
+    def per_support_reference(pool, k, y, annotations, gamma):
+        """The posterior as one log_marginal_likelihood call per support, scipy's
+        logsumexp for the normalizer."""
+        from scipy.special import logsumexp
+        row_ids = tuple(str(i) for i in range(annotations.shape[0]))
+        cfg = ModelConfig(gamma=gamma, k=k)
+        supports, log_probs = [], []
+        for combo in itertools.combinations(range(len(pool)), k):
+            phi = AnnotationMatrix.build(annotations[:, combo], row_ids)
+            log_probs.append(log_marginal_likelihood(phi, y, cfg).value)
+            supports.append(frozenset(pool[j].id for j in combo))
+        log_probs = np.asarray(log_probs)
+        log_z = logsumexp(log_probs)
+        return {s: float(np.exp(lp - log_z)) for s, lp in zip(supports, log_probs)}
+
+    @pytest.mark.parametrize("k, chunk", [(1, evaluate.ENUMERATION_CHUNK),
+                                          (2, evaluate.ENUMERATION_CHUNK), (2, 7), (3, 16)])
+    def test_stacked_solves_equal_per_support_loop(self, pool_dataset, monkeypatch, k, chunk):
+        monkeypatch.setattr(evaluate, "ENUMERATION_CHUNK", chunk)
+        pool = [pc.concept for pc in pool_dataset.pool_concepts]
+        args = (pool, k, pool_dataset.labels.astype(float), pool_dataset.annotations, 1.0)
+        got = enumerate_posterior(*args)
+        want = self.per_support_reference(*args)
+        assert list(got) == list(want)
+        assert [got[s] for s in want] == list(want.values())  # bit for bit
+
+    def test_k_above_pool_size_is_empty(self, pool_dataset):
+        pool = [pc.concept for pc in pool_dataset.pool_concepts][:3]
+        assert enumerate_posterior(pool, 4, pool_dataset.labels,
+                                   pool_dataset.annotations[:, :3], gamma=1.0) == {}
+
+    def test_annotations_must_cover_the_pool(self, pool_dataset):
+        pool = [pc.concept for pc in pool_dataset.pool_concepts]
+        with pytest.raises(ValueError, match="one column per pool concept"):
+            enumerate_posterior(pool, 2, pool_dataset.labels,
+                                pool_dataset.annotations[:, :-1], gamma=1.0)
 
     def test_true_support_is_the_mode(self, pool_dataset):
         pool = [pc.concept for pc in pool_dataset.pool_concepts]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.model import (AnnotationMatrix, ModelConfig, OptimizationError,
                         PosteriorSample, log1pexp, log_marginal_likelihood,
-                        log_marginal_likelihoods, map_estimate,
+                        log_marginal_likelihoods, logsumexp, map_estimate,
                         posterior_predictive, sigmoid, sigmoid_predict,
                         sigmoid_predict_many)
 from ccbm.sampler import GibbsData, _MarginalCache
@@ -190,6 +190,39 @@ class TestBranchFreeKernels:
                 nan = np.isnan(want)
                 assert np.array_equal(np.isnan(got), nan)  # NaN stays NaN, of either sign
                 assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestLogSumExp:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            a = rng.normal(scale=10.0 ** rng.uniform(-3, np.log10(800)),
+                           size=int(rng.integers(1, 41)))
+            if rng.random() < 0.3:  # ties at the max
+                a[rng.integers(len(a), size=int(rng.integers(1, len(a) + 1)))] = a.max()
+            if rng.random() < 0.3:  # scattered -inf entries
+                a[rng.random(len(a)) < 0.3] = -np.inf
+            yield a
+        yield from (np.full(n, -np.inf) for n in (1, 2, 7))
+        yield from (np.zeros(n) for n in (1, 3, 40))
+
+    def test_bit_identical_to_scipy(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a in self.inputs():
+                want = scipy_logsumexp(a)
+                got = logsumexp(a)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+
+    def test_all_minus_inf_is_minus_inf(self):
+        assert logsumexp([-np.inf, -np.inf]) == -np.inf
+
+    def test_input_left_unchanged(self):
+        a = np.array([1.0, 3.0, 3.0, -np.inf])
+        logsumexp(a)
+        assert a.tolist() == [1.0, 3.0, 3.0, -np.inf]
 
 
 class TestMapEstimate:

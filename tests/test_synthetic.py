@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ccbm.oracle import keyword_value
+from ccbm.model import sigmoid
+from ccbm.oracle import KeyphraseBag, Observation, keyword_value, normalize_phrase
 from ccbm.synthetic import (CLINICAL_FEATURES, SyntheticSpec, clinical_spec,
                             generate_synthetic)
 
@@ -92,6 +93,42 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, pool=[("q?", "f")], true_support=[3],
                           coefficients=[1.0])
+
+
+def per_row_reference(spec):
+    """generate_synthetic's independent-feature branch, one row at a time with
+    one normalize_phrase call per active feature."""
+    rng = np.random.default_rng(spec.seed)
+    p_count = len(spec.pool)
+    probs = np.broadcast_to(np.asarray(spec.feature_probs, dtype=float), (p_count,))
+    features = (rng.random((spec.n, p_count)) < probs[None, :]).astype(float)
+    logits = spec.intercept + features[:, spec.true_support] @ np.asarray(spec.coefficients)
+    labels = (rng.random(spec.n) < sigmoid(logits)).astype(int)
+    observations, bags = [], []
+    for i in range(spec.n):
+        active = [spec.pool[j][1] for j in range(p_count) if features[i, j] >= 0.5]
+        text = "The record notes: " + (", ".join(active) if active else "nothing notable") + "."
+        obs_id = f"obs-{spec.seed}-{i:05d}"
+        observations.append(Observation(id=obs_id, payload=text, label=int(labels[i])))
+        bags.append(KeyphraseBag(obs_id, frozenset(normalize_phrase(a) for a in active)))
+    return features, labels, observations, bags
+
+
+@pytest.mark.parametrize("spec", [
+    clinical_spec(n=300, seed=5),
+    # keywords that normalization changes, and sparse rows (about half have nothing active)
+    SyntheticSpec(n=200, pool=[("q0?", "Alcohol  Use"), ("q1?", " SMOKING "),
+                               ("q2?", "drug-use"), ("q3?", "Alcohol Use")],
+                  true_support=[0, 2], coefficients=[1.5, -1.0], intercept=0.3,
+                  feature_probs=[0.2, 0.1, 0.3, 0.05], seed=9),
+])
+def test_rows_equal_per_row_reference(spec):
+    data = generate_synthetic(spec)
+    features, labels, observations, bags = per_row_reference(spec)
+    assert np.array_equal(data.annotations, features)
+    assert np.array_equal(data.labels, labels)
+    assert data.observations == observations
+    assert data.bags == bags
 
 
 def test_copula_threshold_matches_normal_ppf():
