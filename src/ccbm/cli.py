@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -374,29 +375,54 @@ def _load_run(run_dir: Path):
     if not samples_path.exists():
         raise ConfigError(f"{run_dir} has no samples.jsonl; run has not completed")
     cfg = RunConfig.load(run_dir / "config.snapshot")
-    samples = [PosteriorSample.from_dict(json.loads(line))
-               for line in samples_path.read_text().splitlines() if line]
+    # one ConceptSet per distinct concept list: a chain repeats its state
+    sets: dict[tuple[str, ...], ConceptSet] = {}
+    samples = []
+    for line in samples_path.read_text().splitlines():
+        if line:
+            d = json.loads(line)
+            questions = tuple(c["question"] for c in d["concepts"])
+            if questions not in sets:
+                sets[questions] = ConceptSet(Concept(q) for q in questions)
+            samples.append(PosteriorSample.from_dict(d, sets[questions]))
     samples = [s for s in samples if not s.burn_in]
     if not samples:
         raise ConfigError("run contains no posterior samples")
     return cfg, samples
 
 
-def _concept_set_groups(samples) -> list[tuple[ConceptSet, list[int]]]:
-    """Each distinct concept set, in order of first use, with its samples' indices."""
-    groups: dict[ConceptSet, list[int]] = {}
-    for j, s in enumerate(samples):
-        groups.setdefault(s.concept_set, []).append(j)
-    return list(groups.items())
+def _posterior_records(samples):
+    """The samples' distinct concept sets and distinct (concept set, theta)
+    records, each in order of first use.
+
+    Returns the concept sets, the records as (concept-set index, theta) and
+    each sample's record index. A chain repeats its state on every rejected
+    update, so S samples hold few records. Thetas are keyed by their bits:
+    after a resume, one concept set can carry thetas that differ in their last
+    bits, and those stay separate records.
+    """
+    sets: dict[ConceptSet, int] = {}
+    index: dict[tuple[int, bytes], int] = {}
+    records: list[tuple[int, np.ndarray]] = []
+    record_of = []
+    for s in samples:
+        g = sets.setdefault(s.concept_set, len(sets))
+        u = index.setdefault((g, s.theta.tobytes()), len(records))
+        if u == len(records):
+            records.append((g, s.theta))
+        record_of.append(u)
+    return list(sets), records, record_of
 
 
-def _sample_probabilities(samples, groups, designs) -> np.ndarray:
-    """Every sample's plug-in probability on every row, as an (n, S) matrix:
+def _record_probabilities(records, designs) -> np.ndarray:
+    """Every record's plug-in probability on every row, as an (n, U) matrix:
     one product per concept set, over that set's (n, d) design."""
-    probs = np.empty((designs[0].shape[0], len(samples)))
-    for (_, members), X in zip(groups, designs):
-        probs[:, members] = sigmoid_predict_many(
-            X, np.array([samples[j].theta for j in members]))
+    members = [[] for _ in designs]
+    for u, (g, _) in enumerate(records):
+        members[g].append(u)
+    probs = np.empty((designs[0].shape[0], len(records)))
+    for cols, X in zip(members, designs):
+        probs[:, cols] = sigmoid_predict_many(X, np.array([records[u][1] for u in cols]))
     return probs
 
 
@@ -442,32 +468,37 @@ def cmd_predict(args) -> int:
     concepts = list({c.id: c for s in samples for c in s.concept_set}.values())
     column = {c.id: j for j, c in enumerate(concepts)}
     values, errors = _annotate_rows(oracle, observations, concepts)
-    groups = _concept_set_groups(samples)
-    set_columns = [[column[c.id] for c in cs] for cs, _ in groups]
-    set_values = [values[:, cols] for cols in set_columns]
+    sets, records, record_of = _posterior_records(samples)
+    set_columns = [[column[c.id] for c in cs] for cs in sets]
     ones = np.ones((len(observations), 1))
-    probs = _sample_probabilities(samples, groups, [np.hstack([v, ones]) for v in set_values])
-    ensemble = np.mean(probs, axis=1)
+    probs = _record_probabilities(
+        records, [np.hstack([values[:, cols], ones]) for cols in set_columns])
+    # the (n, S) matrix of every sample's probability, row-major like the one
+    # scored sample by sample: its layout sets the order np.mean sums in
+    ensemble = np.mean(np.take(probs, record_of, axis=1), axis=1)
 
     # Lines are written one at a time. Each value of a row is encoded once, as
     # its repr, which is how json.dumps writes a finite float (oracle values lie
     # in [0, 1]); each (row, concept set) part of a per-sample record is encoded
-    # once, and a sample adds only its probability. The bytes equal json.dumps
-    # of the whole record.
+    # once, and each (row, record) once. A sample's part of per_sample is its
+    # record's string. The bytes equal json.dumps of the whole record.
     heads = ['{"concepts": ' + json.dumps([c.question for c in cs]) + ', "values": ['
-             for cs, _ in groups]
-    index = {cs: g for g, (cs, _) in enumerate(groups)}
-    group_of = [index[s.concept_set] for s in samples]
+             for cs in sets]
+    record_set = [g for g, _ in records]
+    # the S record strings of a row, in sample order (one index gives a string)
+    pick = (operator.itemgetter(*record_of) if len(record_of) > 1
+            else lambda encoded: (encoded[record_of[0]],))
     with open(args.output, "w") as fh:
-        for i, (obs, row) in enumerate(zip(observations, values.tolist())):
+        for i, (obs, row, row_probs) in enumerate(zip(observations, values.tolist(),
+                                                      probs.tolist())):
             if i in errors:
                 fh.write(json.dumps({"id": obs.id, "error": errors[i]}) + "\n")
                 continue
             cells = list(map(repr, row))
             prefixes = [head + ", ".join([cells[j] for j in cols]) + '], "probability": '
                         for head, cols in zip(heads, set_columns)]
-            per_sample = ", ".join([prefixes[g] + repr(p) + "}"
-                                    for g, p in zip(group_of, probs[i].tolist())])
+            encoded = [prefixes[g] + repr(p) + "}" for g, p in zip(record_set, row_probs)]
+            per_sample = ", ".join(pick(encoded))
             fh.write(f'{{"id": {json.dumps(obs.id)}, "probability": {float(ensemble[i])!r}, '
                      f'"per_sample": [{per_sample}]}}\n')
     return EXIT_OK
@@ -482,8 +513,9 @@ def cmd_eval(args) -> int:
 
     data = gibbs_data_from_oracle(observations, labels, oracle)
     data.fill([c for s in samples for c in s.concept_set])
-    groups = _concept_set_groups(samples)
-    probs = _sample_probabilities(samples, groups, [data.phi(cs).values for cs, _ in groups])
+    sets, records, record_of = _posterior_records(samples)
+    probs = np.take(_record_probabilities(records, [data.phi(cs).values for cs in sets]),
+                    record_of, axis=1)
     frequencies = support_frequencies([s.concept_set for s in samples])
     # (S, n) layout, averaged over samples in sample order
     scores = np.ascontiguousarray(probs.T).mean(axis=0)
@@ -494,7 +526,7 @@ def cmd_eval(args) -> int:
         # one support reached in several slot orders is one key
         "support_frequencies": {
             " | ".join(sorted(c.question for c in cs)): frequencies[cs.id_set()]
-            for cs, _ in groups},
+            for cs in sets},
     }
     if args.truth:
         truth_questions = json.loads(Path(args.truth).read_text())

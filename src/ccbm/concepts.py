@@ -45,26 +45,27 @@ class Concept:
 class ConceptSet:
     """Ordered vector of K distinct concepts; the state of the Gibbs chain."""
 
-    __slots__ = ("concepts",)
+    __slots__ = ("concepts", "_ids")
 
     def __init__(self, concepts: Iterable[Concept]):
         concepts = tuple(concepts)
         if not concepts:
             raise ValueError("concept set must contain at least one concept")
-        ids = [c.id for c in concepts]
+        ids = tuple(c.id for c in concepts)
         if len(set(ids)) != len(ids):
             raise ValueError("concept set contains duplicate concepts")
         self.concepts = concepts
+        self._ids = ids
 
     @property
     def k(self) -> int:
         return len(self.concepts)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.concepts)
+        return self._ids
 
     def id_set(self) -> frozenset[str]:
-        return frozenset(c.id for c in self.concepts)
+        return frozenset(self._ids)
 
     def without(self, slot: int) -> tuple[Concept, ...]:
         return self.concepts[:slot] + self.concepts[slot + 1:]
@@ -84,10 +85,10 @@ class ConceptSet:
         return self.concepts[slot]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConceptSet) and self.ids() == other.ids()
+        return isinstance(other, ConceptSet) and self._ids == other._ids
 
     def __hash__(self) -> int:
-        return hash(self.ids())
+        return hash(self._ids)
 
     def __repr__(self) -> str:
         return f"ConceptSet({[c.question for c in self.concepts]!r})"

@@ -361,7 +361,10 @@ def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
     The designs share the labels y and the N(0, gamma^2 I) prior; the caller
     has validated their values (see AnnotationMatrix). Returns the log
     marginals (E,), the MAP coefficients (E, d) and log det H (E,). Each
-    design's results are bit-identical to fitting it alone.
+    design's results are bit-identical to fitting it alone only when the lone
+    design has the same memory layout as its slice of the stack: a row-major
+    copy of a column-major design holds the same values yet can change the
+    results in their last bits.
     """
     d = X.shape[2]
     designs = _Designs(X, y, gamma)
@@ -419,10 +422,14 @@ class PosteriorSample:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "PosteriorSample":
+    def from_dict(d: dict, concept_set: Optional[ConceptSet] = None) -> "PosteriorSample":
+        """The sample d records; concept_set, if given, is d's concepts built
+        already (a loader of many samples builds each set once)."""
         from .concepts import Concept
+        if concept_set is None:
+            concept_set = ConceptSet(Concept(c["question"]) for c in d["concepts"])
         return PosteriorSample(
-            concept_set=ConceptSet(Concept(c["question"]) for c in d["concepts"]),
+            concept_set=concept_set,
             theta=np.asarray(d["theta"], dtype=float),
             log_marginal_full=d["log_marginal_full"],
             epoch=d["epoch"],

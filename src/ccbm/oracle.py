@@ -58,23 +58,6 @@ class KeyphraseBag:
     phrases: frozenset[str]
 
 
-@dataclass(frozen=True)
-class OracleMode:
-    """Which portion of the data informs proposals.
-
-    partial_posterior is the default; prior_only and full_posterior exist for
-    ablation and reproduce degenerate update behaviour.
-    """
-
-    mode: str = "partial_posterior"
-
-    MODES = ("prior_only", "partial_posterior", "full_posterior")
-
-    def __post_init__(self):
-        if self.mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {self.mode!r}")
-
-
 @dataclass
 class OracleProposal:
     """M candidate concepts with proposal weights for one Gibbs slot."""
@@ -300,7 +283,6 @@ class PoolOracle(ConceptOracle):
                  labels: np.ndarray, gamma: float,
                  annotation_matrix: Optional[np.ndarray] = None,
                  weight_mode: str = "exact",
-                 mode: OracleMode = OracleMode(),
                  cache: Optional[AnnotationCache] = None):
         if weight_mode not in ("exact", "uniform"):
             raise ValueError(f"weight_mode must be 'exact' or 'uniform', got {weight_mode!r}")
@@ -312,7 +294,6 @@ class PoolOracle(ConceptOracle):
         self.labels = np.asarray(labels, dtype=float)
         self.gamma = gamma
         self.weight_mode = weight_mode
-        self.mode = mode
         self.cache = cache if cache is not None else AnnotationCache()
         self._by_id = {pc.concept.id: i for i, pc in enumerate(self.pool)}
         self._obs_row = {obs.id: i for i, obs in enumerate(self.observations)}
@@ -421,13 +402,6 @@ class PoolOracle(ConceptOracle):
 
     # -- proposals --------------------------------------------------------
 
-    def _conditioning_rows(self, subset: np.ndarray) -> np.ndarray:
-        if self.mode.mode == "partial_posterior":
-            return np.asarray(subset, dtype=int)
-        if self.mode.mode == "full_posterior":
-            return np.arange(len(self.observations))
-        return np.array([], dtype=int)  # prior_only
-
     def partial_posterior_weights(self, context: Sequence[Concept],
                                   rows: np.ndarray) -> tuple[list[int], np.ndarray]:
         """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices."""
@@ -472,17 +446,7 @@ class PoolOracle(ConceptOracle):
                 q_current=q,
             )
 
-        rows = self._conditioning_rows(subset)
-        if rows.size == 0:
-            # prior_only with exact weights degenerates to uniform over the pool
-            q = 1.0 / len(eligible)
-            chosen = eligible[:m]
-            return OracleProposal(
-                candidates=[self.pool[j].concept for j in chosen],
-                q_weights=np.full(len(chosen), q),
-                q_current=q,
-            )
-        eligible, probs = self.partial_posterior_weights(context, rows)
+        eligible, probs = self.partial_posterior_weights(context, subset)
         order = np.argsort(-probs, kind="stable")[:m]
         q_current = 0.0
         inc_idx = self._by_id.get(incumbent.id)

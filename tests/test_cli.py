@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,7 +16,8 @@ import requests
 from ccbm import cli
 from ccbm.concepts import Concept
 from ccbm.evaluate import auc, brier
-from ccbm.model import OptimizationError, posterior_predictive, sigmoid_predict
+from ccbm.model import (OptimizationError, PosteriorSample, posterior_predictive,
+                        sigmoid_predict)
 from ccbm.oracle import AnnotationCache, KeyphraseBag, OracleError, PoolOracle
 from ccbm.sampler import GibbsData, load_checkpoint
 
@@ -71,11 +73,20 @@ def many_sets_run(workspace):
     return run_dir
 
 
+def load_posterior(run_dir):
+    """The run's config and posterior samples, one from_dict per line of
+    samples.jsonl, without the CLI's loader."""
+    cfg = cli.RunConfig.load(run_dir / "config.snapshot")
+    samples = [PosteriorSample.from_dict(json.loads(line))
+               for line in (run_dir / "samples.jsonl").read_text().splitlines()]
+    return cfg, [s for s in samples if not s.burn_in]
+
+
 def reference_predictions(run_dir, input_path) -> bytes:
     """predictions.ndjson as the per-row loop wrote it: one annotate call per
     row, one sigmoid_predict per (row, sample), one posterior_predictive per row
     and json.dumps of each whole record."""
-    cfg, samples = cli._load_run(run_dir)
+    cfg, samples = load_posterior(run_dir)
     observations, _ = cli.load_dataset(input_path, require_labels=False)
     train_obs, train_labels = cli.load_dataset(cfg.dataset)
     oracle = cli.build_oracle(cfg, train_obs, train_labels, AnnotationCache())
@@ -99,6 +110,23 @@ def reference_predictions(run_dir, input_path) -> bytes:
                                "probability": posterior_predictive(samples, rows),
                                "per_sample": breakdown}))
     return "".join(line + "\n" for line in out).encode()
+
+
+def reference_metrics(run_dir) -> str:
+    """metrics.json without --truth as the per-row loop wrote it: an (S, n)
+    matrix of sigmoid_predict, averaged over samples."""
+    cfg, samples = load_posterior(run_dir)
+    observations, labels = cli.load_dataset(cfg.dataset)
+    oracle = cli.build_oracle(cfg, observations, labels, AnnotationCache())
+    data = cli.gibbs_data_from_oracle(observations, labels, oracle)
+    scores = np.mean([[sigmoid_predict(s.theta, row)
+                       for row in data.phi(s.concept_set).values] for s in samples], axis=0)
+    return json.dumps({"n": len(observations), "auc": auc(scores, labels),
+                       "brier": brier(scores, labels),
+                       "support_frequencies": {
+                           support: n / len(samples) for support, n in Counter(
+                               " | ".join(sorted(c.question for c in s.concept_set))
+                               for s in samples).items()}}, indent=2)
 
 
 def predict(run_dir, input_path, output) -> bytes:
@@ -708,21 +736,7 @@ class TestEval:
     def test_matches_per_row_reference(self, request, capsys, run):
         run_dir = request.getfixturevalue(run)
         assert cli.main(["eval", "--run", str(run_dir)]) == 0
-        # the per-row loop: an (S, n) matrix of sigmoid_predict, averaged over samples
-        cfg, samples = cli._load_run(run_dir)
-        observations, labels = cli.load_dataset(cfg.dataset)
-        oracle = cli.build_oracle(cfg, observations, labels, AnnotationCache())
-        data = cli.gibbs_data_from_oracle(observations, labels, oracle)
-        scores = np.mean([[sigmoid_predict(s.theta, row)
-                           for row in data.phi(s.concept_set).values] for s in samples], axis=0)
-        reference = {"n": len(observations), "auc": auc(scores, labels),
-                     "brier": brier(scores, labels),
-                     "support_frequencies": {
-                         support: n / len(samples) for support, n in Counter(
-                             " | ".join(sorted(c.question for c in s.concept_set))
-                             for s in samples).items()}}
-        assert (run_dir / "reports" / "metrics.json").read_text() == \
-            json.dumps(reference, indent=2)
+        assert (run_dir / "reports" / "metrics.json").read_text() == reference_metrics(run_dir)
 
     def test_support_reached_in_several_orders_sums_its_frequencies(self, many_sets_run):
         assert cli.main(["eval", "--run", str(many_sets_run)]) == 0
@@ -738,6 +752,62 @@ class TestEval:
                          "--truth", str(workspace / "data" / "truth.json")]) == 0
         report = json.loads((finished_run / "reports" / "metrics.json").read_text())
         assert {"concept_precision", "concept_recall"} <= set(report["recovery"])
+
+
+def nudged(d, entry, value):
+    """A copy of the sample record d whose theta[entry] is value."""
+    theta = list(d["theta"])
+    theta[entry] = value
+    return dict(d, theta=theta)
+
+
+def ulp_apart(post):
+    """A second θ for post[0]'s concept set, one ulp above it in one entry, as
+    a resume or another memory layout of the fits can leave."""
+    return post + [nudged(post[0], 0, float(np.nextafter(post[0]["theta"][0], np.inf)))]
+
+
+def signed_zero(post):
+    """One θ entry 0.0 in one sample and -0.0 in another of the same set."""
+    return [nudged(post[0], 0, 0.0)] + post[1:] + [nudged(post[0], 0, -0.0)]
+
+
+def one_sample(post):
+    """A single posterior sample (S = 1)."""
+    return post[:1]
+
+
+@pytest.fixture(params=[ulp_apart, signed_zero, one_sample], ids=lambda edit: edit.__name__)
+def edited_run(request, many_sets_run, tmp_path):
+    """A copy of the many-sets run whose posterior samples (not its burn-in
+    lines) are edited; returns the edit and the run directory."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(many_sets_run, run_dir)
+    records = [json.loads(line) for line in (run_dir / "samples.jsonl").read_text().splitlines()]
+    posterior = request.param([d for d in records if not d["burn_in"]])
+    (run_dir / "samples.jsonl").write_text("".join(
+        json.dumps(d) + "\n" for d in [d for d in records if d["burn_in"]] + posterior))
+    return request.param, run_dir
+
+
+class TestEditedSamples:
+    """predict and eval match the per-row references byte for byte on
+    posterior samples with repeated and nearly repeated records."""
+
+    def test_predict(self, workspace, edited_run, tmp_path):
+        edit, run_dir = edited_run
+        inputs = unseen_rows(workspace)
+        got = predict(run_dir, inputs, tmp_path / "p.ndjson")
+        assert got == reference_predictions(run_dir, inputs)
+        if edit is ulp_apart:
+            # the nudged θ must change some probability, or the case shows nothing
+            rows = [json.loads(line)["per_sample"] for line in got.splitlines()]
+            assert any(r[0]["probability"] != r[-1]["probability"] for r in rows)
+
+    def test_eval(self, edited_run, capsys):
+        _, run_dir = edited_run
+        assert cli.main(["eval", "--run", str(run_dir)]) == 0
+        assert (run_dir / "reports" / "metrics.json").read_text() == reference_metrics(run_dir)
 
 
 class TestEnumerate:

@@ -7,7 +7,7 @@ from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior
 from ccbm.keyphrase import KeyphraseSummary
 from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
-from ccbm.oracle import (AnnotationCache, AnnotationError, Observation, OracleMode, OracleProposal, PoolConcept,
+from ccbm.oracle import (AnnotationCache, AnnotationError, Observation, OracleProposal, PoolConcept,
                          PoolOracle, ProposalError, keyword_value,
                          normalize_phrase)
 
@@ -340,16 +340,6 @@ class TestPoolProposals:
         proposal = oracle.propose(context, incumbent, np.arange(30), m=50,
                                   rng=np.random.default_rng(5))
         assert len(proposal.candidates) == 9
-
-    def test_prior_only_mode_is_uniform(self, pool_dataset):
-        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
-                            pool_dataset.labels, gamma=1.0,
-                            annotation_matrix=pool_dataset.annotations,
-                            mode=OracleMode("prior_only"), cache=AnnotationCache())
-        proposal = oracle.propose([pool_dataset.pool_concepts[0].concept],
-                                  pool_dataset.pool_concepts[1].concept,
-                                  np.arange(30), m=4, rng=np.random.default_rng(0))
-        assert np.all(proposal.q_weights == 1.0 / 9)
 
     def test_incumbent_in_context_rejected(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
