@@ -164,8 +164,7 @@ class LLMOracle(ConceptOracle):
 
     Annotation prompts contain only the observation text and concept
     questions, never labels, so no target information can leak into the
-    extracted values. The target is referred to as "Y" unless the config
-    opts into a task description.
+    extracted values. The target is referred to as "Y".
 
     propose needs the residual-model keyphrase summary for the current data
     subset; the pipeline supplies it through summary_provider(context, subset)
@@ -184,6 +183,7 @@ class LLMOracle(ConceptOracle):
         self.annotation_pairs = 0
         self.imputed_values = 0  # counted under _lock: worker threads impute
         self._lock = threading.Lock()
+        self._templates: dict[str, str] = {}  # prompt template text by name, read once
         self._bag_cache_path = Path(bag_cache_path) if bag_cache_path else None
         self._bag_cache: dict[str, list[str]] = {}
         if self._bag_cache_path is not None and self._bag_cache_path.exists():
@@ -211,7 +211,10 @@ class LLMOracle(ConceptOracle):
             raise ValueError(f"{exc}; {hint}") from exc
 
     def _template(self, name: str) -> str:
-        return load_template(name, self.config.prompt_dir)
+        text = self._templates.get(name)
+        if text is None:  # two threads may both read it first; they read the same text
+            text = self._templates[name] = load_template(name, self.config.prompt_dir)
+        return text
 
     # -- keyphrase extraction ---------------------------------------------
 

@@ -128,6 +128,12 @@ def sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def log1pexp_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log1pexp(z), sigmoid(z)), bit for bit, from one exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid_predict(theta: np.ndarray, phi_row: np.ndarray) -> float:
     """Probability sigma(theta . phi_row) for one annotated observation."""
     theta = np.asarray(theta, dtype=float)
@@ -178,15 +184,15 @@ class _Designs:
     def take(self, keep: np.ndarray) -> "_Designs":
         return _Designs(self.X[keep], self.y[:, 0], self.gamma)
 
-    def objective(self, theta: np.ndarray) -> np.ndarray:
+    def objective(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = self.X @ theta
+        loss, p = log1pexp_sigmoid(z)
         # (0.5 theta)^T theta as a (1, d) @ (d, 1) product, one per design
-        return ((-self.y * z + log1pexp(z)).sum(axis=1)[:, 0]
-                + ((0.5 * theta).transpose(0, 2, 1) @ theta)[:, 0, 0] / self.gamma**2)
+        return ((-self.y * z + loss).sum(axis=1)[:, 0]
+                + ((0.5 * theta).transpose(0, 2, 1) @ theta)[:, 0, 0] / self.gamma**2), p
 
-    def gradient(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = sigmoid(self.X @ theta)
-        return self.Xt @ (p - self.y) + theta / self.gamma**2, p
+    def gradient(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self.Xt @ (p - self.y) + theta / self.gamma**2
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         w = p * (1.0 - p)
@@ -241,17 +247,17 @@ class _Penalized:
     def take(self, keep: np.ndarray) -> "_Penalized":
         return _Penalized(self.design, self.weights[keep], self.penalty[keep])
 
-    def objective(self, theta: np.ndarray) -> np.ndarray:
+    def objective(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         beta = theta[:, :, 0]
         z = beta @ self.design.X.T
-        return ((self.weights * (-self.design.y * z + log1pexp(z))).sum(axis=1)
-                + 0.5 * (self.penalty * beta * beta).sum(axis=1))
+        loss, p = log1pexp_sigmoid(z)
+        return ((self.weights * (-self.design.y * z + loss)).sum(axis=1)
+                + 0.5 * (self.penalty * beta * beta).sum(axis=1)), p
 
-    def gradient(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
         beta = theta[:, :, 0]
-        p = sigmoid(beta @ self.design.X.T)
         grad = (self.weights * (p - self.design.y)) @ self.design.X + self.penalty * beta
-        return grad[:, :, None], p
+        return grad[:, :, None]
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         packed = (self.weights * np.maximum(p * (1.0 - p), 1e-10)) @ self.design.pairs
@@ -292,7 +298,9 @@ class _Stack:
 
 def _line_search(problem, theta, g, grad, step):
     """Backtracking line search along -step, per design; every design tries
-    the same step lengths 1, 1/2, 1/4, ... until it accepts one."""
+    the same step lengths 1, 1/2, 1/4, ... until it accepts one.
+
+    Returns the accepted theta, its objective and its fitted probabilities."""
     decrement = (grad.transpose(0, 2, 1) @ step)[:, 0, 0]
     # the epsilon term absorbs floating-point noise once the decrement falls
     # below machine precision
@@ -301,9 +309,9 @@ def _line_search(problem, theta, g, grad, step):
     t = 1.0
     for _ in range(50):
         cand = theta - t * step
-        g_cand = problem.objective(cand)
+        g_cand, p_cand = problem.objective(cand)
         ok = g_cand <= g - 1e-4 * t * decrement + slack
-        if stack.settle(ok, (cand, g_cand)):
+        if stack.settle(ok, (cand, g_cand, p_cand)):
             return stack.out
         if stack.index is not None and len(stack.index) < len(g):
             problem = problem.take(~ok)
@@ -323,9 +331,9 @@ def _newton(problem, tol: float, max_iter: int) -> Sequence[np.ndarray]:
     """
     stack = _Stack(problem.size)
     theta = np.zeros((problem.size, problem.d, 1))
-    g = problem.objective(theta)
+    g, p = problem.objective(theta)
     for it in range(max_iter + 1):
-        grad, p = problem.gradient(theta)
+        grad = problem.gradient(theta, p)
         converged = np.abs(grad).max(axis=1)[:, 0] <= tol
         if stack.settle(converged, (theta, g, p)):
             theta, g, p = stack.out
@@ -338,7 +346,7 @@ def _newton(problem, tol: float, max_iter: int) -> Sequence[np.ndarray]:
                 f"Newton did not converge in {max_iter} iterations "
                 f"(grad inf-norm {np.max(np.abs(grad[0])):.3e})", theta[0, :, 0])
         step = np.linalg.solve(problem.hessian(p), grad)
-        theta, g = _line_search(problem, theta, g, grad, step)
+        theta, g, p = _line_search(problem, theta, g, grad, step)
 
 
 def map_estimate(phi: AnnotationMatrix, y: np.ndarray, cfg: ModelConfig,

@@ -59,12 +59,38 @@ class KeyphraseBag:
 
 
 @dataclass
+class SubsetMarginals:
+    """Laplace log marginals L_S of concepts on the rows S of the training
+    data, by concept id, each fitted with the conditioning set's columns, the
+    concept's column and the intercept under the N(0, gamma^2 I) prior."""
+
+    log_marginals: dict[str, float]
+    rows: np.ndarray
+    gamma: float
+
+    def lookup(self, concepts: Sequence[Concept], rows: np.ndarray,
+               gamma: float) -> Optional[np.ndarray]:
+        """L_S of each concept, or None unless these marginals were fitted on
+        rows with gamma and hold every concept."""
+        if gamma != self.gamma or not np.array_equal(rows, self.rows):
+            return None
+        values = [self.log_marginals.get(c.id) for c in concepts]
+        return None if None in values else np.array(values)
+
+
+@dataclass
 class OracleProposal:
-    """M candidate concepts with proposal weights for one Gibbs slot."""
+    """M candidate concepts with proposal weights for one Gibbs slot.
+
+    subset_marginals, when set, holds the log subset marginal of every
+    eligible concept that the weights were computed from, so the sampler
+    need not fit the subset again.
+    """
 
     candidates: list[Concept]
     q_weights: np.ndarray
     q_current: float
+    subset_marginals: Optional[SubsetMarginals] = None
 
     def __post_init__(self):
         self.q_weights = np.asarray(self.q_weights, dtype=float)
@@ -402,9 +428,11 @@ class PoolOracle(ConceptOracle):
 
     # -- proposals --------------------------------------------------------
 
-    def partial_posterior_weights(self, context: Sequence[Concept],
-                                  rows: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices."""
+    def partial_posterior_weights(self, context: Sequence[Concept], rows: np.ndarray
+                                  ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices,
+        and the log marginal on the rows that each probability is
+        proportional to."""
         context_ids = {c.id for c in context}
         eligible = [i for i, pc in enumerate(self.pool) if pc.concept.id not in context_ids]
         if not eligible:
@@ -419,11 +447,10 @@ class PoolOracle(ConceptOracle):
         X[:, :, -1] = 1.0
         if X.size and (X[:, :, :-1].min() < 0 or X[:, :, :-1].max() > 1):
             raise ValueError("concept annotation values must lie in [0, 1]")
-        log_scores = log_marginal_likelihoods(X, self.labels[rows], self.gamma)[0]
-        log_scores -= log_scores.max()
-        probs = np.exp(log_scores)
+        log_marginals = log_marginal_likelihoods(X, self.labels[rows], self.gamma)[0]
+        probs = np.exp(log_marginals - log_marginals.max())
         probs /= probs.sum()
-        return eligible, probs
+        return eligible, probs, log_marginals
 
     def propose(self, context: Sequence[Concept], incumbent: Concept,
                 subset: np.ndarray, m: int, rng: np.random.Generator) -> OracleProposal:
@@ -446,7 +473,7 @@ class PoolOracle(ConceptOracle):
                 q_current=q,
             )
 
-        eligible, probs = self.partial_posterior_weights(context, subset)
+        eligible, probs, log_marginals = self.partial_posterior_weights(context, subset)
         order = np.argsort(-probs, kind="stable")[:m]
         q_current = 0.0
         inc_idx = self._by_id.get(incumbent.id)
@@ -456,4 +483,7 @@ class PoolOracle(ConceptOracle):
             candidates=[self.pool[eligible[int(i)]].concept for i in order],
             q_weights=probs[order],
             q_current=q_current,
+            subset_marginals=SubsetMarginals(
+                dict(zip((self.pool[i].concept.id for i in eligible), log_marginals.tolist())),
+                np.array(subset, dtype=int), self.gamma),
         )

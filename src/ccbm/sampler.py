@@ -150,7 +150,8 @@ class _MarginalCache:
     """Laplace fits of the chain's concept sets.
 
     Full-data fits are memoized per ordered concept tuple; the fits on a
-    conditioning subset change with every update and are not.
+    conditioning subset change with every update and are not: they come from
+    the proposal when it carries them, and are fitted here otherwise.
     """
 
     def __init__(self, data: GibbsData, gamma: float):
@@ -175,15 +176,26 @@ class _MarginalCache:
         return self._full_fits([concepts])[0]
 
     def log_partial_bayes(self, concept_sets: Sequence[Sequence[Concept]],
-                          subset: np.ndarray) -> np.ndarray:
-        """log p(y_{S^c} | y_S, c, X) of each of several concept sets of one
-        size, as a difference of two Laplace marginals: the full-data fits
-        (memoized) and the subset fits, each set of fits one stacked solve."""
+                          subset: np.ndarray, proposal: Optional[OracleProposal] = None,
+                          slot: int = 0) -> np.ndarray:
+        """log p(y_{S^c} | y_S, c, X) of each of several concept sets that
+        differ only at slot, as a difference of two Laplace marginals: the
+        full-data fit (memoized) minus the fit on the subset S.
+
+        The subset fits are the proposal's subset marginals of the concepts
+        at slot when it carries them for S and this gamma; otherwise they are
+        one stacked solve here. Either way the sets not memoized yet are
+        fitted on the full data in one stacked solve."""
         if subset.size and (subset.min() < 0 or subset.max() >= self.data.n):
             raise ValueError("subset indices out of range")
         full = np.array([value for value, _ in self._full_fits(concept_sets)])
-        sub = log_marginal_likelihoods(self.data.designs(concept_sets, subset),
-                                       self.data.labels[subset], self.gamma)[0]
+        sub = None
+        if proposal is not None and proposal.subset_marginals is not None:
+            sub = proposal.subset_marginals.lookup(
+                [concepts[slot] for concepts in concept_sets], subset, self.gamma)
+        if sub is None:
+            sub = log_marginal_likelihoods(self.data.designs(concept_sets, subset),
+                                           self.data.labels[subset], self.gamma)[0]
         return full - sub
 
 
@@ -220,7 +232,7 @@ def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsDa
         return UpdateResult(state, True, 0.0, proposal, candidate)
     cand_state = state.replace(slot, candidate)
     lpb_current, lpb_candidate = marginals.log_partial_bayes(
-        [state.concepts, cand_state.concepts], subset)
+        [state.concepts, cand_state.concepts], subset, proposal, slot)
     log_alpha = min(0.0, lpb_candidate - lpb_current)
     accepted = np.log(rng.random()) < log_alpha
     return UpdateResult(cand_state if accepted else state, bool(accepted),
@@ -248,7 +260,7 @@ def _multi_try_weights(state: ConceptSet, slot: int, subset: np.ndarray,
         else:
             rows.append(len(scored))
             scored.append(state.replace(slot, cand))
-    lpb = marginals.log_partial_bayes([s.concepts for s in scored], subset)
+    lpb = marginals.log_partial_bayes([s.concepts for s in scored], subset, proposal, slot)
     log_ws = np.array([-np.inf if r is None else lpb[r] + np.log(proposal.q_weights[i])
                        for (i, _), r in zip(kept, rows)])
     states = [None if r is None else scored[r] for r in rows]

@@ -135,6 +135,31 @@ class TestTemplates:
         assert load_template("annotate", str(tmp_path)) == load_template("annotate")
 
 
+def test_each_template_read_once_per_oracle(monkeypatch):
+    import ccbm.llm
+    reads = []
+
+    def counting_load(name, prompt_dir=None):
+        reads.append(name)
+        return load_template(name, prompt_dir)
+
+    monkeypatch.setattr(ccbm.llm, "load_template", counting_load)
+    proposal = chat_body({"candidates": ["A?"], "incumbent_weight": 1.0})
+    oracle, post, _ = make_oracle(
+        [chat_body({"keyphrases": ["chest pain"]}), proposal, chat_body({"answers": [1]})] * 2,
+        summary_provider=lambda ctx, subset: ["phrase one"])
+    for i in range(2):
+        obs = [Observation(f"o{i}", f"note {i}")]
+        oracle.extract_keyphrases(obs)
+        oracle.propose([], Concept("Is it the incumbent?"), np.arange(1), 1,
+                       np.random.default_rng(0))
+        oracle.annotate(obs, [Concept("Is it red?")])
+    assert sorted(reads) == ["annotate", "extract_keyphrases", "propose_concepts"]
+    assert post.prompts[3] == load_template("extract_keyphrases").format(note="note 1")
+    assert post.prompts[5] == load_template("annotate").format(
+        questions="1. Is it red?", note="note 1")
+
+
 class TestExtractKeyphrases:
     def test_strings_and_structured_entries_merge(self):
         oracle, post, _ = make_oracle([chat_body({

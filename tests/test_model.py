@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.model import (AnnotationMatrix, ModelConfig, OptimizationError,
-                        PosteriorSample, log1pexp, log_marginal_likelihood,
+                        PosteriorSample, log1pexp, log1pexp_sigmoid,
+                        log_marginal_likelihood,
                         log_marginal_likelihoods, logsumexp, map_estimate,
                         posterior_predictive, sigmoid, sigmoid_predict,
                         sigmoid_predict_many)
@@ -180,8 +181,19 @@ class TestBranchFreeKernels:
                 rng.normal(scale=8.0, size=(9, 30)),
                 rng.normal(scale=40.0, size=(25, 800))]
 
-    @pytest.mark.parametrize("kernel, reference", [(log1pexp, masked_log1pexp),
-                                                    (sigmoid, masked_sigmoid)])
+    @staticmethod
+    def shared_log1pexp(z):
+        return log1pexp_sigmoid(np.asarray(z, dtype=float))[0]
+
+    @staticmethod
+    def shared_sigmoid(z):
+        return log1pexp_sigmoid(np.asarray(z, dtype=float))[1]
+
+    @pytest.mark.parametrize("kernel, reference", [
+        (log1pexp, masked_log1pexp), (sigmoid, masked_sigmoid),
+        # the Newton objectives' kernel, one exp(-|z|) for both
+        (shared_log1pexp, masked_log1pexp), (shared_sigmoid, masked_sigmoid),
+        (shared_log1pexp, log1pexp), (shared_sigmoid, sigmoid)])
     def test_bit_identical_to_masked_reference(self, kernel, reference):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # an overflow fails the test

@@ -277,13 +277,14 @@ class TestPoolProposals:
         oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[j].concept for j in (4, 1)]
         rows = np.sort(np.random.default_rng(3).choice(60, size=30, replace=False))
-        eligible, probs = oracle.partial_posterior_weights(context, rows)
+        eligible, probs, log_marginals = oracle.partial_posterior_weights(context, rows)
         # the loop the stacked solve replaced: context columns, candidate, intercept
         cols = [4, 1]
         log_scores = np.array([log_marginal_likelihood(
             AnnotationMatrix.build(pool_dataset.annotations[np.ix_(rows, cols + [j])],
                                    [str(i) for i in rows]),
             pool_dataset.labels[rows], ModelConfig(gamma=1.0, k=3)).value for j in eligible])
+        assert np.array_equal(log_marginals, log_scores)
         log_scores -= log_scores.max()
         want = np.exp(log_scores)
         want /= want.sum()
@@ -319,6 +320,24 @@ class TestPoolProposals:
                                   rng=np.random.default_rng(0))
         by_id = {c.id: w for c, w in zip(proposal.candidates, proposal.q_weights)}
         assert proposal.q_current == by_id[incumbent.id]
+
+    def test_exact_proposal_carries_every_eligible_subset_marginal(self, pool_dataset):
+        oracle = make_oracle(pool_dataset)
+        context = [pool_dataset.pool_concepts[4].concept]
+        rows = np.arange(30)
+        proposal = oracle.propose(context, pool_dataset.pool_concepts[6].concept, rows,
+                                  m=3, rng=np.random.default_rng(0))
+        eligible, _, log_marginals = oracle.partial_posterior_weights(context, rows)
+        marginals = proposal.subset_marginals
+        assert len(proposal.candidates) == 3
+        assert marginals.log_marginals == {
+            pool_dataset.pool_concepts[i].concept.id: v
+            for i, v in zip(eligible, log_marginals.tolist())}
+        assert np.array_equal(marginals.rows, rows) and marginals.gamma == 1.0
+        uniform = make_oracle(pool_dataset, weight_mode="uniform").propose(
+            context, pool_dataset.pool_concepts[6].concept, rows, m=3,
+            rng=np.random.default_rng(0))
+        assert uniform.subset_marginals is None
 
     def test_uniform_mode_draws_without_replacement(self, pool_dataset):
         oracle = make_oracle(pool_dataset, weight_mode="uniform")

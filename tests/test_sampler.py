@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
-from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
+from ccbm.model import (AnnotationMatrix, ModelConfig, log_marginal_likelihood,
+                        log_marginal_likelihoods)
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
-                         OracleProposal, PoolConcept, PoolOracle)
+                         OracleProposal, PoolConcept, PoolOracle, SubsetMarginals)
 import ccbm.sampler as sampler
 from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, _candidate_sets,
                           _MarginalCache, _multi_try_weights, draw_subset,
@@ -630,10 +631,15 @@ class TestColumnStore:
 
 class SerialMarginals:
     """The reference for _MarginalCache: each concept set's full-data fit
-    (memoized) and then its subset fit, each solved alone."""
+    (memoized) and then its subset fit, each solved alone.
+
+    With oracle_order, a subset fit puts its columns in the exact pool
+    oracle's order (the other slots, the slot's concept, the intercept), as
+    the subset marginals an exact proposal carries are fitted."""
 
     def __init__(self, data, gamma):
         self.data, self.gamma, self._cache = data, gamma, {}
+        self.oracle_order = False
 
     def full(self, concepts):
         key = tuple(c.id for c in concepts)
@@ -643,17 +649,19 @@ class SerialMarginals:
             self._cache[key] = (lm.value, lm.theta_map)
         return self._cache[key]
 
-    def subset(self, concepts, subset):
+    def subset(self, concepts, subset, slot):
         if subset.size and (subset.min() < 0 or subset.max() >= self.data.n):
             raise ValueError("subset indices out of range")
+        if self.oracle_order:
+            concepts = (*concepts[:slot], *concepts[slot + 1:], concepts[slot])
         phi = self.data.phi(concepts)
         sub = AnnotationMatrix(values=phi.values[subset],
                                row_ids=tuple(phi.row_ids[i] for i in subset))
         return log_marginal_likelihood(sub, self.data.labels[subset],
                                        ModelConfig(gamma=self.gamma, k=len(concepts))).value
 
-    def log_partial_bayes(self, concepts, subset):
-        return self.full(concepts)[0] - self.subset(concepts, subset)
+    def log_partial_bayes(self, concepts, subset, slot):
+        return self.full(concepts)[0] - self.subset(concepts, subset, slot)
 
 
 def serial_multi_try_weights(state, slot, subset, proposal, marginals):
@@ -669,7 +677,7 @@ def serial_multi_try_weights(state, slot, subset, proposal, marginals):
             states.append(None)
             continue
         cand_state = state if cand.id == state[slot].id else state.replace(slot, cand)
-        lpb = marginals.log_partial_bayes(cand_state.concepts, subset)
+        lpb = marginals.log_partial_bayes(cand_state.concepts, subset, slot)
         if cand_state is state:
             lpb_current = lpb
         log_ws.append(lpb + np.log(q))
@@ -677,7 +685,7 @@ def serial_multi_try_weights(state, slot, subset, proposal, marginals):
     if proposal.q_current <= 0:
         raise ValueError("q_current must be positive for the multi-try update")
     if lpb_current is None:
-        lpb_current = marginals.log_partial_bayes(state.concepts, subset)
+        lpb_current = marginals.log_partial_bayes(state.concepts, subset, slot)
     log_w0 = lpb_current + np.log(proposal.q_current)
     return kept, np.asarray(log_ws), states, log_w0
 
@@ -693,8 +701,8 @@ def serial_ss_mh_update(state, slot, subset, data, oracle, cfg, rng, marginals, 
     if candidate.id == state[slot].id:
         return sampler.UpdateResult(state, True, 0.0, proposal, candidate)
     cand_state = state.replace(slot, candidate)
-    delta = (marginals.log_partial_bayes(cand_state.concepts, subset)
-             - marginals.log_partial_bayes(state.concepts, subset))
+    delta = (marginals.log_partial_bayes(cand_state.concepts, subset, slot)
+             - marginals.log_partial_bayes(state.concepts, subset, slot))
     log_alpha = min(0.0, delta)
     accepted = np.log(rng.random()) < log_alpha
     return sampler.UpdateResult(cand_state if accepted else state, bool(accepted),
@@ -726,8 +734,13 @@ def rng_copy(rng):
 
 class TestStackedScorer:
     """_MarginalCache.log_partial_bayes scores all of an update's concept sets
-    in two stacked solves; every weight and decision equals SerialMarginals'
-    bit for bit."""
+    with at most two stacked solves; every weight and decision equals
+    SerialMarginals' bit for bit.
+
+    An exact proposal's subset marginals are fitted in the oracle's column
+    order, so the reference fits the subset in that order for it; the old
+    reference, which fits each set's subset in the set's order, agrees to
+    1e-12."""
 
     @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
     @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
@@ -740,6 +753,7 @@ class TestStackedScorer:
                 gibbs_data_from_oracle(data.observations, data.labels, oracle), 1.0)
             serial = SerialMarginals(
                 gibbs_data_from_oracle(data.observations, data.labels, oracle), 1.0)
+            set_order = SerialMarginals(serial.data, 1.0)
             cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=m)
             rng = np.random.default_rng(seed)
             state = ConceptSet(data.pool_concepts[int(i)].concept
@@ -750,11 +764,14 @@ class TestStackedScorer:
                 subset = (np.array([], dtype=int) if step == 3 else np.arange(n) if step == 7
                           else draw_subset(n, 0.5, rng))
                 proposal = oracle.propose(state.without(slot), state[slot], subset, m, rng)
-                if step % 3 == 1 and len(proposal.candidates) > 1:
+                rebuilt = step % 3 == 1 and len(proposal.candidates) > 1
+                if rebuilt:
                     q = proposal.q_weights.copy()
                     q[rng.random(len(q)) < 0.5] = 0.0
                     q[rng.integers(len(q))] = proposal.q_weights.max()
                     proposal = OracleProposal(proposal.candidates, q, proposal.q_current)
+                # an exact proposal carries its subset marginals unless rebuilt by hand
+                serial.oracle_order = weight_mode == "exact" and not rebuilt
                 reproposed += state[slot] in proposal.candidates
                 zero_q += int(np.sum(proposal.q_weights == 0))
                 if mode != "single_try":
@@ -762,7 +779,7 @@ class TestStackedScorer:
                     want = serial_multi_try_weights(state, slot, subset, proposal, serial)
                     assert got[0] == want[0] and got[2] == want[2]
                     assert bits(got[1]) == bits(want[1]) and bits(got[3]) == bits(want[3])
-                a, b = rng_copy(rng), rng_copy(rng)
+                a, b, c = rng_copy(rng), rng_copy(rng), rng_copy(rng)
                 result = UPDATES[mode](state, slot, subset, stacked.data, None, cfg, a,
                                        stacked, proposal)
                 ref = serial_update(mode, state, slot, subset, serial.data, cfg, b, serial,
@@ -773,6 +790,11 @@ class TestStackedScorer:
                 assert bits(result.log_weights if result.log_weights is not None else []) == \
                     bits(ref.log_weights if ref.log_weights is not None else [])
                 assert a.bit_generator.state == b.bit_generator.state
+                old = serial_update(mode, state, slot, subset, set_order.data, cfg, c,
+                                    set_order, proposal)
+                assert result.log_alpha == pytest.approx(old.log_alpha, rel=0, abs=1e-12)
+                if result.log_weights is not None:
+                    assert np.allclose(result.log_weights, old.log_weights, rtol=0, atol=1e-12)
                 (lml, theta), (ref_lml, ref_theta) = (
                     stacked.full(result.state.concepts), serial.full(result.state.concepts))
                 assert bits(lml) == bits(ref_lml) and bits(theta) == bits(ref_theta)
@@ -782,12 +804,79 @@ class TestStackedScorer:
     @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
     def test_out_of_range_subset_rejected(self, mode):
         data, concepts, state, _, _ = make_env(9)
-        proposal = OracleProposal([concepts[2], concepts[3]], np.array([0.5, 0.5]), 0.5)
         cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=2)
         for index in (data.n, -1):
-            with pytest.raises(ValueError, match="out of range"):
-                UPDATES[mode](state, 1, np.array([0, index]), data, None, cfg,
-                              np.random.default_rng(0), proposal=proposal)
+            subset = np.array([0, index])
+            # also when the proposal carries subset marginals for these rows
+            for marginals in (None, SubsetMarginals({c.id: 0.0 for c in concepts},
+                                                    subset, 1.0)):
+                proposal = OracleProposal([concepts[2], concepts[3]], np.array([0.5, 0.5]),
+                                          0.5, marginals)
+                with pytest.raises(ValueError, match="out of range"):
+                    UPDATES[mode](state, 1, subset, data, None, cfg,
+                                  np.random.default_rng(0), proposal=proposal)
+
+
+class TestSubsetSolves:
+    """An update takes its subset fits from an exact proposal's subset
+    marginals and solves only full-data designs; without marginals for its
+    rows and gamma it fits the subset itself."""
+
+    @staticmethod
+    def solve_rows(monkeypatch):
+        """The row count of every design the sampler passes to the solver."""
+        rows = []
+
+        def counting(X, y, gamma, *args, **kwargs):
+            rows.extend([X.shape[1]] * X.shape[0])
+            return log_marginal_likelihoods(X, y, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "log_marginal_likelihoods", counting)
+        return rows
+
+    @pytest.mark.parametrize("mode", ["single_try", "multi_try"])
+    def test_exact_chain_solves_only_full_data(self, monkeypatch, mode):
+        data = make_pool_dataset(n=40, seed=21)
+        rows = self.solve_rows(monkeypatch)
+        trace = pool_chain(data, "exact", mode,
+                           dict(k=2, t_epochs=6, m_candidates=4, seed=1))
+        assert trace.acceptance_count > 0 and rows and set(rows) == {40}
+
+    def test_uniform_chain_keeps_subset_solves(self, monkeypatch):
+        data = make_pool_dataset(n=40, seed=21)
+        rows = self.solve_rows(monkeypatch)
+        pool_chain(data, "uniform", "multi_try", dict(k=2, t_epochs=2, m_candidates=4, seed=1))
+        assert set(rows) == {20, 40}
+
+    @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
+    def test_proposal_without_matching_marginals_fits_subset(self, monkeypatch, mode):
+        data = make_pool_dataset(n=40, seed=21)
+        oracle = make_oracle(data)
+        gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
+        state = ConceptSet(data.pool_concepts[i].concept for i in (5, 7))
+        rng = np.random.default_rng(0)
+        subset, other = draw_subset(40, 0.5, rng), draw_subset(40, 0.5, rng)
+        assert not np.array_equal(subset, other)
+        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=4)
+
+        def proposed(rows, keep_marginals=True):
+            p = oracle.propose(state.without(1), state[1], rows, 4, rng)
+            # no weight on the incumbent, so a single try always scores a move
+            q = np.array([0.0 if c == state[1] else w
+                          for c, w in zip(p.candidates, p.q_weights)])
+            return OracleProposal(p.candidates, q, p.q_current,
+                                  p.subset_marginals if keep_marginals else None)
+
+        rows = self.solve_rows(monkeypatch)
+        for proposal, gamma, fits_subset in (
+                (proposed(subset), 1.0, False),
+                (proposed(subset, keep_marginals=False), 1.0, True),  # rebuilt by hand
+                (proposed(other), 1.0, True),  # marginals of other rows
+                (proposed(subset), 2.0, True)):  # marginals under another gamma
+            rows.clear()
+            UPDATES[mode](state, 1, subset, gibbs, None, cfg, np.random.default_rng(1),
+                          _MarginalCache(gibbs, gamma), proposal)
+            assert rows and (20 in rows) == fits_subset and set(rows) <= {20, 40}
 
 
 class AnsweringPost:
