@@ -138,8 +138,7 @@ def load_pool(spec) -> list[PoolConcept]:
     return [PoolConcept(Concept(entry["question"]), entry["keyword"]) for entry in spec]
 
 
-def build_oracle(cfg: RunConfig, observations, labels,
-                 cache: AnnotationCache) -> ConceptOracle:
+def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> ConceptOracle:
     """The configured oracle; a config mistake raises ConfigError naming the field."""
     if cfg.oracle["type"] == "pool":
         if "pool" not in cfg.oracle:
@@ -149,9 +148,8 @@ def build_oracle(cfg: RunConfig, observations, labels,
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read oracle.pool {cfg.oracle['pool']}: {exc!r}") from exc
         try:
-            return PoolOracle(pool, observations, labels, gamma=cfg.sampler.gamma,
-                              weight_mode=cfg.oracle.get("weight_mode", "exact"),
-                              cache=cache)
+            return PoolOracle(pool, observations,
+                              weight_mode=cfg.oracle.get("weight_mode", "exact"), cache=cache)
         except ValueError as exc:
             raise ConfigError(f"invalid pool oracle config: {exc}") from exc
     try:
@@ -290,7 +288,7 @@ def cmd_run(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"dataset {cfg.dataset} is too small: {exc}") from exc
         cache = _open_cache(run_dir)
-        oracle = build_oracle(cfg, observations, labels, cache)
+        oracle = build_oracle(cfg, observations, cache)
 
         bags = oracle.extract_keyphrases(observations)
         summary = _fit_initial_summary(bags, labels, cfg.keyphrase, cfg.sampler.seed)
@@ -460,10 +458,10 @@ def cmd_predict(args) -> int:
     run_dir = Path(args.run)
     cfg, samples = _load_run(run_dir)
     observations, _ = load_dataset(Path(args.input), require_labels=False)
-    train_obs, train_labels = load_dataset(cfg.dataset)
+    train_obs, _ = load_dataset(cfg.dataset)
     _check_training_ids(observations, train_obs)
     cache = _open_cache(run_dir)
-    oracle = build_oracle(cfg, train_obs, train_labels, cache)
+    oracle = build_oracle(cfg, train_obs, cache)
 
     concepts = list({c.id: c for s in samples for c in s.concept_set}.values())
     column = {c.id: j for j, c in enumerate(concepts)}
@@ -509,13 +507,11 @@ def cmd_eval(args) -> int:
     cfg, samples = _load_run(run_dir)
     observations, labels = load_dataset(cfg.dataset)
     cache = _open_cache(run_dir)
-    oracle = build_oracle(cfg, observations, labels, cache)
+    oracle = build_oracle(cfg, observations, cache)
 
     data = gibbs_data_from_oracle(observations, labels, oracle)
-    data.fill([c for s in samples for c in s.concept_set])
     sets, records, record_of = _posterior_records(samples)
-    probs = np.take(_record_probabilities(records, [data.phi(cs).values for cs in sets]),
-                    record_of, axis=1)
+    probs = np.take(_record_probabilities(records, data.designs(sets)), record_of, axis=1)
     frequencies = support_frequencies([s.concept_set for s in samples])
     # (S, n) layout, averaged over samples in sample order
     scores = np.ascontiguousarray(probs.T).mean(axis=0)
@@ -574,7 +570,7 @@ def cmd_simulate(args) -> int:
 def cmd_enumerate(args) -> int:
     observations, labels = load_dataset(Path(args.dataset))
     pool = load_pool(Path(args.pool))
-    oracle = PoolOracle(pool, observations, labels, gamma=args.gamma)
+    oracle = PoolOracle(pool, observations)
     annotations = oracle.matrix
     posterior = enumerate_posterior([pc.concept for pc in pool], args.k,
                                     labels, annotations, gamma=args.gamma)
@@ -590,10 +586,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_extract_keyphrases(args) -> int:
     cfg = RunConfig.load(args.config)
-    observations, labels = load_dataset(Path(args.input or cfg.dataset),
-                                        require_labels=False)
+    observations, _ = load_dataset(Path(args.input or cfg.dataset), require_labels=False)
     cache = AnnotationCache()
-    oracle = build_oracle(cfg, observations, labels, cache)
+    oracle = build_oracle(cfg, observations, cache)
     bags = oracle.extract_keyphrases(observations)
     with open(args.output, "w") as fh:
         for bag in bags:

@@ -68,20 +68,12 @@ class ConceptMatchRule:
             raise ValueError("threshold must lie in (0, 1]")
 
 
-def _panel_corr(a: np.ndarray, b: np.ndarray) -> float | None:
-    """|Pearson correlation|, or None when either column is constant."""
-    if np.std(a) == 0 or np.std(b) == 0:
-        return None
-    return abs(float(np.corrcoef(a, b)[0, 1]))
+def _match_corr(a: Concept, b: Concept, rule: ConceptMatchRule,
+                annotations: Mapping[str, np.ndarray]) -> float | None:
+    """|Pearson correlation| of the two concepts' annotation columns, or None
+    when either column is constant (its correlation is undefined).
 
-
-def concepts_match(a: Concept, b: Concept, rule: ConceptMatchRule,
-                   annotations: Mapping[str, np.ndarray]) -> bool:
-    """True iff the two concepts' annotation columns correlate past the cutoff.
-
-    Constant columns never match anything (their correlation is undefined).
-    Raises InconclusiveMatchError when the shared panel is too small, which is
-    deliberately distinct from returning False.
+    Raises InconclusiveMatchError when the shared panel is too small.
     """
     if a.id not in annotations or b.id not in annotations:
         raise KeyError("both concepts must be annotated on the shared panel")
@@ -92,7 +84,20 @@ def concepts_match(a: Concept, b: Concept, rule: ConceptMatchRule,
     if col_a.size < rule.min_panel:
         raise InconclusiveMatchError(
             f"shared panel has {col_a.size} observations; need >= {rule.min_panel}")
-    corr = _panel_corr(col_a, col_b)
+    if np.std(col_a) == 0 or np.std(col_b) == 0:
+        return None
+    return abs(float(np.corrcoef(col_a, col_b)[0, 1]))
+
+
+def concepts_match(a: Concept, b: Concept, rule: ConceptMatchRule,
+                   annotations: Mapping[str, np.ndarray]) -> bool:
+    """True iff the two concepts' annotation columns correlate past the cutoff.
+
+    Constant columns never match anything (their correlation is undefined).
+    Raises InconclusiveMatchError when the shared panel is too small, which is
+    deliberately distinct from returning False.
+    """
+    corr = _match_corr(a, b, rule, annotations)
     return corr is not None and corr > rule.threshold
 
 
@@ -128,22 +133,18 @@ def recovery_report(samples: Sequence[ConceptSet], truth: ConceptSet,
     if not samples:
         raise ValueError("recovery report requires at least one posterior sample")
     warnings: list[str] = []
-    seen: dict[tuple[str, str], bool] = {}
-    corr_of: dict[tuple[str, str], float | None] = {}
+    corr_of: dict[tuple[str, str], float | None] = {}  # None: undefined or inconclusive
 
     def match(sampled: Concept, true: Concept) -> bool:
         key = (sampled.id, true.id)
-        if key not in seen:
+        if key not in corr_of:
             try:
-                seen[key] = concepts_match(sampled, true, rule, annotations)
-                a = np.asarray(annotations[sampled.id], dtype=float)
-                b = np.asarray(annotations[true.id], dtype=float)
-                corr_of[key] = _panel_corr(a, b)
+                corr_of[key] = _match_corr(sampled, true, rule, annotations)
             except InconclusiveMatchError as exc:
                 warnings.append(f"{sampled.question!r} vs {true.question!r}: {exc}")
-                seen[key] = False
                 corr_of[key] = None
-        return seen[key]
+        corr = corr_of[key]
+        return corr is not None and corr > rule.threshold
 
     total_slots = 0
     matched_slots = 0
@@ -164,9 +165,13 @@ def recovery_report(samples: Sequence[ConceptSet], truth: ConceptSet,
             recall_hits[true.id] += int(sample_matches[true.id])
 
     n_samples = len(samples)
-    matched_pairs = [(a, b, c) for (a, b, c) in _pairs_with_corr(seen, corr_of, samples, truth, True)]
-    borderline = [(a, b, c) for (a, b, c) in _pairs_with_corr(seen, corr_of, samples, truth, None)
-                  if c is not None and rule.borderline[0] <= c <= rule.borderline[1]]
+    questions = {c.id: c.question for cs in samples for c in cs}
+    truth_q = {c.id: c.question for c in truth}
+    pairs = [(questions[sid], truth_q[tid], corr)
+             for (sid, tid), corr in sorted(corr_of.items())]
+    matched_pairs = [p for p in pairs if p[2] is not None and p[2] > rule.threshold]
+    borderline = [p for p in pairs
+                  if p[2] is not None and rule.borderline[0] <= p[2] <= rule.borderline[1]]
     return RecoveryReport(
         concept_precision=matched_slots / total_slots,
         concept_recall=float(np.mean([recall_hits[c.id] / n_samples for c in truth])),
@@ -175,20 +180,6 @@ def recovery_report(samples: Sequence[ConceptSet], truth: ConceptSet,
         borderline_pairs=borderline,
         warnings=warnings,
     )
-
-
-def _pairs_with_corr(seen, corr_of, samples, truth, only_matched):
-    questions = {}
-    for cs in samples:
-        for c in cs:
-            questions[c.id] = c.question
-    truth_q = {c.id: c.question for c in truth}
-    out = []
-    for (sid, tid), matched in sorted(seen.items()):
-        if only_matched is True and not matched:
-            continue
-        out.append((questions.get(sid, sid), truth_q.get(tid, tid), corr_of.get((sid, tid))))
-    return out
 
 
 def tv_distance(p: Mapping, q: Mapping) -> float:

@@ -15,7 +15,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -26,8 +26,8 @@ import numpy as np
 from .concepts import Concept, ConceptSet
 from .oracle import (AnnotationCache, AnnotationError, ConceptOracle,
                      InitializationError, KeyphraseBag, Observation, OracleError,
-                     OracleProposal, ProposalError, append_lines, cached_table,
-                     fresh_pairs, normalize_phrase, read_log)
+                     OracleProposal, ProposalError, Scorer, append_lines,
+                     cached_table, fresh_pairs, normalize_phrase, read_log)
 
 WEIGHT_FLOOR = 1e-3  # floor for zero/missing weights, as a fraction of candidate mass
 # how every line of the keyphrase bag log begins
@@ -48,16 +48,7 @@ class LLMConfig:
     prompt_dir: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint, "model": self.model,
-            "api_key_env": self.api_key_env, "max_retries": self.max_retries,
-            "backoff_seconds": list(self.backoff_seconds),
-            "annotate_temperature": self.annotate_temperature,
-            "propose_temperature": self.propose_temperature,
-            "request_timeout": self.request_timeout,
-            "max_in_flight": self.max_in_flight,
-            "prompt_dir": self.prompt_dir,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "LLMConfig":
@@ -280,7 +271,8 @@ class LLMOracle(ConceptOracle):
     # -- proposals --------------------------------------------------------
 
     def propose(self, context: Sequence[Concept], incumbent: Concept,
-                subset: np.ndarray, m: int, rng: np.random.Generator) -> OracleProposal:
+                subset: np.ndarray, m: int, rng: np.random.Generator,
+                score: Optional[Scorer] = None) -> OracleProposal:
         if self.summary_provider is None:
             raise ProposalError("LLM oracle needs a summary_provider to propose")
         phrases = _summary_phrases(self.summary_provider(list(context) + [incumbent], subset))

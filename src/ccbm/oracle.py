@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
-from .model import log_marginal_likelihoods
 # ccbm.oracle.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
 from .model import log_marginal_likelihood  # noqa: F401
 
@@ -59,38 +58,12 @@ class KeyphraseBag:
 
 
 @dataclass
-class SubsetMarginals:
-    """Laplace log marginals L_S of concepts on the rows S of the training
-    data, by concept id, each fitted with the conditioning set's columns, the
-    concept's column and the intercept under the N(0, gamma^2 I) prior."""
-
-    log_marginals: dict[str, float]
-    rows: np.ndarray
-    gamma: float
-
-    def lookup(self, concepts: Sequence[Concept], rows: np.ndarray,
-               gamma: float) -> Optional[np.ndarray]:
-        """L_S of each concept, or None unless these marginals were fitted on
-        rows with gamma and hold every concept."""
-        if gamma != self.gamma or not np.array_equal(rows, self.rows):
-            return None
-        values = [self.log_marginals.get(c.id) for c in concepts]
-        return None if None in values else np.array(values)
-
-
-@dataclass
 class OracleProposal:
-    """M candidate concepts with proposal weights for one Gibbs slot.
-
-    subset_marginals, when set, holds the log subset marginal of every
-    eligible concept that the weights were computed from, so the sampler
-    need not fit the subset again.
-    """
+    """M candidate concepts with proposal weights for one Gibbs slot."""
 
     candidates: list[Concept]
     q_weights: np.ndarray
     q_current: float
-    subset_marginals: Optional[SubsetMarginals] = None
 
     def __post_init__(self):
         self.q_weights = np.asarray(self.q_weights, dtype=float)
@@ -236,6 +209,10 @@ class AnnotationCache:
         return len(self._store)
 
 
+# concept sets -> their Laplace log marginals on an update's conditioning rows
+Scorer = Callable[[Sequence[Sequence[Concept]]], np.ndarray]
+
+
 class ConceptOracle(ABC):
     """Operations the sampler and pipeline require from any oracle."""
 
@@ -249,8 +226,14 @@ class ConceptOracle(ABC):
 
     @abstractmethod
     def propose(self, context: Sequence[Concept], incumbent: Concept,
-                subset: np.ndarray, m: int, rng: np.random.Generator) -> OracleProposal:
-        ...
+                subset: np.ndarray, m: int, rng: np.random.Generator,
+                score: Optional[Scorer] = None) -> OracleProposal:
+        """M candidates for the slot held by incumbent, given the other slots'
+        concepts (context) and the conditioning rows subset.
+
+        score, when given, maps concept sets to their Laplace log marginals on
+        the subset rows, fitted and memoized by the chain; an oracle that
+        weighs candidates by the data asks it rather than fitting them."""
 
     @abstractmethod
     def annotate(self, observations: Sequence[Observation],
@@ -300,13 +283,13 @@ class PoolOracle(ConceptOracle):
     (used for observations outside the training set, e.g. at prediction time).
 
     weight_mode "exact" scores every eligible pool concept by the Laplace
-    marginal of the conditioning rows and reports the enumerated conditional
-    partial posterior as proposal weights; "uniform" samples candidates
-    uniformly without replacement with equal weights.
+    marginal of the conditioning rows, through the score the sampler passes to
+    propose, and reports the enumerated conditional partial posterior as
+    proposal weights; "uniform" samples candidates uniformly without
+    replacement with equal weights.
     """
 
     def __init__(self, pool: Sequence[PoolConcept], observations: Sequence[Observation],
-                 labels: np.ndarray, gamma: float,
                  annotation_matrix: Optional[np.ndarray] = None,
                  weight_mode: str = "exact",
                  cache: Optional[AnnotationCache] = None):
@@ -317,8 +300,6 @@ class PoolOracle(ConceptOracle):
             raise ValueError("pool contains duplicate concepts")
         self.pool = list(pool)
         self.observations = list(observations)
-        self.labels = np.asarray(labels, dtype=float)
-        self.gamma = gamma
         self.weight_mode = weight_mode
         self.cache = cache if cache is not None else AnnotationCache()
         self._by_id = {pc.concept.id: i for i, pc in enumerate(self.pool)}
@@ -331,6 +312,8 @@ class PoolOracle(ConceptOracle):
             matrix = np.asarray(annotation_matrix, dtype=float)
             if matrix.shape != (len(self.observations), len(self.pool)):
                 raise ValueError("annotation matrix shape must be (n_obs, pool size)")
+            if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
+                raise ValueError("concept annotation values must lie in [0, 1]")
             self._matrix = matrix
         self.annotation_pairs = 0  # extraction "calls": cache misses filled by this oracle
 
@@ -428,32 +411,26 @@ class PoolOracle(ConceptOracle):
 
     # -- proposals --------------------------------------------------------
 
-    def partial_posterior_weights(self, context: Sequence[Concept], rows: np.ndarray
+    def partial_posterior_weights(self, context: Sequence[Concept], score: Scorer
                                   ) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices,
         and the log marginal on the rows that each probability is
-        proportional to."""
+        proportional to: score's value of the set of the context's concepts,
+        then the eligible concept."""
         context_ids = {c.id for c in context}
         eligible = [i for i, pc in enumerate(self.pool) if pc.concept.id not in context_ids]
         if not eligible:
             raise ProposalError("no pool concepts outside the conditioning set")
-        ctx_idx = [self._by_id[c.id] for c in context]
-        rows = np.asarray(rows, dtype=int)
-        sub = self.matrix[rows]
-        # one design per eligible concept: context columns, candidate, intercept
-        X = np.empty((len(eligible), sub.shape[0], len(ctx_idx) + 2))
-        X[:, :, :-2] = sub[:, ctx_idx]
-        X[:, :, -2] = sub[:, eligible].T
-        X[:, :, -1] = 1.0
-        if X.size and (X[:, :, :-1].min() < 0 or X[:, :, :-1].max() > 1):
-            raise ValueError("concept annotation values must lie in [0, 1]")
-        log_marginals = log_marginal_likelihoods(X, self.labels[rows], self.gamma)[0]
+        log_marginals = score([[*context, self.pool[i].concept] for i in eligible])
         probs = np.exp(log_marginals - log_marginals.max())
         probs /= probs.sum()
         return eligible, probs, log_marginals
 
     def propose(self, context: Sequence[Concept], incumbent: Concept,
-                subset: np.ndarray, m: int, rng: np.random.Generator) -> OracleProposal:
+                subset: np.ndarray, m: int, rng: np.random.Generator,
+                score: Optional[Scorer] = None) -> OracleProposal:
+        """Uniform draws, or in exact mode the top m concepts of the partial
+        posterior enumerated from score, which exact mode requires."""
         context_ids = {c.id for c in context}
         if incumbent.id in context_ids:
             raise ProposalError("incumbent concept duplicates the conditioning set")
@@ -473,7 +450,9 @@ class PoolOracle(ConceptOracle):
                 q_current=q,
             )
 
-        eligible, probs, log_marginals = self.partial_posterior_weights(context, subset)
+        if score is None:
+            raise ProposalError("the exact pool oracle needs a score to propose")
+        eligible, probs, _ = self.partial_posterior_weights(context, score)
         order = np.argsort(-probs, kind="stable")[:m]
         q_current = 0.0
         inc_idx = self._by_id.get(incumbent.id)
@@ -483,7 +462,4 @@ class PoolOracle(ConceptOracle):
             candidates=[self.pool[eligible[int(i)]].concept for i in order],
             q_weights=probs[order],
             q_current=q_current,
-            subset_marginals=SubsetMarginals(
-                dict(zip((self.pool[i].concept.id for i in eligible), log_marginals.tolist())),
-                np.array(subset, dtype=int), self.gamma),
         )

@@ -9,7 +9,7 @@ per finished epoch, so a run can resume exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -46,12 +46,7 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler mode {self.mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k, "t_epochs": self.t_epochs, "m_candidates": self.m_candidates,
-            "omega": self.omega, "gamma": self.gamma, "seed": self.seed,
-            "warm_start_epochs": self.warm_start_epochs, "keep_last": self.keep_last,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SamplerConfig":
@@ -61,9 +56,10 @@ class SamplerConfig:
 class GibbsData:
     """Annotated training data as seen by the chain.
 
-    Keeps a per-concept column store, filled by column_fn only for concepts not
-    stored yet; designs(concept_sets) stacks stored columns and the intercept
-    column.
+    Keeps one (n, C) table of concept columns with an id -> column index,
+    filled by column_fn only for concepts not stored yet; designs(concept_sets)
+    gathers stored columns and appends the intercept column. Columns past the
+    last indexed one are unused capacity.
     """
 
     def __init__(self, labels: np.ndarray, row_ids: Sequence[str],
@@ -73,7 +69,8 @@ class GibbsData:
         if self.labels.shape[0] != len(self.row_ids):
             raise ValueError("labels must align with row ids")
         self._column_fn = column_fn
-        self._columns: dict[str, np.ndarray] = {}
+        self._table = np.empty((self.n, 0))
+        self._index: dict[str, int] = {}
 
     @property
     def n(self) -> int:
@@ -85,32 +82,40 @@ class GibbsData:
         A column is checked to lie in [0, 1] here, once, so designs built from
         stored columns need no further check.
         """
-        missing = list({c.id: c for c in concepts if c.id not in self._columns}.values())
+        missing = list({c.id: c for c in concepts if c.id not in self._index}.values())
         if missing:
-            columns = np.asarray(self._column_fn(missing), dtype=float).T.copy()
+            columns = np.asarray(self._column_fn(missing), dtype=float)
             if not np.all((columns >= 0.0) & (columns <= 1.0)):
                 raise ValueError("concept annotation values must lie in [0, 1]")
-            self._columns.update(zip((c.id for c in missing), columns))
+            start, stop = len(self._index), len(self._index) + len(missing)
+            if stop > self._table.shape[1]:  # grow geometrically: fills copy O(C) in all
+                grown = np.empty((self.n, max(stop, 2 * self._table.shape[1])))
+                grown[:, :start] = self._table[:, :start]
+                self._table = grown
+            self._table[:, start:stop] = columns
+            self._index.update((c.id, j) for j, c in enumerate(missing, start))
 
     def columns(self, concepts: Sequence[Concept]) -> list[np.ndarray]:
         """The stored n-vector of each concept, filling any not stored yet."""
         self.fill(concepts)
-        return [self._columns[c.id] for c in concepts]
+        return list(self._table[:, [self._index[c.id] for c in concepts]].T.copy())
 
     def designs(self, concept_sets: Sequence[Sequence[Concept]],
                 rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The (E, n, K+1) stack of the designs of E concept sets of one size K:
         each set's stored columns in its order, then the intercept column.
         With rows, only those rows of each design."""
-        self.fill([c for concepts in concept_sets for c in concepts])
-        rows = slice(None) if rows is None else rows
-        X = np.ones((len(concept_sets), len(self.labels[rows]), len(concept_sets[0]) + 1))
-        for e, concepts in enumerate(concept_sets):
-            for j, c in enumerate(concepts):
-                X[e, :, j] = self._columns[c.id][rows]
+        try:
+            columns = [[self._index[c.id] for c in concepts] for concepts in concept_sets]
+        except KeyError:
+            self.fill([c for concepts in concept_sets for c in concepts])
+            columns = [[self._index[c.id] for c in concepts] for concepts in concept_sets]
+        table = self._table if rows is None else self._table[rows]
+        X = np.ones((len(columns), table.shape[0], len(columns[0]) + 1))
+        X[:, :, :-1] = table[:, columns].transpose(1, 0, 2)
         return X
 
-    # ccbm eval builds its designs here; bench/tracing.py also wraps phi by name
+    # bench/tracing.py wraps phi by name
     def phi(self, concepts: Sequence[Concept]) -> AnnotationMatrix:
         return AnnotationMatrix(values=self.designs([concepts])[0], row_ids=self.row_ids)
 
@@ -147,17 +152,21 @@ class UpdateResult:
 
 
 class _MarginalCache:
-    """Laplace fits of the chain's concept sets.
+    """The one place the chain's Laplace fits are computed and memoized.
 
-    Full-data fits are memoized per ordered concept tuple; the fits on a
-    conditioning subset change with every update and are not: they come from
-    the proposal when it carries them, and are fitted here otherwise.
+    Full-data fits are memoized per ordered concept tuple for the whole run.
+    Fits on an update's conditioning rows S are memoized per unordered concept
+    set, and reset when the rows change; the first request for a set on S
+    fixes the column order it is fitted in. In exact mode that request is the
+    pool oracle's enumeration (see ConceptOracle.propose's score).
     """
 
     def __init__(self, data: GibbsData, gamma: float):
         self.data = data
         self.gamma = gamma
         self._cache: dict[tuple[str, ...], tuple[float, np.ndarray]] = {}
+        self._rows: Optional[np.ndarray] = None
+        self._subset: dict[frozenset[str], float] = {}
 
     def _full_fits(self, concept_sets: Sequence[Sequence[Concept]]
                    ) -> list[tuple[float, np.ndarray]]:
@@ -175,28 +184,31 @@ class _MarginalCache:
     def full(self, concepts: Sequence[Concept]) -> tuple[float, np.ndarray]:
         return self._full_fits([concepts])[0]
 
-    def log_partial_bayes(self, concept_sets: Sequence[Sequence[Concept]],
-                          subset: np.ndarray, proposal: Optional[OracleProposal] = None,
-                          slot: int = 0) -> np.ndarray:
-        """log p(y_{S^c} | y_S, c, X) of each of several concept sets that
-        differ only at slot, as a difference of two Laplace marginals: the
-        full-data fit (memoized) minus the fit on the subset S.
+    def subset(self, concept_sets: Sequence[Sequence[Concept]],
+               rows: np.ndarray) -> np.ndarray:
+        """The log marginal of each concept set on the given rows; the sets not
+        memoized for these rows yet are fitted in one stacked solve."""
+        if self._rows is None or not np.array_equal(rows, self._rows):
+            if rows.size and (rows.min() < 0 or rows.max() >= self.data.n):
+                raise ValueError("subset indices out of range")
+            self._rows, self._subset = np.array(rows), {}
+        keys = [frozenset(c.id for c in concepts) for concepts in concept_sets]
+        todo = {key: concepts for key, concepts in zip(keys, concept_sets)
+                if key not in self._subset}
+        if todo:
+            values = log_marginal_likelihoods(self.data.designs(list(todo.values()), rows),
+                                              self.data.labels[rows], self.gamma)[0]
+            self._subset.update(zip(todo, map(float, values)))
+        return np.array([self._subset[key] for key in keys])
 
-        The subset fits are the proposal's subset marginals of the concepts
-        at slot when it carries them for S and this gamma; otherwise they are
-        one stacked solve here. Either way the sets not memoized yet are
-        fitted on the full data in one stacked solve."""
-        if subset.size and (subset.min() < 0 or subset.max() >= self.data.n):
-            raise ValueError("subset indices out of range")
-        full = np.array([value for value, _ in self._full_fits(concept_sets)])
-        sub = None
-        if proposal is not None and proposal.subset_marginals is not None:
-            sub = proposal.subset_marginals.lookup(
-                [concepts[slot] for concepts in concept_sets], subset, self.gamma)
-        if sub is None:
-            sub = log_marginal_likelihoods(self.data.designs(concept_sets, subset),
-                                           self.data.labels[subset], self.gamma)[0]
-        return full - sub
+    def log_partial_bayes(self, concept_sets: Sequence[Sequence[Concept]],
+                          subset: np.ndarray) -> np.ndarray:
+        """log p(y_{S^c} | y_S, c, X) of each concept set, as a difference of
+        two Laplace marginals: the full-data fit minus the fit on the subset
+        S, both memoized (the subset's first, so bad rows fail before any
+        solve)."""
+        sub = self.subset(concept_sets, subset)
+        return np.array([value for value, _ in self._full_fits(concept_sets)]) - sub
 
 
 def _candidate_sets(state: ConceptSet, slot: int, proposal: OracleProposal):
@@ -204,6 +216,15 @@ def _candidate_sets(state: ConceptSet, slot: int, proposal: OracleProposal):
     context_ids = {c.id for c in state.without(slot)}
     kept = [(i, c) for i, c in enumerate(proposal.candidates) if c.id not in context_ids]
     return kept
+
+
+def _propose(state: ConceptSet, slot: int, subset: np.ndarray, oracle: ConceptOracle,
+             cfg: SamplerConfig, rng: np.random.Generator,
+             marginals: _MarginalCache) -> OracleProposal:
+    """The oracle's proposal for the slot; its score fits sets on the subset
+    through the chain's memo."""
+    return oracle.propose(state.without(slot), state[slot], subset, cfg.m_candidates, rng,
+                          score=lambda concept_sets: marginals.subset(concept_sets, subset))
 
 
 def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsData,
@@ -218,7 +239,7 @@ def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsDa
     marginals = marginals or _MarginalCache(data, cfg.gamma)
     incumbent = state[slot]
     if proposal is None:
-        proposal = oracle.propose(state.without(slot), incumbent, subset, cfg.m_candidates, rng)
+        proposal = _propose(state, slot, subset, oracle, cfg, rng, marginals)
     kept = _candidate_sets(state, slot, proposal)
     if not kept:
         return UpdateResult(state, False, -np.inf, proposal)
@@ -232,7 +253,7 @@ def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsDa
         return UpdateResult(state, True, 0.0, proposal, candidate)
     cand_state = state.replace(slot, candidate)
     lpb_current, lpb_candidate = marginals.log_partial_bayes(
-        [state.concepts, cand_state.concepts], subset, proposal, slot)
+        [state.concepts, cand_state.concepts], subset)
     log_alpha = min(0.0, lpb_candidate - lpb_current)
     accepted = np.log(rng.random()) < log_alpha
     return UpdateResult(cand_state if accepted else state, bool(accepted),
@@ -260,7 +281,7 @@ def _multi_try_weights(state: ConceptSet, slot: int, subset: np.ndarray,
         else:
             rows.append(len(scored))
             scored.append(state.replace(slot, cand))
-    lpb = marginals.log_partial_bayes([s.concepts for s in scored], subset, proposal, slot)
+    lpb = marginals.log_partial_bayes([s.concepts for s in scored], subset)
     log_ws = np.array([-np.inf if r is None else lpb[r] + np.log(proposal.q_weights[i])
                        for (i, _), r in zip(kept, rows)])
     states = [None if r is None else scored[r] for r in rows]
@@ -279,9 +300,8 @@ def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: G
     q_current * sum_m w_m / (q_chosen * sum_{m != chosen, incl. incumbent} w_m).
     """
     marginals = marginals or _MarginalCache(data, cfg.gamma)
-    incumbent = state[slot]
     if proposal is None:
-        proposal = oracle.propose(state.without(slot), incumbent, subset, cfg.m_candidates, rng)
+        proposal = _propose(state, slot, subset, oracle, cfg, rng, marginals)
     kept, log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
     if len(kept) == 0:
         return UpdateResult(state, False, -np.inf, proposal)
@@ -310,7 +330,7 @@ def greedy_warm_start_update(state: ConceptSet, slot: int, subset: np.ndarray,
     marginals = marginals or _MarginalCache(data, cfg.gamma)
     incumbent = state[slot]
     if proposal is None:
-        proposal = oracle.propose(state.without(slot), incumbent, subset, cfg.m_candidates, rng)
+        proposal = _propose(state, slot, subset, oracle, cfg, rng, marginals)
     kept, log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
     if len(kept) == 0:
         return UpdateResult(state, False, 0.0, proposal)

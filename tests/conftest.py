@@ -24,9 +24,9 @@ def pool_dataset():
     return make_pool_dataset()
 
 
-def make_oracle(data, weight_mode="exact", gamma=1.0):
-    return PoolOracle(data.pool_concepts, data.observations, data.labels,
-                      gamma=gamma, annotation_matrix=data.annotations,
+def make_oracle(data, weight_mode="exact"):
+    return PoolOracle(data.pool_concepts, data.observations,
+                      annotation_matrix=data.annotations,
                       weight_mode=weight_mode, cache=AnnotationCache())
 
 

@@ -86,8 +86,8 @@ def test_criterion_3_multi_try_reduces_to_single_try_at_m1():
 
 def _recovery_run(n, seed):
     data = generate_synthetic(clinical_spec(n, seed=seed))
-    oracle = PoolOracle(data.pool_concepts, data.observations, data.labels,
-                        gamma=1.0, annotation_matrix=data.annotations,
+    oracle = PoolOracle(data.pool_concepts, data.observations,
+                        annotation_matrix=data.annotations,
                         weight_mode="uniform", cache=AnnotationCache())
     gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
     cfg = SamplerConfig(k=6, t_epochs=12, m_candidates=8, omega=0.5, seed=seed,

@@ -88,8 +88,8 @@ def reference_predictions(run_dir, input_path) -> bytes:
     and json.dumps of each whole record."""
     cfg, samples = load_posterior(run_dir)
     observations, _ = cli.load_dataset(input_path, require_labels=False)
-    train_obs, train_labels = cli.load_dataset(cfg.dataset)
-    oracle = cli.build_oracle(cfg, train_obs, train_labels, AnnotationCache())
+    train_obs, _ = cli.load_dataset(cfg.dataset)
+    oracle = cli.build_oracle(cfg, train_obs, AnnotationCache())
     concepts = {c.id: c for s in samples for c in s.concept_set}
     out = []
     for obs in observations:
@@ -117,7 +117,7 @@ def reference_metrics(run_dir) -> str:
     matrix of sigmoid_predict, averaged over samples."""
     cfg, samples = load_posterior(run_dir)
     observations, labels = cli.load_dataset(cfg.dataset)
-    oracle = cli.build_oracle(cfg, observations, labels, AnnotationCache())
+    oracle = cli.build_oracle(cfg, observations, AnnotationCache())
     data = cli.gibbs_data_from_oracle(observations, labels, oracle)
     scores = np.mean([[sigmoid_predict(s.theta, row)
                        for row in data.phi(s.concept_set).values] for s in samples], axis=0)

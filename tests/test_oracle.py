@@ -10,6 +10,7 @@ from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
 from ccbm.oracle import (AnnotationCache, AnnotationError, Observation, OracleProposal, PoolConcept,
                          PoolOracle, ProposalError, keyword_value,
                          normalize_phrase)
+from ccbm.sampler import _MarginalCache, gibbs_data_from_oracle
 
 from conftest import make_oracle, make_pool_dataset
 
@@ -240,8 +241,7 @@ class TestPoolAnnotationTable:
         assert oracle.annotate(pool_dataset.observations[:3], []).shape == (3, 0)
 
     def test_training_matrix_built_on_first_use(self, pool_dataset):
-        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
-                            pool_dataset.labels, gamma=1.0)
+        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations)
         concepts = [pc.concept for pc in pool_dataset.pool_concepts]
         oracle.annotate(self.unseen(), concepts)
         assert oracle._matrix is None
@@ -250,25 +250,33 @@ class TestPoolAnnotationTable:
         assert np.array_equal(table, pool_dataset.annotations)
 
 
+def subset_scorer(data, oracle, rows, gamma=1.0):
+    """The chain's memoized subset fits on rows, as the sampler passes them
+    to propose."""
+    marginals = _MarginalCache(gibbs_data_from_oracle(data.observations, data.labels, oracle),
+                               gamma)
+    return lambda concept_sets: marginals.subset(concept_sets, rows)
+
+
 class TestPoolProposals:
-    def test_exact_weights_match_restricted_enumeration(self, pool_dataset):
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_exact_weights_match_restricted_enumeration(self, pool_dataset, gamma):
         # independent route: enumerate all 2-supports on the subset rows,
         # restrict to supports containing the context concept, renormalize
         oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[4].concept]
-        incumbent = pool_dataset.pool_concepts[6].concept
         subset = np.arange(30)
-        proposal = oracle.propose(context, incumbent, subset, m=9,
-                                  rng=np.random.default_rng(0))
+        eligible, probs, _ = oracle.partial_posterior_weights(
+            context, subset_scorer(pool_dataset, oracle, subset, gamma))
 
         pool = [pc.concept for pc in pool_dataset.pool_concepts]
         exact = enumerate_posterior(pool, 2, pool_dataset.labels[subset],
-                                    pool_dataset.annotations[subset], gamma=1.0)
+                                    pool_dataset.annotations[subset], gamma=gamma)
         ctx_id = context[0].id
         restricted = {s: p for s, p in exact.items() if ctx_id in s}
         z = sum(restricted.values())
         want = {next(iter(s - {ctx_id})): p / z for s, p in restricted.items()}
-        got = {c.id: w for c, w in zip(proposal.candidates, proposal.q_weights)}
+        got = {pool[i].id: w for i, w in zip(eligible, probs)}
         assert set(got) == set(want)
         for cid in want:
             assert got[cid] == pytest.approx(want[cid], abs=1e-9)
@@ -277,7 +285,8 @@ class TestPoolProposals:
         oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[j].concept for j in (4, 1)]
         rows = np.sort(np.random.default_rng(3).choice(60, size=30, replace=False))
-        eligible, probs, log_marginals = oracle.partial_posterior_weights(context, rows)
+        eligible, probs, log_marginals = oracle.partial_posterior_weights(
+            context, subset_scorer(pool_dataset, oracle, rows))
         # the loop the stacked solve replaced: context columns, candidate, intercept
         cols = [4, 1]
         log_scores = np.array([log_marginal_likelihood(
@@ -294,20 +303,19 @@ class TestPoolProposals:
     def test_out_of_range_annotations_rejected(self, pool_dataset):
         matrix = pool_dataset.annotations.copy()
         matrix[0, 3] = 1.5
-        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
-                            pool_dataset.labels, gamma=1.0, annotation_matrix=matrix)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            oracle.partial_posterior_weights([pool_dataset.pool_concepts[4].concept],
-                                             np.arange(30))
+            PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
+                       annotation_matrix=matrix)
 
     def test_exact_mode_returns_top_m_descending(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[4].concept]
         incumbent = pool_dataset.pool_concepts[6].concept
+        score = subset_scorer(pool_dataset, oracle, np.arange(30))
         full = oracle.propose(context, incumbent, np.arange(30), m=9,
-                              rng=np.random.default_rng(0))
+                              rng=np.random.default_rng(0), score=score)
         top3 = oracle.propose(context, incumbent, np.arange(30), m=3,
-                              rng=np.random.default_rng(0))
+                              rng=np.random.default_rng(0), score=score)
         assert np.all(np.diff(full.q_weights) <= 0)
         assert top3.candidates == full.candidates[:3]
         assert np.array_equal(top3.q_weights, full.q_weights[:3])
@@ -317,27 +325,21 @@ class TestPoolProposals:
         context = [pool_dataset.pool_concepts[4].concept]
         incumbent = pool_dataset.pool_concepts[6].concept
         proposal = oracle.propose(context, incumbent, np.arange(30), m=9,
-                                  rng=np.random.default_rng(0))
+                                  rng=np.random.default_rng(0),
+                                  score=subset_scorer(pool_dataset, oracle, np.arange(30)))
         by_id = {c.id: w for c, w in zip(proposal.candidates, proposal.q_weights)}
         assert proposal.q_current == by_id[incumbent.id]
 
-    def test_exact_proposal_carries_every_eligible_subset_marginal(self, pool_dataset):
+    def test_exact_mode_without_score_rejected(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
-        context = [pool_dataset.pool_concepts[4].concept]
-        rows = np.arange(30)
-        proposal = oracle.propose(context, pool_dataset.pool_concepts[6].concept, rows,
-                                  m=3, rng=np.random.default_rng(0))
-        eligible, _, log_marginals = oracle.partial_posterior_weights(context, rows)
-        marginals = proposal.subset_marginals
-        assert len(proposal.candidates) == 3
-        assert marginals.log_marginals == {
-            pool_dataset.pool_concepts[i].concept.id: v
-            for i, v in zip(eligible, log_marginals.tolist())}
-        assert np.array_equal(marginals.rows, rows) and marginals.gamma == 1.0
-        uniform = make_oracle(pool_dataset, weight_mode="uniform").propose(
-            context, pool_dataset.pool_concepts[6].concept, rows, m=3,
-            rng=np.random.default_rng(0))
-        assert uniform.subset_marginals is None
+        with pytest.raises(ProposalError, match="score"):
+            oracle.propose([pool_dataset.pool_concepts[4].concept],
+                           pool_dataset.pool_concepts[6].concept, np.arange(30), m=3,
+                           rng=np.random.default_rng(0))
+        # the uniform oracle weighs nothing by the data and needs none
+        make_oracle(pool_dataset, weight_mode="uniform").propose(
+            [pool_dataset.pool_concepts[4].concept], pool_dataset.pool_concepts[6].concept,
+            np.arange(30), m=3, rng=np.random.default_rng(0))
 
     def test_uniform_mode_draws_without_replacement(self, pool_dataset):
         oracle = make_oracle(pool_dataset, weight_mode="uniform")
@@ -409,7 +411,7 @@ class TestPoolInitialization:
         matrix = rng.random(pool_dataset.annotations.shape)
         matrix[:, 7] = 0.25  # a constant column scores 0
         oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
-                            pool_dataset.labels, gamma=1.0, annotation_matrix=matrix)
+                            annotation_matrix=matrix)
         phrases = [f"feat{j}" for j in rng.choice(10, size=3, replace=False)]
         bags = oracle.extract_keyphrases(pool_dataset.observations)
         indicator = np.array([[phrase in bag.phrases for phrase in phrases] for bag in bags],
@@ -437,5 +439,4 @@ class TestPoolKeyphrases:
     def test_duplicate_pool_rejected(self, pool_dataset):
         pc = pool_dataset.pool_concepts
         with pytest.raises(ValueError):
-            PoolOracle(list(pc) + [pc[0]], pool_dataset.observations,
-                       pool_dataset.labels, gamma=1.0)
+            PoolOracle(list(pc) + [pc[0]], pool_dataset.observations)

@@ -11,7 +11,7 @@ from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
 from ccbm.model import (AnnotationMatrix, ModelConfig, log_marginal_likelihood,
                         log_marginal_likelihoods)
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
-                         OracleProposal, PoolConcept, PoolOracle, SubsetMarginals)
+                         OracleProposal, PoolConcept, PoolOracle)
 import ccbm.sampler as sampler
 from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, _candidate_sets,
                           _MarginalCache, _multi_try_weights, draw_subset,
@@ -256,8 +256,7 @@ class TestRunGibbs:
         obs = [Observation(f"o{i}", "x", int(labels[i])) for i in range(10)]
         pool = [PoolConcept(Concept("Is the only attribute set?"), "x")]
         matrix = np.array([[1.0]] * 10)
-        oracle = PoolOracle(pool, obs, labels, gamma=1.0,
-                            annotation_matrix=matrix, cache=AnnotationCache())
+        oracle = PoolOracle(pool, obs, annotation_matrix=matrix, cache=AnnotationCache())
         data = gibbs_data_from_oracle(obs, labels, oracle)
         cfg = SamplerConfig(k=1, t_epochs=10, m_candidates=3, seed=0,
                             warm_start_epochs=1, keep_last=1)
@@ -598,16 +597,17 @@ class TestColumnStore:
         marginals = sampler._MarginalCache(data, cfg.gamma)
         multi_ss_mh_update(state, 1, np.arange(10), data, None, cfg, rng,
                            marginals=marginals, proposal=proposal)
-        # one full and one subset design per candidate state, the incumbent's
+        # one subset and one full design per candidate state, the incumbent's
         # included, in one stacked solve each
-        assert stacks == [(3, 20), (3, 10)]
-        # the full-data fits are memoized: scoring the same states again solves
-        # only their subset stack, and the recorded sample's fit is a lookup
+        assert stacks == [(3, 10), (3, 20)]
+        # the full-data fits are memoized for the run and the subset fits for
+        # these rows: scoring the same states again solves nothing, and the
+        # recorded sample's fit is a lookup
         stacks.clear()
         multi_ss_mh_update(state, 1, np.arange(10), data, None, cfg, rng,
                            marginals=marginals, proposal=proposal)
         marginals.full(state.concepts)
-        assert stacks == [(3, 10)]
+        assert stacks == []
 
     def test_out_of_range_column_rejected_once_at_fill(self, monkeypatch, rng):
         import ccbm.model as model
@@ -617,7 +617,7 @@ class TestColumnStore:
         for bad in (concepts[3], concepts[4]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 data.fill([concepts[2], bad])
-            assert concepts[2].id not in data._columns and bad.id not in data._columns
+            assert concepts[2].id not in data._index and bad.id not in data._index
 
         def no_scan(self):
             raise AssertionError("a stored column was range-checked again")
@@ -635,7 +635,7 @@ class SerialMarginals:
 
     With oracle_order, a subset fit puts its columns in the exact pool
     oracle's order (the other slots, the slot's concept, the intercept), as
-    the subset marginals an exact proposal carries are fitted."""
+    the oracle's enumeration fits them into the chain's memo."""
 
     def __init__(self, data, gamma):
         self.data, self.gamma, self._cache = data, gamma, {}
@@ -732,15 +732,27 @@ def rng_copy(rng):
     return copy
 
 
+def solve_shapes(monkeypatch):
+    """(designs, rows) of every stacked solve the sampler makes."""
+    shapes = []
+
+    def counting(X, y, gamma, *args, **kwargs):
+        shapes.append(X.shape[:2])
+        return log_marginal_likelihoods(X, y, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "log_marginal_likelihoods", counting)
+    return shapes
+
+
 class TestStackedScorer:
     """_MarginalCache.log_partial_bayes scores all of an update's concept sets
     with at most two stacked solves; every weight and decision equals
     SerialMarginals' bit for bit.
 
-    An exact proposal's subset marginals are fitted in the oracle's column
-    order, so the reference fits the subset in that order for it; the old
-    reference, which fits each set's subset in the set's order, agrees to
-    1e-12."""
+    In exact mode the oracle's enumeration fits every eligible set on the
+    subset first, in the oracle's column order, so the reference fits the
+    subset in that order for it; the old reference, which fits each set's
+    subset in the set's order, agrees to 1e-12."""
 
     @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
     @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
@@ -763,15 +775,16 @@ class TestStackedScorer:
                 n = stacked.data.n
                 subset = (np.array([], dtype=int) if step == 3 else np.arange(n) if step == 7
                           else draw_subset(n, 0.5, rng))
-                proposal = oracle.propose(state.without(slot), state[slot], subset, m, rng)
-                rebuilt = step % 3 == 1 and len(proposal.candidates) > 1
-                if rebuilt:
+                proposal = oracle.propose(
+                    state.without(slot), state[slot], subset, m, rng,
+                    score=lambda concept_sets: stacked.subset(concept_sets, subset))
+                if step % 3 == 1 and len(proposal.candidates) > 1:  # rebuilt by hand
                     q = proposal.q_weights.copy()
                     q[rng.random(len(q)) < 0.5] = 0.0
                     q[rng.integers(len(q))] = proposal.q_weights.max()
                     proposal = OracleProposal(proposal.candidates, q, proposal.q_current)
-                # an exact proposal carries its subset marginals unless rebuilt by hand
-                serial.oracle_order = weight_mode == "exact" and not rebuilt
+                # the exact oracle's enumeration filled the memo for these rows
+                serial.oracle_order = weight_mode == "exact"
                 reproposed += state[slot] in proposal.candidates
                 zero_q += int(np.sum(proposal.q_weights == 0))
                 if mode != "single_try":
@@ -802,81 +815,66 @@ class TestStackedScorer:
         assert reproposed > 0 and zero_q > 0
 
     @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
-    def test_out_of_range_subset_rejected(self, mode):
-        data, concepts, state, _, _ = make_env(9)
-        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=2)
-        for index in (data.n, -1):
-            subset = np.array([0, index])
-            # also when the proposal carries subset marginals for these rows
-            for marginals in (None, SubsetMarginals({c.id: 0.0 for c in concepts},
-                                                    subset, 1.0)):
-                proposal = OracleProposal([concepts[2], concepts[3]], np.array([0.5, 0.5]),
-                                          0.5, marginals)
-                with pytest.raises(ValueError, match="out of range"):
-                    UPDATES[mode](state, 1, subset, data, None, cfg,
-                                  np.random.default_rng(0), proposal=proposal)
-
-
-class TestSubsetSolves:
-    """An update takes its subset fits from an exact proposal's subset
-    marginals and solves only full-data designs; without marginals for its
-    rows and gamma it fits the subset itself."""
-
-    @staticmethod
-    def solve_rows(monkeypatch):
-        """The row count of every design the sampler passes to the solver."""
-        rows = []
-
-        def counting(X, y, gamma, *args, **kwargs):
-            rows.extend([X.shape[1]] * X.shape[0])
-            return log_marginal_likelihoods(X, y, gamma, *args, **kwargs)
-
-        monkeypatch.setattr(sampler, "log_marginal_likelihoods", counting)
-        return rows
-
-    @pytest.mark.parametrize("mode", ["single_try", "multi_try"])
-    def test_exact_chain_solves_only_full_data(self, monkeypatch, mode):
-        data = make_pool_dataset(n=40, seed=21)
-        rows = self.solve_rows(monkeypatch)
-        trace = pool_chain(data, "exact", mode,
-                           dict(k=2, t_epochs=6, m_candidates=4, seed=1))
-        assert trace.acceptance_count > 0 and rows and set(rows) == {40}
-
-    def test_uniform_chain_keeps_subset_solves(self, monkeypatch):
-        data = make_pool_dataset(n=40, seed=21)
-        rows = self.solve_rows(monkeypatch)
-        pool_chain(data, "uniform", "multi_try", dict(k=2, t_epochs=2, m_candidates=4, seed=1))
-        assert set(rows) == {20, 40}
-
-    @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
-    def test_proposal_without_matching_marginals_fits_subset(self, monkeypatch, mode):
+    def test_out_of_range_subset_rejected(self, monkeypatch, mode):
         data = make_pool_dataset(n=40, seed=21)
         oracle = make_oracle(data)
         gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
         state = ConceptSet(data.pool_concepts[i].concept for i in (5, 7))
-        rng = np.random.default_rng(0)
-        subset, other = draw_subset(40, 0.5, rng), draw_subset(40, 0.5, rng)
-        assert not np.array_equal(subset, other)
         cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=4)
+        hand_built = OracleProposal([data.pool_concepts[j].concept for j in (2, 3)],
+                                    np.array([0.5, 0.5]), 0.5)
+        shapes = solve_shapes(monkeypatch)
+        for index in (gibbs.n, -1):
+            subset = np.array([0, index])
+            # the oracle's enumeration asks first, or the sampler does
+            for proposal in (None, hand_built):
+                with pytest.raises(ValueError, match="out of range"):
+                    UPDATES[mode](state, 1, subset, gibbs, oracle, cfg,
+                                  np.random.default_rng(0), proposal=proposal)
+        assert shapes == []
 
-        def proposed(rows, keep_marginals=True):
-            p = oracle.propose(state.without(1), state[1], rows, 4, rng)
-            # no weight on the incumbent, so a single try always scores a move
-            q = np.array([0.0 if c == state[1] else w
-                          for c, w in zip(p.candidates, p.q_weights)])
-            return OracleProposal(p.candidates, q, p.q_current,
-                                  p.subset_marginals if keep_marginals else None)
 
-        rows = self.solve_rows(monkeypatch)
-        for proposal, gamma, fits_subset in (
-                (proposed(subset), 1.0, False),
-                (proposed(subset, keep_marginals=False), 1.0, True),  # rebuilt by hand
-                (proposed(other), 1.0, True),  # marginals of other rows
-                (proposed(subset), 2.0, True)):  # marginals under another gamma
-            rows.clear()
-            UPDATES[mode](state, 1, subset, gibbs, None, cfg, np.random.default_rng(1),
-                          _MarginalCache(gibbs, gamma), proposal)
-            assert rows and (20 in rows) == fits_subset and set(rows) <= {20, 40}
+class TestSubsetSolves:
+    """Every subset fit is made by _MarginalCache.subset, in ccbm.sampler,
+    and memoized for the update's rows; in exact mode the oracle's
+    enumeration asks first, through the score passed to propose."""
+
+    @pytest.mark.parametrize("mode,warm", [("single_try", 1), ("multi_try", 1),
+                                           ("multi_try", 5)])
+    def test_exact_chain_makes_one_subset_stack_per_update(self, monkeypatch, mode, warm):
+        data = make_pool_dataset(n=40, seed=21)
+        shapes = solve_shapes(monkeypatch)
+        trace = pool_chain(data, "exact", mode,
+                           dict(k=2, t_epochs=6, m_candidates=4, seed=1,
+                                warm_start_epochs=warm))
+        subset_stacks = [e for e, rows in shapes if rows == 20]
+        # the enumeration: one design per concept outside the other slot
+        assert subset_stacks == [9] * len(trace.samples) == [9] * 2 * (6 + warm)
+        assert trace.acceptance_count > 0 and {rows for _, rows in shapes} == {20, 40}
+
+    def test_uniform_chain_keeps_subset_solves(self, monkeypatch):
+        data = make_pool_dataset(n=40, seed=21)
+        shapes = solve_shapes(monkeypatch)
+        trace = pool_chain(data, "uniform", "multi_try",
+                           dict(k=2, t_epochs=2, m_candidates=4, seed=1))
+        assert sum(rows == 20 for _, rows in shapes) == len(trace.samples) == 6
+        assert {rows for _, rows in shapes} == {20, 40}
+
+    def test_subset_memo_is_kept_for_the_rows_and_reset_by_new_rows(self, monkeypatch):
+        data, concepts, state, _, _ = make_env(7, n_concepts=4)
+        marginals = _MarginalCache(data, 1.0)
+        shapes = solve_shapes(monkeypatch)
+        sets = [state.concepts, (concepts[2], concepts[1])]
+        rows, other = np.arange(10), np.arange(5, 15)
+        first = marginals.subset(sets, rows)
+        assert shapes == [(2, 10)]
+        # the same rows in a new array, and one set in another order: all memoized
+        again = marginals.subset([sets[1][::-1], *sets], np.arange(10))
+        assert shapes == [(2, 10)]
+        assert bits(again) == bits(first[[1, 0, 1]])
+        marginals.subset(sets, other)
+        marginals.subset(sets[:1], rows)  # the memo of rows went with the new rows
+        assert shapes == [(2, 10), (2, 10), (1, 10)]
 
 
 class AnsweringPost:
