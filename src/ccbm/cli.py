@@ -27,7 +27,7 @@ from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
 from .keyphrase import (KeyphraseSummary, build_bow, fit_keyphrase_model,
                         summarize_top_keyphrases)
 from .llm import LLMConfig, LLMOracle
-from .model import OptimizationError, sigmoid_predict_many
+from .model import OptimizationError, PosteriorSample, sigmoid_predict_many
 # ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
 # bench/tracing.py wraps them by name
 from .model import posterior_predictive, sigmoid_predict  # noqa: F401
@@ -46,6 +46,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_json(path: Path, what: str):
+    """The JSON value a file holds; a file that cannot be read or parsed
+    raises ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _open_output(path):
+    """The file at path, opened for writing; one that cannot be created raises
+    ConfigError naming it."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -61,10 +79,7 @@ class RunConfig:
 
     @staticmethod
     def load(path: Path, overrides: Optional[dict] = None) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _read_json(path, "config")
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -108,21 +123,24 @@ class RunConfig:
 def load_dataset(path: Path, require_labels: bool = True):
     observations: list[Observation] = []
     labels: list[Optional[int]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                obs = Observation(id=str(rec["id"]), payload=rec["text"],
-                                  label=rec.get("label"))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
-            if require_labels and obs.label not in (0, 1):
-                raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
-            observations.append(obs)
-            labels.append(obs.label)
+    try:
+        lines = Path(path).read_text().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            obs = Observation(id=str(rec["id"]), payload=rec["text"],
+                              label=rec.get("label"))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
+        if require_labels and obs.label not in (0, 1):
+            raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
+        observations.append(obs)
+        labels.append(obs.label)
     if not observations:
         raise ConfigError(f"dataset {path} is empty")
     ids = [o.id for o in observations]
@@ -133,9 +151,14 @@ def load_dataset(path: Path, require_labels: bool = True):
 
 
 def load_pool(spec) -> list[PoolConcept]:
-    if isinstance(spec, (str, Path)):
-        spec = json.loads(Path(spec).read_text())
-    return [PoolConcept(Concept(entry["question"]), entry["keyword"]) for entry in spec]
+    """The pool concepts of spec: a list of {"question", "keyword"} entries,
+    or the path of a JSON file holding one. A pool that cannot be read raises
+    ConfigError."""
+    entries = _read_json(spec, "concept pool") if isinstance(spec, (str, Path)) else spec
+    try:
+        return [PoolConcept(Concept(entry["question"]), entry["keyword"]) for entry in entries]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid concept pool {spec}: {exc!r}") from exc
 
 
 def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> ConceptOracle:
@@ -143,10 +166,7 @@ def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> Concep
     if cfg.oracle["type"] == "pool":
         if "pool" not in cfg.oracle:
             raise ConfigError("oracle config is missing the 'pool' field")
-        try:
-            pool = load_pool(cfg.oracle["pool"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot read oracle.pool {cfg.oracle['pool']}: {exc!r}") from exc
+        pool = load_pool(cfg.oracle["pool"])
         try:
             return PoolOracle(pool, observations,
                               weight_mode=cfg.oracle.get("weight_mode", "exact"), cache=cache)
@@ -171,8 +191,11 @@ def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> Concep
 
 def _atomic_write(path: Path, text: str):
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _open_cache(run_dir: Path) -> AnnotationCache:
@@ -367,23 +390,54 @@ def _recovery_for_run(samples: list[ConceptSet], truth: ConceptSet, data):
 # predict / eval
 
 
+def _load_samples(path: Path) -> list[PosteriorSample]:
+    """The records of samples.jsonl, parsed by one json.loads of its lines
+    joined into an array.
+
+    If that fails, the lines are parsed again one at a time, and the first
+    corrupt one raises ConfigError naming path:line. The file is written
+    atomically, so a torn last line means it is damaged: it is reported like
+    any other corrupt line, and the file is left as it is.
+    """
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
+             if line.strip()]
+    # one ConceptSet per distinct concept list: a chain repeats its state
+    sets: dict[tuple[str, ...], ConceptSet] = {}
+
+    def sample(d) -> PosteriorSample:
+        questions = tuple(c["question"] for c in d["concepts"])
+        if questions not in sets:
+            sets[questions] = ConceptSet(Concept(q) for q in questions)
+        s = PosteriorSample.from_dict(d, sets[questions])
+        if s.theta.shape != (len(questions) + 1,):
+            raise ValueError("theta must hold one coefficient per concept and an intercept")
+        return s
+
+    try:
+        records = json.loads("[" + ",".join(line for _, line in lines) + "]")
+        if len(records) == len(lines):
+            return [sample(d) for d in records]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    samples = []
+    for lineno, line in lines:
+        try:
+            samples.append(sample(json.loads(line)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: corrupt posterior sample: {exc!r}") from exc
+    return samples
+
+
 def _load_run(run_dir: Path):
-    from .model import PosteriorSample
     samples_path = run_dir / "samples.jsonl"
     if not samples_path.exists():
         raise ConfigError(f"{run_dir} has no samples.jsonl; run has not completed")
     cfg = RunConfig.load(run_dir / "config.snapshot")
-    # one ConceptSet per distinct concept list: a chain repeats its state
-    sets: dict[tuple[str, ...], ConceptSet] = {}
-    samples = []
-    for line in samples_path.read_text().splitlines():
-        if line:
-            d = json.loads(line)
-            questions = tuple(c["question"] for c in d["concepts"])
-            if questions not in sets:
-                sets[questions] = ConceptSet(Concept(q) for q in questions)
-            samples.append(PosteriorSample.from_dict(d, sets[questions]))
-    samples = [s for s in samples if not s.burn_in]
+    samples = [s for s in _load_samples(samples_path) if not s.burn_in]
     if not samples:
         raise ConfigError("run contains no posterior samples")
     return cfg, samples
@@ -486,7 +540,7 @@ def cmd_predict(args) -> int:
     # the S record strings of a row, in sample order (one index gives a string)
     pick = (operator.itemgetter(*record_of) if len(record_of) > 1
             else lambda encoded: (encoded[record_of[0]],))
-    with open(args.output, "w") as fh:
+    with _open_output(args.output) as fh:
         for i, (obs, row, row_probs) in enumerate(zip(observations, values.tolist(),
                                                       probs.tolist())):
             if i in errors:
@@ -525,7 +579,7 @@ def cmd_eval(args) -> int:
             for cs in sets},
     }
     if args.truth:
-        truth_questions = json.loads(Path(args.truth).read_text())
+        truth_questions = _read_json(args.truth, "truth file")
         pool = load_pool(cfg.oracle["pool"]) if cfg.oracle["type"] == "pool" else []
         truth = ConceptSet([pc.concept for pc in pool
                             if pc.concept.question in truth_questions]
@@ -545,7 +599,10 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out}: {exc}") from exc
     if args.clinical:
         spec = clinical_spec(args.n, seed=args.seed, n_decoys=args.n_decoys)
     else:
@@ -555,7 +612,7 @@ def cmd_simulate(args) -> int:
                              true_support=list(range(len(coefficients))),
                              coefficients=coefficients, seed=args.seed)
     data = generate_synthetic(spec)
-    with open(out / "dataset.ndjson", "w") as fh:
+    with _open_output(out / "dataset.ndjson") as fh:
         for obs in data.observations:
             fh.write(json.dumps({"id": obs.id, "text": obs.payload,
                                  "label": obs.label}) + "\n")
@@ -590,7 +647,7 @@ def cmd_extract_keyphrases(args) -> int:
     cache = AnnotationCache()
     oracle = build_oracle(cfg, observations, cache)
     bags = oracle.extract_keyphrases(observations)
-    with open(args.output, "w") as fh:
+    with _open_output(args.output) as fh:
         for bag in bags:
             fh.write(json.dumps({"observation_id": bag.observation_id,
                                  "phrases": sorted(bag.phrases)}) + "\n")

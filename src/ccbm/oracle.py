@@ -275,12 +275,20 @@ def keyword_value(payload: str, keyword: str) -> float:
     return 1.0 if keyword_pattern(keyword).search(payload.lower()) else 0.0
 
 
+_WORD_RUN = re.compile(r"\w+")
+
+
 class PoolOracle(ConceptOracle):
     """Deterministic oracle over a finite concept pool.
 
     Annotation values come either from a precomputed matrix aligned with the
-    training observations or from whole-word keyword matching on payload text
-    (used for observations outside the training set, e.g. at prediction time).
+    training observations or from whole-word keyword matching on payload text,
+    which builds the matrix when none is given and scores observations outside
+    the training set (e.g. at prediction time). A keyword whose lowercase form
+    is one run of word characters is looked up in the set of the note's
+    maximal word runs, found by one scan per note; any other keyword (spaces,
+    punctuation, the empty string) is searched for by its own pattern. Both
+    give keyword_value's values.
 
     weight_mode "exact" scores every eligible pool concept by the Laplace
     marginal of the conditioning rows, through the score the sampler passes to
@@ -304,9 +312,10 @@ class PoolOracle(ConceptOracle):
         self.cache = cache if cache is not None else AnnotationCache()
         self._by_id = {pc.concept.id: i for i, pc in enumerate(self.pool)}
         self._obs_row = {obs.id: i for i, obs in enumerate(self.observations)}
-        # one pattern per keyword: one alternation would miss a keyword that
-        # another keyword contains
-        self._patterns = [keyword_pattern(pc.keyword) for pc in self.pool]
+        # a word-run keyword's lowercase form, any other keyword's own pattern:
+        # one alternation of patterns would miss a keyword that another contains
+        self._matchers = [pc.keyword.lower() if _WORD_RUN.fullmatch(pc.keyword.lower())
+                          else keyword_pattern(pc.keyword) for pc in self.pool]
         self._matrix: Optional[np.ndarray] = None
         if annotation_matrix is not None:
             matrix = np.asarray(annotation_matrix, dtype=float)
@@ -331,8 +340,11 @@ class PoolOracle(ConceptOracle):
     # -- extraction -------------------------------------------------------
 
     def _keyword_values(self, payload: str, pool_indices: Sequence[int]) -> list[float]:
+        """1.0 where the pool keyword occurs in the text as a whole word."""
         text = payload.lower()
-        return [1.0 if self._patterns[j].search(text) else 0.0 for j in pool_indices]
+        words = set(_WORD_RUN.findall(text))
+        return [1.0 if (m in words if isinstance(m, str) else m.search(text)) else 0.0
+                for m in map(self._matchers.__getitem__, pool_indices)]
 
     def _values(self, obs: Observation, pool_indices: Sequence[int]) -> list[float]:
         """The given pool concepts' values for one observation: its row of the

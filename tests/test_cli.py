@@ -810,6 +810,92 @@ class TestEditedSamples:
         assert (run_dir / "reports" / "metrics.json").read_text() == reference_metrics(run_dir)
 
 
+def torn_last_line(lines):
+    """The last line cut in half, without its newline."""
+    return lines[:-1] + [lines[-1][:len(lines[-1]) // 2]], len(lines)
+
+
+def non_json_middle_line(lines):
+    mid = len(lines) // 2
+    return lines[:mid] + ["{not json"] + lines[mid + 1:], mid + 1
+
+
+def missing_theta(lines):
+    record = json.loads(lines[2])
+    del record["theta"]
+    return lines[:2] + [json.dumps(record)] + lines[3:], 3
+
+
+def short_theta(lines):
+    """A theta without its intercept, which would not fit the design."""
+    record = json.loads(lines[1])
+    record["theta"] = record["theta"][:-1]
+    return lines[:1] + [json.dumps(record)] + lines[2:], 2
+
+
+class TestCorruptSamples:
+    """A damaged samples.jsonl exits 2 naming its line, and is left as it is."""
+
+    @pytest.mark.parametrize("damage", [torn_last_line, non_json_middle_line, missing_theta,
+                                        short_theta],
+                             ids=lambda damage: damage.__name__)
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_exits_2_naming_the_line(self, workspace, finished_run, tmp_path, capsys,
+                                     command, damage):
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        samples = run_dir / "samples.jsonl"
+        lines, lineno = damage(samples.read_text().splitlines())
+        damaged = "\n".join(lines) + ("" if damage is torn_last_line else "\n")
+        samples.write_text(damaged)
+        argv = ["eval", "--run", str(run_dir)] if command == "eval" else [
+            "predict", "--run", str(run_dir),
+            "--input", str(workspace / "data" / "dataset.ndjson"),
+            "--output", str(tmp_path / "o.ndjson")]
+        assert cli.main(argv) == 2
+        assert f"samples.jsonl:{lineno}: corrupt posterior sample" in capsys.readouterr().err
+        assert samples.read_text() == damaged
+        assert not (tmp_path / "o.ndjson").exists()
+
+
+UNUSABLE_PATHS = {
+    "predict-input": lambda ws, run, tmp: (
+        ["predict", "--run", run, "--input", tmp / "missing.ndjson", "--output", tmp / "o"],
+        tmp / "missing.ndjson"),
+    "predict-output": lambda ws, run, tmp: (
+        ["predict", "--run", run, "--input", ws / "data" / "dataset.ndjson",
+         "--output", tmp / "no-dir" / "o"], tmp / "no-dir" / "o"),
+    "enumerate-dataset": lambda ws, run, tmp: (
+        ["enumerate", "--dataset", tmp / "missing.ndjson", "--pool", ws / "data" / "pool.json",
+         "--k", "2", "--out", tmp / "o"], tmp / "missing.ndjson"),
+    "enumerate-pool": lambda ws, run, tmp: (
+        ["enumerate", "--dataset", ws / "data" / "dataset.ndjson", "--pool", tmp / "missing",
+         "--k", "2", "--out", tmp / "o"], tmp / "missing"),
+    "enumerate-out": lambda ws, run, tmp: (
+        ["enumerate", "--dataset", ws / "data" / "dataset.ndjson",
+         "--pool", ws / "data" / "pool.json", "--k", "2", "--out", tmp / "no-dir" / "o"],
+        tmp / "no-dir" / "o"),
+    "extract-keyphrases-input": lambda ws, run, tmp: (
+        ["extract-keyphrases", "--config", ws / "run-main-config.json",
+         "--input", tmp / "missing.ndjson", "--output", tmp / "o"], tmp / "missing.ndjson"),
+    "eval-truth": lambda ws, run, tmp: (
+        ["eval", "--run", run, "--truth", tmp / "missing.json"], tmp / "missing.json"),
+    "simulate-out": lambda ws, run, tmp: (
+        ["simulate", "--out", tmp / "a-file" / "data", "--n", "10"], tmp / "a-file" / "data"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_PATHS))
+def test_unusable_path_exits_2_naming_it(workspace, finished_run, tmp_path, capsys, case):
+    """An input that cannot be read or an output that cannot be written is a
+    configuration error that names the path, not a traceback."""
+    (tmp_path / "a-file").write_text("a file, not a directory")
+    argv, path = UNUSABLE_PATHS[case](workspace, finished_run, tmp_path)
+    assert cli.main([str(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(path) in err
+
+
 class TestEnumerate:
     def test_exact_posterior_dump(self, workspace, tmp_path):
         out = tmp_path / "posterior.json"

@@ -1,8 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ccbm.oracle
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior
 from ccbm.keyphrase import KeyphraseSummary
@@ -154,6 +158,22 @@ class TestPoolAnnotate:
         assert oracle.cache.hits == 60 * 3
 
 
+# Keywords of every kind: word runs (ASCII, digits, "_", accented letters,
+# either case), keywords that also occur inside longer words, keywords with
+# punctuation or spaces, "İ" (its lowercase is two code points), and "".
+MIXED_KEYWORDS = ["feat3", "unemployed", "condition11", "42", "under_score", "café", "Naïve",
+                  "HIV", "smoking", "drug", "a+b", "x-ray", "drug use", "İ", "İstanbul", ""]
+MIXED_POOL = [PoolConcept(Concept(f"Does the note mention {kw!r}?"), kw)
+              for kw in MIXED_KEYWORDS]
+NOTE_WORDS = ["feat3", "FEAT3", "feat33", "Unemployed", "condition11", "condition1", "42",
+              "under_score", "under", "score", "café", "CAFÉ", "cafés", "naïve", "NAÏVE",
+              "hiv", "HIV", "smoking", "nonsmoking", "drug", "drugs", "Drug", "use", "a", "b",
+              "x", "ray", "İ", "i", "İstanbul", "istanbul"]
+NOTE_SEPARATORS = [" ", ", ", ". ", "+", "-", " (", ") ", "; ", "\n", "_", "'", "/"]
+NOTES = st.lists(st.tuples(st.sampled_from(NOTE_WORDS), st.sampled_from(NOTE_SEPARATORS)),
+                 max_size=12).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
 class TestPoolAnnotationTable:
     """The (n, C) table against values taken one pair at a time: the
     dataset's matrix for training rows, keyword_value for other rows."""
@@ -192,6 +212,47 @@ class TestPoolAnnotationTable:
         assert np.array_equal(oracle.annotate(rows, concepts), table)
         assert oracle.annotation_pairs == table.size
         assert oracle.cache.hits == table.size
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(NOTES, min_size=1, max_size=6), st.lists(NOTES, min_size=1, max_size=6))
+    def test_word_scan_equals_regex_reference(self, train_notes, new_notes):
+        train = [Observation(f"train-{i}", text) for i, text in enumerate(train_notes)]
+        new = [Observation(f"new-{i}", text) for i, text in enumerate(new_notes)]
+        oracle = PoolOracle(MIXED_POOL, train, weight_mode="uniform")
+        assert np.array_equal(oracle.matrix, [[keyword_value(obs.payload, pc.keyword)
+                                               for pc in MIXED_POOL] for obs in train])
+        # unseen rows, with the concepts in another order than the pool's
+        pool = MIXED_POOL[::-1]
+        assert np.array_equal(oracle.annotate(new, [pc.concept for pc in pool]),
+                              [[keyword_value(obs.payload, pc.keyword) for pc in pool]
+                               for obs in new])
+
+    @pytest.mark.parametrize("extra", [[], ["a+b"]])
+    def test_word_keywords_make_no_pattern_search(self, pool_dataset, monkeypatch, extra):
+        """Building the matrix and annotating unseen rows searches a keyword's
+        pattern only for a keyword that is not one word run."""
+        pool = pool_dataset.pool_concepts + [
+            PoolConcept(Concept(f"Is {kw} noted?"), kw) for kw in extra]
+        rows = self.unseen()
+        expected = [[keyword_value(obs.payload, pc.keyword) for pc in pool] for obs in rows]
+        searches = Counter()
+        compile_pattern = ccbm.oracle.keyword_pattern
+
+        class CountedPattern:
+            def __init__(self, keyword):
+                self.keyword, self.pattern = keyword, compile_pattern(keyword)
+
+            def search(self, text):
+                searches[self.keyword] += 1
+                return self.pattern.search(text)
+
+        monkeypatch.setattr(ccbm.oracle, "keyword_pattern", CountedPattern)
+        oracle = PoolOracle(pool, pool_dataset.observations, weight_mode="uniform")
+        assert np.array_equal(oracle.matrix[:, :len(pool_dataset.pool_concepts)],
+                              pool_dataset.annotations)
+        assert np.array_equal(oracle.annotate(rows, [pc.concept for pc in pool]), expected)
+        n = len(pool_dataset.observations) + len(rows)
+        assert searches == Counter({kw: n for kw in extra})
 
     def test_partly_cached_rows(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
