@@ -297,8 +297,11 @@ def cmd_run(args) -> int:
     }
     cfg = RunConfig.load(args.config, overrides)
     run_dir = cfg.output_dir
-    for sub in ("cache", "checkpoints", "reports"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    try:
+        for sub in ("cache", "checkpoints", "reports"):
+            (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {run_dir}: {exc}") from exc
     lock = _acquire_lock(run_dir)
     started = time.time()
     try:

@@ -59,11 +59,20 @@ class KeyphraseBag:
 
 @dataclass
 class OracleProposal:
-    """M candidate concepts with proposal weights for one Gibbs slot."""
+    """M tries for one Gibbs slot, with the proposal probability q of each.
+
+    A try may repeat a concept: each is one draw from q and keeps its own
+    weight. q_current is q of the incumbent. on_subset says whether q was
+    formed on the update's rows S, as the partial posterior p(c | c_-k, y_S)
+    is, and as an LLM shown S is assumed to draw from. When it was not, the
+    sampler weighs the tries by their full-data marginals: the split-sample
+    rule with S empty.
+    """
 
     candidates: list[Concept]
     q_weights: np.ndarray
     q_current: float
+    on_subset: bool = True
 
     def __post_init__(self):
         self.q_weights = np.asarray(self.q_weights, dtype=float)
@@ -75,9 +84,6 @@ class OracleProposal:
             raise ValueError("proposal weights must be finite and nonnegative")
         if not (np.isfinite(self.q_current) and self.q_current >= 0):
             raise ValueError("q_current must be finite and nonnegative")
-        ids = [c.id for c in self.candidates]
-        if len(set(ids)) != len(ids):
-            raise ValueError("candidates must be distinct")
 
 
 _WORD_RE = re.compile(r"[^\w\s]")
@@ -228,8 +234,9 @@ class ConceptOracle(ABC):
     def propose(self, context: Sequence[Concept], incumbent: Concept,
                 subset: np.ndarray, m: int, rng: np.random.Generator,
                 score: Optional[Scorer] = None) -> OracleProposal:
-        """M candidates for the slot held by incumbent, given the other slots'
-        concepts (context) and the conditioning rows subset.
+        """m tries for the slot held by incumbent, given the other slots'
+        concepts (context) and the conditioning rows subset; see
+        OracleProposal.
 
         score, when given, maps concept sets to their Laplace log marginals on
         the subset rows, fitted and memoized by the chain; an oracle that
@@ -290,11 +297,11 @@ class PoolOracle(ConceptOracle):
     punctuation, the empty string) is searched for by its own pattern. Both
     give keyword_value's values.
 
-    weight_mode "exact" scores every eligible pool concept by the Laplace
-    marginal of the conditioning rows, through the score the sampler passes to
-    propose, and reports the enumerated conditional partial posterior as
-    proposal weights; "uniform" samples candidates uniformly without
-    replacement with equal weights.
+    propose draws its M tries i.i.d. from q over the eligible concepts (those
+    outside the other slots). weight_mode "exact" takes q to be the partial
+    posterior of the conditioning rows, enumerated by scoring every eligible
+    concept through the score the sampler passes to propose; "uniform" takes
+    q uniform, which does not depend on the rows.
     """
 
     def __init__(self, pool: Sequence[PoolConcept], observations: Sequence[Observation],
@@ -423,16 +430,21 @@ class PoolOracle(ConceptOracle):
 
     # -- proposals --------------------------------------------------------
 
+    def _eligible(self, context: Sequence[Concept]) -> list[int]:
+        """Pool indices of the concepts outside the context."""
+        context_ids = {c.id for c in context}
+        eligible = [i for i, pc in enumerate(self.pool) if pc.concept.id not in context_ids]
+        if not eligible:
+            raise ProposalError("no pool concepts outside the conditioning set")
+        return eligible
+
     def partial_posterior_weights(self, context: Sequence[Concept], score: Scorer
                                   ) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices,
         and the log marginal on the rows that each probability is
         proportional to: score's value of the set of the context's concepts,
         then the eligible concept."""
-        context_ids = {c.id for c in context}
-        eligible = [i for i, pc in enumerate(self.pool) if pc.concept.id not in context_ids]
-        if not eligible:
-            raise ProposalError("no pool concepts outside the conditioning set")
+        eligible = self._eligible(context)
         log_marginals = score([[*context, self.pool[i].concept] for i in eligible])
         probs = np.exp(log_marginals - log_marginals.max())
         probs /= probs.sum()
@@ -441,37 +453,22 @@ class PoolOracle(ConceptOracle):
     def propose(self, context: Sequence[Concept], incumbent: Concept,
                 subset: np.ndarray, m: int, rng: np.random.Generator,
                 score: Optional[Scorer] = None) -> OracleProposal:
-        """Uniform draws, or in exact mode the top m concepts of the partial
+        """m i.i.d. draws from q: uniform, or in exact mode the partial
         posterior enumerated from score, which exact mode requires."""
-        context_ids = {c.id for c in context}
-        if incumbent.id in context_ids:
+        if incumbent.id in {c.id for c in context}:
             raise ProposalError("incumbent concept duplicates the conditioning set")
-        eligible = [i for i, pc in enumerate(self.pool) if pc.concept.id not in context_ids]
-        if not eligible:
-            raise ProposalError("no pool concepts outside the conditioning set")
-
         if self.weight_mode == "uniform":
-            q = 1.0 / len(eligible)
-            if len(eligible) <= m:
-                chosen = list(eligible)
-            else:
-                chosen = sorted(rng.choice(eligible, size=m, replace=False).tolist())
-            return OracleProposal(
-                candidates=[self.pool[j].concept for j in chosen],
-                q_weights=np.full(len(chosen), q),
-                q_current=q,
-            )
-
-        if score is None:
+            eligible = self._eligible(context)
+            probs = np.full(len(eligible), 1.0 / len(eligible))
+        elif score is None:
             raise ProposalError("the exact pool oracle needs a score to propose")
-        eligible, probs, _ = self.partial_posterior_weights(context, score)
-        order = np.argsort(-probs, kind="stable")[:m]
-        q_current = 0.0
+        else:
+            eligible, probs, _ = self.partial_posterior_weights(context, score)
+        draws = rng.choice(len(eligible), size=m, p=probs)
         inc_idx = self._by_id.get(incumbent.id)
-        if inc_idx is not None and inc_idx in eligible:
-            q_current = float(probs[eligible.index(inc_idx)])
         return OracleProposal(
-            candidates=[self.pool[eligible[int(i)]].concept for i in order],
-            q_weights=probs[order],
-            q_current=q_current,
+            candidates=[self.pool[eligible[i]].concept for i in draws],
+            q_weights=probs[draws],
+            q_current=float(probs[eligible.index(inc_idx)]) if inc_idx in eligible else 0.0,
+            on_subset=self.weight_mode == "exact",
         )

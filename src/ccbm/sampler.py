@@ -1,9 +1,10 @@
 """Metropolis-within-Gibbs over concept sets.
 
-Implements the split-sample update, its multiple-try variant, the greedy
-warm-start, and the chain driver. Its checkpoint is a header written once when
-a fresh chain starts plus an append-only chain log of one self-contained line
-per finished epoch, so a run can resume exactly.
+Implements the split-sample multiple-try update, whose case M=1 is the
+single-try update, the greedy warm start, and the chain driver. Its checkpoint
+is a header written once when a fresh chain starts plus an append-only chain
+log of one self-contained line per finished epoch, so a run can resume
+exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class SamplerConfig:
     seed: int = 0
     warm_start_epochs: int = 1
     keep_last: int = 20
-    mode: str = "multi_try"  # or "single_try"
+    mode: str = "multi_try"  # or "single_try", the multi-try update at M=1
 
     def __post_init__(self):
         if not 0 < self.omega < 1:
@@ -202,12 +203,13 @@ class _MarginalCache:
         return np.array([self._subset[key] for key in keys])
 
     def log_partial_bayes(self, concept_sets: Sequence[Sequence[Concept]],
-                          subset: np.ndarray) -> np.ndarray:
+                          subset: Optional[np.ndarray]) -> np.ndarray:
         """log p(y_{S^c} | y_S, c, X) of each concept set, as a difference of
         two Laplace marginals: the full-data fit minus the fit on the subset
         S, both memoized (the subset's first, so bad rows fail before any
-        solve)."""
-        sub = self.subset(concept_sets, subset)
+        solve). With subset None, S is empty: the marginal of no rows is 0,
+        so this is the full-data fit alone, and nothing is fitted on rows."""
+        sub = 0.0 if subset is None else self.subset(concept_sets, subset)
         return np.array([value for value, _ in self._full_fits(concept_sets)]) - sub
 
 
@@ -219,73 +221,44 @@ def _candidate_sets(state: ConceptSet, slot: int, proposal: OracleProposal):
 
 
 def _propose(state: ConceptSet, slot: int, subset: np.ndarray, oracle: ConceptOracle,
-             cfg: SamplerConfig, rng: np.random.Generator,
-             marginals: _MarginalCache) -> OracleProposal:
-    """The oracle's proposal for the slot; its score fits sets on the subset
+             m: int, rng: np.random.Generator, marginals: _MarginalCache) -> OracleProposal:
+    """The oracle's m tries for the slot; its score fits sets on the subset
     through the chain's memo."""
-    return oracle.propose(state.without(slot), state[slot], subset, cfg.m_candidates, rng,
+    return oracle.propose(state.without(slot), state[slot], subset, m, rng,
                           score=lambda concept_sets: marginals.subset(concept_sets, subset))
-
-
-def ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsData,
-                 oracle: ConceptOracle, cfg: SamplerConfig, rng: np.random.Generator,
-                 marginals: Optional[_MarginalCache] = None,
-                 proposal: Optional[OracleProposal] = None) -> UpdateResult:
-    """Single-try split-sample Metropolis update for one slot.
-
-    Accepts with probability min{1, exp(lpb(candidate) - lpb(current))} where
-    lpb is the log partial Bayes factor conditioned on the subset rows.
-    """
-    marginals = marginals or _MarginalCache(data, cfg.gamma)
-    incumbent = state[slot]
-    if proposal is None:
-        proposal = _propose(state, slot, subset, oracle, cfg, rng, marginals)
-    kept = _candidate_sets(state, slot, proposal)
-    if not kept:
-        return UpdateResult(state, False, -np.inf, proposal)
-    weights = np.array([proposal.q_weights[i] for i, _ in kept])
-    if weights.sum() <= 0:
-        raise ValueError("all proposal weights are zero")
-    pick = rng.choice(len(kept), p=weights / weights.sum())
-    candidate = kept[int(pick)][1]
-    if candidate.id == incumbent.id:
-        # identical annotation columns; delta is exactly 0
-        return UpdateResult(state, True, 0.0, proposal, candidate)
-    cand_state = state.replace(slot, candidate)
-    lpb_current, lpb_candidate = marginals.log_partial_bayes(
-        [state.concepts, cand_state.concepts], subset)
-    log_alpha = min(0.0, lpb_candidate - lpb_current)
-    accepted = np.log(rng.random()) < log_alpha
-    return UpdateResult(cand_state if accepted else state, bool(accepted),
-                        log_alpha, proposal, candidate)
 
 
 def _multi_try_weights(state: ConceptSet, slot: int, subset: np.ndarray,
                        proposal: OracleProposal, marginals: _MarginalCache):
-    """log w_m for surviving candidates, and log w_0 for the incumbent.
+    """log w_m = log pi + log q_m of each surviving try, and log w_0 for the
+    incumbent, where log pi is the set's log partial Bayes factor on the
+    subset rows, or its full-data log marginal when q was not formed on them
+    (see OracleProposal.on_subset).
 
-    The incumbent and every candidate with q > 0 are scored in one call; a
-    re-proposed incumbent is scored once, as the incumbent.
+    The incumbent and each distinct candidate with q > 0 are scored once, in
+    one call; each try keeps its own entry, None and -inf where q = 0.
     """
     if proposal.q_current <= 0:
         raise ValueError("q_current must be positive for the multi-try update")
     kept = _candidate_sets(state, slot, proposal)
     # the incumbent first, so its columns are filled before the candidates'
     scored = [state]
-    rows = []  # each kept candidate's row of scored; None where q = 0
+    index = {state[slot].id: 0}  # concept id -> its state's row of scored
+    rows = []  # each kept try's row of scored; None where q = 0
     for i, cand in kept:
         if proposal.q_weights[i] <= 0:
             rows.append(None)
-        elif cand.id == state[slot].id:
-            rows.append(0)
-        else:
-            rows.append(len(scored))
+            continue
+        if cand.id not in index:
+            index[cand.id] = len(scored)
             scored.append(state.replace(slot, cand))
-    lpb = marginals.log_partial_bayes([s.concepts for s in scored], subset)
-    log_ws = np.array([-np.inf if r is None else lpb[r] + np.log(proposal.q_weights[i])
+        rows.append(index[cand.id])
+    log_pi = marginals.log_partial_bayes([s.concepts for s in scored],
+                                         subset if proposal.on_subset else None)
+    log_ws = np.array([-np.inf if r is None else log_pi[r] + np.log(proposal.q_weights[i])
                        for (i, _), r in zip(kept, rows)])
     states = [None if r is None else scored[r] for r in rows]
-    log_w0 = lpb[0] + np.log(proposal.q_current)
+    log_w0 = log_pi[0] + np.log(proposal.q_current)
     return kept, log_ws, states, log_w0
 
 
@@ -293,15 +266,21 @@ def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: G
                        oracle: ConceptOracle, cfg: SamplerConfig, rng: np.random.Generator,
                        marginals: Optional[_MarginalCache] = None,
                        proposal: Optional[OracleProposal] = None) -> UpdateResult:
-    """Multiple-try split-sample Metropolis update, all in log space.
+    """Multiple-try split-sample Metropolis update, all in log space: the
+    update of every sampling epoch.
 
-    Samples one of the M candidates with probability proportional to
-    w_m = exp(lpb_m) * q_m, then accepts with the modified multiple-try ratio
-    q_current * sum_m w_m / (q_chosen * sum_{m != chosen, incl. incumbent} w_m).
+    Asks the oracle for m_candidates tries, or for one in single_try mode.
+    Samples one try with probability proportional to w_m = pi_m * q_m (see
+    _multi_try_weights), then accepts with the modified multiple-try ratio
+    q_current * sum_m w_m / (q_chosen * sum_{m != chosen, incl. incumbent} w_m),
+    which at M=1 is the single-try ratio pi(candidate) / pi(current). A chosen
+    incumbent leaves the state as it is and counts as accepted, with no
+    acceptance draw.
     """
     marginals = marginals or _MarginalCache(data, cfg.gamma)
     if proposal is None:
-        proposal = _propose(state, slot, subset, oracle, cfg, rng, marginals)
+        tries = 1 if cfg.mode == "single_try" else cfg.m_candidates
+        proposal = _propose(state, slot, subset, oracle, tries, rng, marginals)
     kept, log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
     if len(kept) == 0:
         return UpdateResult(state, False, -np.inf, proposal)
@@ -312,6 +291,8 @@ def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: G
     pick = int(np.argmax(log_ws + gumbels))
     chosen = kept[pick][1]
     cand_state = states[pick]
+    if cand_state is state:
+        return UpdateResult(state, True, 0.0, proposal, chosen, log_ws)
     q_chosen = proposal.q_weights[kept[pick][0]]
     rest = np.concatenate([log_ws[:pick], log_ws[pick + 1:], [log_w0]])
     log_alpha = min(0.0, (np.log(proposal.q_current) + logsumexp(log_ws)
@@ -330,7 +311,7 @@ def greedy_warm_start_update(state: ConceptSet, slot: int, subset: np.ndarray,
     marginals = marginals or _MarginalCache(data, cfg.gamma)
     incumbent = state[slot]
     if proposal is None:
-        proposal = _propose(state, slot, subset, oracle, cfg, rng, marginals)
+        proposal = _propose(state, slot, subset, oracle, cfg.m_candidates, rng, marginals)
     kept, log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
     if len(kept) == 0:
         return UpdateResult(state, False, 0.0, proposal)
@@ -443,12 +424,6 @@ def load_checkpoint(path: Path) -> dict:
         raise ValueError(f"{path} is not a usable checkpoint: {exc}") from exc
 
 
-_UPDATES = {
-    "single_try": ss_mh_update,
-    "multi_try": multi_ss_mh_update,
-}
-
-
 def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
               init: ConceptSet, checkpoint_path: Optional[Path] = None,
               resume_from: Optional[dict] = None) -> ChainTrace:
@@ -461,7 +436,6 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
     Pass a payload from load_checkpoint as resume_from to continue an
     interrupted run exactly.
     """
-    update = _UPDATES[cfg.mode]
     marginals = _MarginalCache(data, cfg.gamma)
     total_epochs = cfg.warm_start_epochs + cfg.t_epochs
 
@@ -492,7 +466,8 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                     result = greedy_warm_start_update(
                         state, slot, subset, data, oracle, cfg, rng, marginals)
                 else:
-                    result = update(state, slot, subset, data, oracle, cfg, rng, marginals)
+                    result = multi_ss_mh_update(state, slot, subset, data, oracle, cfg, rng,
+                                                marginals)
             except OracleError as exc:
                 raise OracleFailure(f"oracle failed at epoch {epoch} slot {slot}: {exc}",
                                     checkpoint_path) from exc

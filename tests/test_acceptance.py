@@ -74,6 +74,19 @@ def test_criterion_2_stationarity_exact_and_uniform_oracles():
           f"TV uniform-Q {tv_uniform:.3f}, {elapsed:.1f}s)")
 
 
+@pytest.mark.parametrize("weight_mode,mode,m_candidates", [
+    ("exact", "single_try", 2), ("exact", "multi_try", 3),
+    ("uniform", "multi_try", 2), ("uniform", "multi_try", 5)])
+def test_stationarity_at_half_omega_below_the_eligible_set(weight_mode, mode, m_candidates):
+    # M is below the 9 eligible concepts, and S is half the rows, so a try
+    # rule that is not i.i.d. from q, or a ratio that ignores how q depends
+    # on S, shows as TV to enumeration. uniform single-try mixes too slowly
+    # for 2,750 epochs; TestDetailedBalance covers it.
+    tv = _stationarity_tv(weight_mode, mode, m_candidates=m_candidates, omega=0.5)
+    assert tv <= 0.05
+    print(f"stationarity {weight_mode} {mode} M={m_candidates}: PASS (TV {tv:.3f})")
+
+
 def test_criterion_3_multi_try_reduces_to_single_try_at_m1():
     worst = 0.0
     for seed in range(1000):

@@ -880,6 +880,9 @@ UNUSABLE_PATHS = {
          "--input", tmp / "missing.ndjson", "--output", tmp / "o"], tmp / "missing.ndjson"),
     "eval-truth": lambda ws, run, tmp: (
         ["eval", "--run", run, "--truth", tmp / "missing.json"], tmp / "missing.json"),
+    "run-output-dir": lambda ws, run, tmp: (
+        ["run", "--config", ws / "run-main-config.json", "--output-dir", tmp / "a-file" / "run"],
+        tmp / "a-file" / "run"),
     "simulate-out": lambda ws, run, tmp: (
         ["simulate", "--out", tmp / "a-file" / "data", "--n", "10"], tmp / "a-file" / "data"),
 }

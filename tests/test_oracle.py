@@ -111,10 +111,13 @@ class TestAnnotationCache:
 
 
 class TestOracleProposal:
-    def test_duplicate_candidates_rejected(self):
-        c = Concept("Is it red?")
-        with pytest.raises(ValueError):
-            OracleProposal([c, Concept("is it red?")], np.array([0.5, 0.5]), 0.1)
+    def test_repeated_candidates_carried(self):
+        # each try is one draw from q, so a concept drawn twice is two tries
+        c, d = Concept("Is it red?"), Concept("Is it blue?")
+        proposal = OracleProposal([c, d, Concept("is it red?")], np.array([0.4, 0.2, 0.4]), 0.1)
+        assert proposal.candidates == [c, d, c]
+        assert proposal.q_weights.tolist() == [0.4, 0.2, 0.4]
+        assert proposal.on_subset
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -368,28 +371,37 @@ class TestPoolProposals:
             PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
                        annotation_matrix=matrix)
 
-    def test_exact_mode_returns_top_m_descending(self, pool_dataset):
-        oracle = make_oracle(pool_dataset)
+    @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
+    def test_draws_are_rng_choice_over_probs(self, pool_dataset, weight_mode):
+        oracle = make_oracle(pool_dataset, weight_mode=weight_mode)
         context = [pool_dataset.pool_concepts[4].concept]
-        incumbent = pool_dataset.pool_concepts[6].concept
         score = subset_scorer(pool_dataset, oracle, np.arange(30))
-        full = oracle.propose(context, incumbent, np.arange(30), m=9,
-                              rng=np.random.default_rng(0), score=score)
-        top3 = oracle.propose(context, incumbent, np.arange(30), m=3,
-                              rng=np.random.default_rng(0), score=score)
-        assert np.all(np.diff(full.q_weights) <= 0)
-        assert top3.candidates == full.candidates[:3]
-        assert np.array_equal(top3.q_weights, full.q_weights[:3])
+        eligible, probs, _ = oracle.partial_posterior_weights(context, score)
+        if weight_mode == "uniform":
+            probs = np.full(9, 1.0 / 9)
+        # m past the 9 eligible concepts still gives m tries
+        proposal = oracle.propose(context, pool_dataset.pool_concepts[6].concept,
+                                  np.arange(30), m=50, rng=np.random.default_rng(4),
+                                  score=score)
+        draws = np.random.default_rng(4).choice(9, size=50, p=probs)
+        assert proposal.candidates == [pool_dataset.pool_concepts[eligible[i]].concept
+                                       for i in draws]
+        assert np.array_equal(proposal.q_weights, probs[draws])
+        assert proposal.on_subset == (weight_mode == "exact")
 
     def test_q_current_is_incumbent_weight(self, pool_dataset):
-        oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[4].concept]
-        incumbent = pool_dataset.pool_concepts[6].concept
-        proposal = oracle.propose(context, incumbent, np.arange(30), m=9,
-                                  rng=np.random.default_rng(0),
-                                  score=subset_scorer(pool_dataset, oracle, np.arange(30)))
-        by_id = {c.id: w for c, w in zip(proposal.candidates, proposal.q_weights)}
-        assert proposal.q_current == by_id[incumbent.id]
+        for weight_mode in ("exact", "uniform"):
+            oracle = make_oracle(pool_dataset, weight_mode=weight_mode)
+            score = subset_scorer(pool_dataset, oracle, np.arange(30))
+            eligible, probs, _ = oracle.partial_posterior_weights(context, score)
+            if weight_mode == "uniform":
+                probs = np.full(9, 1.0 / 9)
+            for i, q in zip(eligible, probs):
+                proposal = oracle.propose(context, pool_dataset.pool_concepts[i].concept,
+                                          np.arange(30), m=1, rng=np.random.default_rng(0),
+                                          score=score)
+                assert proposal.q_current == q
 
     def test_exact_mode_without_score_rejected(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
@@ -402,26 +414,21 @@ class TestPoolProposals:
             [pool_dataset.pool_concepts[4].concept], pool_dataset.pool_concepts[6].concept,
             np.arange(30), m=3, rng=np.random.default_rng(0))
 
-    def test_uniform_mode_draws_without_replacement(self, pool_dataset):
+    def test_uniform_mode_draws_with_replacement(self, pool_dataset):
         oracle = make_oracle(pool_dataset, weight_mode="uniform")
         context = [pool_dataset.pool_concepts[0].concept]
         incumbent = pool_dataset.pool_concepts[1].concept
-        proposal = oracle.propose(context, incumbent, np.arange(30), m=3,
+        proposal = oracle.propose(context, incumbent, np.arange(30), m=200,
                                   rng=np.random.default_rng(5))
-        assert len(proposal.candidates) == 3
-        assert len({c.id for c in proposal.candidates}) == 3
+        assert len(proposal.candidates) == 200
         assert np.all(proposal.q_weights == 1.0 / 9)
-        assert proposal.q_current == 1.0 / 9
+        assert proposal.q_current == 1.0 / 9 and not proposal.on_subset
+        counts = Counter(c.id for c in proposal.candidates)
         ctx_id = context[0].id
-        assert all(c.id != ctx_id for c in proposal.candidates)
-
-    def test_uniform_mode_covers_small_pools(self, pool_dataset):
-        oracle = make_oracle(pool_dataset, weight_mode="uniform")
-        context = [pool_dataset.pool_concepts[0].concept]
-        incumbent = pool_dataset.pool_concepts[1].concept
-        proposal = oracle.propose(context, incumbent, np.arange(30), m=50,
-                                  rng=np.random.default_rng(5))
-        assert len(proposal.candidates) == 9
+        assert len(counts) == 9 and ctx_id not in counts
+        # 200 uniform draws over 9 concepts: each near 22, with a 5-sd margin
+        assert all(abs(n - 200 / 9) <= 5 * np.sqrt(200 * (1 / 9) * (8 / 9))
+                   for n in counts.values())
 
     def test_incumbent_in_context_rejected(self, pool_dataset):
         oracle = make_oracle(pool_dataset)

@@ -17,7 +17,7 @@ from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, _candidate_s
                           _MarginalCache, _multi_try_weights, draw_subset,
                           gibbs_data_from_oracle, greedy_warm_start_update,
                           load_checkpoint, multi_ss_mh_update, run_gibbs,
-                          save_checkpoint, ss_mh_update)
+                          save_checkpoint)
 
 from conftest import make_oracle, make_pool_dataset, quadrature_log_marginal
 
@@ -56,6 +56,35 @@ def chain_log_rng_states(checkpoint):
     return [e["rng_state"] for e in entries], json.loads(checkpoint.read_text())["rng_state"]
 
 
+def ss_mh_update(state, slot, subset, data, cfg, rng, proposal):
+    """The single-try split-sample update as it stood before single-try became
+    the multi-try update at M=1: draw one candidate by q, then accept with
+    probability min{1, exp(lpb(candidate) - lpb(current))}. Kept as the
+    reference of criterion 3's reduction identity."""
+    marginals = _MarginalCache(data, cfg.gamma)
+    incumbent = state[slot]
+    kept = _candidate_sets(state, slot, proposal)
+    if not kept:
+        return sampler.UpdateResult(state, False, -np.inf, proposal)
+    weights = np.array([proposal.q_weights[i] for i, _ in kept])
+    if weights.sum() <= 0:
+        raise ValueError("all proposal weights are zero")
+    pick = rng.choice(len(kept), p=weights / weights.sum())
+    candidate = kept[int(pick)][1]
+    if candidate.id == incumbent.id:
+        return sampler.UpdateResult(state, True, 0.0, proposal, candidate)
+    cand_state = state.replace(slot, candidate)
+    lpb_current, lpb_candidate = marginals.log_partial_bayes(
+        [state.concepts, cand_state.concepts], subset)
+    log_alpha = min(0.0, lpb_candidate - lpb_current)
+    accepted = np.log(rng.random()) < log_alpha
+    return sampler.UpdateResult(cand_state if accepted else state, bool(accepted),
+                                log_alpha, proposal, candidate)
+
+
+SINGLE_TRY = SamplerConfig(k=2, t_epochs=1, m_candidates=1, mode="single_try")
+
+
 class TestDrawSubset:
     def test_floor_size(self, rng):
         assert len(draw_subset(10, 0.5, rng)) == 5
@@ -81,13 +110,14 @@ class TestDrawSubset:
 
 
 class TestSingleTryUpdate:
+    """Single-try is the multi-try update with one try."""
+
     def test_incumbent_candidate_accepted_with_unit_alpha(self, rng):
         data, concepts, state, _, _ = make_env(0)
         incumbent = state[1]
         proposal = OracleProposal([incumbent], np.array([1.0]), 1.0)
-        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=1)
-        result = ss_mh_update(state, 1, np.arange(5), data, None, cfg, rng,
-                              proposal=proposal)
+        result = multi_ss_mh_update(state, 1, np.arange(5), data, None, SINGLE_TRY, rng,
+                                    proposal=proposal)
         assert result.accepted and result.log_alpha == 0.0
         assert result.state is state
 
@@ -95,9 +125,8 @@ class TestSingleTryUpdate:
         # S^c empty: both partial Bayes terms are exactly 0
         data, concepts, state, _, _ = make_env(1)
         proposal = OracleProposal([concepts[2]], np.array([1.0]), 1.0)
-        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=1)
-        result = ss_mh_update(state, 1, np.arange(data.n), data, None, cfg, rng,
-                              proposal=proposal)
+        result = multi_ss_mh_update(state, 1, np.arange(data.n), data, None, SINGLE_TRY, rng,
+                                    proposal=proposal)
         assert result.log_alpha == 0.0 and result.accepted
 
     def test_label_matching_candidate_dominates(self, rng):
@@ -114,9 +143,9 @@ class TestSingleTryUpdate:
         state = ConceptSet([bad])
         subset = np.arange(100)
         proposal = OracleProposal([good], np.array([1.0]), 1.0)
-        cfg = SamplerConfig(k=1, t_epochs=1, m_candidates=1)
-        result = ss_mh_update(state, 0, subset, data, None, cfg, rng,
-                              proposal=proposal)
+        cfg = SamplerConfig(k=1, t_epochs=1, m_candidates=1, mode="single_try")
+        result = multi_ss_mh_update(state, 0, subset, data, None, cfg, rng,
+                                    proposal=proposal)
         assert result.log_alpha == 0.0 and result.accepted
         # the improvement agrees with the quadrature-oracle Bayes factor
         phi_good = np.column_stack([columns[good.id], np.ones(n)])
@@ -132,9 +161,8 @@ class TestSingleTryUpdate:
         data, concepts, state, _, _ = make_env(2)
         dup = state[0]  # equals the conditioning concept for slot 1
         proposal = OracleProposal([dup], np.array([1.0]), 1.0)
-        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=1)
-        result = ss_mh_update(state, 1, np.arange(5), data, None, cfg, rng,
-                              proposal=proposal)
+        result = multi_ss_mh_update(state, 1, np.arange(5), data, None, SINGLE_TRY, rng,
+                                    proposal=proposal)
         assert not result.accepted
         assert result.state is state
 
@@ -148,10 +176,9 @@ def _paired_updates(seed):
     q_cur = float(inst.uniform(0.05, 1.0))
     proposal = OracleProposal([cand], np.array([q1]), q_cur)
     subset = np.sort(inst.choice(12, size=6, replace=False))
-    cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=1)
-    single = ss_mh_update(state, 1, subset, data, None, cfg,
-                          np.random.default_rng(0), proposal=proposal)
-    multi = multi_ss_mh_update(state, 1, subset, data, None, cfg,
+    single = ss_mh_update(state, 1, subset, data, SINGLE_TRY, np.random.default_rng(0),
+                          proposal)
+    multi = multi_ss_mh_update(state, 1, subset, data, None, SINGLE_TRY,
                                np.random.default_rng(0), proposal=proposal)
     return single, multi
 
@@ -188,6 +215,26 @@ class TestMultiTryUpdate:
         result = multi_ss_mh_update(state, 1, np.arange(6), data, None, cfg, rng,
                                     proposal=proposal)
         assert result.chosen == concepts[2]
+
+    def test_repeated_tries_keep_their_weights_and_solve_once(self, monkeypatch, rng):
+        data, concepts, state, _, _ = make_env(9, n_concepts=4)
+        shapes = solve_shapes(monkeypatch)
+        proposal = OracleProposal([concepts[2], state[1], concepts[2], concepts[3]],
+                                  np.array([0.3, 0.2, 0.3, 0.1]), 0.2)
+        marginals = _MarginalCache(data, 1.0)
+        kept, log_ws, states, log_w0 = _multi_try_weights(state, 1, np.arange(10),
+                                                           proposal, marginals)
+        # the incumbent and the two distinct candidates, in one stack each
+        assert shapes == [(3, 10), (3, 20)]
+        assert [c for _, c in kept] == proposal.candidates and len(log_ws) == 4
+        assert states[0] is states[2] and states[1] is state
+        assert bits(log_ws[0]) == bits(log_ws[2]) and bits(log_ws[1]) == bits(log_w0)
+        want = marginals.log_partial_bayes([states[3].concepts], np.arange(10))[0] + np.log(0.1)
+        assert bits(log_ws[3]) == bits(want)
+        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=4)
+        result = multi_ss_mh_update(state, 1, np.arange(10), data, None, cfg, rng,
+                                    marginals, proposal)
+        assert result.log_weights.shape == (4,) and shapes == [(3, 10), (3, 20)]
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(1, 4))
@@ -280,6 +327,26 @@ class TestRunGibbs:
                            dict(k=2, t_epochs=10, m_candidates=3, seed=1, keep_last=2))
         for s in trace.samples:
             assert len(s.concept_set.id_set()) == 2
+
+    @pytest.mark.parametrize("mode,tries", [("single_try", 1), ("multi_try", 4)])
+    def test_oracle_asked_for_one_try_per_single_try_update(self, pool_dataset, mode, tries):
+        oracle = make_oracle(pool_dataset)
+        asked = []
+        real = oracle.propose
+
+        def recording(context, incumbent, subset, m, rng, score=None):
+            asked.append(m)
+            return real(context, incumbent, subset, m, rng, score=score)
+
+        oracle.propose = recording
+        data = gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels, oracle)
+        cfg = SamplerConfig(k=2, t_epochs=3, m_candidates=4, seed=1, warm_start_epochs=2,
+                            mode=mode)
+        init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
+        trace = run_gibbs(data, oracle, cfg, init)
+        # the warm start asks for m_candidates tries, each sampling update for its tries
+        assert asked == [4] * 2 * 2 + [tries] * 2 * 3
+        assert [e["n_candidates"] for e in trace.update_log] == asked
 
     def test_burn_in_marking_keeps_last_warm_states(self, pool_dataset):
         trace = pool_chain(pool_dataset, "exact", "single_try",
@@ -481,13 +548,16 @@ class TestCheckpointResume:
 
 
 class TestDetailedBalance:
-    def test_pairwise_balance_on_k1_pool(self):
+    @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
+    @pytest.mark.parametrize("mode", ["single_try", "multi_try"])
+    def test_pairwise_balance_on_k1_pool(self, weight_mode, mode):
+        # multi-try draws M=2 of the 4 concepts
         data = make_pool_dataset(n=30, pool_size=4, coefficients=(2.0,),
                                  true_support=(0,), seed=4)
-        oracle = make_oracle(data)
+        oracle = make_oracle(data, weight_mode=weight_mode)
         gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
-        cfg = SamplerConfig(k=1, t_epochs=1, m_candidates=4, omega=0.5, seed=0,
-                            mode="single_try")
+        cfg = SamplerConfig(k=1, t_epochs=1, m_candidates=2, omega=0.5, seed=0,
+                            mode=mode)
         concepts = [pc.concept for pc in data.pool_concepts]
         pi = enumerate_posterior(concepts, 1, data.labels, data.annotations,
                                  gamma=1.0)
@@ -496,14 +566,13 @@ class TestDetailedBalance:
         trials = 3000
         counts = {c.id: {d.id: 0 for d in concepts} for c in concepts}
         rng = np.random.default_rng(99)
-        from ccbm.sampler import _MarginalCache
         marginals = _MarginalCache(gibbs, 1.0)
         for c in concepts:
             state = ConceptSet([c])
             for _ in range(trials):
                 subset = draw_subset(gibbs.n, 0.5, rng)
-                result = ss_mh_update(state, 0, subset, gibbs, oracle, cfg, rng,
-                                      marginals=marginals)
+                result = multi_ss_mh_update(state, 0, subset, gibbs, oracle, cfg, rng,
+                                            marginals=marginals)
                 counts[c.id][result.state[0].id] += 1
 
         for a in concepts:
@@ -625,7 +694,7 @@ class TestColumnStore:
         monkeypatch.setattr(model.AnnotationMatrix, "__post_init__", no_scan)
         proposal = OracleProposal([state[1], concepts[2]], np.array([0.5, 0.5]), 0.5)
         cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=2)
-        for update in (multi_ss_mh_update, ss_mh_update, greedy_warm_start_update):
+        for update in (multi_ss_mh_update, greedy_warm_start_update):
             update(state, 1, np.arange(10), data, None, cfg, rng, proposal=proposal)
 
 
@@ -665,7 +734,14 @@ class SerialMarginals:
 
 
 def serial_multi_try_weights(state, slot, subset, proposal, marginals):
-    """The reference for _multi_try_weights: one candidate at a time."""
+    """The reference for _multi_try_weights: one candidate at a time, by its
+    partial Bayes factor, or by its full-data fit alone when q was not formed
+    on the subset."""
+    def score(concepts):
+        if proposal.on_subset:
+            return marginals.log_partial_bayes(concepts, subset, slot)
+        return marginals.full(concepts)[0]
+
     kept = _candidate_sets(state, slot, proposal)
     marginals.data.fill([*state.concepts, *(c for i, c in kept if proposal.q_weights[i] > 0)])
     log_ws, states = [], []
@@ -677,7 +753,7 @@ def serial_multi_try_weights(state, slot, subset, proposal, marginals):
             states.append(None)
             continue
         cand_state = state if cand.id == state[slot].id else state.replace(slot, cand)
-        lpb = marginals.log_partial_bayes(cand_state.concepts, subset, slot)
+        lpb = score(cand_state.concepts)
         if cand_state is state:
             lpb_current = lpb
         log_ws.append(lpb + np.log(q))
@@ -685,38 +761,22 @@ def serial_multi_try_weights(state, slot, subset, proposal, marginals):
     if proposal.q_current <= 0:
         raise ValueError("q_current must be positive for the multi-try update")
     if lpb_current is None:
-        lpb_current = marginals.log_partial_bayes(state.concepts, subset, slot)
+        lpb_current = score(state.concepts)
     log_w0 = lpb_current + np.log(proposal.q_current)
     return kept, np.asarray(log_ws), states, log_w0
 
 
-def serial_ss_mh_update(state, slot, subset, data, oracle, cfg, rng, marginals, proposal):
-    """The reference for ss_mh_update: the candidate's fits, then the current state's."""
-    kept = _candidate_sets(state, slot, proposal)
-    if not kept:
-        return sampler.UpdateResult(state, False, -np.inf, proposal)
-    weights = np.array([proposal.q_weights[i] for i, _ in kept])
-    pick = rng.choice(len(kept), p=weights / weights.sum())
-    candidate = kept[int(pick)][1]
-    if candidate.id == state[slot].id:
-        return sampler.UpdateResult(state, True, 0.0, proposal, candidate)
-    cand_state = state.replace(slot, candidate)
-    delta = (marginals.log_partial_bayes(cand_state.concepts, subset, slot)
-             - marginals.log_partial_bayes(state.concepts, subset, slot))
-    log_alpha = min(0.0, delta)
-    accepted = np.log(rng.random()) < log_alpha
-    return sampler.UpdateResult(cand_state if accepted else state, bool(accepted),
-                                log_alpha, proposal, candidate)
-
-
 UPDATES = {"multi_try": multi_ss_mh_update, "warm_start": greedy_warm_start_update,
-           "single_try": ss_mh_update}
+           "single_try": multi_ss_mh_update}
+
+
+def mode_config(mode, m):
+    """The sampler config of an update mode; warm_start runs in a multi_try chain."""
+    return SamplerConfig(k=2, t_epochs=1, m_candidates=m,
+                         mode="single_try" if mode == "single_try" else "multi_try")
 
 
 def serial_update(mode, state, slot, subset, data, cfg, rng, marginals, proposal):
-    if mode == "single_try":
-        return serial_ss_mh_update(state, slot, subset, data, None, cfg, rng, marginals,
-                                   proposal)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "_multi_try_weights", serial_multi_try_weights)
         return UPDATES[mode](state, slot, subset, data, None, cfg, rng, marginals, proposal)
@@ -752,7 +812,9 @@ class TestStackedScorer:
     In exact mode the oracle's enumeration fits every eligible set on the
     subset first, in the oracle's column order, so the reference fits the
     subset in that order for it; the old reference, which fits each set's
-    subset in the set's order, agrees to 1e-12."""
+    subset in the set's order, agrees to 1e-12. Uniform proposals are
+    weighed by full-data fits alone. single_try is the multi-try update
+    given the oracle's one try."""
 
     @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
     @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
@@ -766,7 +828,8 @@ class TestStackedScorer:
             serial = SerialMarginals(
                 gibbs_data_from_oracle(data.observations, data.labels, oracle), 1.0)
             set_order = SerialMarginals(serial.data, 1.0)
-            cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=m)
+            m = 1 if mode == "single_try" else m
+            cfg = mode_config(mode, m)
             rng = np.random.default_rng(seed)
             state = ConceptSet(data.pool_concepts[int(i)].concept
                                for i in rng.choice(10, size=2, replace=False))
@@ -782,16 +845,16 @@ class TestStackedScorer:
                     q = proposal.q_weights.copy()
                     q[rng.random(len(q)) < 0.5] = 0.0
                     q[rng.integers(len(q))] = proposal.q_weights.max()
-                    proposal = OracleProposal(proposal.candidates, q, proposal.q_current)
+                    proposal = OracleProposal(proposal.candidates, q, proposal.q_current,
+                                              proposal.on_subset)
                 # the exact oracle's enumeration filled the memo for these rows
                 serial.oracle_order = weight_mode == "exact"
                 reproposed += state[slot] in proposal.candidates
                 zero_q += int(np.sum(proposal.q_weights == 0))
-                if mode != "single_try":
-                    got = _multi_try_weights(state, slot, subset, proposal, stacked)
-                    want = serial_multi_try_weights(state, slot, subset, proposal, serial)
-                    assert got[0] == want[0] and got[2] == want[2]
-                    assert bits(got[1]) == bits(want[1]) and bits(got[3]) == bits(want[3])
+                got = _multi_try_weights(state, slot, subset, proposal, stacked)
+                want = serial_multi_try_weights(state, slot, subset, proposal, serial)
+                assert got[0] == want[0] and got[2] == want[2]
+                assert bits(got[1]) == bits(want[1]) and bits(got[3]) == bits(want[3])
                 a, b, c = rng_copy(rng), rng_copy(rng), rng_copy(rng)
                 result = UPDATES[mode](state, slot, subset, stacked.data, None, cfg, a,
                                        stacked, proposal)
@@ -812,7 +875,7 @@ class TestStackedScorer:
                     stacked.full(result.state.concepts), serial.full(result.state.concepts))
                 assert bits(lml) == bits(ref_lml) and bits(theta) == bits(ref_theta)
                 state, rng = result.state, a
-        assert reproposed > 0 and zero_q > 0
+        assert reproposed > 0 and (zero_q > 0 or m == 1)
 
     @pytest.mark.parametrize("mode", ["multi_try", "warm_start", "single_try"])
     def test_out_of_range_subset_rejected(self, monkeypatch, mode):
@@ -820,7 +883,7 @@ class TestStackedScorer:
         oracle = make_oracle(data)
         gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
         state = ConceptSet(data.pool_concepts[i].concept for i in (5, 7))
-        cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=4)
+        cfg = mode_config(mode, 4)
         hand_built = OracleProposal([data.pool_concepts[j].concept for j in (2, 3)],
                                     np.array([0.5, 0.5]), 0.5)
         shapes = solve_shapes(monkeypatch)
@@ -852,13 +915,16 @@ class TestSubsetSolves:
         assert subset_stacks == [9] * len(trace.samples) == [9] * 2 * (6 + warm)
         assert trace.acceptance_count > 0 and {rows for _, rows in shapes} == {20, 40}
 
-    def test_uniform_chain_keeps_subset_solves(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["single_try", "multi_try"])
+    def test_uniform_chain_makes_no_subset_solves(self, monkeypatch, mode):
+        # a uniform q does not depend on the subset rows, so the tries are
+        # weighed by their full-data fits alone
         data = make_pool_dataset(n=40, seed=21)
         shapes = solve_shapes(monkeypatch)
-        trace = pool_chain(data, "uniform", "multi_try",
-                           dict(k=2, t_epochs=2, m_candidates=4, seed=1))
-        assert sum(rows == 20 for _, rows in shapes) == len(trace.samples) == 6
-        assert {rows for _, rows in shapes} == {20, 40}
+        trace = pool_chain(data, "uniform", mode,
+                           dict(k=2, t_epochs=4, m_candidates=4, seed=1))
+        assert {rows for _, rows in shapes} == {40}
+        assert trace.acceptance_count > 0
 
     def test_subset_memo_is_kept_for_the_rows_and_reset_by_new_rows(self, monkeypatch):
         data, concepts, state, _, _ = make_env(7, n_concepts=4)
