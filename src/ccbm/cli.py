@@ -27,12 +27,12 @@ from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
 from .keyphrase import (KeyphraseSummary, build_bow, fit_keyphrase_model,
                         summarize_top_keyphrases)
 from .llm import LLMConfig, LLMOracle
-from .model import OptimizationError, PosteriorSample, sigmoid_predict_many
+from .model import OptimizationError, PosteriorSample, sigmoid_predict_many, stack_designs
 # ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
 # bench/tracing.py wraps them by name
 from .model import posterior_predictive, sigmoid_predict  # noqa: F401
 from .oracle import (AnnotationCache, ConceptOracle, Observation, OracleError,
-                     PoolConcept, PoolOracle)
+                     PoolConcept, PoolOracle, apply_block)
 from .sampler import (OracleFailure, SamplerConfig, gibbs_data_from_oracle,
                       load_checkpoint, run_gibbs, subset_size)
 from .synthetic import SyntheticSpec, clinical_spec, generate_synthetic
@@ -53,6 +53,22 @@ def _read_json(path: Path, what: str):
         return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _object(value, what: str) -> dict:
+    """value, which must be a JSON object; anything else raises ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _make_dir(path: Path):
+    """Create the directory path and its parents; one that cannot be created
+    raises ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {path}: {exc}") from exc
 
 
 def _open_output(path):
@@ -79,12 +95,12 @@ class RunConfig:
 
     @staticmethod
     def load(path: Path, overrides: Optional[dict] = None) -> "RunConfig":
-        raw = _read_json(path, "config")
+        raw = _object(_read_json(path, "config"), f"config {path}")
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
             if key in ("seed", "t_epochs", "m_candidates", "omega", "mode", "k", "gamma"):
-                raw.setdefault("sampler", {})[key] = value
+                _object(raw.setdefault("sampler", {}), "sampler config")[key] = value
             else:
                 raw[key] = value
         try:
@@ -97,7 +113,7 @@ class RunConfig:
         dataset = Path(raw["dataset"])
         if not dataset.exists():
             raise ConfigError(f"dataset file {dataset} does not exist")
-        oracle = raw["oracle"]
+        oracle = _object(raw["oracle"], "oracle config")
         if oracle.get("type") not in ("pool", "llm"):
             raise ConfigError("oracle.type must be 'pool' or 'llm'")
         return RunConfig(
@@ -105,7 +121,7 @@ class RunConfig:
             output_dir=Path(raw["output_dir"]),
             oracle=oracle,
             sampler=sampler,
-            keyphrase=raw.get("keyphrase", {}),
+            keyphrase=_object(raw.get("keyphrase", {}), "keyphrase config"),
             truth=raw.get("truth"),
         )
 
@@ -279,7 +295,8 @@ def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
     """Residual-model summary on the conditioning subset, for LLM proposals."""
     def provider(concepts, subset):
         rows = np.asarray(subset, dtype=int)
-        design = np.column_stack(data.columns(concepts))[rows]
+        # the concept columns: the keyphrase model adds its own intercept
+        design = data.designs([concepts], rows)[0, :, :-1]
         sub_bags = [bags[i] for i in rows]
         try:
             vocab, bow = build_bow(sub_bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
@@ -297,11 +314,8 @@ def cmd_run(args) -> int:
     }
     cfg = RunConfig.load(args.config, overrides)
     run_dir = cfg.output_dir
-    try:
-        for sub in ("cache", "checkpoints", "reports"):
-            (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {run_dir}: {exc}") from exc
+    for sub in ("cache", "checkpoints", "reports"):
+        _make_dir(run_dir / sub)
     lock = _acquire_lock(run_dir)
     started = time.time()
     try:
@@ -385,7 +399,8 @@ def cmd_run(args) -> int:
 
 def _recovery_for_run(samples: list[ConceptSet], truth: ConceptSet, data):
     concepts = list({c.id: c for cs in [*samples, truth] for c in cs}.values())
-    panel = {c.id: col for c, col in zip(concepts, data.columns(concepts))}
+    # contiguous copies: a strided column can be summed in another order
+    panel = dict(zip([c.id for c in concepts], data.designs([concepts])[0, :, :-1].T.copy()))
     return recovery_report(samples, truth, ConceptMatchRule(), panel)
 
 
@@ -394,20 +409,17 @@ def _recovery_for_run(samples: list[ConceptSet], truth: ConceptSet, data):
 
 
 def _load_samples(path: Path) -> list[PosteriorSample]:
-    """The records of samples.jsonl, parsed by one json.loads of its lines
-    joined into an array.
+    """The records of samples.jsonl, parsed as one block by apply_block: a
+    corrupt line raises ConfigError naming path:line.
 
-    If that fails, the lines are parsed again one at a time, and the first
-    corrupt one raises ConfigError naming path:line. The file is written
-    atomically, so a torn last line means it is damaged: it is reported like
-    any other corrupt line, and the file is left as it is.
+    The file is written atomically, so a torn last line means it is damaged:
+    it is reported like any other corrupt line, and the file is left as it is.
     """
     try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    lines = [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1)
-             if line.strip()]
+    samples: list[PosteriorSample] = []
     # one ConceptSet per distinct concept list: a chain repeats its state
     sets: dict[tuple[str, ...], ConceptSet] = {}
 
@@ -420,18 +432,14 @@ def _load_samples(path: Path) -> list[PosteriorSample]:
             raise ValueError("theta must hold one coefficient per concept and an intercept")
         return s
 
+    if data and not data.endswith(b"\n"):
+        data += b"\n"  # a torn last line, terminated to be parsed and so reported
     try:
-        records = json.loads("[" + ",".join(line for _, line in lines) + "]")
-        if len(records) == len(lines):
-            return [sample(d) for d in records]
-    except (AttributeError, KeyError, TypeError, ValueError):
-        pass
-    samples = []
-    for lineno, line in lines:
-        try:
-            samples.append(sample(json.loads(line)))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: corrupt posterior sample: {exc!r}") from exc
+        # a block that fails adds nothing: the whole list is built first
+        apply_block(path, data, 0, lambda records: samples.extend([sample(d) for d in records]),
+                    "posterior sample")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return samples
 
 
@@ -469,16 +477,18 @@ def _posterior_records(samples):
     return list(sets), records, record_of
 
 
-def _record_probabilities(records, designs) -> np.ndarray:
-    """Every record's plug-in probability on every row, as an (n, U) matrix:
-    one product per concept set, over that set's (n, d) design."""
+def _record_probabilities(records, record_of, designs) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's plug-in probability on every row, as an (n, U) matrix
+    (one product per concept set, over its design in the stack), and every
+    row's ensemble probability, the mean of its (n, S) row of samples, summed
+    as posterior_predictive sums them. predict and eval both score here."""
     members = [[] for _ in designs]
     for u, (g, _) in enumerate(records):
         members[g].append(u)
-    probs = np.empty((designs[0].shape[0], len(records)))
+    probs = np.empty((designs.shape[1], len(records)))
     for cols, X in zip(members, designs):
         probs[:, cols] = sigmoid_predict_many(X, np.array([records[u][1] for u in cols]))
-    return probs
+    return probs, np.mean(np.take(probs, record_of, axis=1), axis=1)
 
 
 def _annotate_rows(oracle, observations, concepts) -> tuple[np.ndarray, dict[int, str]]:
@@ -525,12 +535,8 @@ def cmd_predict(args) -> int:
     values, errors = _annotate_rows(oracle, observations, concepts)
     sets, records, record_of = _posterior_records(samples)
     set_columns = [[column[c.id] for c in cs] for cs in sets]
-    ones = np.ones((len(observations), 1))
-    probs = _record_probabilities(
-        records, [np.hstack([values[:, cols], ones]) for cols in set_columns])
-    # the (n, S) matrix of every sample's probability, row-major like the one
-    # scored sample by sample: its layout sets the order np.mean sums in
-    ensemble = np.mean(np.take(probs, record_of, axis=1), axis=1)
+    probs, ensemble = _record_probabilities(records, record_of,
+                                            stack_designs(values, set_columns))
 
     # Lines are written one at a time. Each value of a row is encoded once, as
     # its repr, which is how json.dumps writes a finite float (oracle values lie
@@ -568,10 +574,8 @@ def cmd_eval(args) -> int:
 
     data = gibbs_data_from_oracle(observations, labels, oracle)
     sets, records, record_of = _posterior_records(samples)
-    probs = np.take(_record_probabilities(records, data.designs(sets)), record_of, axis=1)
+    _, scores = _record_probabilities(records, record_of, data.designs(sets))
     frequencies = support_frequencies([s.concept_set for s in samples])
-    # (S, n) layout, averaged over samples in sample order
-    scores = np.ascontiguousarray(probs.T).mean(axis=0)
     report = {
         "n": len(observations),
         "auc": auc(scores, labels),
@@ -590,7 +594,7 @@ def cmd_eval(args) -> int:
         recovery = _recovery_for_run([s.concept_set for s in samples], truth, data)
         report["recovery"] = recovery.to_dict()
     out = run_dir / "reports" / "metrics.json"
-    out.parent.mkdir(exist_ok=True)
+    _make_dir(out.parent)
     _atomic_write(out, json.dumps(report, indent=2))
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -602,10 +606,7 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {out}: {exc}") from exc
+    _make_dir(out)
     if args.clinical:
         spec = clinical_spec(args.n, seed=args.seed, n_decoys=args.n_decoys)
     else:

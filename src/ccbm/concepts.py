@@ -30,6 +30,9 @@ class Concept:
     id: str = field(default="", compare=True)
 
     def __post_init__(self):
+        if not isinstance(self.question, str):
+            raise TypeError("concept question must be a string, not "
+                            + type(self.question).__name__)
         if not self.question.strip():
             raise ValueError("concept question must be non-empty")
         if not self.id:

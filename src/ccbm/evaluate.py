@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
-from .model import AnnotationMatrix, ModelConfig, log_marginal_likelihoods, logsumexp
+from .model import ModelConfig, log_marginal_likelihoods, logsumexp, stack_designs
 
 ENUMERATION_CHUNK = 1024  # supports per stacked solve; bounds the (E, n, d) design stack
 
@@ -193,10 +193,10 @@ def enumerate_posterior(pool: Sequence[Concept], k: int, y: np.ndarray,
                         budget: int = 100_000) -> dict[frozenset[str], float]:
     """Exact posterior over unordered k-subsets of the pool, uniform prior.
 
-    Uses the Laplace log marginal likelihood for each support and normalizes
-    in log space. Supports are scored in stacked solves of at most
-    ENUMERATION_CHUNK designs, each bit-identical to fitting it alone.
-    Refuses when the number of supports exceeds the budget.
+    Uses the Laplace log marginal likelihood for each support, its concepts
+    in pool order, and normalizes in log space. Supports are scored in
+    stacked solves of at most ENUMERATION_CHUNK designs. Refuses when the
+    number of supports exceeds the budget.
     """
     n_support = math.comb(len(pool), k)
     if n_support > budget:
@@ -205,24 +205,16 @@ def enumerate_posterior(pool: Sequence[Concept], k: int, y: np.ndarray,
     annotations = np.asarray(annotations, dtype=float)
     if annotations.ndim != 2 or annotations.shape[1] != len(pool):
         raise ValueError("annotations need one column per pool concept")
+    if not np.all((annotations >= 0.0) & (annotations <= 1.0)):
+        raise ValueError("concept annotation values must lie in [0, 1]")
     y = np.asarray(y, dtype=float)
-    row_ids = tuple(str(i) for i in range(annotations.shape[0]))
     cfg = ModelConfig(gamma=gamma, k=k)
-    phi = AnnotationMatrix.build(annotations, row_ids).values
     combos = list(itertools.combinations(range(len(pool)), k))
     if not combos:
         return {}
-    # Each support's design is its concept columns, then the intercept (phi's
-    # last column). A design's memory layout changes the rounding of its
-    # products, so each one is laid out as AnnotationMatrix.build(annotations[:, combo])
-    # lays it out: column-major, or row-major when k = 1 (numpy's choice for
-    # blocks of one column, which are both).
-    columns = np.array([combo + (len(pool),) for combo in combos])
     log_probs = []
     for start in range(0, len(combos), ENUMERATION_CHUNK):
-        X = phi.T[columns[start:start + ENUMERATION_CHUNK]].transpose(0, 2, 1)
-        if k == 1:
-            X = np.ascontiguousarray(X)
+        X = stack_designs(annotations, combos[start:start + ENUMERATION_CHUNK])
         log_probs.append(log_marginal_likelihoods(X, y, cfg.gamma)[0])
     log_probs = np.concatenate(log_probs)
     log_z = logsumexp(log_probs)

@@ -8,7 +8,7 @@ inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +46,19 @@ class ModelConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
+def stack_designs(table: np.ndarray, columns: Sequence[Sequence[int]],
+                  rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """The row-major (E, n, K+1) stack of E designs: each list's K columns of
+    the (n, C) annotation table in its order, then the intercept column; with
+    rows, only those rows. Every design the program fits or scores is laid
+    out here, since a design's layout sets the rounding of its products."""
+    columns = np.asarray(columns, dtype=int)
+    table = table if rows is None else table[rows]
+    X = np.ones((columns.shape[0], table.shape[0], columns.shape[1] + 1))
+    X[:, :, :-1] = table[:, columns].transpose(1, 0, 2)
+    return X
+
+
 @dataclass
 class AnnotationMatrix:
     """n x (K+1) design of concept extraction values plus an intercept column.
@@ -78,10 +91,8 @@ class AnnotationMatrix:
 
     @staticmethod
     def build(concept_values: np.ndarray, row_ids: Sequence[str]) -> "AnnotationMatrix":
-        concept_values = np.atleast_2d(np.asarray(concept_values, dtype=float))
-        ones = np.ones((concept_values.shape[0], 1))
-        return AnnotationMatrix(values=np.hstack([concept_values, ones]),
-                                row_ids=tuple(row_ids))
+        values = np.atleast_2d(np.asarray(concept_values, dtype=float))
+        return AnnotationMatrix(stack_designs(values, [range(values.shape[1])])[0], tuple(row_ids))
 
 
 @dataclass
@@ -368,11 +379,7 @@ def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
 
     The designs share the labels y and the N(0, gamma^2 I) prior; the caller
     has validated their values (see AnnotationMatrix). Returns the log
-    marginals (E,), the MAP coefficients (E, d) and log det H (E,). Each
-    design's results are bit-identical to fitting it alone only when the lone
-    design has the same memory layout as its slice of the stack: a row-major
-    copy of a column-major design holds the same values yet can change the
-    results in their last bits.
+    marginals (E,), the MAP coefficients (E, d) and log det H (E,).
     """
     d = X.shape[2]
     designs = _Designs(X, y, gamma)

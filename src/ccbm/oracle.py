@@ -103,13 +103,9 @@ def read_log(path: Path, apply: Callable[[list], None], what: str):
     """Pass the records of an append-only NDJSON log to apply, one block of
     complete lines at a time, then cut off an unterminated last line.
 
-    Each block of about LOG_BLOCK_BYTES is parsed by one json.loads of its
-    lines joined into an array. A block that does not parse, parses to
-    another number of records than it has lines, or holds a record apply
-    rejects (KeyError, TypeError, ValueError) is parsed again line by line:
-    blank lines are skipped and the first corrupt line raises ValueError
-    naming path:line. An unterminated last line, left by a torn append, is
-    dropped and cut off, so the next append starts on a fresh line.
+    Blocks are about LOG_BLOCK_BYTES, parsed by apply_block. An unterminated
+    last line, left by a torn append, is dropped and cut off, so the next
+    append starts on a fresh line.
     """
     complete, lineno, tail = 0, 0, b""
     with open(path, "rb") as fh:
@@ -118,7 +114,7 @@ def read_log(path: Path, apply: Callable[[list], None], what: str):
             end = block.rfind(b"\n") + 1
             block, tail = block[:end], block[end:]
             if block:
-                _apply_block(path, block, lineno, apply, what)
+                apply_block(path, block, lineno, apply, what)
                 lineno += block.count(b"\n")
                 complete += end
     if tail:
@@ -126,7 +122,14 @@ def read_log(path: Path, apply: Callable[[list], None], what: str):
             fh.truncate(complete)
 
 
-def _apply_block(path: Path, block: bytes, lines_before: int, apply, what: str):
+def apply_block(path: Path, block: bytes, lines_before: int,
+                apply: Callable[[list], None], what: str):
+    """Pass the records of block (complete NDJSON lines of path, after its
+    first lines_before lines) to apply, parsed by one json.loads of the lines
+    joined into an array. If that fails, or apply rejects a record (KeyError,
+    TypeError, ValueError), the lines are passed again one at a time, so apply
+    should keep nothing from a call that raises; blank lines are skipped and
+    the first corrupt one raises ValueError naming path:line."""
     try:
         text = block.decode("utf-8")
         records = json.loads("[" + text[:-1].replace("\n", ",") + "]")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .concepts import Concept, ConceptSet
 from .model import (AnnotationMatrix, PosteriorSample, log_marginal_likelihoods,
-                    logsumexp)
+                    logsumexp, stack_designs)
 # ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
 from .model import log_marginal_likelihood  # noqa: F401
 from .oracle import ConceptOracle, OracleError, OracleProposal, append_lines, read_log
@@ -59,8 +59,8 @@ class GibbsData:
 
     Keeps one (n, C) table of concept columns with an id -> column index,
     filled by column_fn only for concepts not stored yet; designs(concept_sets)
-    gathers stored columns and appends the intercept column. Columns past the
-    last indexed one are unused capacity.
+    lays stored columns out through stack_designs. Columns past the last
+    indexed one are unused capacity.
     """
 
     def __init__(self, labels: np.ndarray, row_ids: Sequence[str],
@@ -96,25 +96,17 @@ class GibbsData:
             self._table[:, start:stop] = columns
             self._index.update((c.id, j) for j, c in enumerate(missing, start))
 
-    def columns(self, concepts: Sequence[Concept]) -> list[np.ndarray]:
-        """The stored n-vector of each concept, filling any not stored yet."""
-        self.fill(concepts)
-        return list(self._table[:, [self._index[c.id] for c in concepts]].T.copy())
-
     def designs(self, concept_sets: Sequence[Sequence[Concept]],
                 rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """The (E, n, K+1) stack of the designs of E concept sets of one size K:
-        each set's stored columns in its order, then the intercept column.
+        """The (E, n, K+1) stack_designs stack of E concept sets of one size
+        K, from their stored columns; any not stored yet are filled first.
         With rows, only those rows of each design."""
         try:
             columns = [[self._index[c.id] for c in concepts] for concepts in concept_sets]
         except KeyError:
             self.fill([c for concepts in concept_sets for c in concepts])
             columns = [[self._index[c.id] for c in concepts] for concepts in concept_sets]
-        table = self._table if rows is None else self._table[rows]
-        X = np.ones((len(columns), table.shape[0], len(columns[0]) + 1))
-        X[:, :, :-1] = table[:, columns].transpose(1, 0, 2)
-        return X
+        return stack_designs(self._table, columns, rows)
 
     # bench/tracing.py wraps phi by name
     def phi(self, concepts: Sequence[Concept]) -> AnnotationMatrix:

@@ -113,14 +113,15 @@ def reference_predictions(run_dir, input_path) -> bytes:
 
 
 def reference_metrics(run_dir) -> str:
-    """metrics.json without --truth as the per-row loop wrote it: an (S, n)
-    matrix of sigmoid_predict, averaged over samples."""
+    """metrics.json without --truth as the per-row loop wrote it: one
+    posterior_predictive per row, the reference reference_predictions uses."""
     cfg, samples = load_posterior(run_dir)
     observations, labels = cli.load_dataset(cfg.dataset)
     oracle = cli.build_oracle(cfg, observations, AnnotationCache())
     data = cli.gibbs_data_from_oracle(observations, labels, oracle)
-    scores = np.mean([[sigmoid_predict(s.theta, row)
-                       for row in data.phi(s.concept_set).values] for s in samples], axis=0)
+    designs = [data.phi(s.concept_set).values for s in samples]
+    scores = np.array([posterior_predictive(samples, [X[i] for X in designs])
+                       for i in range(len(observations))])
     return json.dumps({"n": len(observations), "auc": auc(scores, labels),
                        "brier": brier(scores, labels),
                        "support_frequencies": {
@@ -244,6 +245,21 @@ class TestRunErrors:
         config = write_config(workspace, tmp_path / "run",
                               sampler=dict(SAMPLER, omega=2.0))
         assert cli.main(["run", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("edit, argv, what", [
+        (lambda config: dict(config, oracle="pool"), [], "oracle config must be a JSON object"),
+        (lambda config: dict(config, keyphrase=["min_df"]), [],
+         "keyphrase config must be a JSON object"),
+        (lambda config: [1], ["--seed", "3"], "must be a JSON object, not list")],
+        ids=["oracle", "keyphrase", "top-level"])
+    def test_config_of_the_wrong_shape(self, workspace, tmp_path, capsys, edit, argv, what):
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir)
+        config.write_text(json.dumps(edit(json.loads(config.read_text()))))
+        assert cli.main(["run", "--config", str(config), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and what in err and "Traceback" not in err
+        assert not (run_dir / ".lock").exists()
 
     def test_lock_conflict(self, workspace, finished_run, tmp_path):
         # a lock held by a live process is refused, with or without --resume
@@ -439,6 +455,13 @@ class TestLLMRunCounts:
         assert results[True][0] == results[False][0]
 
 
+def int_question(line: bytes) -> bytes:
+    """The chain-log line with its state's first question replaced by an int."""
+    record = json.loads(line)
+    record["state"][0]["question"] = 7
+    return json.dumps(record).encode()
+
+
 class TestKillResume:
     def test_interrupt_then_resume_matches_uninterrupted(
             self, workspace, finished_run, monkeypatch):
@@ -538,7 +561,9 @@ class TestKillResume:
         (lambda lines: lines[:1] + [b"{not json"] + lines[2:], "chain.log:2: corrupt"),
         (lambda lines: lines[:1] + [b'{"epoch": 1}'] + lines[2:], "chain.log:2: corrupt"),
         (lambda lines: lines[:2] + lines[3:], "chain.log:3: corrupt chain epoch: "
-                                              "epoch 3 where epoch 2 belongs")])
+                                              "epoch 3 where epoch 2 belongs"),
+        (lambda lines: lines[:1] + [int_question(lines[1])] + lines[2:],
+         "chain.log:2: corrupt chain epoch: concept question must be a string, not int")])
     def test_corrupt_or_gapped_log_exits_2_naming_the_line(
             self, workspace, finished_run, tmp_path, capsys, edit, message):
         lines = (finished_run / "checkpoints" / "chain.log").read_bytes().splitlines()
@@ -738,6 +763,20 @@ class TestEval:
         assert cli.main(["eval", "--run", str(run_dir)]) == 0
         assert (run_dir / "reports" / "metrics.json").read_text() == reference_metrics(run_dir)
 
+    def test_scores_equal_predict_probabilities(self, workspace, many_sets_run, tmp_path,
+                                                monkeypatch):
+        """eval scores each training row as predict does, bit for bit, on a run
+        with many distinct records."""
+        _, samples = cli._load_run(many_sets_run)
+        assert len(cli._posterior_records(samples)[1]) > 20
+        got = predict(many_sets_run, workspace / "data" / "dataset.ndjson", tmp_path / "p")
+        scored = []
+        monkeypatch.setattr(cli, "brier",
+                            lambda scores, labels: scored.append(scores) or brier(scores, labels))
+        assert cli.main(["eval", "--run", str(many_sets_run)]) == 0
+        assert [json.loads(line)["probability"] for line in got.splitlines()] == \
+            scored[0].tolist()
+
     def test_support_reached_in_several_orders_sums_its_frequencies(self, many_sets_run):
         assert cli.main(["eval", "--run", str(many_sets_run)]) == 0
         _, samples = cli._load_run(many_sets_run)
@@ -858,6 +897,15 @@ class TestCorruptSamples:
         assert not (tmp_path / "o.ndjson").exists()
 
 
+def run_with_reports_file(run_dir, tmp):
+    """A copy of the run at tmp/run whose reports path is a regular file."""
+    copy = tmp / "run"
+    shutil.copytree(run_dir, copy)
+    shutil.rmtree(copy / "reports")
+    (copy / "reports").write_text("a file, not a directory")
+    return copy
+
+
 UNUSABLE_PATHS = {
     "predict-input": lambda ws, run, tmp: (
         ["predict", "--run", run, "--input", tmp / "missing.ndjson", "--output", tmp / "o"],
@@ -878,6 +926,8 @@ UNUSABLE_PATHS = {
     "extract-keyphrases-input": lambda ws, run, tmp: (
         ["extract-keyphrases", "--config", ws / "run-main-config.json",
          "--input", tmp / "missing.ndjson", "--output", tmp / "o"], tmp / "missing.ndjson"),
+    "eval-reports": lambda ws, run, tmp: (
+        ["eval", "--run", run_with_reports_file(run, tmp)], tmp / "run" / "reports"),
     "eval-truth": lambda ws, run, tmp: (
         ["eval", "--run", run, "--truth", tmp / "missing.json"], tmp / "missing.json"),
     "run-output-dir": lambda ws, run, tmp: (

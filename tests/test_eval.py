@@ -15,7 +15,8 @@ from ccbm.evaluate import (ConceptMatchRule, InconclusiveMatchError,
                            MetricUndefinedError, auc, brier, concepts_match,
                            enumerate_posterior, predictive_entropy,
                            recovery_report, support_frequencies, tv_distance)
-from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
+from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood, logsumexp
+from ccbm.sampler import GibbsData, _MarginalCache
 
 from conftest import make_pool_dataset
 
@@ -328,6 +329,31 @@ class TestEnumeratePosterior:
         want = self.per_support_reference(*args)
         assert list(got) == list(want)
         assert [got[s] for s in want] == list(want.values())  # bit for bit
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_chains_full_data_fits(self, pool_dataset, k):
+        """Each support scores as the chain's memo fits it, bit for bit: the
+        design layout is the chain's."""
+        pool = [pc.concept for pc in pool_dataset.pool_concepts]
+        index = {c.id: j for j, c in enumerate(pool)}
+        data = GibbsData(pool_dataset.labels, [o.id for o in pool_dataset.observations],
+                         lambda concepts: pool_dataset.annotations[
+                             :, [index[c.id] for c in concepts]])
+        marginals = _MarginalCache(data, 1.0)
+        combos = list(itertools.combinations(range(len(pool)), k))
+        log_probs = np.array([marginals.full([pool[j] for j in combo])[0] for combo in combos])
+        log_z = logsumexp(log_probs)
+        want = {frozenset(pool[j].id for j in combo): float(np.exp(lp - log_z))
+                for combo, lp in zip(combos, log_probs)}
+        got = enumerate_posterior(pool, k, pool_dataset.labels, pool_dataset.annotations, 1.0)
+        assert list(got.items()) == list(want.items())
+
+    def test_values_outside_the_unit_interval_rejected(self, pool_dataset):
+        pool = [pc.concept for pc in pool_dataset.pool_concepts]
+        annotations = pool_dataset.annotations.copy()
+        annotations[3, 2] = np.nan
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            enumerate_posterior(pool, 2, pool_dataset.labels, annotations, gamma=1.0)
 
     def test_k_above_pool_size_is_empty(self, pool_dataset):
         pool = [pc.concept for pc in pool_dataset.pool_concepts][:3]
