@@ -9,6 +9,7 @@ output is reproducible from (config, seed, frozen cache).
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import operator
 import os
@@ -62,6 +63,14 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _questions(value, what: str) -> Optional[list[str]]:
+    """value if it is None or a list of strings; anything else raises ConfigError."""
+    if value is not None and not (isinstance(value, list)
+                                  and all(isinstance(q, str) for q in value)):
+        raise ConfigError(f"{what} must be a list of concept questions")
+    return value
+
+
 def _make_dir(path: Path):
     """Create the directory path and its parents; one that cannot be created
     raises ConfigError naming it."""
@@ -110,6 +119,9 @@ class RunConfig:
         for field in ("dataset", "output_dir", "oracle"):
             if field not in raw:
                 raise ConfigError(f"config is missing the {field!r} field")
+        for field in ("dataset", "output_dir"):
+            if not isinstance(raw[field], str):
+                raise ConfigError(f"{field} must be a path, not {type(raw[field]).__name__}")
         dataset = Path(raw["dataset"])
         if not dataset.exists():
             raise ConfigError(f"dataset file {dataset} does not exist")
@@ -122,7 +134,7 @@ class RunConfig:
             oracle=oracle,
             sampler=sampler,
             keyphrase=_object(raw.get("keyphrase", {}), "keyphrase config"),
-            truth=raw.get("truth"),
+            truth=_questions(raw.get("truth"), "config field 'truth'"),
         )
 
     def to_dict(self) -> dict:
@@ -201,6 +213,21 @@ def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> Concep
         raise ConfigError(str(exc)) from exc
 
 
+def _truth_concepts(questions: list[str], oracle: ConceptOracle) -> ConceptSet:
+    """The true concepts that questions name: pool concepts, in pool order, on
+    a pool run, and new concepts otherwise. An empty list, or a question that
+    is not in the pool, raises ConfigError naming it."""
+    if not questions:
+        raise ConfigError("truth must name at least one concept question")
+    if not isinstance(oracle, PoolOracle):
+        return ConceptSet(Concept(q) for q in questions)
+    pooled = {pc.concept.question: pc.concept for pc in oracle.pool}
+    missing = [q for q in questions if q not in pooled]
+    if missing:
+        raise ConfigError(f"truth questions not in the concept pool: {missing}")
+    return ConceptSet(c for q, c in pooled.items() if q in questions)
+
+
 # ---------------------------------------------------------------------------
 # run pipeline
 
@@ -222,34 +249,24 @@ def _open_cache(run_dir: Path) -> AnnotationCache:
 
 
 def _acquire_lock(run_dir: Path):
-    """Create run_dir/.lock holding this process's pid, atomically.
-
-    A lock whose recorded pid is no longer alive was left by a run that died,
-    and is taken over. A lock held by a live pid, or one that names no
-    process, is refused.
-    """
+    """An exclusive flock on run_dir/.lock, held until the returned file is
+    closed or this process exits, however it exits. The file holds the pid
+    for people to read, and stays: unlinking it would let a waiter lock the
+    orphaned inode while another run locks a new file."""
     lock = run_dir / ".lock"
-    while True:
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-            break
-        except FileExistsError:
-            pass
-        try:
-            # signal 0 only checks; a pid <= 0 names a process group and is refused
-            os.kill(int(lock.read_text()), 0)
-        except FileNotFoundError:
-            continue  # released meanwhile
-        except ProcessLookupError:
-            lock.unlink(missing_ok=True)
-            continue
-        except (OSError, ValueError, OverflowError):
-            pass  # alive under another user, or no pid
-        raise ConfigError(f"run directory {run_dir} is locked by another run; remove {lock} "
-                          "if no run is using the directory")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(str(os.getpid()))
-    return lock
+    try:
+        fh = open(lock, "a+")
+    except OSError as exc:
+        raise ConfigError(f"cannot open the run lock {lock}: {exc}") from exc
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        fh.close()
+        raise ConfigError(f"run directory {run_dir} is locked by another run") from None
+    fh.truncate(0)
+    fh.write(str(os.getpid()))
+    fh.flush()
+    return fh
 
 
 def _load_resume(checkpoint: Path, sampler: SamplerConfig) -> dict:
@@ -329,6 +346,7 @@ def cmd_run(args) -> int:
             raise ConfigError(f"dataset {cfg.dataset} is too small: {exc}") from exc
         cache = _open_cache(run_dir)
         oracle = build_oracle(cfg, observations, cache)
+        truth = _truth_concepts(cfg.truth, oracle) if cfg.truth is not None else None
 
         bags = oracle.extract_keyphrases(observations)
         summary = _fit_initial_summary(bags, labels, cfg.keyphrase, cfg.sampler.seed)
@@ -381,10 +399,7 @@ def cmd_run(args) -> int:
         }
         _atomic_write(run_dir / "manifest.json", json.dumps(manifest, indent=2))
 
-        if cfg.truth and cfg.oracle["type"] == "pool":
-            pool = load_pool(cfg.oracle["pool"])
-            truth = ConceptSet(pc.concept for pc in pool
-                               if pc.concept.question in cfg.truth)
+        if truth is not None and isinstance(oracle, PoolOracle):
             posterior_sets = [s.concept_set for s in trace.posterior_samples()]
             report = _recovery_for_run(posterior_sets, truth, data)
             _atomic_write(run_dir / "reports" / "recovery.json",
@@ -394,7 +409,7 @@ def cmd_run(args) -> int:
         print(f"oracle failure: {exc}; checkpoint at {exc.checkpoint}", file=sys.stderr)
         return EXIT_ORACLE
     finally:
-        lock.unlink(missing_ok=True)
+        lock.close()
 
 
 def _recovery_for_run(samples: list[ConceptSet], truth: ConceptSet, data):
@@ -571,6 +586,9 @@ def cmd_eval(args) -> int:
     observations, labels = load_dataset(cfg.dataset)
     cache = _open_cache(run_dir)
     oracle = build_oracle(cfg, observations, cache)
+    truth = (_truth_concepts(_questions(_read_json(args.truth, "truth file"),
+                                        f"truth file {args.truth}"), oracle)
+             if args.truth else None)
 
     data = gibbs_data_from_oracle(observations, labels, oracle)
     sets, records, record_of = _posterior_records(samples)
@@ -585,12 +603,7 @@ def cmd_eval(args) -> int:
             " | ".join(sorted(c.question for c in cs)): frequencies[cs.id_set()]
             for cs in sets},
     }
-    if args.truth:
-        truth_questions = _read_json(args.truth, "truth file")
-        pool = load_pool(cfg.oracle["pool"]) if cfg.oracle["type"] == "pool" else []
-        truth = ConceptSet([pc.concept for pc in pool
-                            if pc.concept.question in truth_questions]
-                           or [Concept(q) for q in truth_questions])
+    if truth is not None:
         recovery = _recovery_for_run([s.concept_set for s in samples], truth, data)
         report["recovery"] = recovery.to_dict()
     out = run_dir / "reports" / "metrics.json"

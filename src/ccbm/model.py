@@ -76,7 +76,7 @@ class AnnotationMatrix:
         if self.values.shape[0] != len(self.row_ids):
             raise ValueError("row_ids must align with matrix rows")
         concept_cols = self.values[:, :-1]
-        if concept_cols.size and (concept_cols.min() < 0 or concept_cols.max() > 1):
+        if not np.all((concept_cols >= 0.0) & (concept_cols <= 1.0)):
             raise ValueError("concept annotation values must lie in [0, 1]")
         if self.values.size and not np.all(self.values[:, -1] == 1.0):
             raise ValueError("intercept column must be all ones")

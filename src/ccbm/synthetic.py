@@ -6,8 +6,8 @@ keyword-matching pool oracles and LLM oracles can both run on the same files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class SyntheticSpec:
     coefficients: list[float]
     intercept: float = 0.0
     feature_probs: float | Sequence[float] = 0.5
-    feature_correlations: Optional[np.ndarray] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -50,21 +49,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     rng = np.random.default_rng(spec.seed)
     p_count = len(spec.pool)
     probs = np.broadcast_to(np.asarray(spec.feature_probs, dtype=float), (p_count,))
-
-    if spec.feature_correlations is not None:
-        # Gaussian copula: correlated latent normals thresholded at each
-        # feature's marginal quantile. scipy is loaded here only, so no other
-        # path pays for importing it.
-        from scipy.special import ndtri
-
-        corr = np.asarray(spec.feature_correlations, dtype=float)
-        if corr.shape != (p_count, p_count):
-            raise ValueError("correlation matrix must be pool-size square")
-        latent = rng.multivariate_normal(np.zeros(p_count), corr, size=spec.n,
-                                         method="cholesky")
-        features = (latent < ndtri(probs)[None, :]).astype(float)
-    else:
-        features = (rng.random((spec.n, p_count)) < probs[None, :]).astype(float)
+    features = (rng.random((spec.n, p_count)) < probs[None, :]).astype(float)
 
     logits = spec.intercept + features[:, spec.true_support] @ np.asarray(spec.coefficients)
     labels = (rng.random(spec.n) < sigmoid(logits)).astype(int)

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -50,6 +52,24 @@ def write_config(ws, run_dir, **extra):
     run_dir.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(config))
     return path
+
+
+def lock_is_free(run_dir) -> bool:
+    """Whether a new open of run_dir/.lock can take its flock, so that no run
+    holds it; closing the file releases the lock again."""
+    with open(run_dir / ".lock", "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+        return True
+
+
+def exited_pid() -> int:
+    """The pid of a process that has exited."""
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait(timeout=60)
+    return exited.pid
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +195,7 @@ class TestRun:
                     "reports/update_log.jsonl", "reports/recovery.json",
                     "checkpoints/chain.json", "cache/annotations.ndjson"):
             assert (finished_run / rel).exists(), rel
-        assert not (finished_run / ".lock").exists()
+        assert lock_is_free(finished_run)
 
     def test_sample_count(self, finished_run):
         lines = (finished_run / "samples.jsonl").read_text().splitlines()
@@ -250,8 +270,12 @@ class TestRunErrors:
         (lambda config: dict(config, oracle="pool"), [], "oracle config must be a JSON object"),
         (lambda config: dict(config, keyphrase=["min_df"]), [],
          "keyphrase config must be a JSON object"),
-        (lambda config: [1], ["--seed", "3"], "must be a JSON object, not list")],
-        ids=["oracle", "keyphrase", "top-level"])
+        (lambda config: [1], ["--seed", "3"], "must be a JSON object, not list"),
+        (lambda config: dict(config, dataset=5), [], "dataset must be a path, not int"),
+        (lambda config: dict(config, output_dir=["x"]), [], "output_dir must be a path, not list"),
+        (lambda config: dict(config, truth="Is feature 0 present?"), [],
+         "truth' must be a list of concept questions")],
+        ids=["oracle", "keyphrase", "top-level", "dataset", "output-dir", "truth"])
     def test_config_of_the_wrong_shape(self, workspace, tmp_path, capsys, edit, argv, what):
         run_dir = tmp_path / "run"
         config = write_config(workspace, run_dir)
@@ -261,39 +285,95 @@ class TestRunErrors:
         assert err.startswith("config error") and what in err and "Traceback" not in err
         assert not (run_dir / ".lock").exists()
 
-    def test_lock_conflict(self, workspace, finished_run, tmp_path):
-        # a lock held by a live process is refused, with or without --resume
+    def test_lock_conflict(self, workspace, finished_run, tmp_path, capsys):
+        # a lock another open file holds is refused, with or without --resume
         run_dir = tmp_path / "locked"
         (run_dir / "checkpoints").mkdir(parents=True)
         for name in ("chain.json", "chain.log"):
             (run_dir / "checkpoints" / name).write_bytes(
                 (finished_run / "checkpoints" / name).read_bytes())
-        (run_dir / ".lock").write_text(str(os.getpid()))
         config = write_config(workspace, run_dir)
-        assert cli.main(["run", "--config", str(config)]) == 2
-        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
-        assert (run_dir / ".lock").read_text() == str(os.getpid())
+        with open(run_dir / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert cli.main(["run", "--config", str(config)]) == 2
+            assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+            assert capsys.readouterr().err.count("is locked by another run") == 2
+        assert not (run_dir / "config.snapshot").exists()
+        assert lock_is_free(run_dir)
 
     def test_stale_lock_taken_over(self, workspace, tmp_path):
-        exited = subprocess.Popen([sys.executable, "-c", "pass"])
-        exited.wait(timeout=60)
         run_dir = tmp_path / "stale"
         run_dir.mkdir()
-        (run_dir / ".lock").write_text(str(exited.pid))
+        (run_dir / ".lock").write_text(str(exited_pid()))
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config)]) == 0
         assert (run_dir / "samples.jsonl").exists()
-        assert not (run_dir / ".lock").exists()
+        assert (run_dir / ".lock").read_text() == str(os.getpid())
+        assert lock_is_free(run_dir)
 
-    @pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "9" * 30])
-    def test_lock_naming_no_process_refused(self, workspace, tmp_path, capsys, content):
-        run_dir = tmp_path / "unreadable"
+    @pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "9" * 30, "1"])
+    def test_unheld_lock_taken_over(self, workspace, tmp_path, content):
+        # a lock file that no process holds is taken over, whatever it
+        # contains; "1" names a live process (init) that holds no lock
+        run_dir = tmp_path / "unheld"
         run_dir.mkdir()
         (run_dir / ".lock").write_text(content)
         config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert (run_dir / ".lock").read_text() == str(os.getpid())
+        assert lock_is_free(run_dir)
+
+    def test_one_of_two_racing_takeovers_gets_the_lock(self, tmp_path, monkeypatch):
+        """Two runs that find the same stale lock at once: exactly one of them
+        gets it. A run that reads .lock waits there for the other, and then
+        one of them waits 0.2 s more, so the pid it read is out of date by the
+        time it acts on it: the other run has locked the directory meanwhile."""
+        run_dir = tmp_path / "race"
+        run_dir.mkdir()
+        (run_dir / ".lock").write_text(str(exited_pid()))
+        barrier, read_text, waited = threading.Barrier(2, timeout=30), Path.read_text, set()
+
+        def racing_read(path, *args, **kwargs):
+            text = read_text(path, *args, **kwargs)
+            if path.name == ".lock" and threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                if barrier.wait() == 0:
+                    time.sleep(0.2)
+            return text
+
+        monkeypatch.setattr(Path, "read_text", racing_read)
+        results = []
+
+        def take():
+            try:
+                results.append(cli._acquire_lock(run_dir))
+            except cli.ConfigError as exc:
+                results.append(exc)
+
+        threads = [threading.Thread(target=take) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        held = [r for r in results if not isinstance(r, cli.ConfigError)]
+        assert len(results) == 2 and len(held) == 1
+        assert not lock_is_free(run_dir)
+        held[0].close()
+        assert lock_is_free(run_dir)
+
+    @pytest.mark.parametrize("truth, what", [
+        ([], "truth must name at least one concept question"),
+        (["Is feature 9 present?"], "['Is feature 9 present?']"),
+        (["Is feature 0 present?", "Is feature 9 present?"], "['Is feature 9 present?']")],
+        ids=["empty", "none-in-pool", "one-not-in-pool"])
+    def test_truth_checked_before_the_chain(self, workspace, tmp_path, capsys, truth, what):
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, truth=truth)
         assert cli.main(["run", "--config", str(config)]) == 2
-        assert ".lock if no run is using the directory" in capsys.readouterr().err
-        assert (run_dir / ".lock").read_text() == content
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and what in err
+        assert not (run_dir / "checkpoints" / "chain.json").exists()
 
     def test_resume_without_checkpoint(self, workspace, tmp_path):
         config = write_config(workspace, tmp_path / "fresh")
@@ -308,7 +388,7 @@ class TestRunErrors:
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config), "--resume"]) == 2
         assert "chain.json" in capsys.readouterr().err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
     def test_resume_with_another_sampler_config(self, workspace, finished_run, tmp_path,
                                                 capsys):
@@ -320,7 +400,7 @@ class TestRunErrors:
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config), "--resume", "--seed", "4"]) == 2
         assert "seed 3 -> 4" in capsys.readouterr().err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
         assert not (run_dir / "config.snapshot").exists()
 
     @pytest.mark.parametrize("texts, omega, message", [
@@ -337,7 +417,7 @@ class TestRunErrors:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
         assert not (run_dir / "checkpoints" / "chain.json").exists()
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
     def test_duplicate_dataset_ids(self, workspace, tmp_path):
         bad = tmp_path / "bad.ndjson"
@@ -353,7 +433,7 @@ class TestRunErrors:
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "annotations.ndjson:1" in capsys.readouterr().err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
 
     def test_corrupt_bag_cache(self, workspace, tmp_path, capsys):
@@ -365,7 +445,7 @@ class TestRunErrors:
                                       "model": "none", "bag_cache": str(bags)})
         assert cli.main(["run", "--config", str(config)]) == 2
         assert "bags.json" in capsys.readouterr().err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
 
     def test_corrupt_bag_log_line(self, workspace, tmp_path, capsys):
@@ -379,7 +459,7 @@ class TestRunErrors:
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "bags.ndjson:2" in err and "can be deleted" in err and "Traceback" not in err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
     @pytest.mark.parametrize("oracle, field", [
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
@@ -397,7 +477,7 @@ class TestRunErrors:
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err and "Traceback" not in err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
 
 class TestLLMRunCounts:
@@ -481,7 +561,7 @@ class TestKillResume:
         assert cli.main(["run", "--config", str(config)]) == 3
         assert (run_dir / "checkpoints" / "chain.json").exists()
         assert not (run_dir / "samples.jsonl").exists()
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
         monkeypatch.setattr(PoolOracle, "propose", original)
         assert cli.main(["run", "--config", str(config), "--resume"]) == 0
@@ -514,7 +594,7 @@ class TestKillResume:
         assert cli.main(["run", "--config", str(config), "--resume"]) == 0
         assert (run_dir / "samples.jsonl").read_bytes() == \
             (finished_run / "samples.jsonl").read_bytes()
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
     @staticmethod
     def copy_checkpoint(finished_run, run_dir, log: bytes, header: Optional[str] = None):
@@ -613,7 +693,7 @@ class TestResidualSummary:
         config = write_config(workspace, run_dir, dataset=str(dataset))
         assert cli.main(["run", "--config", str(config)]) == 3
         assert "keyphrase summary is empty" in capsys.readouterr().err
-        assert not (run_dir / ".lock").exists()
+        assert lock_is_free(run_dir)
 
     def test_one_class_subset_gets_no_signal_without_fitting(self, monkeypatch):
         monkeypatch.setattr(cli, "fit_keyphrase_model", pytest.fail)
@@ -792,6 +872,18 @@ class TestEval:
         report = json.loads((finished_run / "reports" / "metrics.json").read_text())
         assert {"concept_precision", "concept_recall"} <= set(report["recovery"])
 
+    @pytest.mark.parametrize("truth, what", [
+        ([], "truth must name at least one concept question"),
+        (["Is feature 0 present?", "Is feature 9 present?"], "['Is feature 9 present?']"),
+        ("Is feature 0 present?", "must be a list of concept questions")],
+        ids=["empty", "not-in-pool", "not-a-list"])
+    def test_unusable_truth_file(self, finished_run, tmp_path, capsys, truth, what):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        assert cli.main(["eval", "--run", str(finished_run), "--truth", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and what in err and "Traceback" not in err
+
 
 def nudged(d, entry, value):
     """A copy of the sample record d whose theta[entry] is value."""
@@ -906,6 +998,12 @@ def run_with_reports_file(run_dir, tmp):
     return copy
 
 
+def run_dir_with_lock_dir(tmp):
+    """A run directory tmp/run whose .lock path is a directory."""
+    (tmp / "run" / ".lock").mkdir(parents=True)
+    return tmp / "run"
+
+
 UNUSABLE_PATHS = {
     "predict-input": lambda ws, run, tmp: (
         ["predict", "--run", run, "--input", tmp / "missing.ndjson", "--output", tmp / "o"],
@@ -933,6 +1031,9 @@ UNUSABLE_PATHS = {
     "run-output-dir": lambda ws, run, tmp: (
         ["run", "--config", ws / "run-main-config.json", "--output-dir", tmp / "a-file" / "run"],
         tmp / "a-file" / "run"),
+    "run-lock": lambda ws, run, tmp: (
+        ["run", "--config", ws / "run-main-config.json", "--output-dir", run_dir_with_lock_dir(tmp)],
+        tmp / "run" / ".lock"),
     "simulate-out": lambda ws, run, tmp: (
         ["simulate", "--out", tmp / "a-file" / "data", "--n", "10"], tmp / "a-file" / "data"),
 }
@@ -947,6 +1048,7 @@ def test_unusable_path_exits_2_naming_it(workspace, finished_run, tmp_path, caps
     assert cli.main([str(arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and str(path) in err
+    assert "locked by another run" not in err
 
 
 class TestEnumerate:

@@ -397,6 +397,10 @@ class TestAnnotationMatrix:
         with pytest.raises(ValueError):
             AnnotationMatrix.build(np.array([[1.5]]), ["a"])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            AnnotationMatrix.build(np.array([[np.nan], [0.0]]), ["a", "b"])
+
     def test_rejects_broken_intercept(self):
         with pytest.raises(ValueError):
             AnnotationMatrix(values=np.array([[0.5, 0.0]]), row_ids=("a",))
