@@ -349,12 +349,15 @@ def cmd_run(args) -> int:
         truth = _truth_concepts(cfg.truth, oracle) if cfg.truth is not None else None
 
         bags = oracle.extract_keyphrases(observations)
-        summary = _fit_initial_summary(bags, labels, cfg.keyphrase, cfg.sampler.seed)
         data = gibbs_data_from_oracle(observations, labels, oracle)
         if isinstance(oracle, LLMOracle):
             oracle.summary_provider = _make_summary_provider(
                 data, labels, bags, cfg.keyphrase, cfg.sampler.seed)
-        init = oracle.initialize_concepts(summary, cfg.sampler.k)
+        if resume_payload is None:
+            summary = _fit_initial_summary(bags, labels, cfg.keyphrase, cfg.sampler.seed)
+            init = oracle.initialize_concepts(summary, cfg.sampler.k)
+        else:  # the chain resumes from its checkpoint, which holds its state
+            init = resume_payload["state"]
 
         trace = run_gibbs(data, oracle, cfg.sampler, init,
                           checkpoint_path=checkpoint, resume_from=resume_payload)

@@ -5,6 +5,7 @@ summary used to prompt concept proposals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,27 +18,14 @@ CONCEPT_RIDGE = 1e-6  # tiny fixed ridge on concept columns, conditioning only
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-3, 3, 10))
 
 
-@dataclass
-class Vocabulary:
-    """Dense phrase -> column mapping built from the active data subset only."""
-
-    index: dict[str, int]
-    doc_freq: dict[str, int]
-
-    def phrases(self) -> list[str]:
-        return sorted(self.index, key=self.index.get)
-
-
-def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[Vocabulary, np.ndarray]:
-    """Dense float 0/1 presence matrix over phrases with document frequency >= min_df."""
-    df: dict[str, int] = {}
-    for bag in bags:
-        for phrase in bag.phrases:
-            df[phrase] = df.get(phrase, 0) + 1
-    kept = sorted(p for p, c in df.items() if c >= min_df)
-    if not kept:
+def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[list[str], np.ndarray]:
+    """The vocabulary, the phrases with document frequency >= min_df in
+    sorted order, and the dense float 0/1 presence matrix over it."""
+    df = Counter(phrase for bag in bags for phrase in bag.phrases)
+    phrases = sorted(p for p, c in df.items() if c >= min_df)
+    if not phrases:
         raise ValueError(f"empty vocabulary: no phrase appears in at least {min_df} documents")
-    index = {p: i for i, p in enumerate(kept)}
+    index = {p: i for i, p in enumerate(phrases)}
     rows, cols = [], []
     for i, bag in enumerate(bags):
         for phrase in bag.phrases:
@@ -45,9 +33,9 @@ def build_bow(bags: Sequence[KeyphraseBag], min_df: int = 2) -> tuple[Vocabulary
             if j is not None:
                 rows.append(i)
                 cols.append(j)
-    matrix = np.zeros((len(bags), len(kept)))
+    matrix = np.zeros((len(bags), len(phrases)))
     matrix[rows, cols] = 1.0
-    return Vocabulary(index=index, doc_freq={p: df[p] for p in kept}), matrix
+    return phrases, matrix
 
 
 @dataclass
@@ -57,7 +45,7 @@ class KeyphraseModelFit:
     intercept: np.ndarray       # (1,)
     lambda_: float
     cv_scores: list[tuple[float, float]]
-    vocabulary: Optional[Vocabulary]
+    vocabulary: Optional[list[str]]  # the phrase of each column of beta_w
 
 
 @dataclass
@@ -89,7 +77,7 @@ def _penalties(n_concepts: int, n_words: int, lam: float) -> np.ndarray:
 def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
                         lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
                         folds: int = 5, seed: int = 0,
-                        vocabulary: Optional[Vocabulary] = None) -> KeyphraseModelFit:
+                        vocabulary: Optional[list[str]] = None) -> KeyphraseModelFit:
     """Fit the binary keyphrase model with lambda chosen by k-fold cross-validation.
 
     Only the bag-of-words block is penalized by lambda; concept columns carry
@@ -137,11 +125,10 @@ def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
 
 def summarize_top_keyphrases(fit: KeyphraseModelFit, top_n: int = 50) -> KeyphraseSummary:
     """Top phrases by absolute coefficient, descending; ties break lexicographically."""
-    vocabulary = fit.vocabulary
-    if vocabulary is None:
+    phrases = fit.vocabulary
+    if phrases is None:
         raise ValueError("fit carries no vocabulary; pass one to fit_keyphrase_model")
     beta_w = fit.beta_w
-    phrases = vocabulary.phrases()
     if len(phrases) != len(beta_w):
         raise ValueError("vocabulary does not match the fitted coefficients")
     order = sorted(range(len(phrases)), key=lambda j: (-abs(beta_w[j]), phrases[j]))

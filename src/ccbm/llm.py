@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -308,7 +309,7 @@ class LLMOracle(ConceptOracle):
                 continue
             seen.add(c.id)
             candidates.append(c)
-            raw_weights.append(float(weight) if isinstance(weight, (int, float)) else None)
+            raw_weights.append(_finite(weight))
             if len(candidates) == m:
                 break
         if not candidates:
@@ -322,9 +323,7 @@ class LLMOracle(ConceptOracle):
         weights = np.asarray(raw_weights, dtype=float)
         weights = np.clip(weights, 0.0, None)
 
-        incumbent_weight = body.get("incumbent_weight")
-        q_current = (float(incumbent_weight)
-                     if isinstance(incumbent_weight, (int, float)) else 0.0)
+        q_current = _finite(body.get("incumbent_weight")) or 0.0
         if incumbent.id in {c.id for c in candidates}:
             # the oracle re-proposed the incumbent; its candidate weight wins
             idx = [c.id for c in candidates].index(incumbent.id)
@@ -396,6 +395,14 @@ class LLMOracle(ConceptOracle):
         self.cache.put_many(fresh_pairs(observations, concepts, rows, cols), values, "llm")
         self.annotation_pairs += int(missing.sum())
         return table
+
+
+def _finite(value) -> Optional[float]:
+    """value as a float if it is a finite number, else None: json.loads also
+    gives NaN, Infinity and ints beyond the float range."""
+    if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    return None
 
 
 def _summary_phrases(summary) -> list[str]:

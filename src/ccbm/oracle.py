@@ -62,11 +62,12 @@ class OracleProposal:
     """M tries for one Gibbs slot, with the proposal probability q of each.
 
     A try may repeat a concept: each is one draw from q and keeps its own
-    weight. q_current is q of the incumbent. on_subset says whether q was
-    formed on the update's rows S, as the partial posterior p(c | c_-k, y_S)
-    is, and as an LLM shown S is assumed to draw from. When it was not, the
-    sampler weighs the tries by their full-data marginals: the split-sample
-    rule with S empty.
+    weight. q_current is q of the incumbent. Every q is finite and positive,
+    as the multi-try ratio needs; this is checked here and nowhere else.
+    on_subset says whether q was formed on the update's rows S, as the
+    partial posterior p(c | c_-k, y_S) is, and as an LLM shown S is assumed
+    to draw from. When it was not, the sampler weighs the tries by their
+    full-data marginals: the split-sample rule with S empty.
     """
 
     candidates: list[Concept]
@@ -80,10 +81,10 @@ class OracleProposal:
             raise ValueError("proposal must contain at least one candidate")
         if len(self.candidates) != len(self.q_weights):
             raise ValueError("weights must align with candidates")
-        if not np.all(np.isfinite(self.q_weights)) or np.any(self.q_weights < 0):
-            raise ValueError("proposal weights must be finite and nonnegative")
-        if not (np.isfinite(self.q_current) and self.q_current >= 0):
-            raise ValueError("q_current must be finite and nonnegative")
+        if not np.all(np.isfinite(self.q_weights) & (self.q_weights > 0)):
+            raise ValueError("proposal weights must be finite and positive")
+        if not (np.isfinite(self.q_current) and self.q_current > 0):
+            raise ValueError("q_current must be finite and positive")
 
 
 _WORD_RE = re.compile(r"[^\w\s]")
@@ -457,9 +458,11 @@ class PoolOracle(ConceptOracle):
                 subset: np.ndarray, m: int, rng: np.random.Generator,
                 score: Optional[Scorer] = None) -> OracleProposal:
         """m i.i.d. draws from q: uniform, or in exact mode the partial
-        posterior enumerated from score, which exact mode requires."""
-        if incumbent.id in {c.id for c in context}:
-            raise ProposalError("incumbent concept duplicates the conditioning set")
+        posterior enumerated from score, which exact mode requires. The
+        incumbent must be a pool concept."""
+        inc_idx = self._by_id.get(incumbent.id)
+        if inc_idx is None:
+            raise ProposalError(f"concept {incumbent.question!r} is not in the pool")
         if self.weight_mode == "uniform":
             eligible = self._eligible(context)
             probs = np.full(len(eligible), 1.0 / len(eligible))
@@ -468,10 +471,9 @@ class PoolOracle(ConceptOracle):
         else:
             eligible, probs, _ = self.partial_posterior_weights(context, score)
         draws = rng.choice(len(eligible), size=m, p=probs)
-        inc_idx = self._by_id.get(incumbent.id)
         return OracleProposal(
             candidates=[self.pool[eligible[i]].concept for i in draws],
             q_weights=probs[draws],
-            q_current=float(probs[eligible.index(inc_idx)]) if inc_idx in eligible else 0.0,
+            q_current=float(probs[eligible.index(inc_idx)]),
             on_subset=self.weight_mode == "exact",
         )

@@ -37,12 +37,15 @@ class SamplerConfig:
     mode: str = "multi_try"  # or "single_try", the multi-try update at M=1
 
     def __post_init__(self):
+        for name, least in (("k", 1), ("t_epochs", 1), ("m_candidates", 1), ("seed", 0),
+                            ("warm_start_epochs", 0), ("keep_last", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.omega < 1:
             raise ValueError(f"omega must lie in (0, 1), got {self.omega}")
-        if self.m_candidates < 1:
-            raise ValueError("m_candidates must be >= 1")
-        if self.t_epochs < 1:
-            raise ValueError("t_epochs must be >= 1")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.mode not in ("single_try", "multi_try"):
             raise ValueError(f"unknown sampler mode {self.mode!r}")
 
@@ -138,10 +141,10 @@ def draw_subset(n: int, omega: float, rng: np.random.Generator) -> np.ndarray:
 class UpdateResult:
     state: ConceptSet
     accepted: bool
-    log_alpha: float  # of the realized proposal; 0.0 when no valid candidate survived
-    proposal: Optional[OracleProposal] = None
-    chosen: Optional[Concept] = None
-    log_weights: Optional[np.ndarray] = None
+    log_alpha: float  # of the realized proposal; 0.0 for a chosen incumbent and the warm start
+    proposal: OracleProposal
+    chosen: Concept
+    log_weights: np.ndarray
 
 
 class _MarginalCache:
@@ -205,13 +208,6 @@ class _MarginalCache:
         return np.array([value for value, _ in self._full_fits(concept_sets)]) - sub
 
 
-def _candidate_sets(state: ConceptSet, slot: int, proposal: OracleProposal):
-    """Drop candidates that duplicate the conditioning set; keep the incumbent."""
-    context_ids = {c.id for c in state.without(slot)}
-    kept = [(i, c) for i, c in enumerate(proposal.candidates) if c.id not in context_ids]
-    return kept
-
-
 def _propose(state: ConceptSet, slot: int, subset: np.ndarray, oracle: ConceptOracle,
              m: int, rng: np.random.Generator, marginals: _MarginalCache) -> OracleProposal:
     """The oracle's m tries for the slot; its score fits sets on the subset
@@ -222,36 +218,30 @@ def _propose(state: ConceptSet, slot: int, subset: np.ndarray, oracle: ConceptOr
 
 def _multi_try_weights(state: ConceptSet, slot: int, subset: np.ndarray,
                        proposal: OracleProposal, marginals: _MarginalCache):
-    """log w_m = log pi + log q_m of each surviving try, and log w_0 for the
+    """log w_m = log pi + log q_m of each try, in order, and log w_0 for the
     incumbent, where log pi is the set's log partial Bayes factor on the
     subset rows, or its full-data log marginal when q was not formed on them
     (see OracleProposal.on_subset).
 
-    The incumbent and each distinct candidate with q > 0 are scored once, in
-    one call; each try keeps its own entry, None and -inf where q = 0.
+    The incumbent and each distinct candidate are scored once, in one call;
+    each try keeps its own entry. A try that repeats a concept of the other
+    slots fails in ConceptSet.replace.
     """
-    if proposal.q_current <= 0:
-        raise ValueError("q_current must be positive for the multi-try update")
-    kept = _candidate_sets(state, slot, proposal)
     # the incumbent first, so its columns are filled before the candidates'
     scored = [state]
     index = {state[slot].id: 0}  # concept id -> its state's row of scored
-    rows = []  # each kept try's row of scored; None where q = 0
-    for i, cand in kept:
-        if proposal.q_weights[i] <= 0:
-            rows.append(None)
-            continue
+    rows = []  # each try's row of scored
+    for cand in proposal.candidates:
         if cand.id not in index:
             index[cand.id] = len(scored)
             scored.append(state.replace(slot, cand))
         rows.append(index[cand.id])
     log_pi = marginals.log_partial_bayes([s.concepts for s in scored],
                                          subset if proposal.on_subset else None)
-    log_ws = np.array([-np.inf if r is None else log_pi[r] + np.log(proposal.q_weights[i])
-                       for (i, _), r in zip(kept, rows)])
-    states = [None if r is None else scored[r] for r in rows]
+    log_ws = np.array([log_pi[r] + np.log(q) for r, q in zip(rows, proposal.q_weights)])
+    states = [scored[r] for r in rows]
     log_w0 = log_pi[0] + np.log(proposal.q_current)
-    return kept, log_ws, states, log_w0
+    return log_ws, states, log_w0
 
 
 def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: GibbsData,
@@ -273,22 +263,17 @@ def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: G
     if proposal is None:
         tries = 1 if cfg.mode == "single_try" else cfg.m_candidates
         proposal = _propose(state, slot, subset, oracle, tries, rng, marginals)
-    kept, log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
-    if len(kept) == 0:
-        return UpdateResult(state, False, -np.inf, proposal)
-    if np.all(np.isinf(log_ws)):
-        raise ValueError("all proposal weights are zero")
+    log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
     # Gumbel-max draw of the candidate index, numerically stable in log space
     gumbels = -np.log(-np.log(rng.random(len(log_ws))))
     pick = int(np.argmax(log_ws + gumbels))
-    chosen = kept[pick][1]
+    chosen = proposal.candidates[pick]
     cand_state = states[pick]
     if cand_state is state:
         return UpdateResult(state, True, 0.0, proposal, chosen, log_ws)
-    q_chosen = proposal.q_weights[kept[pick][0]]
     rest = np.concatenate([log_ws[:pick], log_ws[pick + 1:], [log_w0]])
     log_alpha = min(0.0, (np.log(proposal.q_current) + logsumexp(log_ws)
-                          - np.log(q_chosen) - logsumexp(rest)))
+                          - np.log(proposal.q_weights[pick]) - logsumexp(rest)))
     accepted = np.log(rng.random()) < log_alpha
     return UpdateResult(cand_state if accepted else state, bool(accepted),
                         float(log_alpha), proposal, chosen, log_ws)
@@ -301,16 +286,13 @@ def greedy_warm_start_update(state: ConceptSet, slot: int, subset: np.ndarray,
                              proposal: Optional[OracleProposal] = None) -> UpdateResult:
     """Install the argmax-weight concept: incumbent on ties, else lowest index."""
     marginals = marginals or _MarginalCache(data, cfg.gamma)
-    incumbent = state[slot]
     if proposal is None:
         proposal = _propose(state, slot, subset, oracle, cfg.m_candidates, rng, marginals)
-    kept, log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
-    if len(kept) == 0:
-        return UpdateResult(state, False, 0.0, proposal)
+    log_ws, states, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
     best = int(np.argmax(log_ws))  # argmax takes the first maximizer
     if log_w0 >= log_ws[best] or states[best] is state:
-        return UpdateResult(state, False, 0.0, proposal, incumbent, log_ws)
-    return UpdateResult(states[best], True, 0.0, proposal, kept[best][1], log_ws)
+        return UpdateResult(state, False, 0.0, proposal, state[slot], log_ws)
+    return UpdateResult(states[best], True, 0.0, proposal, proposal.candidates[best], log_ws)
 
 
 @dataclass
@@ -474,8 +456,8 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                 trace.acceptance_count += int(result.accepted)
             trace.update_log.append({
                 "epoch": epoch, "slot": slot, "subset_size": int(len(subset)),
-                "n_candidates": len(result.proposal.candidates) if result.proposal else 0,
-                "log_alpha": None if not np.isfinite(result.log_alpha) else float(result.log_alpha),
+                "n_candidates": len(result.proposal.candidates),
+                "log_alpha": float(result.log_alpha),
                 "accepted": result.accepted,
                 "phase": "warm_start" if warm else "sample",
             })

@@ -266,6 +266,24 @@ class TestRunErrors:
                               sampler=dict(SAMPLER, omega=2.0))
         assert cli.main(["run", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("k", 0, "k must be an integer >= 1, got 0"),
+        ("k", 2.5, "k must be an integer >= 1, got 2.5"),
+        ("t_epochs", True, "t_epochs must be an integer >= 1, got True"),
+        ("m_candidates", "4", "m_candidates must be an integer >= 1, got '4'"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("warm_start_epochs", -1, "warm_start_epochs must be an integer >= 0, got -1"),
+        ("keep_last", -3, "keep_last must be an integer >= 0, got -3"),
+        ("gamma", 0, "gamma must be finite and positive, got 0"),
+        ("gamma", -1, "gamma must be finite and positive, got -1")])
+    def test_unrunnable_sampler_config(self, workspace, tmp_path, capsys, field, value, what):
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, sampler=dict(SAMPLER, **{field: value}))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid sampler config") and what in err
+        assert not run_dir.exists()
+
     @pytest.mark.parametrize("edit, argv, what", [
         (lambda config: dict(config, oracle="pool"), [], "oracle config must be a JSON object"),
         (lambda config: dict(config, keyphrase=["min_df"]), [],
@@ -564,9 +582,44 @@ class TestKillResume:
         assert lock_is_free(run_dir)
 
         monkeypatch.setattr(PoolOracle, "propose", original)
+        # the resumed chain starts from its checkpoint: nothing initializes it
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("initialize_concepts called on --resume")
+
+        monkeypatch.setattr(PoolOracle, "initialize_concepts", refuse)
         assert cli.main(["run", "--config", str(config), "--resume"]) == 0
         assert (run_dir / "samples.jsonl").read_bytes() == \
             (finished_run / "samples.jsonl").read_bytes()
+
+    def test_resume_after_the_pool_lost_the_chain_concepts(self, workspace, tmp_path,
+                                                          monkeypatch, capsys):
+        run_dir = tmp_path / "run"
+        pool = json.loads((workspace / "data" / "pool.json").read_text())
+        oracle = {"type": "pool", "pool": pool, "weight_mode": "uniform"}
+        config = write_config(workspace, run_dir, oracle=oracle, truth=None)
+        original = PoolOracle.propose
+        calls = {"n": 0}
+
+        def flaky(self, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 5:
+                raise OracleError("simulated outage")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoolOracle, "propose", flaky)
+        assert cli.main(["run", "--config", str(config)]) == 3
+        monkeypatch.setattr(PoolOracle, "propose", original)
+        state = json.loads((run_dir / "checkpoints" / "chain.log").read_text()
+                           .splitlines()[-1])["state"]
+        lost = {c["question"] for c in state}
+        oracle["pool"] = [entry for entry in pool if entry["question"] not in lost]
+        config = write_config(workspace, run_dir, oracle=oracle, truth=None)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert f"concept {state[0]['question']!r} is not in the pool" in err
+        assert "checkpoint at" in err and "Traceback" not in err
+        assert lock_is_free(run_dir)
 
 
     def test_crashed_run_leaves_a_lock_that_resume_takes_over(self, workspace, finished_run):

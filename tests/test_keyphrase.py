@@ -3,7 +3,7 @@ import pytest
 
 from ccbm import keyphrase
 from ccbm.keyphrase import (DEFAULT_LAMBDA_GRID, KeyphraseModelFit,
-                            KeyphraseSummary, Vocabulary, build_bow,
+                            KeyphraseSummary, build_bow,
                             fit_keyphrase_model, summarize_top_keyphrases)
 from ccbm.model import OptimizationError, log1pexp, sigmoid
 from ccbm.oracle import KeyphraseBag
@@ -37,7 +37,7 @@ class TestBuildBow:
     def test_min_df_filters_rare_phrases(self):
         bags = bags_from_lists([["a", "b"], ["a"], ["a", "c"]])
         vocab, matrix = build_bow(bags, min_df=2)
-        assert vocab.phrases() == ["a"]
+        assert vocab == ["a"]
         assert matrix.shape == (3, 1)
         assert matrix.dtype == np.float64
         assert matrix.ravel().tolist() == [1.0, 1.0, 1.0]
@@ -45,18 +45,13 @@ class TestBuildBow:
     def test_binary_presence_matrix(self):
         bags = bags_from_lists([["a", "b"], ["b"], []])
         vocab, matrix = build_bow(bags, min_df=1)
-        assert vocab.phrases() == ["a", "b"]
+        assert vocab == ["a", "b"]
         assert matrix.tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
 
     def test_empty_vocabulary_rejected(self):
         bags = bags_from_lists([["a"], ["b"]])
         with pytest.raises(ValueError):
             build_bow(bags, min_df=2)
-
-    def test_doc_freq_recorded(self):
-        bags = bags_from_lists([["a", "b"], ["a"]])
-        vocab, _ = build_bow(bags, min_df=1)
-        assert vocab.doc_freq == {"a": 2, "b": 1}
 
 
 def _fit_binary(X, y, pen, max_iter=200, tol=1e-8):
@@ -193,7 +188,7 @@ class TestFitKeyphraseModel:
         # phrase's residual coefficient
         bags, y = planted_corpus(seed=2)
         vocab, bow = build_bow(bags, min_df=2)
-        j = vocab.index["alpha"]
+        j = vocab.index("alpha")
         concept_col = bow[:, j:j + 1]
         plain = fit_keyphrase_model(bow, None, y, vocabulary=vocab)
         conditioned = fit_keyphrase_model(bow, concept_col, y, vocabulary=vocab)
@@ -234,11 +229,9 @@ class TestFitKeyphraseModel:
 
 class TestSummarize:
     def _fit(self, phrases, beta_w):
-        vocab = Vocabulary(index={p: i for i, p in enumerate(phrases)},
-                           doc_freq={p: 1 for p in phrases})
         return KeyphraseModelFit(beta_w=np.asarray(beta_w, dtype=float),
                                  beta_c=np.zeros(0), intercept=np.zeros(1),
-                                 lambda_=1.0, cv_scores=[], vocabulary=vocab)
+                                 lambda_=1.0, cv_scores=[], vocabulary=list(phrases))
 
     def test_absolute_magnitude_ordering(self):
         fit = self._fit(["p", "q", "r"], [0.2, -0.9, 0.5])

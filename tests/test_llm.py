@@ -337,6 +337,23 @@ class TestPropose:
         assert p.q_weights[0] == p.q_weights[1]
         assert any(e["event"] == "weights_imputed_uniform" for e in oracle.run_log)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_weight_not_a_finite_number_imputed_like_a_missing_one(self, weight):
+        # json.loads reads NaN, Infinity and ints beyond the float range
+        body = {"candidates": [{"question": "A?", "weight": weight},
+                               {"question": "B?", "weight": 2.0}]}
+        oracle, _, p = self.propose(body, incumbent_weight=1.0)
+        assert p.q_weights.tolist() == [0.25, 0.5] and p.q_current == 0.25
+        assert {"event": "weights_imputed_uniform", "n_missing": 1} in oracle.run_log
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_incumbent_weight_not_a_finite_number_floored(self, weight):
+        body = {"candidates": [{"question": "A?", "weight": 1.0}]}
+        oracle, _, p = self.propose(body, incumbent_weight=weight)
+        assert p.q_current == pytest.approx(WEIGHT_FLOOR * p.q_weights.sum(), rel=1e-9)
+        assert any(e["event"] == "incumbent_weight_floored" for e in oracle.run_log)
+
     def test_zero_incumbent_weight_floored_and_logged(self):
         body = {"candidates": [{"question": "A?", "weight": 1.0}]}
         oracle, _, p = self.propose(body)

@@ -123,6 +123,17 @@ class TestOracleProposal:
         with pytest.raises(ValueError):
             OracleProposal([Concept("a?")], np.array([-0.1]), 0.1)
 
+    def test_zero_weight_rejected(self):
+        # the multi-try ratio needs every q finite and positive
+        for q in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="weights must be finite and positive"):
+                OracleProposal([Concept("a?"), Concept("b?")], np.array([0.5, q]), 0.1)
+
+    def test_zero_q_current_rejected(self):
+        for q_current in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="q_current must be finite and positive"):
+                OracleProposal([Concept("a?")], np.array([1.0]), q_current)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             OracleProposal([], np.array([]), 0.1)
@@ -430,12 +441,14 @@ class TestPoolProposals:
         assert all(abs(n - 200 / 9) <= 5 * np.sqrt(200 * (1 / 9) * (8 / 9))
                    for n in counts.values())
 
-    def test_incumbent_in_context_rejected(self, pool_dataset):
-        oracle = make_oracle(pool_dataset)
-        c = pool_dataset.pool_concepts[0].concept
-        with pytest.raises(ProposalError):
-            oracle.propose([c], c, np.arange(30), m=3,
-                           rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
+    def test_incumbent_outside_the_pool_rejected(self, pool_dataset, weight_mode):
+        oracle = make_oracle(pool_dataset, weight_mode=weight_mode)
+        outsider = Concept("Is it outside the pool?")
+        with pytest.raises(ProposalError, match="'Is it outside the pool\\?' is not in the pool"):
+            oracle.propose([pool_dataset.pool_concepts[0].concept], outsider, np.arange(30),
+                           m=3, rng=np.random.default_rng(0),
+                           score=subset_scorer(pool_dataset, oracle, np.arange(30)))
 
     def test_exhausted_pool_rejected(self):
         data = make_pool_dataset(pool_size=2, coefficients=(2.0,), true_support=(0,))
