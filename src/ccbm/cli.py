@@ -621,16 +621,28 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, value, least in (("--n", args.n, 1), ("--n-decoys", args.n_decoys, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     out = Path(args.out)
-    _make_dir(out)
     if args.clinical:
         spec = clinical_spec(args.n, seed=args.seed, n_decoys=args.n_decoys)
     else:
         pool = [(f"Is feature {i} present?", f"feat{i}") for i in range(args.pool_size)]
-        coefficients = [float(c) for c in args.coefficients.split(",")]
+        try:
+            coefficients = [float(c) for c in args.coefficients.split(",")]
+            if not np.all(np.isfinite(coefficients)):
+                raise ValueError
+        except ValueError:
+            raise ConfigError("--coefficients must be comma-separated finite numbers, "
+                              f"got {args.coefficients!r}") from None
+        if len(coefficients) > args.pool_size:
+            raise ConfigError(f"--coefficients lists {len(coefficients)} coefficients, "
+                              f"more than --pool-size {args.pool_size}")
         spec = SyntheticSpec(n=args.n, pool=pool,
                              true_support=list(range(len(coefficients))),
                              coefficients=coefficients, seed=args.seed)
+    _make_dir(out)
     data = generate_synthetic(spec)
     with _open_output(out / "dataset.ndjson") as fh:
         for obs in data.observations:
@@ -645,12 +657,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if not 0 < args.gamma < np.inf:
+        raise ConfigError(f"--gamma must be finite and positive, got {args.gamma}")
     observations, labels = load_dataset(Path(args.dataset))
     pool = load_pool(Path(args.pool))
-    oracle = PoolOracle(pool, observations)
-    annotations = oracle.matrix
-    posterior = enumerate_posterior([pc.concept for pc in pool], args.k,
-                                    labels, annotations, gamma=args.gamma)
+    if args.k > len(pool):
+        raise ConfigError(f"--k {args.k} is more than the {len(pool)} concepts of {args.pool}")
+    try:
+        oracle = PoolOracle(pool, observations)
+    except ValueError as exc:
+        raise ConfigError(f"invalid concept pool {args.pool}: {exc}") from exc
+    try:
+        posterior = enumerate_posterior([pc.concept for pc in pool], args.k,
+                                        labels, oracle.matrix, gamma=args.gamma)
+    except ValueError as exc:  # over the enumeration budget
+        raise ConfigError(f"--k {args.k}: {exc}") from exc
     by_question = {pc.concept.id: pc.concept.question for pc in pool}
     payload = [{"support": sorted(by_question[cid] for cid in support),
                 "probability": prob}

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
-from .model import ModelConfig, log_marginal_likelihoods, logsumexp, stack_designs
+from .model import log_marginal_likelihoods, logsumexp, stack_designs
 
 ENUMERATION_CHUNK = 1024  # supports per stacked solve; bounds the (E, n, d) design stack
 
@@ -208,14 +208,13 @@ def enumerate_posterior(pool: Sequence[Concept], k: int, y: np.ndarray,
     if not np.all((annotations >= 0.0) & (annotations <= 1.0)):
         raise ValueError("concept annotation values must lie in [0, 1]")
     y = np.asarray(y, dtype=float)
-    cfg = ModelConfig(gamma=gamma, k=k)
     combos = list(itertools.combinations(range(len(pool)), k))
     if not combos:
         return {}
     log_probs = []
     for start in range(0, len(combos), ENUMERATION_CHUNK):
         X = stack_designs(annotations, combos[start:start + ENUMERATION_CHUNK])
-        log_probs.append(log_marginal_likelihoods(X, y, cfg.gamma)[0])
+        log_probs.append(log_marginal_likelihoods(X, y, gamma)[0])
     log_probs = np.concatenate(log_probs)
     log_z = logsumexp(log_probs)
     return {frozenset(pool[j].id for j in combo): float(np.exp(lp - log_z))

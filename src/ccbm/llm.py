@@ -340,8 +340,13 @@ class LLMOracle(ConceptOracle):
             self.run_log.append({"event": "incumbent_weight_floored"})
             q_current = floor
         norm = float(weights.sum()) + q_current
-        return OracleProposal(candidates=candidates, q_weights=weights / norm,
-                              q_current=q_current / norm)
+        try:
+            return OracleProposal(candidates=candidates, q_weights=weights / norm,
+                                  q_current=q_current / norm)
+        except ValueError as exc:  # weights far apart underflow to q = 0; huge ones overflow
+            raise ProposalError(
+                f"candidate weights {raw_weights} and incumbent weight "
+                f"{body.get('incumbent_weight')!r} give no valid proposal: {exc}") from exc
 
     # -- annotation -------------------------------------------------------
 

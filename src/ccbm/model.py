@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concepts import ConceptSet
+from .concepts import Concept, ConceptSet
 
 
 class OptimizationError(RuntimeError):
@@ -28,24 +28,6 @@ class NumericalError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Prior scale and model size.
-
-    gamma is the standard deviation of the N(0, gamma^2 I) prior on all
-    coefficients, intercept included.
-    """
-
-    gamma: float
-    k: int
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
 def stack_designs(table: np.ndarray, columns: Sequence[Sequence[int]],
                   rows: Optional[np.ndarray] = None) -> np.ndarray:
     """The row-major (E, n, K+1) stack of E designs: each list's K columns of
@@ -57,51 +39,6 @@ def stack_designs(table: np.ndarray, columns: Sequence[Sequence[int]],
     X = np.ones((columns.shape[0], table.shape[0], columns.shape[1] + 1))
     X[:, :, :-1] = table[:, columns].transpose(1, 0, 2)
     return X
-
-
-@dataclass
-class AnnotationMatrix:
-    """n x (K+1) design of concept extraction values plus an intercept column.
-
-    Concept columns follow the concept-set order; the intercept column is last.
-    """
-
-    values: np.ndarray
-    row_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("annotation matrix must be 2-D")
-        if self.values.shape[0] != len(self.row_ids):
-            raise ValueError("row_ids must align with matrix rows")
-        concept_cols = self.values[:, :-1]
-        if not np.all((concept_cols >= 0.0) & (concept_cols <= 1.0)):
-            raise ValueError("concept annotation values must lie in [0, 1]")
-        if self.values.size and not np.all(self.values[:, -1] == 1.0):
-            raise ValueError("intercept column must be all ones")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    @staticmethod
-    def build(concept_values: np.ndarray, row_ids: Sequence[str]) -> "AnnotationMatrix":
-        values = np.atleast_2d(np.asarray(concept_values, dtype=float))
-        return AnnotationMatrix(stack_designs(values, [range(values.shape[1])])[0], tuple(row_ids))
-
-
-@dataclass
-class LogMarginal:
-    """Laplace-approximated log marginal likelihood together with its MAP fit."""
-
-    value: float
-    theta_map: np.ndarray
-    log_det_hessian: float
 
 
 def log1pexp(z: np.ndarray) -> np.ndarray:
@@ -360,26 +297,17 @@ def _newton(problem, tol: float, max_iter: int) -> Sequence[np.ndarray]:
         theta, g, p = _line_search(problem, theta, g, grad, step)
 
 
-def map_estimate(phi: AnnotationMatrix, y: np.ndarray, cfg: ModelConfig,
-                 tol: float = 1e-8, max_iter: int = 100) -> np.ndarray:
-    """Ridge-logistic MAP coefficients via damped Newton.
-
-    Minimizes sum_i [-y_i z_i + log(1+exp(z_i))] + ||theta||^2 / (2 gamma^2)
-    starting from 0, to gradient infinity-norm <= tol. The objective is
-    strongly convex so Newton with backtracking always converges in a handful
-    of steps at this dimension.
-    """
-    return _newton(_Designs(phi.values[None], y, cfg.gamma), tol, max_iter)[0][0]
-
-
 def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
                              tol: float = 1e-8, max_iter: int = 100
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Laplace log marginal likelihoods of a stack of designs X (E, n, d).
+    """Laplace log marginal likelihoods of a stack of designs X (E, n, d):
+    -g(theta_MAP) - (d/2) log(gamma^2) - 1/2 log det H for each, with g the
+    penalized loss, theta_MAP its damped-Newton minimizer and H its Hessian
+    there. The (2 pi)^{d/2} factors cancel, so empty data gives exactly 0.
 
     The designs share the labels y and the N(0, gamma^2 I) prior; the caller
-    has validated their values (see AnnotationMatrix). Returns the log
-    marginals (E,), the MAP coefficients (E, d) and log det H (E,).
+    has checked their values lie in [0, 1] (see GibbsData.fill). Returns the
+    log marginals (E,), the MAP coefficients (E, d) and log det H (E,).
     """
     d = X.shape[2]
     designs = _Designs(X, y, gamma)
@@ -395,20 +323,6 @@ def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
     if not np.all(np.isfinite(value)):
         raise NumericalError("non-finite log marginal likelihood")
     return value, theta, log_det
-
-
-def log_marginal_likelihood(phi: AnnotationMatrix, y: np.ndarray,
-                            cfg: ModelConfig) -> LogMarginal:
-    """Laplace approximation of the log marginal likelihood.
-
-    log p(y | c, X) ~= -g(theta_MAP) - (d/2) log(gamma^2) - 1/2 log det H,
-    where H = sum_i sigma_i (1-sigma_i) phi_i phi_i^T + gamma^-2 I. The two
-    (2 pi)^{d/2} factors from the prior normalization and the Gaussian
-    integral cancel exactly. For empty data this is identically 0.
-    """
-    value, theta, log_det = log_marginal_likelihoods(phi.values[None], y, cfg.gamma)
-    return LogMarginal(value=float(value[0]), theta_map=theta[0],
-                       log_det_hessian=float(log_det[0]))
 
 
 @dataclass
@@ -440,7 +354,6 @@ class PosteriorSample:
     def from_dict(d: dict, concept_set: Optional[ConceptSet] = None) -> "PosteriorSample":
         """The sample d records; concept_set, if given, is d's concepts built
         already (a loader of many samples builds each set once)."""
-        from .concepts import Concept
         if concept_set is None:
             concept_set = ConceptSet(Concept(c["question"]) for c in d["concepts"])
         return PosteriorSample(

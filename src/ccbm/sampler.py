@@ -17,11 +17,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
-from .model import (AnnotationMatrix, PosteriorSample, log_marginal_likelihoods,
-                    logsumexp, stack_designs)
-# ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
-from .model import log_marginal_likelihood  # noqa: F401
+from .model import PosteriorSample, log_marginal_likelihoods, logsumexp, stack_designs
 from .oracle import ConceptOracle, OracleError, OracleProposal, append_lines, read_log
+
+# ccbm.sampler.log_marginal_likelihood stays bound: bench/tracing.py wraps it by name
+log_marginal_likelihood = log_marginal_likelihoods
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,8 @@ class GibbsData:
     indexed one are unused capacity.
     """
 
-    def __init__(self, labels: np.ndarray, row_ids: Sequence[str],
-                 column_fn: Callable[[Sequence[Concept]], np.ndarray]):
+    def __init__(self, labels: np.ndarray, column_fn: Callable[[Sequence[Concept]], np.ndarray]):
         self.labels = np.asarray(labels, dtype=float)
-        self.row_ids = tuple(row_ids)
-        if self.labels.shape[0] != len(self.row_ids):
-            raise ValueError("labels must align with row ids")
         self._column_fn = column_fn
         self._table = np.empty((self.n, 0))
         self._index: dict[str, int] = {}
@@ -112,15 +108,14 @@ class GibbsData:
         return stack_designs(self._table, columns, rows)
 
     # bench/tracing.py wraps phi by name
-    def phi(self, concepts: Sequence[Concept]) -> AnnotationMatrix:
-        return AnnotationMatrix(values=self.designs([concepts])[0], row_ids=self.row_ids)
+    def phi(self, concepts: Sequence[Concept]) -> np.ndarray:
+        return self.designs([concepts])[0]
 
 
 def gibbs_data_from_oracle(observations, labels, oracle: ConceptOracle) -> GibbsData:
     """Bind a dataset to an oracle's annotate operation."""
     obs = list(observations)
-    return GibbsData(labels, [o.id for o in obs],
-                     lambda concepts: oracle.annotate(obs, concepts))
+    return GibbsData(labels, lambda concepts: oracle.annotate(obs, concepts))
 
 
 def subset_size(n: int, omega: float) -> int:

@@ -15,8 +15,7 @@ from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import (ConceptMatchRule, auc, brier, concepts_match,
                            enumerate_posterior, predictive_entropy,
                            recovery_report, support_frequencies, tv_distance)
-from ccbm.model import (AnnotationMatrix, ModelConfig, log_marginal_likelihood,
-                        map_estimate, sigmoid)
+from ccbm.model import log_marginal_likelihoods, sigmoid, stack_designs
 from ccbm.oracle import AnnotationCache, OracleError, PoolOracle
 from ccbm.sampler import SamplerConfig, gibbs_data_from_oracle, run_gibbs
 from ccbm.synthetic import clinical_spec, generate_synthetic
@@ -32,11 +31,10 @@ def test_criterion_1_laplace_matches_quadrature():
     for i in range(20):
         n = int(rng.integers(5, 11))
         gamma = float(rng.choice([0.5, 1.0, 2.0]))
-        phi = AnnotationMatrix.build((rng.random((n, 1)) < 0.5).astype(float),
-                                     [str(j) for j in range(n)])
+        X = stack_designs((rng.random((n, 1)) < 0.5).astype(float), [[0]])
         y = (rng.random(n) < 0.5).astype(float)
-        value = log_marginal_likelihood(phi, y, ModelConfig(gamma=gamma, k=1)).value
-        ref = quadrature_log_marginal(phi.values, y, gamma)
+        value = log_marginal_likelihoods(X, y, gamma)[0][0]
+        ref = quadrature_log_marginal(X[0], y, gamma)
         worst = max(worst, abs(value - ref) / abs(ref))
     elapsed = time.time() - start
     assert worst <= 0.02
@@ -128,10 +126,8 @@ def _heldout_auc(data, samples, seed):
 
     # reference: CBM fit directly on the true 5-concept support
     truth_cols = data.spec.true_support
-    phi_train = AnnotationMatrix.build(data.annotations[:, truth_cols],
-                                       [o.id for o in data.observations])
-    theta = map_estimate(phi_train, data.labels.astype(float),
-                         ModelConfig(gamma=1.0, k=len(truth_cols)))
+    theta = log_marginal_likelihoods(stack_designs(data.annotations, [truth_cols]),
+                                     data.labels.astype(float), 1.0)[1][0]
     phi_test = np.column_stack([test.annotations[:, truth_cols],
                                 np.ones(len(test.labels))])
     reference = sigmoid(phi_test @ theta)

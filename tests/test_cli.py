@@ -139,7 +139,7 @@ def reference_metrics(run_dir) -> str:
     observations, labels = cli.load_dataset(cfg.dataset)
     oracle = cli.build_oracle(cfg, observations, AnnotationCache())
     data = cli.gibbs_data_from_oracle(observations, labels, oracle)
-    designs = [data.phi(s.concept_set).values for s in samples]
+    designs = [data.designs([s.concept_set])[0] for s in samples]
     scores = np.array([posterior_predictive(samples, [X[i] for X in designs])
                        for i in range(len(observations))])
     return json.dumps({"n": len(observations), "auc": auc(scores, labels),
@@ -187,6 +187,23 @@ class TestSimulate:
         pool = json.loads((tmp_path / "pool.json").read_text())
         assert len(pool) == 9
         assert pool[0]["keyword"] == "unemployed"
+
+    @pytest.mark.parametrize("extra, what", [
+        (["--coefficients", "a,b"], "--coefficients must be comma-separated finite numbers, "
+                                    "got 'a,b'"),
+        (["--coefficients", "1,nan"], "--coefficients must be comma-separated finite numbers"),
+        (["--n", "-5"], "--n must be >= 1, got -5"),
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        (["--pool-size", "0"], "--coefficients lists 2 coefficients, more than --pool-size 0"),
+        (["--clinical", "--n-decoys", "-1"], "--n-decoys must be >= 0, got -1")],
+        ids=["coefficients-not-numbers", "coefficient-nan", "n-negative", "n-zero",
+             "more-coefficients-than-pool", "n-decoys-negative"])
+    def test_user_error_exits_2_naming_it(self, tmp_path, capsys, extra, what):
+        out = tmp_path / "data"
+        assert cli.main(["simulate", "--out", str(out), "--n", "10", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and what in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -553,6 +570,45 @@ class TestLLMRunCounts:
         assert results[True][0] == results[False][0]
 
 
+@pytest.mark.parametrize("weight, incumbent_weight", [(1e-30, 1e308), (1e308, 1.0)],
+                         ids=["q-underflows-to-0", "sum-overflows-to-nan"])
+def test_float_edge_llm_weights_exit_3(tmp_path, monkeypatch, capsys, weight, incumbent_weight):
+    """LLM weights whose normalized q is 0 or NaN are a proposal failure: the
+    run exits 3 naming the weights and its checkpoint, not with a traceback."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from fake_llm import FakeChatTransport, chat_body
+    from ccbm.llm import ChatClient
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--out", str(data), "--n", "40", "--seed", "4",
+                     "--clinical", "--n-decoys", "5"]) == 0
+    fake = FakeChatTransport(json.loads(line)["text"]
+                             for line in (data / "dataset.ndjson").read_text().splitlines())
+
+    def transport(url, headers, payload):
+        answer = json.loads(fake(url, headers, payload)["choices"][0]["message"]["content"])
+        if "candidates" not in answer:
+            return chat_body(answer)
+        for entry in answer["candidates"]:
+            entry["weight"] = weight
+        return chat_body(dict(answer, incumbent_weight=incumbent_weight))
+
+    monkeypatch.setattr(ChatClient, "_http_post", staticmethod(transport))
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": str(data / "dataset.ndjson"), "output_dir": str(run_dir),
+        "oracle": {"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "fake",
+                   "max_in_flight": 2, "backoff_seconds": [0, 0, 0]},
+        "sampler": dict(SAMPLER, k=4, t_epochs=1, m_candidates=4)}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert f"incumbent weight {incumbent_weight!r} give no valid proposal" in err
+    assert repr(weight) in err and "Traceback" not in err
+    assert f"checkpoint at {run_dir / 'checkpoints' / 'chain.json'}" in err
+    assert lock_is_free(run_dir)
+
+
 def int_question(line: bytes) -> bytes:
     """The chain-log line with its state's first question replaced by an int."""
     record = json.loads(line)
@@ -751,8 +807,7 @@ class TestResidualSummary:
     def test_one_class_subset_gets_no_signal_without_fitting(self, monkeypatch):
         monkeypatch.setattr(cli, "fit_keyphrase_model", pytest.fail)
         labels = np.array([0, 1] * 6)
-        data = GibbsData(labels, [f"o{i}" for i in range(12)],
-                         lambda concepts: np.zeros((12, len(concepts))))
+        data = GibbsData(labels, lambda concepts: np.zeros((12, len(concepts))))
         provider = cli._make_summary_provider(data, labels, self.bags(12), {}, 0)
         summary = provider([Concept("Is it a?")], np.arange(1, 12, 2))
         assert summary.entries == [] and not summary.residual_signal
@@ -1116,6 +1171,34 @@ class TestEnumerate:
         probs = [entry["probability"] for entry in payload]
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("extra, pool, what", [
+        (["--gamma", "0"], None, "--gamma must be finite and positive, got 0.0"),
+        (["--gamma", "-1"], None, "--gamma must be finite and positive, got -1.0"),
+        (["--gamma", "nan"], None, "--gamma must be finite and positive, got nan"),
+        (["--k", "0"], None, "--k must be >= 1, got 0"),
+        (["--k", "-1"], None, "--k must be >= 1, got -1"),
+        (["--k", "20"], None, "--k 20 is more than the 8 concepts of"),
+        ([], "duplicate", "pool contains duplicate concepts"),
+        (["--k", "5"], "wide", "--k 5: enumeration would visit 658008 supports")],
+        ids=["gamma-zero", "gamma-negative", "gamma-nan", "k-zero", "k-negative",
+             "k-above-pool", "duplicate-concept", "over-budget"])
+    def test_user_error_exits_2_naming_it(self, workspace, tmp_path, capsys, extra, pool, what):
+        pool_path = workspace / "data" / "pool.json"
+        if pool is not None:
+            entries = json.loads(pool_path.read_text())
+            entries = entries + entries[:1] if pool == "duplicate" else [
+                {"question": f"Is feature {i} present?", "keyword": f"feat{i}"}
+                for i in range(40)]
+            pool_path = tmp_path / "pool.json"
+            pool_path.write_text(json.dumps(entries))
+        out = tmp_path / "exact.json"
+        assert cli.main(["enumerate", "--dataset", str(workspace / "data" / "dataset.ndjson"),
+                         "--pool", str(pool_path), "--k", "2", "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and what in err
+        assert not out.exists()
 
 
 class TestExtractKeyphrases:

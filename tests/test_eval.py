@@ -15,7 +15,7 @@ from ccbm.evaluate import (ConceptMatchRule, InconclusiveMatchError,
                            MetricUndefinedError, auc, brier, concepts_match,
                            enumerate_posterior, predictive_entropy,
                            recovery_report, support_frequencies, tv_distance)
-from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood, logsumexp
+from ccbm.model import log_marginal_likelihoods, logsumexp, stack_designs
 from ccbm.sampler import GibbsData, _MarginalCache
 
 from conftest import make_pool_dataset
@@ -305,15 +305,13 @@ class TestEnumeratePosterior:
 
     @staticmethod
     def per_support_reference(pool, k, y, annotations, gamma):
-        """The posterior as one log_marginal_likelihood call per support, scipy's
-        logsumexp for the normalizer."""
+        """The posterior as one single-design log_marginal_likelihoods solve per
+        support, scipy's logsumexp for the normalizer."""
         from scipy.special import logsumexp
-        row_ids = tuple(str(i) for i in range(annotations.shape[0]))
-        cfg = ModelConfig(gamma=gamma, k=k)
         supports, log_probs = [], []
         for combo in itertools.combinations(range(len(pool)), k):
-            phi = AnnotationMatrix.build(annotations[:, combo], row_ids)
-            log_probs.append(log_marginal_likelihood(phi, y, cfg).value)
+            X = stack_designs(annotations[:, combo], [range(k)])
+            log_probs.append(log_marginal_likelihoods(X, y, gamma)[0][0])
             supports.append(frozenset(pool[j].id for j in combo))
         log_probs = np.asarray(log_probs)
         log_z = logsumexp(log_probs)
@@ -336,9 +334,8 @@ class TestEnumeratePosterior:
         design layout is the chain's."""
         pool = [pc.concept for pc in pool_dataset.pool_concepts]
         index = {c.id: j for j, c in enumerate(pool)}
-        data = GibbsData(pool_dataset.labels, [o.id for o in pool_dataset.observations],
-                         lambda concepts: pool_dataset.annotations[
-                             :, [index[c.id] for c in concepts]])
+        data = GibbsData(pool_dataset.labels, lambda concepts: pool_dataset.annotations[
+            :, [index[c.id] for c in concepts]])
         marginals = _MarginalCache(data, 1.0)
         combos = list(itertools.combinations(range(len(pool)), k))
         log_probs = np.array([marginals.full([pool[j] for j in combo])[0] for combo in combos])
@@ -350,10 +347,11 @@ class TestEnumeratePosterior:
 
     def test_values_outside_the_unit_interval_rejected(self, pool_dataset):
         pool = [pc.concept for pc in pool_dataset.pool_concepts]
-        annotations = pool_dataset.annotations.copy()
-        annotations[3, 2] = np.nan
-        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            enumerate_posterior(pool, 2, pool_dataset.labels, annotations, gamma=1.0)
+        for bad in (np.nan, 1.5, -0.5):
+            annotations = pool_dataset.annotations.copy()
+            annotations[3, 2] = bad
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                enumerate_posterior(pool, 2, pool_dataset.labels, annotations, gamma=1.0)
 
     def test_k_above_pool_size_is_empty(self, pool_dataset):
         pool = [pc.concept for pc in pool_dataset.pool_concepts][:3]

@@ -370,6 +370,19 @@ class TestPropose:
         assert any(e["event"] == "weights_all_zero_uniform_fallback"
                    for e in oracle.run_log)
 
+    @pytest.mark.parametrize("weights, incumbent_weight", [
+        ([1e-30], 1e308),  # the candidate's q underflows to 0
+        ([1e308, 1e308], 1.0)],  # the weights' sum overflows, so every q is NaN
+        ids=["underflow", "overflow"])
+    def test_float_edge_weights_raise_proposal_error(self, weights, incumbent_weight):
+        body = {"candidates": [{"question": f"{name}?", "weight": w}
+                               for name, w in zip("AB", weights)]}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProposalError, match="give no valid proposal") as failure:
+            self.propose(body, incumbent_weight=incumbent_weight)
+        assert str(weights) in str(failure.value)
+        assert repr(incumbent_weight) in str(failure.value)
+
     def test_context_duplicates_and_repeats_skipped(self):
         body = {"candidates": [self.context[0].question, "A?", "a?", "B?"]}
         _, _, p = self.propose(body, incumbent_weight=1.0)

@@ -6,21 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
-from ccbm.model import (AnnotationMatrix, ModelConfig, OptimizationError,
-                        PosteriorSample, log1pexp, log1pexp_sigmoid,
-                        log_marginal_likelihood,
-                        log_marginal_likelihoods, logsumexp, map_estimate,
-                        posterior_predictive, sigmoid, sigmoid_predict,
-                        sigmoid_predict_many)
+from ccbm.model import (OptimizationError, PosteriorSample, log1pexp, log1pexp_sigmoid,
+                        log_marginal_likelihoods, logsumexp, posterior_predictive,
+                        sigmoid, sigmoid_predict, sigmoid_predict_many, stack_designs)
 from ccbm.sampler import GibbsData, _MarginalCache
 
 from conftest import quadrature_log_marginal
 
 
+def one_design(values):
+    """The stack_designs stack (1, n, d+1) of one design: the d columns of
+    values, then the intercept."""
+    values = np.asarray(values, dtype=float)
+    return stack_designs(values, [range(values.shape[1])])
+
+
 def random_instance(rng, n, gamma):
-    phi = AnnotationMatrix.build(rng.random((n, 1)), [str(i) for i in range(n)])
+    X = one_design(rng.random((n, 1)))
     y = (rng.random(n) < 0.5).astype(float)
-    return phi, y, ModelConfig(gamma=gamma, k=1)
+    return X, y, gamma
 
 
 def serial_objective(theta, X, y, gamma):
@@ -99,15 +103,12 @@ class TestStackedSolver:
         for _ in range(60):
             n, d = int(rng.integers(0, 400)), int(rng.integers(2, 7))
             gamma = float(rng.choice([0.5, 1.0, 2.0]))
-            X = random_stack(rng, 1, n, d)[0]
+            X = random_stack(rng, 1, n, d)
             y = (rng.random(n) < 0.5).astype(float)
-            phi = AnnotationMatrix(values=X, row_ids=tuple(map(str, range(n))))
-            cfg = ModelConfig(gamma=gamma, k=d - 1)
-            value, theta, log_det = serial_laplace(X, y, gamma)
-            lm = log_marginal_likelihood(phi, y, cfg)
-            assert lm.value == value and lm.log_det_hessian == log_det
-            assert np.array_equal(lm.theta_map, theta)
-            assert np.array_equal(map_estimate(phi, y, cfg), serial_map(X, y, gamma))
+            value, theta, log_det = serial_laplace(X[0], y, gamma)
+            values, thetas, log_dets = log_marginal_likelihoods(X, y, gamma)
+            assert values[0] == value and log_dets[0] == log_det
+            assert np.array_equal(thetas[0], theta)
 
     def test_unconverged_design_raises(self):
         # a design that converges at once beside a separable one that needs
@@ -123,9 +124,8 @@ class TestStackedSolver:
         with pytest.raises(OptimizationError) as failure:
             log_marginal_likelihoods(X, y, 4.0, max_iter=3)
         assert np.array_equal(failure.value.theta, serial_failure.value.theta)
-        phi = AnnotationMatrix(values=X[1], row_ids=tuple(map(str, range(n))))
         with pytest.raises(OptimizationError):
-            map_estimate(phi, y, ModelConfig(gamma=4.0, k=1), max_iter=3)
+            log_marginal_likelihoods(X[1:], y, 4.0, max_iter=3)
 
 
 class TestSigmoid:
@@ -239,108 +239,108 @@ class TestLogSumExp:
 
 class TestMapEstimate:
     def test_empty_data_prior_mode(self):
-        phi = AnnotationMatrix(values=np.zeros((0, 2)), row_ids=())
-        theta = map_estimate(phi, np.zeros(0), ModelConfig(gamma=1.0, k=1))
+        theta = log_marginal_likelihoods(np.zeros((1, 0, 2)), np.zeros(0), 1.0)[1][0]
         assert np.array_equal(theta, np.zeros(2))
 
     def test_balanced_labels_give_zero(self):
         # identical rows with labels {0,1}: logistic gradient vanishes at 0
-        phi = AnnotationMatrix.build(np.array([[0.7], [0.7]]), ["a", "b"])
-        theta = map_estimate(phi, np.array([0.0, 1.0]), ModelConfig(gamma=1.0, k=1))
+        theta = log_marginal_likelihoods(one_design([[0.7], [0.7]]), np.array([0.0, 1.0]),
+                                         1.0)[1][0]
         assert np.max(np.abs(theta)) < 1e-8
 
     def test_matches_gradient_descent_oracle(self, rng):
-        phi, y, cfg = random_instance(rng, 8, 1.0)
-        theta = map_estimate(phi, y, cfg)
+        X, y, gamma = random_instance(rng, 8, 1.0)
+        theta = log_marginal_likelihoods(X, y, gamma)[1][0]
         # independent plain gradient-descent minimizer of the same objective
         ref = np.zeros(2)
         for _ in range(200000):
-            z = phi.values @ ref
-            grad = phi.values.T @ (sigmoid(z) - y) + ref / cfg.gamma**2
+            z = X[0] @ ref
+            grad = X[0].T @ (sigmoid(z) - y) + ref / gamma**2
             ref -= 0.05 * grad
         assert np.max(np.abs(theta - ref)) < 1e-6
 
     def test_gradient_norm_at_solution(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)
-            phi, y, cfg = random_instance(r, 12, 0.7)
-            theta = map_estimate(phi, y, cfg)
-            z = phi.values @ theta
-            grad = phi.values.T @ (sigmoid(z) - y) + theta / cfg.gamma**2
+            X, y, gamma = random_instance(r, 12, 0.7)
+            theta = log_marginal_likelihoods(X, y, gamma)[1][0]
+            z = X[0] @ theta
+            grad = X[0].T @ (sigmoid(z) - y) + theta / gamma**2
             assert np.max(np.abs(grad)) <= 1e-8
 
     def test_matches_sklearn_reference(self, rng):
         sklearn = pytest.importorskip("sklearn.linear_model")
-        X = rng.random((40, 2))
+        X = one_design(rng.random((40, 2)))
         y = (rng.random(40) < 0.5).astype(float)
-        phi = AnnotationMatrix.build(X, [str(i) for i in range(40)])
         for gamma in (0.5, 1.0, 2.0):
-            theta = map_estimate(phi, y, ModelConfig(gamma=gamma, k=2))
+            theta = log_marginal_likelihoods(X, y, gamma)[1][0]
             ref = sklearn.LogisticRegression(
                 C=gamma**2, fit_intercept=False, tol=1e-12, max_iter=5000)
-            ref.fit(phi.values, y)
+            ref.fit(X[0], y)
             assert np.max(np.abs(ref.coef_.ravel() - theta)) < 1e-6
 
 
 class TestLogMarginal:
     def test_empty_data_is_exactly_zero(self):
-        phi = AnnotationMatrix(values=np.zeros((0, 2)), row_ids=())
-        lm = log_marginal_likelihood(phi, np.zeros(0), ModelConfig(gamma=1.0, k=1))
-        assert lm.value == 0.0
+        assert log_marginal_likelihoods(np.zeros((1, 0, 2)), np.zeros(0), 1.0)[0][0] == 0.0
 
     def test_tiny_gamma_collapses_to_coin_flips(self):
         n = 7
-        phi = AnnotationMatrix.build(np.linspace(0, 1, n)[:, None],
-                                     [str(i) for i in range(n)])
+        X = one_design(np.linspace(0, 1, n)[:, None])
         y = np.array([0, 1, 0, 1, 1, 0, 1], dtype=float)
-        lm = log_marginal_likelihood(phi, y, ModelConfig(gamma=1e-4, k=1))
-        assert lm.value == pytest.approx(-n * np.log(2), rel=1e-4)
+        value = log_marginal_likelihoods(X, y, 1e-4)[0][0]
+        assert value == pytest.approx(-n * np.log(2), rel=1e-4)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(42)
-        phi, y, cfg = random_instance(rng, 6, 1.0)
-        lm = log_marginal_likelihood(phi, y, cfg)
-        ref = quadrature_log_marginal(phi.values, y, cfg.gamma)
-        assert abs(lm.value - ref) / abs(ref) <= 0.02
+        X, y, gamma = random_instance(rng, 6, 1.0)
+        value = log_marginal_likelihoods(X, y, gamma)[0][0]
+        ref = quadrature_log_marginal(X[0], y, gamma)
+        assert abs(value - ref) / abs(ref) <= 0.02
 
     def test_permutation_invariance(self, rng):
-        phi, y, cfg = random_instance(rng, 9, 1.0)
+        X, y, gamma = random_instance(rng, 9, 1.0)
         perm = rng.permutation(9)
-        phi_p = AnnotationMatrix(values=phi.values[perm],
-                                 row_ids=tuple(phi.row_ids[i] for i in perm))
-        a = log_marginal_likelihood(phi, y, cfg).value
-        b = log_marginal_likelihood(phi_p, y[perm], cfg).value
+        a = log_marginal_likelihoods(X, y, gamma)[0][0]
+        b = log_marginal_likelihoods(X[:, perm], y[perm], gamma)[0][0]
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_column_permutation_invariance(self, rng):
         X = rng.random((10, 2))
         y = (rng.random(10) < 0.5).astype(float)
-        ids = [str(i) for i in range(10)]
-        cfg = ModelConfig(gamma=1.0, k=2)
-        a = log_marginal_likelihood(AnnotationMatrix.build(X, ids), y, cfg)
-        b = log_marginal_likelihood(AnnotationMatrix.build(X[:, ::-1], ids), y, cfg)
-        assert a.value == pytest.approx(b.value, abs=1e-9)
-        assert a.theta_map[0] == pytest.approx(b.theta_map[1], abs=1e-7)
+        a_value, a_theta, _ = log_marginal_likelihoods(one_design(X), y, 1.0)
+        b_value, b_theta, _ = log_marginal_likelihoods(one_design(X[:, ::-1]), y, 1.0)
+        assert a_value[0] == pytest.approx(b_value[0], abs=1e-9)
+        assert a_theta[0, 0] == pytest.approx(b_theta[0, 1], abs=1e-7)
 
     def test_hessian_dominates_prior_precision(self, rng):
-        phi, y, cfg = random_instance(rng, 8, 1.0)
-        theta = map_estimate(phi, y, cfg)
-        p = sigmoid(phi.values @ theta)
-        H = (phi.values * (p * (1 - p))[:, None]).T @ phi.values
+        X, y, gamma = random_instance(rng, 8, 1.0)
+        theta = log_marginal_likelihoods(X, y, gamma)[1][0]
+        p = sigmoid(X[0] @ theta)
+        H = (X[0] * (p * (1 - p))[:, None]).T @ X[0]
         assert np.min(np.linalg.eigvalsh(H)) > -1e-12
 
     def test_duplication_moves_per_observation_marginal_toward_plugin(self, rng):
         # doubling the data amortizes the complexity penalty: the per-row
         # marginal rises toward the plug-in average log-likelihood
-        phi, y, cfg = random_instance(rng, 8, 1.0)
-        lm = log_marginal_likelihood(phi, y, cfg)
-        z = phi.values @ lm.theta_map
+        X, y, gamma = random_instance(rng, 8, 1.0)
+        values, thetas, _ = log_marginal_likelihoods(X, y, gamma)
+        z = X[0] @ thetas[0]
         plugin_avg = float(np.mean(y * z - np.logaddexp(0.0, z)))
-        doubled_phi = AnnotationMatrix(
-            values=np.vstack([phi.values, phi.values]),
-            row_ids=phi.row_ids + tuple(f"{r}-copy" for r in phi.row_ids))
-        doubled = log_marginal_likelihood(doubled_phi, np.concatenate([y, y]), cfg).value
-        assert lm.value / len(y) < doubled / (2 * len(y)) < plugin_avg
+        doubled = log_marginal_likelihoods(np.concatenate([X, X], axis=1),
+                                           np.concatenate([y, y]), gamma)[0][0]
+        assert values[0] / len(y) < doubled / (2 * len(y)) < plugin_avg
+
+
+class TestStackDesigns:
+    def test_columns_in_list_order_then_the_intercept(self):
+        table = np.arange(12.0).reshape(4, 3) / 12
+        rows = np.array([3, 0])
+        X = stack_designs(table, [[2, 0], [1, 1]], rows)
+        assert X.shape == (2, 2, 3) and X.flags.c_contiguous
+        assert np.array_equal(X[0, :, :2], table[np.ix_(rows, [2, 0])])
+        assert np.array_equal(X[1, :, :2], table[np.ix_(rows, [1, 1])])
+        assert np.all(X[:, :, -1] == 1.0)
 
 
 class TestPartialBayes:
@@ -348,67 +348,46 @@ class TestPartialBayes:
     difference of two Laplace marginals, here of one concept set."""
 
     @staticmethod
-    def marginals(phi, y, cfg):
-        data = GibbsData(y, phi.row_ids, lambda concepts: phi.values[:, :-1])
-        return _MarginalCache(data, cfg.gamma), [Concept("Is it x?")]
+    def marginals(X, y, gamma):
+        data = GibbsData(y, lambda concepts: X[0, :, :-1])
+        return _MarginalCache(data, gamma), [Concept("Is it x?")]
 
     def test_full_subset_is_zero(self, rng):
-        phi, y, cfg = random_instance(rng, 8, 1.0)
-        cache, concepts = self.marginals(phi, y, cfg)
+        X, y, gamma = random_instance(rng, 8, 1.0)
+        cache, concepts = self.marginals(X, y, gamma)
         assert cache.log_partial_bayes([concepts], np.arange(8))[0] == 0.0
 
     def test_empty_subset_is_full_marginal(self, rng):
-        phi, y, cfg = random_instance(rng, 8, 1.0)
-        full = log_marginal_likelihood(phi, y, cfg).value
-        cache, concepts = self.marginals(phi, y, cfg)
+        X, y, gamma = random_instance(rng, 8, 1.0)
+        full = log_marginal_likelihoods(X, y, gamma)[0][0]
+        cache, concepts = self.marginals(X, y, gamma)
         assert cache.log_partial_bayes([concepts], np.array([], dtype=int))[0] == full
 
     def test_chain_rule_identity(self, rng):
-        phi, y, cfg = random_instance(rng, 10, 1.0)
+        X, y, gamma = random_instance(rng, 10, 1.0)
         s = np.array([0, 2, 5, 7])
-        phi_s = AnnotationMatrix(values=phi.values[s],
-                                 row_ids=tuple(phi.row_ids[i] for i in s))
-        cache, concepts = self.marginals(phi, y, cfg)
-        lhs = log_marginal_likelihood(phi, y, cfg).value
-        rhs = (log_marginal_likelihood(phi_s, y[s], cfg).value
+        cache, concepts = self.marginals(X, y, gamma)
+        lhs = log_marginal_likelihoods(X, y, gamma)[0][0]
+        rhs = (log_marginal_likelihoods(X[:, s], y[s], gamma)[0][0]
                + cache.log_partial_bayes([concepts], s)[0])
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_matches_quadrature_difference(self):
         rng = np.random.default_rng(42)
-        phi, y, cfg = random_instance(rng, 8, 1.0)
+        X, y, gamma = random_instance(rng, 8, 1.0)
         s = np.arange(4)
-        cache, concepts = self.marginals(phi, y, cfg)
+        cache, concepts = self.marginals(X, y, gamma)
         lpb = cache.log_partial_bayes([concepts], s)[0]
-        ref = (quadrature_log_marginal(phi.values, y, cfg.gamma)
-               - quadrature_log_marginal(phi.values[s], y[s], cfg.gamma))
+        ref = (quadrature_log_marginal(X[0], y, gamma)
+               - quadrature_log_marginal(X[0, s], y[s], gamma))
         assert abs(lpb - ref) / abs(ref) <= 0.02
 
     def test_out_of_range_subset_rejected(self, rng):
-        phi, y, cfg = random_instance(rng, 5, 1.0)
-        cache, concepts = self.marginals(phi, y, cfg)
+        X, y, gamma = random_instance(rng, 5, 1.0)
+        cache, concepts = self.marginals(X, y, gamma)
         for index in (7, -1):
             with pytest.raises(ValueError):
                 cache.log_partial_bayes([concepts], np.array([index]))
-
-
-class TestAnnotationMatrix:
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            AnnotationMatrix.build(np.array([[1.5]]), ["a"])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            AnnotationMatrix.build(np.array([[np.nan], [0.0]]), ["a", "b"])
-
-    def test_rejects_broken_intercept(self):
-        with pytest.raises(ValueError):
-            AnnotationMatrix(values=np.array([[0.5, 0.0]]), row_ids=("a",))
-
-    def test_build_appends_intercept(self):
-        phi = AnnotationMatrix.build(np.array([[0.2], [0.8]]), ["a", "b"])
-        assert phi.values.shape == (2, 2)
-        assert np.all(phi.values[:, -1] == 1.0)
 
 
 class TestSigmoidPredictMany:
@@ -474,25 +453,15 @@ class TestPosteriorPredictive:
         assert np.allclose(restored.theta, s.theta)
 
 
-class TestConfigValidation:
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ModelConfig(gamma=0.0, k=1)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ModelConfig(gamma=1.0, k=0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
        gamma=st.sampled_from([0.5, 1.0, 2.0]))
 def test_marginal_finite_and_map_converges(seed, n, gamma):
     rng = np.random.default_rng(seed)
-    phi = AnnotationMatrix.build(rng.random((n, 1)), [str(i) for i in range(n)])
+    X = one_design(rng.random((n, 1)))
     y = (rng.random(n) < 0.5).astype(float)
-    lm = log_marginal_likelihood(phi, y, ModelConfig(gamma=gamma, k=1))
-    assert np.isfinite(lm.value)
-    assert np.isfinite(lm.theta_map).all()
+    values, thetas, _ = log_marginal_likelihoods(X, y, gamma)
+    assert np.isfinite(values[0])
+    assert np.isfinite(thetas[0]).all()
     # marginal likelihood is a probability of n binary outcomes
-    assert lm.value < 0.0 or n == 0
+    assert values[0] < 0.0 or n == 0

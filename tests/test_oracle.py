@@ -10,7 +10,7 @@ import ccbm.oracle
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior
 from ccbm.keyphrase import KeyphraseSummary
-from ccbm.model import AnnotationMatrix, ModelConfig, log_marginal_likelihood
+from ccbm.model import log_marginal_likelihoods, stack_designs
 from ccbm.oracle import (AnnotationCache, AnnotationError, Observation, OracleProposal, PoolConcept,
                          PoolOracle, ProposalError, keyword_value,
                          normalize_phrase)
@@ -364,10 +364,9 @@ class TestPoolProposals:
             context, subset_scorer(pool_dataset, oracle, rows))
         # the loop the stacked solve replaced: context columns, candidate, intercept
         cols = [4, 1]
-        log_scores = np.array([log_marginal_likelihood(
-            AnnotationMatrix.build(pool_dataset.annotations[np.ix_(rows, cols + [j])],
-                                   [str(i) for i in rows]),
-            pool_dataset.labels[rows], ModelConfig(gamma=1.0, k=3)).value for j in eligible])
+        log_scores = np.array([log_marginal_likelihoods(
+            stack_designs(pool_dataset.annotations[np.ix_(rows, cols + [j])], [range(3)]),
+            pool_dataset.labels[rows], 1.0)[0][0] for j in eligible])
         assert np.array_equal(log_marginals, log_scores)
         log_scores -= log_scores.max()
         want = np.exp(log_scores)

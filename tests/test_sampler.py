@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
-from ccbm.model import (AnnotationMatrix, ModelConfig, log_marginal_likelihood,
-                        log_marginal_likelihoods)
+from ccbm.model import log_marginal_likelihoods
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
                          OracleProposal, PoolConcept, PoolOracle)
 import ccbm.sampler as sampler
@@ -36,7 +35,7 @@ def make_env(seed, n=20, n_concepts=4, k=2):
     def column_fn(cs):
         return np.column_stack([columns[c.id] for c in cs])
 
-    data = GibbsData(labels, [str(i) for i in range(n)], column_fn)
+    data = GibbsData(labels, column_fn)
     state = ConceptSet(concepts[:k])
     return data, concepts, state, columns, rng
 
@@ -140,8 +139,7 @@ class TestSingleTryUpdate:
         columns = {good.id: labels.copy(), bad.id: (r.random(n) < 0.5).astype(float)}
 
         from ccbm.sampler import GibbsData
-        data = GibbsData(labels, [str(i) for i in range(n)],
-                         lambda cs: np.column_stack([columns[c.id] for c in cs]))
+        data = GibbsData(labels, lambda cs: np.column_stack([columns[c.id] for c in cs]))
         state = ConceptSet([bad])
         subset = np.arange(100)
         proposal = OracleProposal([good], np.array([1.0]), 1.0)
@@ -617,10 +615,9 @@ class TestColumnStore:
                          [pool[1], pool[3]],           # all stored, new order
                          [pool[0], pool[3], pool[8]],  # stored and unstored mixed
                          [pool[2], pool[2], pool[1]]):  # a repeated concept
-            phi = data.phi(concepts)
-            assert phi.row_ids == tuple(o.id for o in obs)
-            assert np.array_equal(phi.values, per_record_design(reference, obs, concepts))
-            assert np.array_equal(phi.values[subset], per_record_design(
+            X = data.designs([concepts])[0]
+            assert np.array_equal(X, per_record_design(reference, obs, concepts))
+            assert np.array_equal(X[subset], per_record_design(
                 reference, [obs[i] for i in subset], concepts))
 
     def test_only_unstored_concepts_reach_column_fn(self):
@@ -629,12 +626,12 @@ class TestColumnStore:
         inner = data._column_fn
         data._column_fn = lambda cs: calls.append([c.id for c in cs]) or inner(cs)
         a, b, c, d = concepts
-        data.phi([a, b])
-        data.phi([b, a])
+        data.designs([[a, b]])
+        data.designs([[b, a]])
         data.fill([c, a, c, d])
-        data.phi([d, c, a])
+        data.designs([[d, c, a]])
         assert calls == [[a.id, b.id], [c.id, d.id]]
-        assert np.array_equal(data.phi([c]).values[:, 0], columns[c.id])
+        assert np.array_equal(data.designs([[c]])[0, :, 0], columns[c.id])
 
     def test_pool_chain_annotates_each_pair_once(self, pool_dataset):
         # M covers every eligible concept, so every proposal re-proposes the incumbent
@@ -671,8 +668,7 @@ class TestColumnStore:
         marginals.full(state.concepts)
         assert stacks == []
 
-    def test_out_of_range_column_rejected_once_at_fill(self, monkeypatch, rng):
-        import ccbm.model as model
+    def test_out_of_range_column_rejected_once_at_fill(self, rng):
         data, concepts, state, columns, _ = make_env(3, n_concepts=5)
         columns[concepts[3].id][4] = 1.5
         columns[concepts[4].id][0] = np.nan
@@ -680,11 +676,6 @@ class TestColumnStore:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 data.fill([concepts[2], bad])
             assert concepts[2].id not in data._index and bad.id not in data._index
-
-        def no_scan(self):
-            raise AssertionError("a stored column was range-checked again")
-
-        monkeypatch.setattr(model.AnnotationMatrix, "__post_init__", no_scan)
         proposal = OracleProposal([state[1], concepts[2]], np.array([0.5, 0.5]), 0.5)
         cfg = SamplerConfig(k=2, t_epochs=1, m_candidates=2)
         for update in (multi_ss_mh_update, greedy_warm_start_update):
@@ -706,9 +697,9 @@ class SerialMarginals:
     def full(self, concepts):
         key = tuple(c.id for c in concepts)
         if key not in self._cache:
-            lm = log_marginal_likelihood(self.data.phi(concepts), self.data.labels,
-                                         ModelConfig(gamma=self.gamma, k=len(concepts)))
-            self._cache[key] = (lm.value, lm.theta_map)
+            values, thetas, _ = log_marginal_likelihoods(self.data.designs([concepts]),
+                                                         self.data.labels, self.gamma)
+            self._cache[key] = (float(values[0]), thetas[0])
         return self._cache[key]
 
     def subset(self, concepts, subset, slot):
@@ -716,11 +707,9 @@ class SerialMarginals:
             raise ValueError("subset indices out of range")
         if self.oracle_order:
             concepts = (*concepts[:slot], *concepts[slot + 1:], concepts[slot])
-        phi = self.data.phi(concepts)
-        sub = AnnotationMatrix(values=phi.values[subset],
-                               row_ids=tuple(phi.row_ids[i] for i in subset))
-        return log_marginal_likelihood(sub, self.data.labels[subset],
-                                       ModelConfig(gamma=self.gamma, k=len(concepts))).value
+        X = self.data.designs([concepts])[0]
+        return float(log_marginal_likelihoods(X[subset][None], self.data.labels[subset],
+                                              self.gamma)[0][0])
 
     def log_partial_bayes(self, concepts, subset, slot):
         return self.full(concepts)[0] - self.subset(concepts, subset, slot)

@@ -1,10 +1,13 @@
 """The benchmark's tracer wraps functions of ccbm by name; every name it
 hooks must resolve, or `bench/run.py --trace 1` fails on entry."""
 
+import ast
 import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import ccbm
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,6 +35,23 @@ def test_tracer_hooks_resolve_and_unwind():
     for hook, original in zip(tracing.HOOKS, originals):
         assert hooked(*hook[:3]) is original, hook
     assert tracer.roots == []
+
+
+def test_unused_imports_bind_only_hooked_names():
+    """A module-level import marked `noqa: F401` binds a name that nothing in
+    ccbm uses; the tracer's HOOKS is the one reason to keep such a name."""
+    hooked_names = {(module, attr) for module, attr, cls, _ in load_tracing().HOOKS
+                    if cls is None}
+    unused = []
+    for path in sorted(Path(ccbm.__file__).parent.glob("*.py")):
+        module = "ccbm" if path.stem == "__init__" else f"ccbm.{path.stem}"
+        lines = path.read_text().splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            marked = any("noqa: F401" in line
+                         for line in lines[node.lineno - 1:node.end_lineno])
+            if marked and isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [(module, alias.asname or alias.name) for alias in node.names]
+    assert set(unused) <= hooked_names, sorted(set(unused) - hooked_names)
 
 
 def test_traced_run_records_each_checkpoint_save(tmp_path):
