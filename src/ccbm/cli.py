@@ -25,8 +25,7 @@ from . import __version__
 from .concepts import Concept, ConceptSet
 from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
                        recovery_report, support_frequencies)
-from .keyphrase import (KeyphraseSummary, build_bow, fit_keyphrase_model,
-                        summarize_top_keyphrases)
+from .keyphrase import build_bow, fit_keyphrase_model, top_keyphrases
 from .llm import LLMConfig, LLMOracle
 from .model import OptimizationError, PosteriorSample, sigmoid_predict_many, stack_designs
 # ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
@@ -56,10 +55,15 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _object(value, what: str) -> dict:
-    """value, which must be a JSON object; anything else raises ConfigError."""
+def _object(value, what: str, fields: Optional[Sequence[str]] = None) -> dict:
+    """value, which must be a JSON object holding no field outside fields,
+    when they are given; anything else raises ConfigError naming it."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, not {type(value).__name__}")
+    unknown = [key for key in value if fields is not None and key not in fields]
+    if unknown:
+        raise ConfigError(f"{what} has an unknown field {unknown[0]!r}; "
+                          f"its fields are {', '.join(fields)}")
     return value
 
 
@@ -99,12 +103,13 @@ class RunConfig:
     output_dir: Path
     oracle: dict
     sampler: SamplerConfig
-    keyphrase: dict
+    keyphrase: dict  # top_n and min_df as given; the summary has their defaults
     truth: Optional[list[str]] = None
 
     @staticmethod
     def load(path: Path, overrides: Optional[dict] = None) -> "RunConfig":
-        raw = _object(_read_json(path, "config"), f"config {path}")
+        raw = _object(_read_json(path, "config"), f"config {path}",
+                      ("dataset", "output_dir", "oracle", "sampler", "keyphrase", "truth"))
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -128,12 +133,17 @@ class RunConfig:
         oracle = _object(raw["oracle"], "oracle config")
         if oracle.get("type") not in ("pool", "llm"):
             raise ConfigError("oracle.type must be 'pool' or 'llm'")
+        keyphrase = _object(raw.get("keyphrase", {}), "keyphrase config", ("top_n", "min_df"))
+        for field, value in keyphrase.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"keyphrase config: {field} must be an integer >= 1, "
+                                  f"got {value!r}")
         return RunConfig(
             dataset=dataset,
             output_dir=Path(raw["output_dir"]),
             oracle=oracle,
             sampler=sampler,
-            keyphrase=_object(raw.get("keyphrase", {}), "keyphrase config"),
+            keyphrase=keyphrase,
             truth=_questions(raw.get("truth"), "config field 'truth'"),
         )
 
@@ -192,6 +202,7 @@ def load_pool(spec) -> list[PoolConcept]:
 def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> ConceptOracle:
     """The configured oracle; a config mistake raises ConfigError naming the field."""
     if cfg.oracle["type"] == "pool":
+        _object(cfg.oracle, "pool oracle config", ("type", "pool", "weight_mode"))
         if "pool" not in cfg.oracle:
             raise ConfigError("oracle config is missing the 'pool' field")
         pool = load_pool(cfg.oracle["pool"])
@@ -203,9 +214,11 @@ def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> Concep
     try:
         llm_cfg = LLMConfig.from_dict(
             {k: v for k, v in cfg.oracle.items() if k not in ("type", "bag_cache")})
-    except TypeError as exc:  # a missing or unknown field
+    except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
         raise ConfigError(f"invalid LLM oracle config: {exc}") from exc
     bag_cache = cfg.oracle.get("bag_cache")
+    if bag_cache is not None and not isinstance(bag_cache, str):
+        raise ConfigError(f"bag_cache must be a path, not {type(bag_cache).__name__}")
     try:
         return LLMOracle(llm_cfg, cache=cache,
                          bag_cache_path=Path(bag_cache) if bag_cache else None)
@@ -286,23 +299,23 @@ def _load_resume(checkpoint: Path, sampler: SamplerConfig) -> dict:
     return payload
 
 
-def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg, seed) -> KeyphraseSummary:
+def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg, seed) -> list[str]:
     """Top keyphrases of the residual model. Labels of one class leave nothing
     to explain, and a fit that does not converge is reported and ranks no
-    phrase: either way the summary carries no residual signal."""
+    phrase: either way the summary is empty."""
     if len(np.unique(labels)) < 2:
-        return KeyphraseSummary(entries=[], residual_signal=False)
+        return []
     try:
-        fit = fit_keyphrase_model(bow, concepts, labels, seed=seed, vocabulary=vocab)
+        fit = fit_keyphrase_model(bow, concepts, labels, seed=seed)
     except OptimizationError as exc:
         print(f"warning: keyphrase model not fitted: {exc}", file=sys.stderr)
-        return KeyphraseSummary(entries=[], residual_signal=False)
-    return summarize_top_keyphrases(fit, top_n=int(keyphrase_cfg.get("top_n", 50)))
+        return []
+    return top_keyphrases(vocab, fit.beta_w, keyphrase_cfg.get("top_n", 50))
 
 
-def _fit_initial_summary(bags, labels, keyphrase_cfg, seed):
+def _fit_initial_summary(bags, labels, keyphrase_cfg, seed) -> list[str]:
     try:
-        vocab, bow = build_bow(bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
+        vocab, bow = build_bow(bags, min_df=keyphrase_cfg.get("min_df", 2))
     except ValueError as exc:
         raise ConfigError(f"cannot summarize the dataset's keyphrases: {exc}") from exc
     return _residual_summary(vocab, bow, None, labels, keyphrase_cfg, seed)
@@ -310,13 +323,13 @@ def _fit_initial_summary(bags, labels, keyphrase_cfg, seed):
 
 def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
     """Residual-model summary on the conditioning subset, for LLM proposals."""
-    def provider(concepts, subset):
+    def provider(concepts, subset) -> list[str]:
         rows = np.asarray(subset, dtype=int)
         # the concept columns: the keyphrase model adds its own intercept
         design = data.designs([concepts], rows)[0, :, :-1]
         sub_bags = [bags[i] for i in rows]
-        try:
-            vocab, bow = build_bow(sub_bags, min_df=int(keyphrase_cfg.get("min_df", 2)))
+        try:  # a subset too small to share a phrase has an empty vocabulary
+            vocab, bow = build_bow(sub_bags, min_df=keyphrase_cfg.get("min_df", 2))
         except ValueError:
             return []
         return _residual_summary(vocab, bow, design, labels[rows], keyphrase_cfg, seed)

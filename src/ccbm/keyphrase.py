@@ -1,6 +1,6 @@
 """Keyphrase residual model: bag-of-words design, ridge-penalized binary
-logistic fit with cross-validated penalty, and the ranked top-keyphrase
-summary used to prompt concept proposals.
+logistic fit with cross-validated penalty, and the keyphrase summary used to
+prompt concept proposals: a list of phrases, strongest first.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class KeyphraseModelFit:
     intercept: np.ndarray       # (1,)
     lambda_: float
     cv_scores: list[tuple[float, float]]
-    vocabulary: Optional[list[str]]  # the phrase of each column of beta_w
-
-
-@dataclass
-class KeyphraseSummary:
-    """Ranked (phrase, coefficient, sign) triples, strongest first."""
-
-    entries: list[tuple[str, float, int]]
-    residual_signal: bool = True
 
 
 def _design(bow, concepts: Optional[np.ndarray]) -> tuple[np.ndarray, int, int]:
@@ -76,8 +67,7 @@ def _penalties(n_concepts: int, n_words: int, lam: float) -> np.ndarray:
 
 def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
                         lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-                        folds: int = 5, seed: int = 0,
-                        vocabulary: Optional[list[str]] = None) -> KeyphraseModelFit:
+                        folds: int = 5, seed: int = 0) -> KeyphraseModelFit:
     """Fit the binary keyphrase model with lambda chosen by k-fold cross-validation.
 
     Only the bag-of-words block is penalized by lambda; concept columns carry
@@ -120,18 +110,12 @@ def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
     beta = design.fit(np.ones((1, n)), _penalties(n_c, n_w, best_lambda)[None])[0]
     return KeyphraseModelFit(beta_w=beta[n_c:n_c + n_w], beta_c=beta[:n_c],
                              intercept=beta[-1:], lambda_=best_lambda,
-                             cv_scores=cv_scores, vocabulary=vocabulary)
+                             cv_scores=cv_scores)
 
 
-def summarize_top_keyphrases(fit: KeyphraseModelFit, top_n: int = 50) -> KeyphraseSummary:
-    """Top phrases by absolute coefficient, descending; ties break lexicographically."""
-    phrases = fit.vocabulary
-    if phrases is None:
-        raise ValueError("fit carries no vocabulary; pass one to fit_keyphrase_model")
-    beta_w = fit.beta_w
-    if len(phrases) != len(beta_w):
-        raise ValueError("vocabulary does not match the fitted coefficients")
-    order = sorted(range(len(phrases)), key=lambda j: (-abs(beta_w[j]), phrases[j]))
-    entries = [(phrases[j], float(beta_w[j]), int(np.sign(beta_w[j])))
-               for j in order[:top_n] if beta_w[j] != 0.0]
-    return KeyphraseSummary(entries=entries, residual_signal=bool(entries))
+def top_keyphrases(vocabulary: Sequence[str], beta_w: np.ndarray, top_n: int = 50) -> list[str]:
+    """The keyphrase summary: at most top_n phrases of nonzero coefficient,
+    by absolute coefficient, descending; ties break lexicographically. An
+    empty list means the residual model found no signal."""
+    order = sorted(range(len(vocabulary)), key=lambda j: (-abs(beta_w[j]), vocabulary[j]))
+    return [vocabulary[j] for j in order[:top_n] if beta_w[j] != 0.0]

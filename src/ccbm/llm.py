@@ -48,6 +48,27 @@ class LLMConfig:
     max_in_flight: int = 4
     prompt_dir: Optional[str] = None
 
+    def __post_init__(self):
+        for name in ("endpoint", "model", "api_key_env", "prompt_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (name == "prompt_dir" and value is None):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        for name in ("max_retries", "max_in_flight"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("annotate_temperature", "propose_temperature"):
+            value = getattr(self, name)
+            if _finite(value) is None or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if _finite(self.request_timeout) is None or self.request_timeout <= 0:
+            raise ValueError(f"request_timeout must be finite and positive, "
+                             f"got {self.request_timeout!r}")
+        if not self.backoff_seconds or any(_finite(b) is None or b < 0
+                                           for b in self.backoff_seconds):
+            raise ValueError("backoff_seconds must list at least one finite number >= 0, "
+                             f"got {list(self.backoff_seconds)!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -171,7 +192,6 @@ class LLMOracle(ConceptOracle):
         self.cache = cache if cache is not None else AnnotationCache()
         self.client = client if client is not None else ChatClient(config)
         self.summary_provider = summary_provider
-        self.run_log: list[dict] = []
         self.annotation_pairs = 0
         self.imputed_values = 0  # counted under _lock: worker threads impute
         self._lock = threading.Lock()
@@ -247,8 +267,7 @@ class LLMOracle(ConceptOracle):
 
     # -- initialization ---------------------------------------------------
 
-    def initialize_concepts(self, keyphrase_summary, k: int) -> ConceptSet:
-        phrases = _summary_phrases(keyphrase_summary)
+    def initialize_concepts(self, phrases: Sequence[str], k: int) -> ConceptSet:
         if not phrases:
             raise InitializationError("keyphrase summary is empty")
         prompt = self._template("initialize_concepts").format(
@@ -276,7 +295,7 @@ class LLMOracle(ConceptOracle):
                 score: Optional[Scorer] = None) -> OracleProposal:
         if self.summary_provider is None:
             raise ProposalError("LLM oracle needs a summary_provider to propose")
-        phrases = _summary_phrases(self.summary_provider(list(context) + [incumbent], subset))
+        phrases = self.summary_provider(list(context) + [incumbent], subset)
         existing = "\n".join(f"{i + 1}. {c.question}" for i, c in enumerate(context))
         prompt = self._template("propose_concepts").format(
             k=len(context) + 1,
@@ -315,13 +334,8 @@ class LLMOracle(ConceptOracle):
         if not candidates:
             raise ProposalError("oracle proposed no usable candidates")
 
-        missing = [w is None for w in raw_weights]
-        if any(missing):
-            self.run_log.append({"event": "weights_imputed_uniform",
-                                 "n_missing": int(sum(missing))})
-            raw_weights = [1.0 if w is None else w for w in raw_weights]
-        weights = np.asarray(raw_weights, dtype=float)
-        weights = np.clip(weights, 0.0, None)
+        # a missing weight counts as 1
+        weights = np.clip([1.0 if w is None else w for w in raw_weights], 0.0, None)
 
         q_current = _finite(body.get("incumbent_weight")) or 0.0
         if incumbent.id in {c.id for c in candidates}:
@@ -333,11 +347,9 @@ class LLMOracle(ConceptOracle):
         if total <= 0:
             weights = np.full(len(candidates), 1.0)
             total = float(len(candidates))
-            self.run_log.append({"event": "weights_all_zero_uniform_fallback"})
         floor = WEIGHT_FLOOR * total
         weights = np.maximum(weights, floor)
         if q_current <= 0:
-            self.run_log.append({"event": "incumbent_weight_floored"})
             q_current = floor
         norm = float(weights.sum()) + q_current
         try:
@@ -368,9 +380,6 @@ class LLMOracle(ConceptOracle):
         except (OracleError, AnnotationError, KeyError, TypeError, ValueError):
             with self._lock:
                 self.imputed_values += len(concepts)
-            self.run_log.append({"event": "annotation_imputed",
-                                 "observation_id": obs.id,
-                                 "n_concepts": len(concepts)})
             return None
 
     def annotate(self, observations: Sequence[Observation],
@@ -409,11 +418,3 @@ def _finite(value) -> Optional[float]:
         return float(value)
     return None
 
-
-def _summary_phrases(summary) -> list[str]:
-    """Accept a KeyphraseSummary, a list of (phrase, ...) tuples, or strings."""
-    entries = getattr(summary, "entries", summary)
-    phrases = []
-    for entry in entries:
-        phrases.append(entry if isinstance(entry, str) else entry[0])
-    return phrases

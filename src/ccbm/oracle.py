@@ -233,8 +233,8 @@ class ConceptOracle(ABC):
         ...
 
     @abstractmethod
-    def initialize_concepts(self, keyphrase_summary, k: int) -> ConceptSet:
-        ...
+    def initialize_concepts(self, phrases: Sequence[str], k: int) -> ConceptSet:
+        """k concepts to start from, given the keyphrase summary: phrases, strongest first."""
 
     @abstractmethod
     def propose(self, context: Sequence[Concept], incumbent: Concept,
@@ -402,14 +402,13 @@ class PoolOracle(ConceptOracle):
 
     # -- initialization ---------------------------------------------------
 
-    def initialize_concepts(self, keyphrase_summary, k: int) -> ConceptSet:
+    def initialize_concepts(self, phrases: Sequence[str], k: int) -> ConceptSet:
         """Top-k pool concepts by absolute correlation with summary phrase
         indicators over the training rows.
 
         Scores are rounded to 1e-9 and ties go to pool order, so rounding noise
         in the correlations cannot pick among concepts that score alike.
         """
-        phrases = [entry[0] for entry in getattr(keyphrase_summary, "entries", keyphrase_summary)]
         if not phrases:
             raise InitializationError("keyphrase summary is empty")
         if len(self.pool) < k:

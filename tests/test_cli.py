@@ -309,8 +309,24 @@ class TestRunErrors:
         (lambda config: dict(config, dataset=5), [], "dataset must be a path, not int"),
         (lambda config: dict(config, output_dir=["x"]), [], "output_dir must be a path, not list"),
         (lambda config: dict(config, truth="Is feature 0 present?"), [],
-         "truth' must be a list of concept questions")],
-        ids=["oracle", "keyphrase", "top-level", "dataset", "output-dir", "truth"])
+         "truth' must be a list of concept questions"),
+        (lambda config: dict(config, weightmode="uniform"), [],
+         "has an unknown field 'weightmode'; its fields are dataset, output_dir"),
+        (lambda config: dict(config, keyphrase={"top_n": "abc"}), [],
+         "keyphrase config: top_n must be an integer >= 1, got 'abc'"),
+        (lambda config: dict(config, keyphrase={"top_n": 0}), [],
+         "keyphrase config: top_n must be an integer >= 1, got 0"),
+        (lambda config: dict(config, keyphrase={"top_n": -1}), [],
+         "keyphrase config: top_n must be an integer >= 1, got -1"),
+        (lambda config: dict(config, keyphrase={"min_df": True}), [],
+         "keyphrase config: min_df must be an integer >= 1, got True"),
+        (lambda config: dict(config, keyphrase={"topn": 5}), [],
+         "keyphrase config has an unknown field 'topn'"),
+        (lambda config: dict(config, keyphrase={"min_df": 1.5}), ["--resume"],
+         "keyphrase config: min_df must be an integer >= 1, got 1.5")],
+        ids=["oracle", "keyphrase", "top-level", "dataset", "output-dir", "truth",
+             "unknown-top-level-field", "top-n-not-a-number", "top-n-zero", "top-n-negative",
+             "min-df-bool", "unknown-keyphrase-field", "min-df-on-resume"])
     def test_config_of_the_wrong_shape(self, workspace, tmp_path, capsys, edit, argv, what):
         run_dir = tmp_path / "run"
         config = write_config(workspace, run_dir)
@@ -503,6 +519,29 @@ class TestRunErrors:
           "task_description": "predict readmission"}, "task_description"),
         ({"type": "pool"}, "pool"),
         ({"type": "pool", "pool": "<pool>", "weight_mode": "bogus"}, "weight_mode"),
+        ({"type": "pool", "pool": "<pool>", "weightmode": "uniform"},
+         "pool oracle config has an unknown field 'weightmode'"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "max_in_flight": 0}, "max_in_flight must be an integer >= 1, got 0"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "backoff_seconds": []}, "backoff_seconds must list at least one finite number"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "max_retries": 0}, "max_retries must be an integer >= 1, got 0"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "max_in_flight": True}, "max_in_flight must be an integer >= 1, got True"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "backoff_seconds": [1.0, -2.0]}, "got [1.0, -2.0]"),
+        ({"type": "llm", "endpoint": 5, "model": "none"}, "endpoint must be a string, got 5"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "prompt_dir": ["p"]}, "prompt_dir must be a string, got ['p']"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "annotate_temperature": -0.5}, "annotate_temperature must be a finite number >= 0"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "propose_temperature": "hot"}, "propose_temperature must be a finite number >= 0"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "request_timeout": 0}, "request_timeout must be finite and positive, got 0"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "bag_cache": 5}, "bag_cache must be a path, not int"),
     ])
     def test_oracle_config_mistake(self, workspace, tmp_path, capsys, oracle, field):
         if oracle.get("pool") == "<pool>":
@@ -809,16 +848,14 @@ class TestResidualSummary:
         labels = np.array([0, 1] * 6)
         data = GibbsData(labels, lambda concepts: np.zeros((12, len(concepts))))
         provider = cli._make_summary_provider(data, labels, self.bags(12), {}, 0)
-        summary = provider([Concept("Is it a?")], np.arange(1, 12, 2))
-        assert summary.entries == [] and not summary.residual_signal
+        assert provider([Concept("Is it a?")], np.arange(1, 12, 2)) == []
 
     def test_unconverged_fit_is_reported_and_gives_no_signal(self, workspace, tmp_path,
                                                              capsys, monkeypatch):
         def unconverged(*args, **kwargs):
             raise OptimizationError("Newton did not converge in 200 iterations", np.zeros(3))
         monkeypatch.setattr(cli, "fit_keyphrase_model", unconverged)
-        summary = cli._fit_initial_summary(self.bags(12), np.array([0, 1] * 6), {}, 0)
-        assert summary.entries == [] and not summary.residual_signal
+        assert cli._fit_initial_summary(self.bags(12), np.array([0, 1] * 6), {}, 0) == []
         assert "did not converge" in capsys.readouterr().err
         config = write_config(workspace, tmp_path / "run")
         assert cli.main(["run", "--config", str(config)]) == 3

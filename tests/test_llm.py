@@ -304,6 +304,12 @@ class TestInitializeConcepts:
         with pytest.raises(InitializationError):
             oracle.initialize_concepts([], k=2)
 
+    def test_starts_from_the_whole_phrase(self):
+        oracle, post, _ = make_oracle([chat_body({"concepts": ["Smokes?"]})])
+        assert [c.question for c in oracle.initialize_concepts(["smoking"], k=1)] == ["Smokes?"]
+        assert post.prompts == [load_template("initialize_concepts").format(
+            k=1, top_keyphrases="- smoking")]
+
 
 def proposal_oracle(body, incumbent_weight=None, **oracle_kwargs):
     if incumbent_weight is not None:
@@ -331,11 +337,10 @@ class TestPropose:
         assert p.q_weights[0] / p.q_weights[1] == pytest.approx(3.0)
         assert p.q_current == pytest.approx(0.2)
 
-    def test_missing_weights_imputed_uniform_and_logged(self):
+    def test_missing_weights_imputed_uniform(self):
         body = {"candidates": ["A?", "B?"]}
-        oracle, _, p = self.propose(body, incumbent_weight=1.0)
+        _, _, p = self.propose(body, incumbent_weight=1.0)
         assert p.q_weights[0] == p.q_weights[1]
-        assert any(e["event"] == "weights_imputed_uniform" for e in oracle.run_log)
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
                              ids=["nan", "inf", "-inf", "huge-int"])
@@ -343,32 +348,27 @@ class TestPropose:
         # json.loads reads NaN, Infinity and ints beyond the float range
         body = {"candidates": [{"question": "A?", "weight": weight},
                                {"question": "B?", "weight": 2.0}]}
-        oracle, _, p = self.propose(body, incumbent_weight=1.0)
+        _, _, p = self.propose(body, incumbent_weight=1.0)
         assert p.q_weights.tolist() == [0.25, 0.5] and p.q_current == 0.25
-        assert {"event": "weights_imputed_uniform", "n_missing": 1} in oracle.run_log
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_incumbent_weight_not_a_finite_number_floored(self, weight):
         body = {"candidates": [{"question": "A?", "weight": 1.0}]}
-        oracle, _, p = self.propose(body, incumbent_weight=weight)
+        _, _, p = self.propose(body, incumbent_weight=weight)
         assert p.q_current == pytest.approx(WEIGHT_FLOOR * p.q_weights.sum(), rel=1e-9)
-        assert any(e["event"] == "incumbent_weight_floored" for e in oracle.run_log)
 
-    def test_zero_incumbent_weight_floored_and_logged(self):
+    def test_zero_incumbent_weight_floored(self):
         body = {"candidates": [{"question": "A?", "weight": 1.0}]}
-        oracle, _, p = self.propose(body)
+        _, _, p = self.propose(body)
         assert p.q_current > 0
         assert p.q_current == pytest.approx(WEIGHT_FLOOR * p.q_weights.sum(),
                                             rel=1e-9)
-        assert any(e["event"] == "incumbent_weight_floored" for e in oracle.run_log)
 
     def test_all_zero_weights_fall_back_to_uniform(self):
         body = {"candidates": [{"question": "A?", "weight": 0.0},
                                {"question": "B?", "weight": 0.0}]}
-        oracle, _, p = self.propose(body, incumbent_weight=1.0)
+        _, _, p = self.propose(body, incumbent_weight=1.0)
         assert p.q_weights[0] == p.q_weights[1] > 0
-        assert any(e["event"] == "weights_all_zero_uniform_fallback"
-                   for e in oracle.run_log)
 
     @pytest.mark.parametrize("weights, incumbent_weight", [
         ([1e-30], 1e308),  # the candidate's q underflows to 0
@@ -396,6 +396,19 @@ class TestPropose:
     def test_no_usable_candidates_raises(self):
         with pytest.raises(ProposalError):
             self.propose({"candidates": [self.context[0].question]})
+
+    def test_prompt_lists_the_provider_phrases_in_order(self):
+        asked = []
+
+        def provider(concepts, subset):
+            asked.append((list(concepts), subset.tolist()))
+            return ["zeta", "alpha", "mu"]
+
+        oracle, post, _ = make_oracle([chat_body({"candidates": ["A?"]})],
+                                      summary_provider=provider)
+        oracle.propose(self.context, self.incumbent, np.arange(5), 3, np.random.default_rng(0))
+        assert asked == [(self.context + [self.incumbent], [0, 1, 2, 3, 4])]
+        assert "\n- zeta\n- alpha\n- mu\n" in post.prompts[0]
 
     def test_missing_summary_provider_raises(self):
         oracle, _, _ = make_oracle([])
@@ -470,7 +483,6 @@ class TestAnnotate:
         table = oracle.annotate([Observation("o1", "note")], self.concepts)
         assert table.tolist() == [[0.5, 0.5]]
         assert oracle.imputed_values == 2
-        assert any(e["event"] == "annotation_imputed" for e in oracle.run_log)
 
     def test_transport_failure_imputes_after_retries(self):
         oracle, post, sleeps = make_oracle([requests.ConnectionError("down")] * 3)

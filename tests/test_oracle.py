@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import ccbm.oracle
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import enumerate_posterior
-from ccbm.keyphrase import KeyphraseSummary
 from ccbm.model import log_marginal_likelihoods, stack_designs
 from ccbm.oracle import (AnnotationCache, AnnotationError, Observation, OracleProposal, PoolConcept,
                          PoolOracle, ProposalError, keyword_value,
@@ -461,28 +460,35 @@ class TestPoolProposals:
 class TestPoolInitialization:
     def test_top_k_by_phrase_correlation(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
-        summary = KeyphraseSummary(entries=[("feat0", 2.0, 1), ("feat3", -1.0, -1)])
-        init = oracle.initialize_concepts(summary, k=2)
+        init = oracle.initialize_concepts(["feat0", "feat3"], k=2)
         assert init.id_set() == {pool_dataset.pool_concepts[0].concept.id,
                                  pool_dataset.pool_concepts[3].concept.id}
 
     def test_plain_phrase_list_accepted(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
-        init = oracle.initialize_concepts([("feat5", 1.0, 1)], k=1)
+        init = oracle.initialize_concepts(["feat5"], k=1)
         assert init[0] == pool_dataset.pool_concepts[5].concept
 
     def test_empty_summary_rejected(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
         with pytest.raises(Exception):
-            oracle.initialize_concepts(KeyphraseSummary(entries=[]), k=2)
+            oracle.initialize_concepts([], k=2)
+
+    def test_starts_from_the_whole_phrase(self):
+        # "smoking" is a phrase, not a sequence whose first item "s" is one
+        smokes = PoolConcept(Concept("Smokes?"), "smoking")
+        letter = PoolConcept(Concept("Is it s?"), "s")
+        texts = ["patient smoking", "smoking s", "s only", "none", "s", "smoking daily"]
+        oracle = PoolOracle([letter, smokes],
+                            [Observation(f"o{i}", text) for i, text in enumerate(texts)])
+        assert list(oracle.initialize_concepts(["smoking"], k=1)) == [smokes.concept]
 
     def test_ties_go_to_pool_order_without_extracting(self, pool_dataset, monkeypatch):
         # every keyword is a summary phrase whose indicator is its own column, so
         # every concept scores 1 up to rounding noise
         oracle = make_oracle(pool_dataset)
         monkeypatch.setattr(oracle, "extract_keyphrases", None)
-        summary = [(f"feat{j}", 1.0, 1) for j in reversed(range(10))]
-        init = oracle.initialize_concepts(summary, k=3)
+        init = oracle.initialize_concepts([f"feat{j}" for j in reversed(range(10))], k=3)
         assert list(init) == [pool_dataset.pool_concepts[j].concept for j in range(3)]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -503,7 +509,7 @@ class TestPoolInitialization:
             scores[j] = max((abs(np.corrcoef(matrix[:, j], ind)[0, 1])
                              for ind in indicator.T if np.std(ind) > 0), default=0.0)
         want = np.argsort(-np.round(scores, 9), kind="stable")[:4]
-        init = oracle.initialize_concepts([(p, 1.0, 1) for p in phrases], k=4)
+        init = oracle.initialize_concepts(phrases, k=4)
         assert list(init) == [pool_dataset.pool_concepts[j].concept for j in want]
 
 
