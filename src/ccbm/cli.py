@@ -25,7 +25,8 @@ from . import __version__
 from .concepts import Concept, ConceptSet
 from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
                        recovery_report, support_frequencies)
-from .keyphrase import build_bow, fit_keyphrase_model, top_keyphrases
+from .keyphrase import (DEFAULT_MIN_DF, DEFAULT_TOP_N, build_bow, fit_keyphrase_model,
+                        top_keyphrases)
 from .llm import LLMConfig, LLMOracle
 from .model import OptimizationError, PosteriorSample, sigmoid_predict_many, stack_designs
 # ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
@@ -288,7 +289,7 @@ def _load_resume(checkpoint: Path, sampler: SamplerConfig) -> dict:
         raise ConfigError(f"--resume given but {checkpoint} does not exist")
     try:
         payload = load_checkpoint(checkpoint)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot resume: {exc}") from exc
     saved = payload["config"].to_dict()
     changed = [f"{key} {saved[key]!r} -> {value!r}"
@@ -310,12 +311,12 @@ def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg, seed) -> list
     except OptimizationError as exc:
         print(f"warning: keyphrase model not fitted: {exc}", file=sys.stderr)
         return []
-    return top_keyphrases(vocab, fit.beta_w, keyphrase_cfg.get("top_n", 50))
+    return top_keyphrases(vocab, fit.beta_w, keyphrase_cfg.get("top_n", DEFAULT_TOP_N))
 
 
 def _fit_initial_summary(bags, labels, keyphrase_cfg, seed) -> list[str]:
     try:
-        vocab, bow = build_bow(bags, min_df=keyphrase_cfg.get("min_df", 2))
+        vocab, bow = build_bow(bags, min_df=keyphrase_cfg.get("min_df", DEFAULT_MIN_DF))
     except ValueError as exc:
         raise ConfigError(f"cannot summarize the dataset's keyphrases: {exc}") from exc
     return _residual_summary(vocab, bow, None, labels, keyphrase_cfg, seed)
@@ -329,7 +330,7 @@ def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
         design = data.designs([concepts], rows)[0, :, :-1]
         sub_bags = [bags[i] for i in rows]
         try:  # a subset too small to share a phrase has an empty vocabulary
-            vocab, bow = build_bow(sub_bags, min_df=keyphrase_cfg.get("min_df", 2))
+            vocab, bow = build_bow(sub_bags, min_df=keyphrase_cfg.get("min_df", DEFAULT_MIN_DF))
         except ValueError:
             return []
         return _residual_summary(vocab, bow, design, labels[rows], keyphrase_cfg, seed)
@@ -349,7 +350,7 @@ def cmd_run(args) -> int:
     lock = _acquire_lock(run_dir)
     started = time.time()
     try:
-        checkpoint = run_dir / "checkpoints" / "chain.json"
+        checkpoint = run_dir / "checkpoints" / "chain.log"
         resume_payload = _load_resume(checkpoint, cfg.sampler) if args.resume else None
         _atomic_write(run_dir / "config.snapshot", json.dumps(cfg.to_dict(), indent=2))
         observations, labels = load_dataset(cfg.dataset)

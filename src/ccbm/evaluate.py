@@ -47,14 +47,6 @@ def brier(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean((scores - np.asarray(labels, dtype=float)) ** 2))
 
 
-def predictive_entropy(class_probs: Sequence[float]) -> float:
-    p = np.asarray(class_probs, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"class probabilities must sum to 1, got {p.sum()!r}")
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 @dataclass(frozen=True)
 class ConceptMatchRule:
     """Two concepts match when |Pearson corr| of their annotations exceeds threshold."""

@@ -92,17 +92,27 @@ _JSON_BLOCK_RE = re.compile(r"\{.*\}", re.DOTALL)
 
 
 def parse_json_content(content: str) -> dict:
-    """Parse a JSON object out of a chat response, tolerating code fences."""
+    """Parse a JSON object out of a chat response, tolerating code fences. An
+    answer that holds no JSON object raises ValueError."""
     text = content.strip()
     if text.startswith("```"):
         text = re.sub(r"^```[a-z]*\s*|\s*```$", "", text)
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError:
         match = _JSON_BLOCK_RE.search(text)
         if match is None:
             raise
-        return json.loads(match.group(0))
+        value = json.loads(match.group(0))
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _list_field(body: dict, name: str) -> list:
+    """The answer's field name if it is a list; any other value counts as absent."""
+    value = body.get(name)
+    return value if isinstance(value, list) else []
 
 
 class ChatClient:
@@ -112,7 +122,8 @@ class ChatClient:
     requests, which is imported only when a client with that default is
     built. Transport failures (OSError, which every requests exception
     derives from) and parse failures are retried, so a flaky model gets the
-    same second chances as a flaky network. call_count and retry_count are
+    same second chances as a flaky network; an answer that is not a JSON
+    object is a parse failure. call_count and retry_count are
     counted under a lock, since the oracle calls from worker threads.
     """
 
@@ -165,8 +176,7 @@ class ChatClient:
                 body = self.post_fn(self.config.endpoint, self._headers(), payload)
                 content = body["choices"][0]["message"]["content"]
                 return parse_json_content(content)
-            except (OSError, KeyError, IndexError, json.JSONDecodeError,
-                    TypeError) as exc:
+            except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
         raise OracleError(
             f"request failed after {self.config.max_retries} attempts: {last_error}")
@@ -239,13 +249,14 @@ class LLMOracle(ConceptOracle):
             prompt = self._template("extract_keyphrases").format(note=obs.payload)
             body = self.client.complete_json(prompt, self.config.annotate_temperature)
             phrases = []
-            for entry in body.get("keyphrases", []):
-                if isinstance(entry, str):
+            for entry in _list_field(body, "keyphrases"):
+                if isinstance(entry, dict):
+                    phrases += [entry.get("descriptor"), *_list_field(entry, "synonyms")]
+                else:
                     phrases.append(entry)
-                    continue
-                phrases.append(entry.get("descriptor", ""))
-                phrases.extend(entry.get("synonyms", []))
-        normalized = sorted({p for p in (normalize_phrase(s) for s in phrases) if p})
+        # an entry, descriptor or synonym that is not a string counts as absent
+        normalized = sorted({p for p in (normalize_phrase(s) for s in phrases
+                                         if isinstance(s, str)) if p})
         self._bag_cache[obs.id] = normalized
         return normalized
 
@@ -274,7 +285,8 @@ class LLMOracle(ConceptOracle):
             k=k, top_keyphrases="\n".join(f"- {p}" for p in phrases))
         for attempt in range(self.config.max_retries):
             body = self.client.complete_json(prompt, self.config.propose_temperature)
-            questions = [q for q in body.get("concepts", []) if isinstance(q, str) and q.strip()]
+            questions = [q for q in _list_field(body, "concepts")
+                         if isinstance(q, str) and q.strip()]
             concepts = []
             seen = set()
             for q in questions:
@@ -315,12 +327,13 @@ class LLMOracle(ConceptOracle):
         candidates: list[Concept] = []
         raw_weights: list[Optional[float]] = []
         seen = set()
-        for entry in body.get("candidates", []):
+        for entry in _list_field(body, "candidates"):
             if isinstance(entry, str):
                 question, weight = entry, None
-            else:
-                question = entry.get("question", "")
-                weight = entry.get("weight")
+            elif isinstance(entry, dict):
+                question, weight = entry.get("question"), entry.get("weight")
+            else:  # a malformed entry counts as absent
+                continue
             if not isinstance(question, str) or not question.strip():
                 continue
             c = Concept(question.strip())

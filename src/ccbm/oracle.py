@@ -277,6 +277,11 @@ class PoolConcept:
     concept: Concept
     keyword: str
 
+    def __post_init__(self):
+        if not isinstance(self.keyword, str):
+            raise TypeError(f"the keyword of {self.concept.question!r} must be a string, "
+                            f"not {type(self.keyword).__name__}")
+
 
 def keyword_pattern(keyword: str) -> re.Pattern:
     """Matches the keyword as a whole word in lowercased text."""

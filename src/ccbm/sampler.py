@@ -2,8 +2,8 @@
 
 Implements the split-sample multiple-try update, whose case M=1 is the
 single-try update, the greedy warm start, and the chain driver. Its checkpoint
-is a header written once when a fresh chain starts plus an append-only chain
-log of one self-contained line per finished epoch, so a run can resume
+is one append-only chain log: a header line written when a fresh chain
+starts, then one self-contained line per finished epoch, so a run can resume
 exactly.
 """
 
@@ -62,8 +62,7 @@ class GibbsData:
 
     Keeps one (n, C) table of concept columns with an id -> column index,
     filled by column_fn only for concepts not stored yet; designs(concept_sets)
-    lays stored columns out through stack_designs. Columns past the last
-    indexed one are unused capacity.
+    lays stored columns out through stack_designs.
     """
 
     def __init__(self, labels: np.ndarray, column_fn: Callable[[Sequence[Concept]], np.ndarray]):
@@ -87,13 +86,9 @@ class GibbsData:
             columns = np.asarray(self._column_fn(missing), dtype=float)
             if not np.all((columns >= 0.0) & (columns <= 1.0)):
                 raise ValueError("concept annotation values must lie in [0, 1]")
-            start, stop = len(self._index), len(self._index) + len(missing)
-            if stop > self._table.shape[1]:  # grow geometrically: fills copy O(C) in all
-                grown = np.empty((self.n, max(stop, 2 * self._table.shape[1])))
-                grown[:, :start] = self._table[:, :start]
-                self._table = grown
-            self._table[:, start:stop] = columns
-            self._index.update((c.id, j) for j, c in enumerate(missing, start))
+            # a run fills a few tens of columns, so one copy per fill is cheap
+            self._table = np.hstack([self._table, columns])
+            self._index.update((c.id, j) for j, c in enumerate(missing, len(self._index)))
 
     def designs(self, concept_sets: Sequence[Sequence[Concept]],
                 rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -293,12 +288,18 @@ def greedy_warm_start_update(state: ConceptSet, slot: int, subset: np.ndarray,
 @dataclass
 class ChainTrace:
     samples: list[PosteriorSample] = field(default_factory=list)
-    acceptance_count: int = 0
-    proposal_count: int = 0
     update_log: list[dict] = field(default_factory=list)
 
     def posterior_samples(self) -> list[PosteriorSample]:
         return [s for s in self.samples if not s.burn_in]
+
+    @property
+    def proposal_count(self) -> int:
+        return sum(s.phase == "sample" for s in self.samples)
+
+    @property
+    def acceptance_count(self) -> int:
+        return sum(s.phase == "sample" and s.accepted for s in self.samples)
 
     @property
     def acceptance_rate(self) -> float:
@@ -313,84 +314,73 @@ class OracleFailure(RuntimeError):
         self.checkpoint = checkpoint
 
 
-CHECKPOINT_FORMAT = "ccbm-checkpoint-v3"
-# one chain-log line: a finished epoch, and the chain as it stands after it
-_EPOCH_FIELDS = ("epoch", "samples", "update_log", "state", "rng_state",
-                 "acceptance_count", "proposal_count")
+CHECKPOINT_FORMAT = "ccbm-checkpoint-v4"
+# every chain-log line after the header: one finished epoch and the RNG state after it
+_EPOCH_FIELDS = ("epoch", "samples", "update_log", "rng_state")
 
 
-def _log_path(path: Path) -> Path:
-    """The chain log that belongs to the checkpoint header at path."""
-    return Path(path).with_suffix(".log")
-
-
-def _questions(state: ConceptSet) -> list[dict]:
-    return [{"question": c.question} for c in state]
-
-
-def _concept_set(questions: list[dict]) -> ConceptSet:
-    return ConceptSet(Concept(c["question"]) for c in questions)
-
-
+# bench/tracing.py wraps save_checkpoint by name and stats its first argument
 def save_checkpoint(path: Path, record: dict, start: bool = False):
-    """Commit one record of the chain whose header is at path.
+    """Commit one line of the chain log at path.
 
-    With start, record is the header of a fresh chain: the chain log next to
-    path (see _log_path) is emptied first, so a crash before the header lands
-    never pairs it with an old log, then the header replaces path atomically.
-    Otherwise record is one finished epoch, appended to the log as one line.
+    With start, record is the header of a fresh chain, written with one plain
+    write that replaces whatever the file held. Otherwise record is one
+    finished epoch, appended as one line.
     """
+    line = json.dumps(record) + "\n"
     if start:
-        _log_path(path).write_bytes(b"")
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record))
-        tmp.replace(path)
+        path.write_text(line)
     else:
-        append_lines(_log_path(path), [json.dumps(record) + "\n"])
+        append_lines(path, [line])
+
+
+def _header(record) -> dict:
+    """The sampler config, start state and start RNG state of a header line."""
+    fmt = record.get("format") if isinstance(record, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"format {fmt!r} is not {CHECKPOINT_FORMAT}; start a fresh run")
+    return {"config": SamplerConfig.from_dict(record["config"]),
+            "state": ConceptSet(Concept(c["question"]) for c in record["state"]),
+            "rng_state": record["rng_state"]}
 
 
 def load_checkpoint(path: Path) -> dict:
-    """Read a header and its chain log, to resume after the log's last epoch,
-    or from the header's start when the log holds none.
+    """Read a chain log, to resume after its last epoch, or from the header's
+    start when it holds none. The resume state is the last sample's concept set.
 
     The log is read by read_log, so a torn last line is dropped and cut off.
-    Raises ValueError naming the file when the header is unreadable or of
-    another format, or when a log line is corrupt or breaks the run of epochs
-    0, 1, 2, ...
+    Raises ValueError naming path:line when the first line is not a header of
+    this format, or a later line is corrupt or breaks the run of epochs 0, 1,
+    2, ... of K samples each; and naming path when it holds no header. A log
+    that cannot be read raises OSError.
     """
-    path = Path(path)
+    header: dict = {}
     epochs: list[dict] = []
 
     def apply(records):
+        # a call that raises keeps nothing (see apply_block)
+        start = header or _header(records[0])
+        k = start["config"].k
         # every field is read here, so read_log names a line that lacks one
-        parsed = [{key: e[key] for key in _EPOCH_FIELDS} for e in records]
+        parsed = [{key: e[key] for key in _EPOCH_FIELDS}
+                  for e in (records if header else records[1:])]
         for i, e in enumerate(parsed, len(epochs)):
-            if e["epoch"] != i:
-                raise ValueError(f"epoch {e['epoch']} where epoch {i} belongs")
             e["samples"] = [PosteriorSample.from_dict(s) for s in e["samples"]]
-            e["state"] = _concept_set(e["state"])
+            if e["epoch"] != i or len(e["samples"]) != k:
+                raise ValueError(f"epoch {e['epoch']} with {len(e['samples'])} samples "
+                                 f"where epoch {i} with {k} belongs")
+        header.update(start)
         epochs.extend(parsed)
 
-    try:
-        header = json.loads(path.read_text())
-        fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(f"format {fmt!r} is not {CHECKPOINT_FORMAT}; start a fresh run")
-        config = SamplerConfig.from_dict(header["config"])
-        read_log(_log_path(path), apply, "chain epoch")
-        last = epochs[-1] if epochs else {
-            "epoch": -1, "acceptance_count": 0, "proposal_count": 0,
-            "state": _concept_set(header["state"]), "rng_state": header["rng_state"]}
-        trace = ChainTrace(
-            samples=[s for e in epochs for s in e["samples"]],
-            acceptance_count=last["acceptance_count"],
-            proposal_count=last["proposal_count"],
-            update_log=[line for e in epochs for line in e["update_log"]])
-        return {"config": config, "epoch_done": last["epoch"], "state": last["state"],
-                "rng_state": last["rng_state"], "trace": trace}
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path} is not a usable checkpoint: {exc}") from exc
+    read_log(path, apply, "checkpoint line")
+    if not header:
+        raise ValueError(f"{path} holds no checkpoint header; start a fresh run")
+    samples = [s for e in epochs for s in e["samples"]]
+    last = epochs[-1] if epochs else {"epoch": -1, "rng_state": header["rng_state"]}
+    return {"config": header["config"], "epoch_done": last["epoch"],
+            "state": samples[-1].concept_set if samples else header["state"],
+            "rng_state": last["rng_state"],
+            "trace": ChainTrace(samples, [line for e in epochs for line in e["update_log"]])}
 
 
 def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
@@ -399,14 +389,17 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
     """Run warm-start then sampling epochs, appending one sample per slot update.
 
     Deterministic given (cfg.seed, data, a deterministic oracle). When
-    checkpoint_path is set, a fresh chain writes its header there and every
-    finished epoch appends one line to the chain log (see save_checkpoint);
-    an oracle failure leaves the last finished epoch as the resume point.
-    Pass a payload from load_checkpoint as resume_from to continue an
-    interrupted run exactly.
+    checkpoint_path is set, a fresh chain writes the chain log's header there
+    and every finished epoch appends one line (see save_checkpoint); an
+    oracle failure leaves the last finished epoch as the resume point. Pass a
+    payload from load_checkpoint as resume_from to continue an interrupted
+    run exactly.
     """
     marginals = _MarginalCache(data, cfg.gamma)
     total_epochs = cfg.warm_start_epochs + cfg.t_epochs
+    # a sample's burn_in is fixed when it is made: the warm-start states before
+    # the last keep_last of its K * warm_start_epochs
+    kept_from = cfg.warm_start_epochs * cfg.k - cfg.keep_last
 
     if resume_from is not None:
         trace = resume_from["trace"]
@@ -422,7 +415,8 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, {
                 "format": CHECKPOINT_FORMAT, "config": cfg.to_dict(),
-                "state": _questions(state), "rng_state": rng.bit_generator.state},
+                "state": [{"question": c.question} for c in state],
+                "rng_state": rng.bit_generator.state},
                 start=True)
 
     for epoch in range(start_epoch, total_epochs):
@@ -445,10 +439,8 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
             trace.samples.append(PosteriorSample(
                 concept_set=state, theta=theta, log_marginal_full=lml,
                 epoch=epoch, slot=slot, accepted=result.accepted,
-                burn_in=warm, phase="warm_start" if warm else "sample"))
-            if not warm:
-                trace.proposal_count += 1
-                trace.acceptance_count += int(result.accepted)
+                burn_in=warm and epoch * cfg.k + slot < kept_from,
+                phase="warm_start" if warm else "sample"))
             trace.update_log.append({
                 "epoch": epoch, "slot": slot, "subset_size": int(len(subset)),
                 "n_candidates": len(result.proposal.candidates),
@@ -461,22 +453,5 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                 "epoch": epoch,
                 "samples": [s.to_dict() for s in trace.samples[first_sample:]],
                 "update_log": trace.update_log[first_line:],
-                "state": _questions(state), "rng_state": rng.bit_generator.state,
-                "acceptance_count": trace.acceptance_count,
-                "proposal_count": trace.proposal_count})
-
-    _mark_burn_in(trace, cfg)
+                "rng_state": rng.bit_generator.state})
     return trace
-
-
-def _mark_burn_in(trace: ChainTrace, cfg: SamplerConfig):
-    """Keep the last keep_last warm-start states as posterior samples.
-
-    A warm-start phase has only K * warm_start_epochs states, so the retained
-    count is min(that, keep_last); everything earlier is burn-in.
-    """
-    warm = [s for s in trace.samples if s.phase == "warm_start"]
-    keep = warm[-cfg.keep_last:] if cfg.keep_last > 0 else []
-    kept_ids = {id(s) for s in keep}
-    for s in warm:
-        s.burn_in = id(s) not in kept_ids

@@ -210,8 +210,10 @@ class TestRun:
     def test_artifacts_written(self, finished_run):
         for rel in ("config.snapshot", "samples.jsonl", "manifest.json",
                     "reports/update_log.jsonl", "reports/recovery.json",
-                    "checkpoints/chain.json", "cache/annotations.ndjson"):
+                    "checkpoints/chain.log", "cache/annotations.ndjson"):
             assert (finished_run / rel).exists(), rel
+        # the chain log is the whole checkpoint
+        assert [p.name for p in (finished_run / "checkpoints").iterdir()] == ["chain.log"]
         assert lock_is_free(finished_run)
 
     def test_sample_count(self, finished_run):
@@ -340,9 +342,8 @@ class TestRunErrors:
         # a lock another open file holds is refused, with or without --resume
         run_dir = tmp_path / "locked"
         (run_dir / "checkpoints").mkdir(parents=True)
-        for name in ("chain.json", "chain.log"):
-            (run_dir / "checkpoints" / name).write_bytes(
-                (finished_run / "checkpoints" / name).read_bytes())
+        (run_dir / "checkpoints" / "chain.log").write_bytes(
+            (finished_run / "checkpoints" / "chain.log").read_bytes())
         config = write_config(workspace, run_dir)
         with open(run_dir / ".lock", "w") as held:
             fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -424,7 +425,7 @@ class TestRunErrors:
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and what in err
-        assert not (run_dir / "checkpoints" / "chain.json").exists()
+        assert not (run_dir / "checkpoints" / "chain.log").exists()
 
     def test_resume_without_checkpoint(self, workspace, tmp_path):
         config = write_config(workspace, tmp_path / "fresh")
@@ -435,19 +436,39 @@ class TestRunErrors:
     def test_unusable_checkpoint(self, workspace, tmp_path, capsys, header):
         run_dir = tmp_path / "resume"
         (run_dir / "checkpoints").mkdir(parents=True)
-        (run_dir / "checkpoints" / "chain.json").write_text(header)
+        (run_dir / "checkpoints" / "chain.log").write_text(header + "\n")
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config), "--resume"]) == 2
-        assert "chain.json" in capsys.readouterr().err
+        assert "chain.log:1: corrupt checkpoint line" in capsys.readouterr().err
+        assert lock_is_free(run_dir)
+
+    @pytest.mark.parametrize("log", [b"", b"\n"], ids=["empty", "blank-line"])
+    def test_checkpoint_without_a_header(self, workspace, tmp_path, capsys, log):
+        run_dir = tmp_path / "resume"
+        (run_dir / "checkpoints").mkdir(parents=True)
+        (run_dir / "checkpoints" / "chain.log").write_bytes(log)
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "chain.log holds no checkpoint header" in err and "Traceback" not in err
+        assert not (run_dir / "samples.jsonl").exists()
+        assert lock_is_free(run_dir)
+
+    def test_checkpoint_that_cannot_be_read(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "resume"
+        (run_dir / "checkpoints" / "chain.log").mkdir(parents=True)
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and "chain.log" in err and "Traceback" not in err
         assert lock_is_free(run_dir)
 
     def test_resume_with_another_sampler_config(self, workspace, finished_run, tmp_path,
                                                 capsys):
         run_dir = tmp_path / "resume"
         (run_dir / "checkpoints").mkdir(parents=True)
-        for name in ("chain.json", "chain.log"):
-            (run_dir / "checkpoints" / name).write_bytes(
-                (finished_run / "checkpoints" / name).read_bytes())
+        (run_dir / "checkpoints" / "chain.log").write_bytes(
+            (finished_run / "checkpoints" / "chain.log").read_bytes())
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config), "--resume", "--seed", "4"]) == 2
         assert "seed 3 -> 4" in capsys.readouterr().err
@@ -467,7 +488,7 @@ class TestRunErrors:
                               sampler=dict(SAMPLER, omega=omega))
         assert cli.main(["run", "--config", str(config)]) == 2
         assert message in capsys.readouterr().err
-        assert not (run_dir / "checkpoints" / "chain.json").exists()
+        assert not (run_dir / "checkpoints" / "chain.log").exists()
         assert lock_is_free(run_dir)
 
     def test_duplicate_dataset_ids(self, workspace, tmp_path):
@@ -542,6 +563,10 @@ class TestRunErrors:
           "request_timeout": 0}, "request_timeout must be finite and positive, got 0"),
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
           "bag_cache": 5}, "bag_cache must be a path, not int"),
+        ({"type": "pool", "pool": [{"question": "Is it a?", "keyword": 5}]},
+         "the keyword of 'Is it a?' must be a string, not int"),
+        ({"type": "pool", "pool": [{"question": "Is it a?", "keyword": None}]},
+         "the keyword of 'Is it a?' must be a string, not NoneType"),
     ])
     def test_oracle_config_mistake(self, workspace, tmp_path, capsys, oracle, field):
         if oracle.get("pool") == "<pool>":
@@ -552,6 +577,31 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err and "Traceback" not in err
         assert lock_is_free(run_dir)
+
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "enumerate"])
+    def test_pool_keyword_not_a_string(self, workspace, finished_run, tmp_path, capsys,
+                                       command):
+        pool = json.loads((workspace / "data" / "pool.json").read_text())
+        pool[1]["keyword"] = 5
+        bad_pool = tmp_path / "pool.json"
+        bad_pool.write_text(json.dumps(pool))
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        snapshot = json.loads((run_dir / "config.snapshot").read_text())
+        snapshot["oracle"]["pool"] = str(bad_pool)
+        (run_dir / "config.snapshot").write_text(json.dumps(snapshot))
+        argv = {"predict": ["predict", "--run", str(run_dir), "--input",
+                            str(workspace / "data" / "dataset.ndjson"),
+                            "--output", str(tmp_path / "predictions.ndjson")],
+                "eval": ["eval", "--run", str(run_dir)],
+                "enumerate": ["enumerate", "--dataset", str(workspace / "data" / "dataset.ndjson"),
+                              "--pool", str(bad_pool), "--k", "2",
+                              "--out", str(tmp_path / "exact.json")]}[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"the keyword of {pool[1]['question']!r} must be a string, not int" in err
+        assert "Traceback" not in err
 
 
 class TestLLMRunCounts:
@@ -609,6 +659,39 @@ class TestLLMRunCounts:
         assert results[True][0] == results[False][0]
 
 
+@pytest.mark.parametrize("field", ["keyphrases", "concepts", "candidates"],
+                         ids=["extraction", "init", "proposal"])
+def test_llm_answer_not_a_json_object_exits_3(tmp_path, monkeypatch, capsys, field):
+    """An extraction, init or proposal answer that is a JSON array is retried,
+    then ends the run with an oracle error (exit 3), not a traceback."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from fake_llm import FakeChatTransport, chat_body
+    from ccbm.llm import ChatClient
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--out", str(data), "--n", "40", "--seed", "4",
+                     "--clinical", "--n-decoys", "5"]) == 0
+    fake = FakeChatTransport(json.loads(line)["text"]
+                             for line in (data / "dataset.ndjson").read_text().splitlines())
+
+    def transport(url, headers, payload):
+        answer = json.loads(fake(url, headers, payload)["choices"][0]["message"]["content"])
+        return chat_body([answer] if field in answer else answer)
+
+    monkeypatch.setattr(ChatClient, "_http_post", staticmethod(transport))
+    run_dir = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": str(data / "dataset.ndjson"), "output_dir": str(run_dir),
+        "oracle": {"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "fake",
+                   "max_in_flight": 2, "backoff_seconds": [0, 0, 0]},
+        "sampler": dict(SAMPLER, k=4, t_epochs=1, m_candidates=4)}))
+    assert cli.main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "after 3 attempts: expected a JSON object, got list" in err
+    assert "Traceback" not in err and not (run_dir / "samples.jsonl").exists()
+    assert lock_is_free(run_dir)
+
+
 @pytest.mark.parametrize("weight, incumbent_weight", [(1e-30, 1e308), (1e308, 1.0)],
                          ids=["q-underflows-to-0", "sum-overflows-to-nan"])
 def test_float_edge_llm_weights_exit_3(tmp_path, monkeypatch, capsys, weight, incumbent_weight):
@@ -644,15 +727,20 @@ def test_float_edge_llm_weights_exit_3(tmp_path, monkeypatch, capsys, weight, in
     err = capsys.readouterr().err
     assert f"incumbent weight {incumbent_weight!r} give no valid proposal" in err
     assert repr(weight) in err and "Traceback" not in err
-    assert f"checkpoint at {run_dir / 'checkpoints' / 'chain.json'}" in err
+    assert f"checkpoint at {run_dir / 'checkpoints' / 'chain.log'}" in err
     assert lock_is_free(run_dir)
 
 
-def int_question(line: bytes) -> bytes:
-    """The chain-log line with its state's first question replaced by an int."""
+def edit_record(line: bytes, edit) -> bytes:
+    """The chain-log line with edit applied to its record."""
     record = json.loads(line)
-    record["state"][0]["question"] = 7
+    edit(record)
     return json.dumps(record).encode()
+
+
+def int_question(line: bytes) -> bytes:
+    """The epoch line with its first sample's first question replaced by an int."""
+    return edit_record(line, lambda r: r["samples"][0]["concepts"][0].update(question=7))
 
 
 class TestKillResume:
@@ -672,7 +760,7 @@ class TestKillResume:
 
         monkeypatch.setattr(PoolOracle, "propose", flaky)
         assert cli.main(["run", "--config", str(config)]) == 3
-        assert (run_dir / "checkpoints" / "chain.json").exists()
+        assert (run_dir / "checkpoints" / "chain.log").exists()
         assert not (run_dir / "samples.jsonl").exists()
         assert lock_is_free(run_dir)
 
@@ -705,7 +793,7 @@ class TestKillResume:
         assert cli.main(["run", "--config", str(config)]) == 3
         monkeypatch.setattr(PoolOracle, "propose", original)
         state = json.loads((run_dir / "checkpoints" / "chain.log").read_text()
-                           .splitlines()[-1])["state"]
+                           .splitlines()[-1])["samples"][-1]["concepts"]
         lost = {c["question"] for c in state}
         oracle["pool"] = [entry for entry in pool if entry["question"] not in lost]
         config = write_config(workspace, run_dir, oracle=oracle, truth=None)
@@ -738,17 +826,15 @@ class TestKillResume:
                                    env=dict(os.environ, PYTHONPATH=src))
         assert crashed.wait(timeout=300) == 9
         assert (run_dir / ".lock").read_text() == str(crashed.pid)
-        assert (run_dir / "checkpoints" / "chain.json").exists()
+        assert (run_dir / "checkpoints" / "chain.log").exists()
         assert cli.main(["run", "--config", str(config), "--resume"]) == 0
         assert (run_dir / "samples.jsonl").read_bytes() == \
             (finished_run / "samples.jsonl").read_bytes()
         assert lock_is_free(run_dir)
 
     @staticmethod
-    def copy_checkpoint(finished_run, run_dir, log: bytes, header: Optional[str] = None):
+    def copy_checkpoint(run_dir, log: bytes):
         (run_dir / "checkpoints").mkdir(parents=True)
-        (run_dir / "checkpoints" / "chain.json").write_text(
-            header or (finished_run / "checkpoints" / "chain.json").read_text())
         (run_dir / "checkpoints" / "chain.log").write_bytes(log)
 
     def test_cut_at_every_offset_of_the_last_two_lines(self, workspace, finished_run,
@@ -763,14 +849,15 @@ class TestKillResume:
         starts = [0] + [i + 1 for i, b in enumerate(log) if b == ord("\n")]
         second_last, last = starts[-3], starts[-2]
         loaded = {}
-        self.copy_checkpoint(finished_run, tmp_path / "load", b"")
-        header = tmp_path / "load" / "checkpoints" / "chain.json"
+        self.copy_checkpoint(tmp_path / "load", b"")
+        path = tmp_path / "load" / "checkpoints" / "chain.log"
         for cut in range(second_last, len(log) + 1):
             whole = max(start for start in starts if start <= cut)
-            header.with_suffix(".log").write_bytes(log[:cut])
-            payload = load_checkpoint(header)
-            assert header.with_suffix(".log").read_bytes() == log[:whole], cut
-            assert payload["epoch_done"] == starts.index(whole) - 1, cut
+            path.write_bytes(log[:cut])
+            payload = load_checkpoint(path)
+            assert path.read_bytes() == log[:whole], cut
+            # the header, then epochs 0, 1, ...
+            assert payload["epoch_done"] == starts.index(whole) - 2, cut
             trace = payload["trace"]
             chain = (payload["state"], payload["rng_state"], trace.update_log,
                      trace.acceptance_count, trace.proposal_count,
@@ -778,7 +865,7 @@ class TestKillResume:
             assert loaded.setdefault(whole, chain) == chain, cut
         for cut in (second_last + 1, last - 1, last, last + 1, len(log) - 1, len(log)):
             run_dir = tmp_path / f"resume-{cut}"
-            self.copy_checkpoint(finished_run, run_dir, log[:cut])
+            self.copy_checkpoint(run_dir, log[:cut])
             config = write_config(workspace, run_dir)
             assert cli.main(["run", "--config", str(config), "--resume"]) == 0
             for name in ("samples.jsonl", "checkpoints/chain.log"):
@@ -787,16 +874,21 @@ class TestKillResume:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: lines[:1] + [b"{not json"] + lines[2:], "chain.log:2: corrupt"),
-        (lambda lines: lines[:1] + [b'{"epoch": 1}'] + lines[2:], "chain.log:2: corrupt"),
-        (lambda lines: lines[:2] + lines[3:], "chain.log:3: corrupt chain epoch: "
-                                              "epoch 3 where epoch 2 belongs"),
+        (lambda lines: lines[:1] + [b'{"epoch": 0}'] + lines[2:], "chain.log:2: corrupt"),
+        (lambda lines: lines[:2] + lines[3:], "chain.log:3: corrupt checkpoint line: "
+                                              "epoch 2 with 2 samples where epoch 1 with 2"),
         (lambda lines: lines[:1] + [int_question(lines[1])] + lines[2:],
-         "chain.log:2: corrupt chain epoch: concept question must be a string, not int")])
+         "chain.log:2: corrupt checkpoint line: concept question must be a string, not int"),
+        (lambda lines: lines[:2] + [edit_record(lines[2], lambda r: r["samples"].pop())]
+         + lines[3:], "chain.log:3: corrupt checkpoint line: epoch 1 with 1 samples where "
+                      "epoch 1 with 2 belongs"),
+        (lambda lines: [edit_record(lines[0], lambda r: r.pop("rng_state"))] + lines[1:],
+         "chain.log:1: corrupt checkpoint line: 'rng_state'")])
     def test_corrupt_or_gapped_log_exits_2_naming_the_line(
             self, workspace, finished_run, tmp_path, capsys, edit, message):
         lines = (finished_run / "checkpoints" / "chain.log").read_bytes().splitlines()
         run_dir = tmp_path / "resume"
-        self.copy_checkpoint(finished_run, run_dir, b"\n".join(edit(lines)) + b"\n")
+        self.copy_checkpoint(run_dir, b"\n".join(edit(lines)) + b"\n")
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config), "--resume"]) == 2
         assert message in capsys.readouterr().err
@@ -804,23 +896,49 @@ class TestKillResume:
 
     def test_v2_header_exits_2(self, workspace, finished_run, tmp_path, capsys):
         run_dir = tmp_path / "resume"
-        self.copy_checkpoint(finished_run, run_dir,
-                             (finished_run / "checkpoints" / "chain.log").read_bytes(),
-                             json.dumps({"format": "ccbm-checkpoint-v2", "epoch_done": 4,
-                                         "log_offset": 0}))
+        epochs = (finished_run / "checkpoints" / "chain.log").read_bytes().splitlines(True)[1:]
+        v2 = json.dumps({"format": "ccbm-checkpoint-v2", "epoch_done": 4, "log_offset": 0})
+        self.copy_checkpoint(run_dir, v2.encode() + b"\n" + b"".join(epochs))
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config), "--resume"]) == 2
-        assert "'ccbm-checkpoint-v2' is not ccbm-checkpoint-v3; start a fresh run" in \
-            capsys.readouterr().err
+        assert "chain.log:1: corrupt checkpoint line: format 'ccbm-checkpoint-v2' is not " \
+            "ccbm-checkpoint-v4; start a fresh run" in capsys.readouterr().err
+
+    def test_v3_run_directory_exits_2_naming_the_first_line(self, workspace, finished_run,
+                                                            tmp_path, capsys):
+        """A v3 checkpoint is a chain.json header beside a chain.log of epoch
+        lines that repeat their state and acceptance counters; its log's first
+        line is an epoch, not a v4 header."""
+        lines = [json.loads(line) for line in
+                 (finished_run / "checkpoints" / "chain.log").read_text().splitlines()]
+        header, epochs, accepted, proposed = lines[0], lines[1:], 0, 0
+        for epoch in epochs:
+            proposed += sum(s["phase"] == "sample" for s in epoch["samples"])
+            accepted += sum(s["phase"] == "sample" and s["accepted"] for s in epoch["samples"])
+            epoch.update(state=[{"question": c["question"]}
+                                for c in epoch["samples"][-1]["concepts"]],
+                         acceptance_count=accepted, proposal_count=proposed)
+        run_dir = tmp_path / "resume"
+        log = "".join(json.dumps(epoch) + "\n" for epoch in epochs).encode()
+        self.copy_checkpoint(run_dir, log)
+        (run_dir / "checkpoints" / "chain.json").write_text(
+            json.dumps(dict(header, format="ccbm-checkpoint-v3")))
+        config = write_config(workspace, run_dir)
+        assert cli.main(["run", "--config", str(config), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "chain.log:1: corrupt checkpoint line: format None is not " \
+            "ccbm-checkpoint-v4; start a fresh run" in err and "Traceback" not in err
+        assert (run_dir / "checkpoints" / "chain.log").read_bytes() == log
+        assert not (run_dir / "samples.jsonl").exists()
 
     def test_fresh_run_over_a_stale_log_starts_a_new_one(self, workspace, finished_run,
                                                          tmp_path):
         run_dir = tmp_path / "fresh"
         stale = (finished_run / "checkpoints" / "chain.log").read_bytes()
-        self.copy_checkpoint(finished_run, run_dir, stale + stale + b'{"epoch": 9')
+        self.copy_checkpoint(run_dir, stale + stale + b'{"epoch": 9')
         config = write_config(workspace, run_dir)
         assert cli.main(["run", "--config", str(config)]) == 0
-        for name in ("samples.jsonl", "checkpoints/chain.json", "checkpoints/chain.log"):
+        for name in ("samples.jsonl", "checkpoints/chain.log"):
             assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 

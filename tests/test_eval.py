@@ -13,8 +13,8 @@ from ccbm import evaluate
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import (ConceptMatchRule, InconclusiveMatchError,
                            MetricUndefinedError, auc, brier, concepts_match,
-                           enumerate_posterior, predictive_entropy,
-                           recovery_report, support_frequencies, tv_distance)
+                           enumerate_posterior, recovery_report,
+                           support_frequencies, tv_distance)
 from ccbm.model import log_marginal_likelihoods, logsumexp, stack_designs
 from ccbm.sampler import GibbsData, _MarginalCache
 
@@ -129,21 +129,6 @@ class TestBrier:
         ensemble = brier(members.mean(axis=0), labels)
         mean_member = float(np.mean([brier(m, labels) for m in members]))
         assert ensemble <= mean_member + 1e-12
-
-
-class TestPredictiveEntropy:
-    def test_fair_coin_is_log_two(self):
-        assert predictive_entropy([0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
-
-    def test_degenerate_is_zero(self):
-        assert predictive_entropy([1.0, 0.0]) == 0.0
-
-    def test_uniform_over_four(self):
-        assert predictive_entropy([0.25] * 4) == pytest.approx(np.log(4), abs=1e-12)
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            predictive_entropy([0.5, 0.6])
 
 
 def _panel(**columns):

@@ -67,6 +67,11 @@ class TestParseJsonContent:
         with pytest.raises(json.JSONDecodeError):
             parse_json_content("no json here")
 
+    @pytest.mark.parametrize("content", ['[{"a": 1}]', '"text"', "3", "null", "[]"])
+    def test_an_answer_that_is_not_an_object_raises(self, content):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            parse_json_content(content)
+
 
 class TestChatClient:
     def test_first_try_success(self):
@@ -90,6 +95,12 @@ class TestChatClient:
                          chat_body({"ok": True})])
         client = ChatClient(make_config(), post_fn=post, sleep_fn=lambda s: None)
         assert client.complete_json("hi", 0.0) == {"ok": True}
+
+    def test_an_answer_that_is_not_an_object_is_retried(self):
+        post = FakePost([chat_body(["a", "b"]), chat_body({"ok": True})])
+        client = ChatClient(make_config(), post_fn=post, sleep_fn=lambda s: None)
+        assert client.complete_json("hi", 0.0) == {"ok": True}
+        assert client.call_count == 2 and client.retry_count == 1
 
     def test_exhausted_retries_raise(self):
         post = FakePost([requests.ConnectionError("down")] * 3)
@@ -167,6 +178,28 @@ class TestExtractKeyphrases:
                                            "synonyms": ["tobacco use"]}]})])
         bags = oracle.extract_keyphrases([Observation("o1", "some note text")])
         assert bags[0].phrases == {"chest pain", "smoking", "tobacco use"}
+
+    @pytest.mark.parametrize("body, phrases", [
+        ({"keyphrases": [3]}, set()),
+        ({"keyphrases": "chest pain"}, set()),
+        ({"keyphrases": [None, ["fever"], "cough"]}, {"cough"}),
+        ({"keyphrases": [{"descriptor": 5, "synonyms": ["tobacco"]}]}, {"tobacco"}),
+        ({"keyphrases": [{"descriptor": "smoking", "synonyms": "tobacco"}]}, {"smoking"}),
+        ({"keyphrases": [{"descriptor": "smoking", "synonyms": ["tobacco", 7, None]}]},
+         {"smoking", "tobacco"}),
+        ({}, set())],
+        ids=["number-entry", "field-not-a-list", "entries-not-strings", "descriptor-number",
+             "synonyms-a-string", "synonyms-not-strings", "no-field"])
+    def test_malformed_entries_count_as_absent(self, body, phrases):
+        oracle, post, _ = make_oracle([chat_body(body)])
+        bags = oracle.extract_keyphrases([Observation("o1", "some note text")])
+        assert bags[0].phrases == phrases and len(post.requests) == 1
+
+    def test_an_answer_that_is_not_an_object_raises_after_retries(self):
+        oracle, post, _ = make_oracle([chat_body([{"keyphrases": ["fever"]}])] * 3)
+        with pytest.raises(OracleError, match="expected a JSON object, got list"):
+            oracle.extract_keyphrases([Observation("o1", "some note text")])
+        assert len(post.requests) == 3
 
     def test_empty_payload_costs_nothing(self):
         oracle, post, _ = make_oracle([])
@@ -299,6 +332,21 @@ class TestInitializeConcepts:
         with pytest.raises(InitializationError):
             oracle.initialize_concepts(["x"], k=2)
 
+    @pytest.mark.parametrize("body", [{"concepts": "Q1?"}, {"concepts": [5, None, ["Q?"]]},
+                                      {"concepts": {"Q1?": 1}}],
+                             ids=["field-a-string", "entries-not-strings", "field-an-object"])
+    def test_malformed_concepts_count_as_absent(self, body):
+        oracle, post, _ = make_oracle([chat_body(body)] * 3)
+        with pytest.raises(InitializationError, match="fewer than 1 distinct concepts"):
+            oracle.initialize_concepts(["x"], k=1)
+        assert len(post.requests) == 3
+
+    def test_an_answer_that_is_not_an_object_raises_after_retries(self):
+        oracle, post, _ = make_oracle([chat_body(["A?", "B?"])] * 3)
+        with pytest.raises(OracleError, match="expected a JSON object, got list"):
+            oracle.initialize_concepts(["x"], k=2)
+        assert len(post.requests) == 3
+
     def test_empty_summary_rejected(self):
         oracle, _, _ = make_oracle([])
         with pytest.raises(InitializationError):
@@ -392,6 +440,27 @@ class TestPropose:
         body = {"candidates": ["A?", "B?", "C?", "D?"]}
         _, _, p = self.propose(body, m=2, incumbent_weight=1.0)
         assert len(p.candidates) == 2
+
+    @pytest.mark.parametrize("candidates", [
+        [5, "A?", None, ["B?"]],
+        [{"question": 5, "weight": 1.0}, {"question": "A?", "weight": 1.0}]],
+        ids=["entries-not-strings-or-objects", "question-a-number"])
+    def test_malformed_candidates_count_as_absent(self, candidates):
+        _, _, p = self.propose({"candidates": candidates}, incumbent_weight=1.0)
+        assert [c.question for c in p.candidates] == ["A?"]
+
+    def test_a_candidates_string_counts_as_absent(self):
+        # not the candidates "I", "s", ... of its characters
+        with pytest.raises(ProposalError, match="no usable candidates"):
+            self.propose({"candidates": "Is it A?"}, incumbent_weight=1.0)
+
+    def test_an_answer_that_is_not_an_object_raises_after_retries(self):
+        oracle, post, _ = make_oracle([chat_body([{"candidates": ["A?"]}])] * 3,
+                                      summary_provider=lambda ctx, subset: ["phrase one"])
+        with pytest.raises(ProposalError, match="expected a JSON object, got list"):
+            oracle.propose(self.context, self.incumbent, np.arange(5), 3,
+                           np.random.default_rng(0))
+        assert len(post.requests) == 3
 
     def test_no_usable_candidates_raises(self):
         with pytest.raises(ProposalError):

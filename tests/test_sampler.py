@@ -50,10 +50,17 @@ def pool_chain(data, weight_mode, mode, cfg_kwargs, init_indices=(5, 7),
 
 
 def chain_log_rng_states(checkpoint):
-    """The RNG state after each epoch, from the chain log, and the header's."""
-    entries = [json.loads(line) for line in
-               checkpoint.with_suffix(".log").read_text().splitlines()]
-    return [e["rng_state"] for e in entries], json.loads(checkpoint.read_text())["rng_state"]
+    """The RNG state of the chain log's header, then after each epoch."""
+    return [json.loads(line)["rng_state"] for line in checkpoint.read_text().splitlines()]
+
+
+def mark_burn_in(samples, keep_last):
+    """The burn-in rule as a pass over a finished chain, kept as the reference
+    for the flags run_gibbs fixes as it makes each sample: the last keep_last
+    warm-start states are posterior samples, every earlier one is burn-in."""
+    warm = [s for s in samples if s.phase == "warm_start"]
+    kept = {id(s) for s in (warm[-keep_last:] if keep_last > 0 else [])}
+    return [s.phase == "warm_start" and id(s) not in kept for s in samples]
 
 
 def ss_mh_update(state, slot, subset, data, cfg, rng, proposal):
@@ -305,11 +312,11 @@ class TestRunGibbs:
 
     def test_deterministic_reruns_are_identical(self, pool_dataset, tmp_path):
         kwargs = dict(k=2, t_epochs=5, m_candidates=5, seed=7, keep_last=2)
-        ckpt_a, ckpt_b = tmp_path / "a.json", tmp_path / "b.json"
+        ckpt_a, ckpt_b = tmp_path / "a.log", tmp_path / "b.log"
         a = pool_chain(pool_dataset, "exact", "multi_try", kwargs, checkpoint_path=ckpt_a)
         b = pool_chain(pool_dataset, "exact", "multi_try", kwargs, checkpoint_path=ckpt_b)
         assert [s.to_dict() for s in a.samples] == [s.to_dict() for s in b.samples]
-        assert ckpt_a.with_suffix(".log").read_text() == ckpt_b.with_suffix(".log").read_text()
+        assert ckpt_a.read_text() == ckpt_b.read_text()
         assert chain_log_rng_states(ckpt_a) == chain_log_rng_states(ckpt_b)
         assert a.update_log == b.update_log
 
@@ -348,6 +355,29 @@ class TestRunGibbs:
         assert [s.burn_in for s in warm] == [True, True, False, False, False, False]
         assert len(trace.posterior_samples()) == 4 + 4
 
+    @pytest.mark.parametrize("keep_last", [0, 3, 6, 20])  # K * warm_start_epochs = 6
+    def test_burn_in_is_fixed_when_a_sample_is_made(self, pool_dataset, tmp_path, keep_last):
+        kwargs = dict(k=2, t_epochs=2, m_candidates=5, seed=2, warm_start_epochs=3,
+                      keep_last=keep_last)
+        ckpt = tmp_path / "chain.log"
+        trace = pool_chain(pool_dataset, "exact", "multi_try", kwargs, checkpoint_path=ckpt)
+        assert [s.burn_in for s in trace.samples] == mark_burn_in(trace.samples, keep_last)
+        # the log holds the chain's samples as they are, flags included
+        assert [s.to_dict() for s in load_checkpoint(ckpt)["trace"].samples] == \
+            [s.to_dict() for s in trace.samples]
+        # resumed after the second of the three warm-start epochs
+        cut = tmp_path / "cut.log"
+        cut.write_bytes(b"".join(ckpt.read_bytes().splitlines(keepends=True)[:3]))
+        payload = load_checkpoint(cut)
+        assert payload["epoch_done"] == 1
+        oracle = make_oracle(pool_dataset)
+        resumed = run_gibbs(gibbs_data_from_oracle(pool_dataset.observations,
+                                                   pool_dataset.labels, oracle),
+                            oracle, SamplerConfig(mode="multi_try", **kwargs), None,
+                            checkpoint_path=cut, resume_from=payload)
+        assert [s.to_dict() for s in resumed.samples] == [s.to_dict() for s in trace.samples]
+        assert cut.read_bytes() == ckpt.read_bytes()
+
     def test_exact_mode_chain_matches_enumeration(self, pool_dataset):
         trace = pool_chain(pool_dataset, "exact", "single_try",
                            dict(k=2, t_epochs=1500, m_candidates=10, seed=3,
@@ -385,22 +415,20 @@ class TestCheckpointResume:
         cfg = SamplerConfig(k=2, t_epochs=3, m_candidates=5, seed=9, keep_last=2)
         init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
         trace = run_gibbs(data, oracle, cfg, init,
-                          checkpoint_path=tmp_path / "chain.json")
-        payload = load_checkpoint(tmp_path / "chain.json")
+                          checkpoint_path=tmp_path / "chain.log")
+        payload = load_checkpoint(tmp_path / "chain.log")
         assert payload["config"] == cfg
         assert payload["epoch_done"] == 3  # warm start + 3 sampling epochs, 0-based
-        # burn-in flags are finalized only when a run completes, so compare
-        # everything else
-        def strip(sample):
-            d = sample.to_dict()
-            d.pop("burn_in")
-            return d
-        assert [strip(s) for s in payload["trace"].samples] == \
-            [strip(s) for s in trace.samples]
+        assert payload["state"] == trace.samples[-1].concept_set
+        loaded = payload["trace"]
+        assert [s.to_dict() for s in loaded.samples] == [s.to_dict() for s in trace.samples]
+        assert loaded.update_log == trace.update_log
+        assert (loaded.acceptance_count, loaded.proposal_count) == \
+            (trace.acceptance_count, trace.proposal_count)
 
     def test_unrecognized_file_rejected(self, tmp_path):
-        bad = tmp_path / "x.json"
-        bad.write_text("{}")
+        bad = tmp_path / "chain.log"
+        bad.write_text("{}\n")
         with pytest.raises(ValueError):
             load_checkpoint(bad)
 
@@ -409,10 +437,19 @@ class TestCheckpointResume:
         json.dumps({"format": "ccbm-checkpoint-v1", "trace": {}}),
         json.dumps({"format": "ccbm-checkpoint-v2", "epoch_done": 0, "log_offset": 10})])
     def test_unusable_header_rejected_by_name(self, tmp_path, header):
-        bad = tmp_path / "x.json"
-        bad.write_text(header)
-        with pytest.raises(ValueError, match="x.json"):
+        bad = tmp_path / "chain.log"
+        bad.write_text(header + "\n")
+        with pytest.raises(ValueError, match="chain.log:1: "):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("content", [b"", b'{"format": "ccbm-checkpoint-v4", "con'])
+    def test_log_without_a_header_rejected_by_name(self, tmp_path, content):
+        # an empty log, or a header torn by a crash, holds no chain to resume
+        bad = tmp_path / "chain.log"
+        bad.write_bytes(content)
+        with pytest.raises(ValueError, match="chain.log holds no checkpoint header"):
+            load_checkpoint(bad)
+        assert bad.read_bytes() == b""
 
     def test_header_stays_small_and_log_grows_linearly(self, tmp_path, pool_dataset,
                                                        monkeypatch):
@@ -422,21 +459,21 @@ class TestCheckpointResume:
 
         def recording(path, *args, **kwargs):
             real(path, *args, **kwargs)
-            sizes.append((path.stat().st_size, path.with_suffix(".log").stat().st_size))
+            sizes.append((path.read_bytes().split(b"\n")[0], path.stat().st_size))
 
         monkeypatch.setattr(sampler, "save_checkpoint", recording)
         oracle = make_oracle(pool_dataset)
         data = gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels, oracle)
         cfg = SamplerConfig(k=2, t_epochs=40, m_candidates=10, seed=5, mode="single_try")
         init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
-        run_gibbs(data, oracle, cfg, init, checkpoint_path=tmp_path / "chain.json")
+        run_gibbs(data, oracle, cfg, init, checkpoint_path=tmp_path / "chain.log")
         assert len(sizes) == 1 + 41  # the start header, then one per epoch
-        assert len({h for h, _ in sizes}) == 1  # the header is written once
-        growth = np.diff([log for _, log in sizes])
-        assert sizes[0][1] == 0 and growth.min() > 0.8 * growth.max()
+        assert len({header for header, _ in sizes}) == 1  # the header is written once
+        growth = np.diff([size for _, size in sizes])
+        assert sizes[0][1] == len(sizes[0][0]) + 1 and growth.min() > 0.8 * growth.max()
 
-    def test_long_chain_renames_once(self, tmp_path, pool_dataset, monkeypatch):
-        # the header is committed by one rename; every epoch after it is an append
+    def test_long_chain_makes_no_rename(self, tmp_path, pool_dataset, monkeypatch):
+        # the header is one plain write; every epoch after it is an append
         renames = []
 
         def counting(real):
@@ -451,32 +488,33 @@ class TestCheckpointResume:
         data = gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels, oracle)
         cfg = SamplerConfig(k=2, t_epochs=300, m_candidates=10, seed=5, mode="single_try")
         init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
-        ckpt = tmp_path / "chain.json"
+        ckpt = tmp_path / "chain.log"
         run_gibbs(data, oracle, cfg, init, checkpoint_path=ckpt)
-        assert renames == [(ckpt.with_suffix(".tmp"), ckpt)]
-        assert len(ckpt.with_suffix(".log").read_text().splitlines()) == 301
+        assert renames == []
+        assert len(ckpt.read_text().splitlines()) == 1 + 301
+        assert [path.name for path in tmp_path.iterdir()] == ["chain.log"]
 
     def test_uncommitted_tail_ignored_then_cut(self, tmp_path, pool_dataset):
         cfg = SamplerConfig(k=2, t_epochs=4, m_candidates=5, seed=13, keep_last=2,
                             mode="multi_try")
         init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
         oracle = make_oracle(pool_dataset)
-        reference = tmp_path / "ref" / "chain.json"
+        reference = tmp_path / "ref" / "chain.log"
         reference.parent.mkdir()
         run_gibbs(gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels,
                                          oracle), oracle, cfg, init, checkpoint_path=reference)
 
         flaky = FlakyOracle(make_oracle(pool_dataset), fail_at=7)
-        ckpt = tmp_path / "chain.json"
+        ckpt = tmp_path / "chain.log"
         with pytest.raises(OracleFailure):
             run_gibbs(gibbs_data_from_oracle(pool_dataset.observations, pool_dataset.labels,
                                              flaky), flaky, cfg, init, checkpoint_path=ckpt)
         # a crash mid-append leaves a torn line: dropped on load and cut off
-        committed = ckpt.with_suffix(".log").read_bytes()
-        with open(ckpt.with_suffix(".log"), "ab") as log:
+        committed = ckpt.read_bytes()
+        with open(ckpt, "ab") as log:
             log.write(b'{"epoch": 3, "samples": [{"concepts": []}], "sa')
         payload = load_checkpoint(ckpt)
-        assert ckpt.with_suffix(".log").read_bytes() == committed
+        assert ckpt.read_bytes() == committed
         assert payload["epoch_done"] == 2
         assert len(payload["trace"].samples) == 2 * (payload["epoch_done"] + 1)
 
@@ -485,18 +523,15 @@ class TestCheckpointResume:
                                          oracle), oracle, cfg, init, checkpoint_path=ckpt,
                   resume_from=payload)
         assert ckpt.read_bytes() == reference.read_bytes()
-        assert ckpt.with_suffix(".log").read_bytes() == \
-            reference.with_suffix(".log").read_bytes()
 
     def test_resume_from_header_alone(self, tmp_path, pool_dataset):
         # a chain that stopped before its first epoch resumes from the header's start
         kwargs = dict(k=2, t_epochs=2, m_candidates=5, seed=13, keep_last=2)
-        reference_ckpt = tmp_path / "reference.json"
+        reference_ckpt = tmp_path / "reference.log"
         reference = pool_chain(pool_dataset, "exact", "multi_try", kwargs,
                                checkpoint_path=reference_ckpt)
-        ckpt = tmp_path / "chain.json"
-        ckpt.write_bytes(reference_ckpt.read_bytes())
-        ckpt.with_suffix(".log").write_bytes(b"")
+        ckpt = tmp_path / "chain.log"
+        ckpt.write_bytes(reference_ckpt.read_bytes().splitlines(keepends=True)[0])
         payload = load_checkpoint(ckpt)
         assert payload["epoch_done"] == -1 and payload["trace"].samples == []
         oracle = make_oracle(pool_dataset)
@@ -506,12 +541,11 @@ class TestCheckpointResume:
                             checkpoint_path=ckpt, resume_from=payload)
         assert [s.to_dict() for s in resumed.samples] == \
             [s.to_dict() for s in reference.samples]
-        assert ckpt.with_suffix(".log").read_bytes() == \
-            reference_ckpt.with_suffix(".log").read_bytes()
+        assert ckpt.read_bytes() == reference_ckpt.read_bytes()
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, pool_dataset):
         kwargs = dict(k=2, t_epochs=4, m_candidates=5, seed=13, keep_last=2)
-        reference_ckpt = tmp_path / "reference.json"
+        reference_ckpt = tmp_path / "reference.log"
         reference = pool_chain(pool_dataset, "exact", "multi_try", kwargs,
                                checkpoint_path=reference_ckpt)
 
@@ -520,7 +554,7 @@ class TestCheckpointResume:
                                       pool_dataset.labels, flaky)
         cfg = SamplerConfig(mode="multi_try", **kwargs)
         init = ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)])
-        ckpt = tmp_path / "chain.json"
+        ckpt = tmp_path / "chain.log"
         with pytest.raises(OracleFailure) as failure:
             run_gibbs(data, flaky, cfg, init, checkpoint_path=ckpt)
         assert failure.value.checkpoint == ckpt
@@ -533,8 +567,7 @@ class TestCheckpointResume:
         assert [s.to_dict() for s in resumed.samples] == \
             [s.to_dict() for s in reference.samples]
         assert resumed.acceptance_count == reference.acceptance_count
-        assert ckpt.with_suffix(".log").read_text() == \
-            reference_ckpt.with_suffix(".log").read_text()
+        assert ckpt.read_text() == reference_ckpt.read_text()
         assert chain_log_rng_states(ckpt) == chain_log_rng_states(reference_ckpt)
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import ccbm
@@ -55,7 +56,8 @@ def test_unused_imports_bind_only_hooked_names():
 
 
 def test_traced_run_records_each_checkpoint_save(tmp_path):
-    # bench/run.py --trace 1 stats the header the traced save_checkpoint was given
+    # bench/run.py --trace 1 stats the chain log the traced save_checkpoint was
+    # given, so each save reads the log's size after it
     from ccbm import cli
     tracing = load_tracing()
     assert cli.main(["simulate", "--out", str(tmp_path / "data"), "--n", "40",
@@ -70,5 +72,6 @@ def test_traced_run_records_each_checkpoint_save(tmp_path):
     with tracing.Tracer() as tracer:
         assert cli.main(["run", "--config", str(config)]) == 0
     saves = tracing.spans_named(tracer.root("cli.run"), "sampler.checkpoint")
-    header = (run_dir / "checkpoints" / "chain.json").stat().st_size
-    assert [span.value for span in saves] == [header] * (1 + 1 + 4)  # start, then each epoch
+    lines = (run_dir / "checkpoints" / "chain.log").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + 1 + 4  # the header, then each epoch
+    assert [span.value for span in saves] == list(accumulate(map(len, lines)))
