@@ -15,18 +15,18 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .concepts import Concept, ConceptSet
+from .config import ConfigError, load, setting
 from .evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
                        recovery_report, support_frequencies)
-from .keyphrase import (DEFAULT_MIN_DF, DEFAULT_TOP_N, build_bow, fit_keyphrase_model,
-                        top_keyphrases)
+from .keyphrase import KeyphraseConfig, build_bow, fit_keyphrase_model, top_keyphrases
 from .llm import LLMConfig, LLMOracle
 from .model import OptimizationError, PosteriorSample, sigmoid_predict_many, stack_designs
 # ccbm.cli.sigmoid_predict and ccbm.cli.posterior_predictive stay bound:
@@ -43,10 +43,6 @@ EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _read_json(path: Path, what: str):
     """The JSON value a file holds; a file that cannot be read or parsed
     raises ConfigError naming it."""
@@ -54,26 +50,6 @@ def _read_json(path: Path, what: str):
         return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _object(value, what: str, fields: Optional[Sequence[str]] = None) -> dict:
-    """value, which must be a JSON object holding no field outside fields,
-    when they are given; anything else raises ConfigError naming it."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, not {type(value).__name__}")
-    unknown = [key for key in value if fields is not None and key not in fields]
-    if unknown:
-        raise ConfigError(f"{what} has an unknown field {unknown[0]!r}; "
-                          f"its fields are {', '.join(fields)}")
-    return value
-
-
-def _questions(value, what: str) -> Optional[list[str]]:
-    """value if it is None or a list of strings; anything else raises ConfigError."""
-    if value is not None and not (isinstance(value, list)
-                                  and all(isinstance(q, str) for q in value)):
-        raise ConfigError(f"{what} must be a list of concept questions")
-    return value
 
 
 def _make_dir(path: Path):
@@ -98,65 +74,49 @@ def _open_output(path):
 # configuration
 
 
+@dataclass(frozen=True)
+class PoolOracleConfig:
+    type: str = setting(choices=("pool",))
+    # a concept pool file, or its {"question", "keyword"} entries
+    pool: Union[str, list[dict]]
+    weight_mode: str = setting("exact", choices=("exact", "uniform"))
+
+
+@dataclass(frozen=True)
+class LLMOracleConfig(LLMConfig):
+    type: str = setting(choices=("llm",), kw_only=True)
+    bag_cache: Optional[str] = None
+
+
 @dataclass
 class RunConfig:
-    dataset: Path
-    output_dir: Path
-    oracle: dict
+    dataset: str
+    output_dir: str
+    oracle: Union[PoolOracleConfig, LLMOracleConfig]
     sampler: SamplerConfig
-    keyphrase: dict  # top_n and min_df as given; the summary has their defaults
-    truth: Optional[list[str]] = None
+    keyphrase: KeyphraseConfig = KeyphraseConfig()
+    truth: Optional[list[str]] = setting(None, nonempty=True)
+    given: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def load(path: Path, overrides: Optional[dict] = None) -> "RunConfig":
-        raw = _object(_read_json(path, "config"), f"config {path}",
-                      ("dataset", "output_dir", "oracle", "sampler", "keyphrase", "truth"))
-        for key, value in (overrides or {}).items():
-            if value is None:
-                continue
-            if key in ("seed", "t_epochs", "m_candidates", "omega", "mode", "k", "gamma"):
-                _object(raw.setdefault("sampler", {}), "sampler config")[key] = value
-            else:
-                raw[key] = value
-        try:
-            sampler = SamplerConfig.from_dict(raw["sampler"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sampler config: {exc}") from exc
-        for field in ("dataset", "output_dir", "oracle"):
-            if field not in raw:
-                raise ConfigError(f"config is missing the {field!r} field")
-        for field in ("dataset", "output_dir"):
-            if not isinstance(raw[field], str):
-                raise ConfigError(f"{field} must be a path, not {type(raw[field]).__name__}")
-        dataset = Path(raw["dataset"])
-        if not dataset.exists():
-            raise ConfigError(f"dataset file {dataset} does not exist")
-        oracle = _object(raw["oracle"], "oracle config")
-        if oracle.get("type") not in ("pool", "llm"):
-            raise ConfigError("oracle.type must be 'pool' or 'llm'")
-        keyphrase = _object(raw.get("keyphrase", {}), "keyphrase config", ("top_n", "min_df"))
-        for field, value in keyphrase.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"keyphrase config: {field} must be an integer >= 1, "
-                                  f"got {value!r}")
-        return RunConfig(
-            dataset=dataset,
-            output_dir=Path(raw["output_dir"]),
-            oracle=oracle,
-            sampler=sampler,
-            keyphrase=keyphrase,
-            truth=_questions(raw.get("truth"), "config field 'truth'"),
-        )
+        """The run config at path, with the overrides that are not None put in."""
+        raw = _read_json(path, "config")
+        if isinstance(raw, dict) and isinstance(raw.setdefault("sampler", {}), dict):
+            for key, value in (overrides or {}).items():
+                if value is not None:
+                    (raw if key in ("dataset", "output_dir") else raw["sampler"])[key] = value
+        cfg = load(RunConfig, raw)
+        cfg.given = raw
+        if not Path(cfg.dataset).exists():
+            raise ConfigError(f"dataset file {cfg.dataset} does not exist")
+        return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": str(self.dataset),
-            "output_dir": str(self.output_dir),
-            "oracle": self.oracle,
-            "sampler": self.sampler.to_dict(),
-            "keyphrase": self.keyphrase,
-            "truth": self.truth,
-        }
+        """The snapshot: every sampler field, and the oracle and keyphrase fields as given."""
+        return dict(dataset=str(Path(self.dataset)), output_dir=str(Path(self.output_dir)),
+                    oracle=self.given["oracle"], sampler=self.sampler.to_dict(),
+                    keyphrase=self.given.get("keyphrase", {}), truth=self.truth)
 
 
 def load_dataset(path: Path, require_labels: bool = True):
@@ -201,38 +161,21 @@ def load_pool(spec) -> list[PoolConcept]:
 
 
 def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> ConceptOracle:
-    """The configured oracle; a config mistake raises ConfigError naming the field."""
-    if cfg.oracle["type"] == "pool":
-        _object(cfg.oracle, "pool oracle config", ("type", "pool", "weight_mode"))
-        if "pool" not in cfg.oracle:
-            raise ConfigError("oracle config is missing the 'pool' field")
-        pool = load_pool(cfg.oracle["pool"])
-        try:
-            return PoolOracle(pool, observations,
-                              weight_mode=cfg.oracle.get("weight_mode", "exact"), cache=cache)
-        except ValueError as exc:
-            raise ConfigError(f"invalid pool oracle config: {exc}") from exc
+    """The configured oracle; an unreadable or duplicated pool or a corrupt bag
+    cache raises ConfigError."""
     try:
-        llm_cfg = LLMConfig.from_dict(
-            {k: v for k, v in cfg.oracle.items() if k not in ("type", "bag_cache")})
-    except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
-        raise ConfigError(f"invalid LLM oracle config: {exc}") from exc
-    bag_cache = cfg.oracle.get("bag_cache")
-    if bag_cache is not None and not isinstance(bag_cache, str):
-        raise ConfigError(f"bag_cache must be a path, not {type(bag_cache).__name__}")
-    try:
-        return LLMOracle(llm_cfg, cache=cache,
-                         bag_cache_path=Path(bag_cache) if bag_cache else None)
+        if isinstance(cfg.oracle, PoolOracleConfig):
+            return PoolOracle(load_pool(cfg.oracle.pool), observations,
+                              weight_mode=cfg.oracle.weight_mode, cache=cache)
+        return LLMOracle(cfg.oracle, cache=cache, bag_cache_path=cfg.oracle.bag_cache)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _truth_concepts(questions: list[str], oracle: ConceptOracle) -> ConceptSet:
     """The true concepts that questions name: pool concepts, in pool order, on
-    a pool run, and new concepts otherwise. An empty list, or a question that
-    is not in the pool, raises ConfigError naming it."""
-    if not questions:
-        raise ConfigError("truth must name at least one concept question")
+    a pool run, and new concepts otherwise. A question that is not in the pool
+    raises ConfigError naming it."""
     if not isinstance(oracle, PoolOracle):
         return ConceptSet(Concept(q) for q in questions)
     pooled = {pc.concept.question: pc.concept for pc in oracle.pool}
@@ -311,12 +254,12 @@ def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg, seed) -> list
     except OptimizationError as exc:
         print(f"warning: keyphrase model not fitted: {exc}", file=sys.stderr)
         return []
-    return top_keyphrases(vocab, fit.beta_w, keyphrase_cfg.get("top_n", DEFAULT_TOP_N))
+    return top_keyphrases(vocab, fit.beta_w, keyphrase_cfg.top_n)
 
 
 def _fit_initial_summary(bags, labels, keyphrase_cfg, seed) -> list[str]:
     try:
-        vocab, bow = build_bow(bags, min_df=keyphrase_cfg.get("min_df", DEFAULT_MIN_DF))
+        vocab, bow = build_bow(bags, min_df=keyphrase_cfg.min_df)
     except ValueError as exc:
         raise ConfigError(f"cannot summarize the dataset's keyphrases: {exc}") from exc
     return _residual_summary(vocab, bow, None, labels, keyphrase_cfg, seed)
@@ -330,7 +273,7 @@ def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
         design = data.designs([concepts], rows)[0, :, :-1]
         sub_bags = [bags[i] for i in rows]
         try:  # a subset too small to share a phrase has an empty vocabulary
-            vocab, bow = build_bow(sub_bags, min_df=keyphrase_cfg.get("min_df", DEFAULT_MIN_DF))
+            vocab, bow = build_bow(sub_bags, min_df=keyphrase_cfg.min_df)
         except ValueError:
             return []
         return _residual_summary(vocab, bow, design, labels[rows], keyphrase_cfg, seed)
@@ -344,7 +287,7 @@ def cmd_run(args) -> int:
         "dataset": args.dataset, "output_dir": args.output_dir,
     }
     cfg = RunConfig.load(args.config, overrides)
-    run_dir = cfg.output_dir
+    run_dir = Path(cfg.output_dir)
     for sub in ("cache", "checkpoints", "reports"):
         _make_dir(run_dir / sub)
     lock = _acquire_lock(run_dir)
@@ -360,6 +303,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"dataset {cfg.dataset} is too small: {exc}") from exc
         cache = _open_cache(run_dir)
         oracle = build_oracle(cfg, observations, cache)
+        if isinstance(oracle, PoolOracle) and cfg.sampler.k > len(oracle.pool):
+            raise ConfigError(f"sampler.k {cfg.sampler.k} is more than the "
+                              f"{len(oracle.pool)} concepts of oracle.pool")
         truth = _truth_concepts(cfg.truth, oracle) if cfg.truth is not None else None
 
         bags = oracle.extract_keyphrases(observations)
@@ -603,8 +549,8 @@ def cmd_eval(args) -> int:
     observations, labels = load_dataset(cfg.dataset)
     cache = _open_cache(run_dir)
     oracle = build_oracle(cfg, observations, cache)
-    truth = (_truth_concepts(_questions(_read_json(args.truth, "truth file"),
-                                        f"truth file {args.truth}"), oracle)
+    truth = (_truth_concepts(load(list[str], _read_json(args.truth, "truth file"),
+                                  f"truth file {args.truth}", {"nonempty": True}), oracle)
              if args.truth else None)
 
     data = gibbs_data_from_oracle(observations, labels, oracle)

@@ -11,17 +11,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import setting
 from .model import SharedDesign, log1pexp
 from .oracle import KeyphraseBag
 
 CONCEPT_RIDGE = 1e-6  # tiny fixed ridge on concept columns, conditioning only
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-3, 3, 10))
-DEFAULT_MIN_DF = 2  # documents a phrase must appear in to enter the vocabulary
-DEFAULT_TOP_N = 50  # phrases a summary holds at most
+
+
+@dataclass(frozen=True)
+class KeyphraseConfig:
+    top_n: int = setting(50, least=1)  # phrases a summary holds at most
+    min_df: int = setting(2, least=1)  # documents a phrase must appear in to enter the vocabulary
 
 
 def build_bow(bags: Sequence[KeyphraseBag],
-              min_df: int = DEFAULT_MIN_DF) -> tuple[list[str], np.ndarray]:
+              min_df: int = KeyphraseConfig.min_df) -> tuple[list[str], np.ndarray]:
     """The vocabulary, the phrases with document frequency >= min_df in
     sorted order, and the dense float 0/1 presence matrix over it."""
     df = Counter(phrase for bag in bags for phrase in bag.phrases)
@@ -117,7 +122,7 @@ def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
 
 
 def top_keyphrases(vocabulary: Sequence[str], beta_w: np.ndarray,
-                   top_n: int = DEFAULT_TOP_N) -> list[str]:
+                   top_n: int = KeyphraseConfig.top_n) -> list[str]:
     """The keyphrase summary: at most top_n phrases of nonzero coefficient,
     by absolute coefficient, descending; ties break lexicographically. An
     empty list means the residual model found no signal."""

@@ -16,7 +16,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
+from .config import check_fields, setting
 from .oracle import (AnnotationCache, AnnotationError, ConceptOracle,
                      InitializationError, KeyphraseBag, Observation, OracleError,
                      OracleProposal, ProposalError, Scorer, append_lines,
@@ -40,44 +41,16 @@ class LLMConfig:
     endpoint: str
     model: str
     api_key_env: str = "CCBM_API_KEY"
-    max_retries: int = 3
-    backoff_seconds: tuple[float, ...] = (1.0, 4.0, 16.0)
-    annotate_temperature: float = 0.0
-    propose_temperature: float = 1.0
-    request_timeout: float = 120.0
-    max_in_flight: int = 4
+    max_retries: int = setting(3, least=1)
+    backoff_seconds: tuple[float, ...] = setting((1.0, 4.0, 16.0), least=0, nonempty=True)
+    annotate_temperature: float = setting(0.0, least=0)
+    propose_temperature: float = setting(1.0, least=0)
+    request_timeout: float = setting(120.0, above=0)
+    max_in_flight: int = setting(4, least=1)
     prompt_dir: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("endpoint", "model", "api_key_env", "prompt_dir"):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (name == "prompt_dir" and value is None):
-                raise ValueError(f"{name} must be a string, got {value!r}")
-        for name in ("max_retries", "max_in_flight"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("annotate_temperature", "propose_temperature"):
-            value = getattr(self, name)
-            if _finite(value) is None or value < 0:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if _finite(self.request_timeout) is None or self.request_timeout <= 0:
-            raise ValueError(f"request_timeout must be finite and positive, "
-                             f"got {self.request_timeout!r}")
-        if not self.backoff_seconds or any(_finite(b) is None or b < 0
-                                           for b in self.backoff_seconds):
-            raise ValueError("backoff_seconds must list at least one finite number >= 0, "
-                             f"got {list(self.backoff_seconds)!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "LLMConfig":
-        d = dict(d)
-        if "backoff_seconds" in d:
-            d["backoff_seconds"] = tuple(d["backoff_seconds"])
-        return LLMConfig(**d)
+        check_fields(self, "oracle")
 
 
 def load_template(name: str, prompt_dir: Optional[str] = None) -> str:

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptSet
+from .config import check_fields, load, setting
 from .model import PosteriorSample, log_marginal_likelihoods, logsumexp, stack_designs
 from .oracle import ConceptOracle, OracleError, OracleProposal, append_lines, read_log
 
@@ -26,35 +27,21 @@ log_marginal_likelihood = log_marginal_likelihoods
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    k: int
-    t_epochs: int
-    m_candidates: int
-    omega: float = 0.5
-    gamma: float = 1.0
-    seed: int = 0
-    warm_start_epochs: int = 1
-    keep_last: int = 20
-    mode: str = "multi_try"  # or "single_try", the multi-try update at M=1
+    k: int = setting(least=1)
+    t_epochs: int = setting(least=1)
+    m_candidates: int = setting(least=1)
+    omega: float = setting(0.5, above=0, below=1)
+    gamma: float = setting(1.0, above=0)
+    seed: int = setting(0, least=0)
+    warm_start_epochs: int = setting(1, least=0)
+    keep_last: int = setting(20, least=0)
+    mode: str = setting("multi_try", choices=("single_try", "multi_try"))  # single_try: M=1
 
     def __post_init__(self):
-        for name, least in (("k", 1), ("t_epochs", 1), ("m_candidates", 1), ("seed", 0),
-                            ("warm_start_epochs", 0), ("keep_last", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0 < self.omega < 1:
-            raise ValueError(f"omega must lie in (0, 1), got {self.omega}")
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
-        if self.mode not in ("single_try", "multi_try"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
+        check_fields(self, "sampler")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "SamplerConfig":
-        return SamplerConfig(**d)
 
 
 class GibbsData:
@@ -339,7 +326,7 @@ def _header(record) -> dict:
     fmt = record.get("format") if isinstance(record, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"format {fmt!r} is not {CHECKPOINT_FORMAT}; start a fresh run")
-    return {"config": SamplerConfig.from_dict(record["config"]),
+    return {"config": load(SamplerConfig, record["config"], "sampler"),
             "state": ConceptSet(Concept(c["question"]) for c in record["state"]),
             "rng_state": record["rng_state"]}
 

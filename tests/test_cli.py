@@ -285,6 +285,16 @@ class TestRunErrors:
                               sampler=dict(SAMPLER, omega=2.0))
         assert cli.main(["run", "--config", str(config)]) == 2
 
+    def test_k_above_the_pool_size(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, sampler=dict(SAMPLER, k=50))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sampler.k 50 is more than the 8 concepts of "
+                              "oracle.pool")
+        assert not (run_dir / "checkpoints" / "chain.log").exists()
+        assert lock_is_free(run_dir)
+
     @pytest.mark.parametrize("field, value, what", [
         ("k", 0, "k must be an integer >= 1, got 0"),
         ("k", 2.5, "k must be an integer >= 1, got 2.5"),
@@ -294,38 +304,44 @@ class TestRunErrors:
         ("warm_start_epochs", -1, "warm_start_epochs must be an integer >= 0, got -1"),
         ("keep_last", -3, "keep_last must be an integer >= 0, got -3"),
         ("gamma", 0, "gamma must be finite and positive, got 0"),
-        ("gamma", -1, "gamma must be finite and positive, got -1")])
+        ("gamma", -1, "gamma must be finite and positive, got -1"),
+        pytest.param("gamma", 10**400, f"gamma must be finite and positive, got {10**400}",
+                     id="gamma-beyond-the-float-range"),
+        ("gamma", True, "gamma must be finite and positive, got True"),
+        ("omega", "0.5", "omega must be a finite number > 0 and < 1, got '0.5'")])
     def test_unrunnable_sampler_config(self, workspace, tmp_path, capsys, field, value, what):
         run_dir = tmp_path / "run"
         config = write_config(workspace, run_dir, sampler=dict(SAMPLER, **{field: value}))
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid sampler config") and what in err
+        assert err.startswith(f"config error: sampler.{field} must") and what in err
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("edit, argv, what", [
-        (lambda config: dict(config, oracle="pool"), [], "oracle config must be a JSON object"),
+        (lambda config: dict(config, oracle="pool"), [],
+         "oracle must be a JSON object, got 'pool'"),
         (lambda config: dict(config, keyphrase=["min_df"]), [],
-         "keyphrase config must be a JSON object"),
-        (lambda config: [1], ["--seed", "3"], "must be a JSON object, not list"),
-        (lambda config: dict(config, dataset=5), [], "dataset must be a path, not int"),
-        (lambda config: dict(config, output_dir=["x"]), [], "output_dir must be a path, not list"),
+         "keyphrase must be a JSON object, got ['min_df']"),
+        (lambda config: [1], ["--seed", "3"], "config must be a JSON object, got [1]"),
+        (lambda config: dict(config, dataset=5), [], "dataset must be a string, got 5"),
+        (lambda config: dict(config, output_dir=["x"]), [],
+         "output_dir must be a string, got ['x']"),
         (lambda config: dict(config, truth="Is feature 0 present?"), [],
-         "truth' must be a list of concept questions"),
+         "truth must list at least one string, got 'Is feature 0 present?'"),
         (lambda config: dict(config, weightmode="uniform"), [],
          "has an unknown field 'weightmode'; its fields are dataset, output_dir"),
         (lambda config: dict(config, keyphrase={"top_n": "abc"}), [],
-         "keyphrase config: top_n must be an integer >= 1, got 'abc'"),
+         "keyphrase.top_n must be an integer >= 1, got 'abc'"),
         (lambda config: dict(config, keyphrase={"top_n": 0}), [],
-         "keyphrase config: top_n must be an integer >= 1, got 0"),
+         "keyphrase.top_n must be an integer >= 1, got 0"),
         (lambda config: dict(config, keyphrase={"top_n": -1}), [],
-         "keyphrase config: top_n must be an integer >= 1, got -1"),
+         "keyphrase.top_n must be an integer >= 1, got -1"),
         (lambda config: dict(config, keyphrase={"min_df": True}), [],
-         "keyphrase config: min_df must be an integer >= 1, got True"),
+         "keyphrase.min_df must be an integer >= 1, got True"),
         (lambda config: dict(config, keyphrase={"topn": 5}), [],
-         "keyphrase config has an unknown field 'topn'"),
+         "keyphrase has an unknown field 'topn'"),
         (lambda config: dict(config, keyphrase={"min_df": 1.5}), ["--resume"],
-         "keyphrase config: min_df must be an integer >= 1, got 1.5")],
+         "keyphrase.min_df must be an integer >= 1, got 1.5")],
         ids=["oracle", "keyphrase", "top-level", "dataset", "output-dir", "truth",
              "unknown-top-level-field", "top-n-not-a-number", "top-n-zero", "top-n-negative",
              "min-df-bool", "unknown-keyphrase-field", "min-df-on-resume"])
@@ -415,7 +431,7 @@ class TestRunErrors:
         assert lock_is_free(run_dir)
 
     @pytest.mark.parametrize("truth, what", [
-        ([], "truth must name at least one concept question"),
+        ([], "truth must list at least one string, got []"),
         (["Is feature 9 present?"], "['Is feature 9 present?']"),
         (["Is feature 0 present?", "Is feature 9 present?"], "['Is feature 9 present?']")],
         ids=["empty", "none-in-pool", "one-not-in-pool"])
@@ -541,7 +557,7 @@ class TestRunErrors:
         ({"type": "pool"}, "pool"),
         ({"type": "pool", "pool": "<pool>", "weight_mode": "bogus"}, "weight_mode"),
         ({"type": "pool", "pool": "<pool>", "weightmode": "uniform"},
-         "pool oracle config has an unknown field 'weightmode'"),
+         "oracle has an unknown field 'weightmode'"),
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
           "max_in_flight": 0}, "max_in_flight must be an integer >= 1, got 0"),
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
@@ -562,11 +578,26 @@ class TestRunErrors:
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
           "request_timeout": 0}, "request_timeout must be finite and positive, got 0"),
         ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
-          "bag_cache": 5}, "bag_cache must be a path, not int"),
+          "bag_cache": 5}, "oracle.bag_cache must be a string, got 5"),
         ({"type": "pool", "pool": [{"question": "Is it a?", "keyword": 5}]},
          "the keyword of 'Is it a?' must be a string, not int"),
         ({"type": "pool", "pool": [{"question": "Is it a?", "keyword": None}]},
          "the keyword of 'Is it a?' must be a string, not NoneType"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "request_timeout": True}, "oracle.request_timeout must be finite and positive, got True"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "backoff_seconds": [True]}, "oracle.backoff_seconds must list at least one finite number "
+                                      ">= 0, got [True]"),
+        ({"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "none",
+          "annotate_temperature": True},
+         "oracle.annotate_temperature must be a finite number >= 0, got True"),
+        ({"type": "pool", "pool": []}, "sampler.k 2 is more than the 0 concepts of oracle.pool"),
+        ({"type": "pool", "pool": {}},
+         "oracle.pool must be a string or be a list of JSON objects, got {}"),
+        ({"type": "carrier-pigeon"},
+         "oracle.type must be one of 'pool', 'llm', got 'carrier-pigeon'"),
+        ({"type": "pool", "pool": [{"question": "Is it a?", "keyword": "a"}] * 2},
+         "pool contains duplicate concepts"),
     ])
     def test_oracle_config_mistake(self, workspace, tmp_path, capsys, oracle, field):
         if oracle.get("pool") == "<pool>":
@@ -576,7 +607,8 @@ class TestRunErrors:
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err and "Traceback" not in err
-        assert lock_is_free(run_dir)
+        # a mistake the schema finds stops the run before its directory exists
+        assert not run_dir.exists() or lock_is_free(run_dir)
 
 
     @pytest.mark.parametrize("command", ["predict", "eval", "enumerate"])
@@ -965,7 +997,8 @@ class TestResidualSummary:
         monkeypatch.setattr(cli, "fit_keyphrase_model", pytest.fail)
         labels = np.array([0, 1] * 6)
         data = GibbsData(labels, lambda concepts: np.zeros((12, len(concepts))))
-        provider = cli._make_summary_provider(data, labels, self.bags(12), {}, 0)
+        provider = cli._make_summary_provider(data, labels, self.bags(12),
+                                              cli.KeyphraseConfig(), 0)
         assert provider([Concept("Is it a?")], np.arange(1, 12, 2)) == []
 
     def test_unconverged_fit_is_reported_and_gives_no_signal(self, workspace, tmp_path,
@@ -973,7 +1006,8 @@ class TestResidualSummary:
         def unconverged(*args, **kwargs):
             raise OptimizationError("Newton did not converge in 200 iterations", np.zeros(3))
         monkeypatch.setattr(cli, "fit_keyphrase_model", unconverged)
-        assert cli._fit_initial_summary(self.bags(12), np.array([0, 1] * 6), {}, 0) == []
+        assert cli._fit_initial_summary(self.bags(12), np.array([0, 1] * 6),
+                                         cli.KeyphraseConfig(), 0) == []
         assert "did not converge" in capsys.readouterr().err
         config = write_config(workspace, tmp_path / "run")
         assert cli.main(["run", "--config", str(config)]) == 3
@@ -1136,9 +1170,9 @@ class TestEval:
         assert {"concept_precision", "concept_recall"} <= set(report["recovery"])
 
     @pytest.mark.parametrize("truth, what", [
-        ([], "truth must name at least one concept question"),
+        ([], "truth.json must list at least one string, got []"),
         (["Is feature 0 present?", "Is feature 9 present?"], "['Is feature 9 present?']"),
-        ("Is feature 0 present?", "must be a list of concept questions")],
+        ("Is feature 0 present?", "must list at least one string, got 'Is feature 0 present?'")],
         ids=["empty", "not-in-pool", "not-a-list"])
     def test_unusable_truth_file(self, finished_run, tmp_path, capsys, truth, what):
         path = tmp_path / "truth.json"

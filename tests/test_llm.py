@@ -2,12 +2,14 @@ import json
 import re
 import sys
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 import requests
 
 from ccbm.concepts import Concept
+from ccbm.config import load
 from ccbm.llm import (WEIGHT_FLOOR, ChatClient, LLMConfig, LLMOracle,
                       load_template, parse_json_content)
 from ccbm.oracle import (AnnotationCache, InitializationError, Observation,
@@ -693,4 +695,12 @@ class TestLLMCounts:
 class TestLLMConfig:
     def test_round_trip(self):
         cfg = make_config(prompt_dir="/tmp/prompts")
-        assert LLMConfig.from_dict(cfg.to_dict()) == cfg
+        assert load(LLMConfig, asdict(cfg), "oracle") == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("backoff_seconds", (True,)), ("max_in_flight", 2.0), ("request_timeout", 10**400),
+        ("prompt_dir", 5)])
+    def test_a_directly_built_config_is_checked(self, field, value):
+        with pytest.raises(ValueError, match=rf"^oracle\.{field} must ") as caught:
+            make_config(**{field: value})
+        assert str(caught.value).endswith(f", got {value!r}")

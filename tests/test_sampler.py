@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
+from ccbm.config import load
 from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
 from ccbm.model import log_marginal_likelihoods
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
@@ -621,11 +622,13 @@ class TestSamplerConfig:
             SamplerConfig(k=2, t_epochs=0, m_candidates=1)
         with pytest.raises(ValueError):
             SamplerConfig(k=2, t_epochs=1, m_candidates=1, mode="bogus")
+        with pytest.raises(ValueError, match="sampler.gamma must be finite and positive, got True"):
+            SamplerConfig(k=2, t_epochs=1, m_candidates=1, gamma=True)
 
     def test_round_trip(self):
         cfg = SamplerConfig(k=3, t_epochs=4, m_candidates=5, omega=0.4,
                             gamma=2.0, seed=42, mode="single_try")
-        assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
+        assert load(SamplerConfig, cfg.to_dict(), "sampler") == cfg
 
 
 def per_record_design(oracle, observations, concepts):
