@@ -3,7 +3,8 @@ extract-keyphrases.
 
 A run owns an output directory with a frozen config snapshot, a manifest,
 posterior samples, the annotation cache, and resumable checkpoints. Every
-output is reproducible from (config, seed, frozen cache).
+output of a pool run is reproducible from (config, seed); an LLM run's also
+needs its frozen annotation cache, which predict and eval read and extend.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import json
-import operator
 import os
 import sys
 import time
@@ -41,6 +41,10 @@ from .synthetic import SyntheticSpec, clinical_spec, generate_synthetic
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
+# the layout of a scored predictions.ndjson row: each distinct posterior record
+# once, with the indices of the samples that use it (version 1, which had no
+# version field, repeated the record once per sample under "per_sample")
+PREDICTIONS_VERSION = 2
 
 
 def _read_json(path: Path, what: str):
@@ -97,10 +101,15 @@ class RunConfig:
     keyphrase: KeyphraseConfig = KeyphraseConfig()
     truth: Optional[list[str]] = setting(None, nonempty=True)
     given: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the concepts of a pool oracle's pool, read when the config is loaded
+    pool: list[PoolConcept] = field(default_factory=list, init=False, repr=False,
+                                    compare=False)
 
     @staticmethod
     def load(path: Path, overrides: Optional[dict] = None) -> "RunConfig":
-        """The run config at path, with the overrides that are not None put in."""
+        """The run config at path, with the overrides that are not None put
+        in, and a pool oracle's pool read, so that a pool that cannot be used
+        raises ConfigError before any command writes a file."""
         raw = _read_json(path, "config")
         if isinstance(raw, dict) and isinstance(raw.setdefault("sampler", {}), dict):
             for key, value in (overrides or {}).items():
@@ -110,6 +119,8 @@ class RunConfig:
         cfg.given = raw
         if not Path(cfg.dataset).exists():
             raise ConfigError(f"dataset file {cfg.dataset} does not exist")
+        if isinstance(cfg.oracle, PoolOracleConfig):
+            cfg.pool = load_pool(cfg.oracle.pool)
         return cfg
 
     def to_dict(self) -> dict:
@@ -151,22 +162,25 @@ def load_dataset(path: Path, require_labels: bool = True):
 
 def load_pool(spec) -> list[PoolConcept]:
     """The pool concepts of spec: a list of {"question", "keyword"} entries,
-    or the path of a JSON file holding one. A pool that cannot be read raises
-    ConfigError."""
+    or the path of a JSON file holding one. A pool that cannot be read, or
+    that holds one concept twice, raises ConfigError."""
     entries = _read_json(spec, "concept pool") if isinstance(spec, (str, Path)) else spec
     try:
-        return [PoolConcept(Concept(entry["question"]), entry["keyword"]) for entry in entries]
+        pool = [PoolConcept(Concept(entry["question"]), entry["keyword"]) for entry in entries]
+        if len({pc.concept.id for pc in pool}) != len(pool):
+            raise ValueError("pool contains duplicate concepts")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid concept pool {spec}: {exc!r}") from exc
+    return pool
 
 
 def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> ConceptOracle:
-    """The configured oracle; an unreadable or duplicated pool or a corrupt bag
+    """The configured oracle, over cfg's pool on a pool run; a corrupt bag
     cache raises ConfigError."""
+    if isinstance(cfg.oracle, PoolOracleConfig):
+        return PoolOracle(cfg.pool, observations, weight_mode=cfg.oracle.weight_mode,
+                          cache=cache)
     try:
-        if isinstance(cfg.oracle, PoolOracleConfig):
-            return PoolOracle(load_pool(cfg.oracle.pool), observations,
-                              weight_mode=cfg.oracle.weight_mode, cache=cache)
         return LLMOracle(cfg.oracle, cache=cache, bag_cache_path=cfg.oracle.bag_cache)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -287,6 +301,9 @@ def cmd_run(args) -> int:
         "dataset": args.dataset, "output_dir": args.output_dir,
     }
     cfg = RunConfig.load(args.config, overrides)
+    if isinstance(cfg.oracle, PoolOracleConfig) and cfg.sampler.k > len(cfg.pool):
+        raise ConfigError(f"sampler.k {cfg.sampler.k} is more than the "
+                          f"{len(cfg.pool)} concepts of oracle.pool")
     run_dir = Path(cfg.output_dir)
     for sub in ("cache", "checkpoints", "reports"):
         _make_dir(run_dir / sub)
@@ -303,9 +320,6 @@ def cmd_run(args) -> int:
             raise ConfigError(f"dataset {cfg.dataset} is too small: {exc}") from exc
         cache = _open_cache(run_dir)
         oracle = build_oracle(cfg, observations, cache)
-        if isinstance(oracle, PoolOracle) and cfg.sampler.k > len(oracle.pool):
-            raise ConfigError(f"sampler.k {cfg.sampler.k} is more than the "
-                              f"{len(oracle.pool)} concepts of oracle.pool")
         truth = _truth_concepts(cfg.truth, oracle) if cfg.truth is not None else None
 
         bags = oracle.extract_keyphrases(observations)
@@ -489,8 +503,20 @@ def _annotate_rows(oracle, observations, concepts) -> tuple[np.ndarray, dict[int
     return values, errors
 
 
+def _scoring_oracle(cfg: RunConfig, run_dir: Path, observations) -> ConceptOracle:
+    """The oracle predict and eval annotate through. A pool answer is a pure
+    function of the keyword and the text, cheaper to recompute than to read
+    back, so a pool run's oracle gets an empty in-memory cache and the run's
+    annotation log is neither read nor extended. An LLM run's answers cost
+    calls, so its oracle reads and extends the log."""
+    if isinstance(cfg.oracle, PoolOracleConfig):
+        return build_oracle(cfg, observations, AnnotationCache())
+    return build_oracle(cfg, observations, _open_cache(run_dir))
+
+
 def _check_training_ids(observations, train_obs):
-    """Annotations are cached by observation id, so an input row that reuses a
+    """A training row's annotations are looked up by its id (in the pool
+    oracle's training matrix or the LLM cache), so an input row that reuses a
     training id with other text would be scored on the training row's values."""
     train_text = {o.id: o.payload for o in train_obs}
     for obs in observations:
@@ -505,8 +531,7 @@ def cmd_predict(args) -> int:
     observations, _ = load_dataset(Path(args.input), require_labels=False)
     train_obs, _ = load_dataset(cfg.dataset)
     _check_training_ids(observations, train_obs)
-    cache = _open_cache(run_dir)
-    oracle = build_oracle(cfg, train_obs, cache)
+    oracle = _scoring_oracle(cfg, run_dir, train_obs)
 
     concepts = list({c.id: c for s in samples for c in s.concept_set}.values())
     column = {c.id: j for j, c in enumerate(concepts)}
@@ -518,15 +543,16 @@ def cmd_predict(args) -> int:
 
     # Lines are written one at a time. Each value of a row is encoded once, as
     # its repr, which is how json.dumps writes a finite float (oracle values lie
-    # in [0, 1]); each (row, concept set) part of a per-sample record is encoded
-    # once, and each (row, record) once. A sample's part of per_sample is its
-    # record's string. The bytes equal json.dumps of the whole record.
+    # in [0, 1]); each (row, concept set) part of a record is encoded once, and
+    # each record's sample indices once for all rows. The bytes equal json.dumps
+    # of the whole row.
     heads = ['{"concepts": ' + json.dumps([c.question for c in cs]) + ', "values": ['
              for cs in sets]
     record_set = [g for g, _ in records]
-    # the S record strings of a row, in sample order (one index gives a string)
-    pick = (operator.itemgetter(*record_of) if len(record_of) > 1
-            else lambda encoded: (encoded[record_of[0]],))
+    uses: list[list[int]] = [[] for _ in records]
+    for i, u in enumerate(record_of):
+        uses[u].append(i)
+    tails = [', "samples": ' + json.dumps(used) + "}" for used in uses]
     with _open_output(args.output) as fh:
         for i, (obs, row, row_probs) in enumerate(zip(observations, values.tolist(),
                                                       probs.tolist())):
@@ -536,10 +562,10 @@ def cmd_predict(args) -> int:
             cells = list(map(repr, row))
             prefixes = [head + ", ".join([cells[j] for j in cols]) + '], "probability": '
                         for head, cols in zip(heads, set_columns)]
-            encoded = [prefixes[g] + repr(p) + "}" for g, p in zip(record_set, row_probs)]
-            per_sample = ", ".join(pick(encoded))
+            encoded = ", ".join([prefixes[g] + repr(p) + tail
+                                 for g, p, tail in zip(record_set, row_probs, tails)])
             fh.write(f'{{"id": {json.dumps(obs.id)}, "probability": {float(ensemble[i])!r}, '
-                     f'"per_sample": [{per_sample}]}}\n')
+                     f'"version": {PREDICTIONS_VERSION}, "records": [{encoded}]}}\n')
     return EXIT_OK
 
 
@@ -547,8 +573,7 @@ def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     cfg, samples = _load_run(run_dir)
     observations, labels = load_dataset(cfg.dataset)
-    cache = _open_cache(run_dir)
-    oracle = build_oracle(cfg, observations, cache)
+    oracle = _scoring_oracle(cfg, run_dir, observations)
     truth = (_truth_concepts(load(list[str], _read_json(args.truth, "truth file"),
                                   f"truth file {args.truth}", {"nonempty": True}), oracle)
              if args.truth else None)
@@ -625,10 +650,7 @@ def cmd_enumerate(args) -> int:
     pool = load_pool(Path(args.pool))
     if args.k > len(pool):
         raise ConfigError(f"--k {args.k} is more than the {len(pool)} concepts of {args.pool}")
-    try:
-        oracle = PoolOracle(pool, observations)
-    except ValueError as exc:
-        raise ConfigError(f"invalid concept pool {args.pool}: {exc}") from exc
+    oracle = PoolOracle(pool, observations)
     try:
         posterior = enumerate_posterior([pc.concept for pc in pool], args.k,
                                         labels, oracle.matrix, gamma=args.gamma)

@@ -128,8 +128,10 @@ class ChatClient:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def complete_json(self, prompt: str, temperature: float) -> dict:
-        """One prompt -> parsed JSON object, with retries."""
+    def complete_json(self, prompt: str, temperature: float,
+                      list_field: Optional[str] = None) -> dict:
+        """One prompt -> parsed JSON object, with retries. When list_field is
+        given, an answer whose list_field is not a list is a parse failure."""
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -147,8 +149,11 @@ class ChatClient:
                 with self._count_lock:
                     self.call_count += 1
                 body = self.post_fn(self.config.endpoint, self._headers(), payload)
-                content = body["choices"][0]["message"]["content"]
-                return parse_json_content(content)
+                answer = parse_json_content(body["choices"][0]["message"]["content"])
+                if list_field is not None and not isinstance(answer.get(list_field), list):
+                    raise ValueError(f"expected a list under {list_field!r}, "
+                                     f"got {answer.get(list_field)!r}")
+                return answer
             except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
         raise OracleError(
@@ -220,9 +225,12 @@ class LLMOracle(ConceptOracle):
             phrases: list[str] = []
         else:
             prompt = self._template("extract_keyphrases").format(note=obs.payload)
-            body = self.client.complete_json(prompt, self.config.annotate_temperature)
+            # an answer without a keyphrase list is retried, never cached as
+            # an empty bag; {"keyphrases": []} is an answer
+            body = self.client.complete_json(prompt, self.config.annotate_temperature,
+                                             list_field="keyphrases")
             phrases = []
-            for entry in _list_field(body, "keyphrases"):
+            for entry in body["keyphrases"]:
                 if isinstance(entry, dict):
                     phrases += [entry.get("descriptor"), *_list_field(entry, "synonyms")]
                 else:

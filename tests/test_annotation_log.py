@@ -115,8 +115,10 @@ class TestTornTail:
 
 class TestBlocks:
     def big_log(self, path, n_obs=600, n_concepts=10):
+        """A log whose line lengths, and so where its block boundaries fall, do
+        not depend on the clock: one fixed timestamp for every record."""
         pairs, values = grid(n_obs, n_concepts)
-        path.write_text("".join(reference_lines(pairs, values, "pool")))
+        path.write_text("".join(reference_lines(pairs, values, "pool", 1700000000.5)))
         return pairs, values
 
     def test_log_spans_blocks_and_a_line_straddles_the_boundary(self, tmp_path):

@@ -103,9 +103,11 @@ def load_posterior(run_dir):
 
 
 def reference_predictions(run_dir, input_path) -> bytes:
-    """predictions.ndjson as the per-row loop wrote it: one annotate call per
-    row, one sigmoid_predict per (row, sample), one posterior_predictive per row
-    and json.dumps of each whole record."""
+    """predictions.ndjson as a per-row loop writes it: one annotate call per
+    row, one sigmoid_predict per (row, sample), one posterior_predictive per
+    row and json.dumps of each whole row. A sample joins the record of the
+    first sample with its concept questions and the same θ bits, whose
+    sigmoid_predict it must equal."""
     cfg, samples = load_posterior(run_dir)
     observations, _ = cli.load_dataset(input_path, require_labels=False)
     train_obs, _ = cli.load_dataset(cfg.dataset)
@@ -119,17 +121,26 @@ def reference_predictions(run_dir, input_path) -> bytes:
             out.append(json.dumps({"id": obs.id, "error": str(exc)}))
             continue
         values = dict(zip(concepts, row.tolist()))
-        breakdown, rows = [], []
-        for s in samples:
+        records, rows = {}, []
+        for i, s in enumerate(samples):
             row = np.array([values[c.id] for c in s.concept_set] + [1.0])
             rows.append(row)
-            breakdown.append({"concepts": [c.question for c in s.concept_set],
-                              "values": [values[c.id] for c in s.concept_set],
-                              "probability": sigmoid_predict(s.theta, row)})
+            questions = [c.question for c in s.concept_set]
+            record = records.setdefault((tuple(questions), s.theta.tobytes()), {
+                "concepts": questions, "values": [values[c.id] for c in s.concept_set],
+                "probability": sigmoid_predict(s.theta, row), "samples": []})
+            assert record["probability"] == sigmoid_predict(s.theta, row)
+            record["samples"].append(i)
         out.append(json.dumps({"id": obs.id,
                                "probability": posterior_predictive(samples, rows),
-                               "per_sample": breakdown}))
+                               "version": 2, "records": list(records.values())}))
     return "".join(line + "\n" for line in out).encode()
+
+
+def record_of_sample(row, i):
+    """The record of a predictions row that posterior sample i uses."""
+    (record,) = [r for r in row["records"] if i in r["samples"]]
+    return record
 
 
 def reference_metrics(run_dir) -> str:
@@ -292,8 +303,7 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: sampler.k 50 is more than the 8 concepts of "
                               "oracle.pool")
-        assert not (run_dir / "checkpoints" / "chain.log").exists()
-        assert lock_is_free(run_dir)
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("field, value, what", [
         ("k", 0, "k must be an integer >= 1, got 0"),
@@ -598,17 +608,19 @@ class TestRunErrors:
          "oracle.type must be one of 'pool', 'llm', got 'carrier-pigeon'"),
         ({"type": "pool", "pool": [{"question": "Is it a?", "keyword": "a"}] * 2},
          "pool contains duplicate concepts"),
+        ({"type": "pool", "pool": "<missing>"}, "cannot read concept pool"),
     ])
     def test_oracle_config_mistake(self, workspace, tmp_path, capsys, oracle, field):
-        if oracle.get("pool") == "<pool>":
-            oracle = dict(oracle, pool=str(workspace / "data" / "pool.json"))
+        if oracle.get("pool") in ("<pool>", "<missing>"):
+            name = "pool.json" if oracle["pool"] == "<pool>" else "missing.json"
+            oracle = dict(oracle, pool=str(workspace / "data" / name))
         run_dir = tmp_path / "run"
         config = write_config(workspace, run_dir, oracle=oracle)
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err and "Traceback" not in err
-        # a mistake the schema finds stops the run before its directory exists
-        assert not run_dir.exists() or lock_is_free(run_dir)
+        # the schema and the pool are checked before the run directory is made
+        assert not run_dir.exists()
 
 
     @pytest.mark.parametrize("command", ["predict", "eval", "enumerate"])
@@ -691,11 +703,9 @@ class TestLLMRunCounts:
         assert results[True][0] == results[False][0]
 
 
-@pytest.mark.parametrize("field", ["keyphrases", "concepts", "candidates"],
-                         ids=["extraction", "init", "proposal"])
-def test_llm_answer_not_a_json_object_exits_3(tmp_path, monkeypatch, capsys, field):
-    """An extraction, init or proposal answer that is a JSON array is retried,
-    then ends the run with an oracle error (exit 3), not a traceback."""
+def run_with_edited_llm_answers(tmp_path, monkeypatch, edit) -> tuple[int, Path]:
+    """The exit code of an LLM run over the benchmark's fake transport, each
+    of whose answers goes through edit, and the run directory."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from fake_llm import FakeChatTransport, chat_body
     from ccbm.llm import ChatClient
@@ -707,7 +717,7 @@ def test_llm_answer_not_a_json_object_exits_3(tmp_path, monkeypatch, capsys, fie
 
     def transport(url, headers, payload):
         answer = json.loads(fake(url, headers, payload)["choices"][0]["message"]["content"])
-        return chat_body([answer] if field in answer else answer)
+        return chat_body(edit(answer))
 
     monkeypatch.setattr(ChatClient, "_http_post", staticmethod(transport))
     run_dir = tmp_path / "run"
@@ -717,11 +727,31 @@ def test_llm_answer_not_a_json_object_exits_3(tmp_path, monkeypatch, capsys, fie
         "oracle": {"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "fake",
                    "max_in_flight": 2, "backoff_seconds": [0, 0, 0]},
         "sampler": dict(SAMPLER, k=4, t_epochs=1, m_candidates=4)}))
-    assert cli.main(["run", "--config", str(config)]) == 3
+    return cli.main(["run", "--config", str(config)]), run_dir
+
+
+@pytest.mark.parametrize("field", ["keyphrases", "concepts", "candidates"],
+                         ids=["extraction", "init", "proposal"])
+def test_llm_answer_not_a_json_object_exits_3(tmp_path, monkeypatch, capsys, field):
+    """An extraction, init or proposal answer that is a JSON array is retried,
+    then ends the run with an oracle error (exit 3), not a traceback."""
+    code, run_dir = run_with_edited_llm_answers(
+        tmp_path, monkeypatch, lambda answer: [answer] if field in answer else answer)
+    assert code == 3
     err = capsys.readouterr().err
     assert "after 3 attempts: expected a JSON object, got list" in err
     assert "Traceback" not in err and not (run_dir / "samples.jsonl").exists()
     assert lock_is_free(run_dir)
+
+
+def test_llm_extraction_without_a_keyphrase_list_exits_3(tmp_path, monkeypatch, capsys):
+    code, run_dir = run_with_edited_llm_answers(
+        tmp_path, monkeypatch,
+        lambda answer: {"keyphrases": "chest pain"} if "keyphrases" in answer else answer)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "after 3 attempts: expected a list under 'keyphrases', got 'chest pain'" in err
+    assert "Traceback" not in err and lock_is_free(run_dir)
 
 
 @pytest.mark.parametrize("weight, incumbent_weight", [(1e-30, 1e308), (1e308, 1.0)],
@@ -1029,8 +1059,14 @@ class TestPredict:
         for line in lines:
             rec = json.loads(line)
             assert 0.0 <= rec["probability"] <= 1.0
-            assert len(rec["per_sample"]) == n_posterior
-            assert {"concepts", "values", "probability"} <= set(rec["per_sample"][0])
+            assert rec["version"] == 2
+            # every posterior sample uses one record, listed in order of first use
+            used = [i for r in rec["records"] for i in r["samples"]]
+            assert sorted(used) == list(range(n_posterior))
+            firsts = [r["samples"][0] for r in rec["records"]]
+            assert firsts == sorted(firsts)
+            assert all(set(r) == {"concepts", "values", "probability", "samples"}
+                       for r in rec["records"])
 
     def test_unseen_observations_use_keyword_fallback(self, workspace, finished_run):
         new = workspace / "new.ndjson"
@@ -1116,6 +1152,42 @@ class TestPredict:
         fresh.write_text(json.dumps({"id": "fresh-1", "text": text}) + "\n")
         rec = json.loads(predict(tmp_path / "run", fresh, tmp_path / "o.ndjson"))
         assert rec["probability"] > 0.9
+
+    def test_an_id_reused_across_inputs_is_scored_on_its_own_text(self, finished_run,
+                                                                 tmp_path):
+        def score(oid, text):
+            rows = tmp_path / f"{oid}-{len(text)}.ndjson"
+            rows.write_text(json.dumps({"id": oid, "text": text}) + "\n")
+            return json.loads(predict(finished_run, rows, tmp_path / "o.ndjson"))["probability"]
+
+        low = score("reused", "The record notes: feat1.")
+        high = score("reused", "The record notes: feat0.")
+        assert high == score("fresh", "The record notes: feat0.") and high > low
+
+    def test_pool_predict_and_eval_leave_the_annotation_log_alone(self, workspace,
+                                                                  finished_run, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        log = run_dir / "cache" / "annotations.ndjson"
+        before = log.read_bytes()
+        predict(run_dir, unseen_rows(workspace), tmp_path / "p.ndjson")
+        assert cli.main(["eval", "--run", str(run_dir)]) == 0
+        assert log.read_bytes() == before
+
+    def test_llm_predict_reads_the_annotation_log(self, tmp_path, monkeypatch):
+        code, run_dir = run_with_edited_llm_answers(tmp_path, monkeypatch, lambda answer: answer)
+        assert code == 0
+        from ccbm.llm import ChatClient
+        answer, calls = ChatClient._http_post, []
+        monkeypatch.setattr(ChatClient, "_http_post",
+                            staticmethod(lambda *args: calls.append(1) or answer(*args)))
+        dataset = tmp_path / "data" / "dataset.ndjson"
+        # the run annotated every training row for the concepts its samples use
+        predict(run_dir, dataset, tmp_path / "p.ndjson")
+        assert calls == []
+        (run_dir / "cache" / "annotations.ndjson").unlink()
+        predict(run_dir, dataset, tmp_path / "p.ndjson")
+        assert calls
 
     def test_missing_run_dir(self, workspace, tmp_path):
         assert cli.main(["predict", "--run", str(tmp_path),
@@ -1227,10 +1299,19 @@ class TestEditedSamples:
         inputs = unseen_rows(workspace)
         got = predict(run_dir, inputs, tmp_path / "p.ndjson")
         assert got == reference_predictions(run_dir, inputs)
+        rows = [json.loads(line) for line in got.splitlines()]
+        if edit is one_sample:
+            assert all(r["records"] == [dict(r["records"][0], samples=[0])] for r in rows)
+            return
+        # the edited samples, the first and the last, keep records of their own
+        last = len(cli._load_run(run_dir)[1]) - 1
+        for r in rows:
+            first, nudged = record_of_sample(r, 0), record_of_sample(r, last)
+            assert first is not nudged and first["concepts"] == nudged["concepts"]
         if edit is ulp_apart:
             # the nudged θ must change some probability, or the case shows nothing
-            rows = [json.loads(line)["per_sample"] for line in got.splitlines()]
-            assert any(r[0]["probability"] != r[-1]["probability"] for r in rows)
+            assert any(record_of_sample(r, 0)["probability"] !=
+                       record_of_sample(r, last)["probability"] for r in rows)
 
     def test_eval(self, edited_run, capsys):
         _, run_dir = edited_run

@@ -18,7 +18,7 @@ POOL_SNAPSHOT = """{
   "oracle": {
     "type": "pool",
     "weight_mode": "uniform",
-    "pool": "data/pool.json"
+    "pool": "<pool>"
   },
   "sampler": {
     "k": 2,
@@ -72,9 +72,13 @@ LLM_SNAPSHOT = """{
 
 @pytest.mark.parametrize("text", [POOL_SNAPSHOT, LLM_SNAPSHOT], ids=["pool", "llm"])
 def test_a_snapshot_loads_and_gives_itself_back(tmp_path, text):
+    # the files a config names must exist: RunConfig.load checks the dataset
+    # and reads a pool oracle's pool
     dataset = tmp_path / "dataset.ndjson"
     dataset.write_text('{"id": "a", "text": "x", "label": 1}\n')
-    text = text.replace("<dataset>", str(dataset))
+    pool = tmp_path / "pool.json"
+    pool.write_text('[{"question": "Is feature 0 present?", "keyword": "feat0"}]')
+    text = text.replace("<dataset>", str(dataset)).replace("<pool>", str(pool))
     snapshot = tmp_path / "config.snapshot"
     snapshot.write_text(text)
     cfg = RunConfig.load(snapshot)

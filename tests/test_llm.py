@@ -181,21 +181,51 @@ class TestExtractKeyphrases:
         bags = oracle.extract_keyphrases([Observation("o1", "some note text")])
         assert bags[0].phrases == {"chest pain", "smoking", "tobacco use"}
 
-    @pytest.mark.parametrize("body, phrases", [
-        ({"keyphrases": [3]}, set()),
-        ({"keyphrases": "chest pain"}, set()),
-        ({"keyphrases": [None, ["fever"], "cough"]}, {"cough"}),
-        ({"keyphrases": [{"descriptor": 5, "synonyms": ["tobacco"]}]}, {"tobacco"}),
-        ({"keyphrases": [{"descriptor": "smoking", "synonyms": "tobacco"}]}, {"smoking"}),
-        ({"keyphrases": [{"descriptor": "smoking", "synonyms": ["tobacco", 7, None]}]},
+    # a keyphrases field that is not a list counts as absent, and an answer
+    # without a keyphrase list is asked again
+    @pytest.mark.parametrize("bodies, phrases", [
+        ([{"keyphrases": [3]}], set()),
+        ([{"keyphrases": "chest pain"}, {"keyphrases": ["fever"]}], {"fever"}),
+        ([{"keyphrases": [None, ["fever"], "cough"]}], {"cough"}),
+        ([{"keyphrases": [{"descriptor": 5, "synonyms": ["tobacco"]}]}], {"tobacco"}),
+        ([{"keyphrases": [{"descriptor": "smoking", "synonyms": "tobacco"}]}], {"smoking"}),
+        ([{"keyphrases": [{"descriptor": "smoking", "synonyms": ["tobacco", 7, None]}]}],
          {"smoking", "tobacco"}),
-        ({}, set())],
+        ([{}, {"keyphrases": ["fever"]}], {"fever"})],
         ids=["number-entry", "field-not-a-list", "entries-not-strings", "descriptor-number",
              "synonyms-a-string", "synonyms-not-strings", "no-field"])
-    def test_malformed_entries_count_as_absent(self, body, phrases):
-        oracle, post, _ = make_oracle([chat_body(body)])
+    def test_malformed_entries_count_as_absent(self, bodies, phrases):
+        oracle, post, _ = make_oracle([chat_body(body) for body in bodies])
         bags = oracle.extract_keyphrases([Observation("o1", "some note text")])
-        assert bags[0].phrases == phrases and len(post.requests) == 1
+        assert bags[0].phrases == phrases and len(post.requests) == len(bodies)
+
+    @pytest.mark.parametrize("body, got", [({"keyphrases": "chest pain"}, "'chest pain'"),
+                                           ({}, "None")],
+                             ids=["field-not-a-list", "no-field"])
+    def test_an_answer_without_a_keyphrase_list_is_retried_and_never_cached(
+            self, tmp_path, body, got):
+        bags = tmp_path / "bags.ndjson"
+        oracle, post, _ = make_oracle([chat_body(body)] * 3, bag_cache_path=bags)
+        with pytest.raises(OracleError, match=f"after 3 attempts: expected a list under "
+                                              f"'keyphrases', got {got}"):
+            oracle.extract_keyphrases([Observation("o1", "some note text")])
+        assert len(post.requests) == 3
+        # a second oracle on the bag log asks again
+        again, post, _ = make_oracle([chat_body(body), chat_body({"keyphrases": ["fever"]})],
+                                     bag_cache_path=bags)
+        assert again.extract_keyphrases([Observation("o1", "some note text")])[0].phrases \
+            == {"fever"}
+        assert len(post.requests) == 2
+
+    def test_an_empty_keyphrase_list_is_an_answer_and_is_cached(self, tmp_path):
+        bags = tmp_path / "bags.ndjson"
+        oracle, post, _ = make_oracle([chat_body({"keyphrases": []})], bag_cache_path=bags)
+        assert oracle.extract_keyphrases([Observation("o1", "some note text")])[0].phrases \
+            == frozenset()
+        again, post, _ = make_oracle([], bag_cache_path=bags)
+        assert again.extract_keyphrases([Observation("o1", "some note text")])[0].phrases \
+            == frozenset()
+        assert post.requests == []
 
     def test_an_answer_that_is_not_an_object_raises_after_retries(self):
         oracle, post, _ = make_oracle([chat_body([{"keyphrases": ["fever"]}])] * 3)
