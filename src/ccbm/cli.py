@@ -145,6 +145,8 @@ def load_dataset(path: Path, require_labels: bool = True):
             rec = json.loads(line)
             obs = Observation(id=str(rec["id"]), payload=rec["text"],
                               label=rec.get("label"))
+            if not isinstance(obs.payload, str):
+                raise TypeError(f"text must be a string, got {obs.payload!r}")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
         if require_labels and obs.label not in (0, 1):
@@ -188,10 +190,14 @@ def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> Concep
 
 def _truth_concepts(questions: list[str], oracle: ConceptOracle) -> ConceptSet:
     """The true concepts that questions name: pool concepts, in pool order, on
-    a pool run, and new concepts otherwise. A question that is not in the pool
-    raises ConfigError naming it."""
+    a pool run, and new concepts otherwise, in first-mention order. A question
+    named twice is one concept. A question that is not in the pool, or a blank
+    one, raises ConfigError naming it."""
     if not isinstance(oracle, PoolOracle):
-        return ConceptSet(Concept(q) for q in questions)
+        blank = [q for q in questions if not q.strip()]
+        if blank:
+            raise ConfigError(f"truth questions must not be blank: {blank}")
+        return ConceptSet(dict.fromkeys(map(Concept, questions)))
     pooled = {pc.concept.question: pc.concept for pc in oracle.pool}
     missing = [q for q in questions if q not in pooled]
     if missing:
@@ -257,29 +263,29 @@ def _load_resume(checkpoint: Path, sampler: SamplerConfig) -> dict:
     return payload
 
 
-def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg, seed) -> list[str]:
+def _residual_summary(vocab, bow, concepts, labels, keyphrase_cfg) -> list[str]:
     """Top keyphrases of the residual model. Labels of one class leave nothing
     to explain, and a fit that does not converge is reported and ranks no
     phrase: either way the summary is empty."""
     if len(np.unique(labels)) < 2:
         return []
     try:
-        fit = fit_keyphrase_model(bow, concepts, labels, seed=seed)
+        fit = fit_keyphrase_model(bow, concepts, labels)
     except OptimizationError as exc:
         print(f"warning: keyphrase model not fitted: {exc}", file=sys.stderr)
         return []
     return top_keyphrases(vocab, fit.beta_w, keyphrase_cfg.top_n)
 
 
-def _fit_initial_summary(bags, labels, keyphrase_cfg, seed) -> list[str]:
+def _fit_initial_summary(bags, labels, keyphrase_cfg) -> list[str]:
     try:
         vocab, bow = build_bow(bags, min_df=keyphrase_cfg.min_df)
     except ValueError as exc:
         raise ConfigError(f"cannot summarize the dataset's keyphrases: {exc}") from exc
-    return _residual_summary(vocab, bow, None, labels, keyphrase_cfg, seed)
+    return _residual_summary(vocab, bow, None, labels, keyphrase_cfg)
 
 
-def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
+def _make_summary_provider(data, labels, bags, keyphrase_cfg):
     """Residual-model summary on the conditioning subset, for LLM proposals."""
     def provider(concepts, subset) -> list[str]:
         rows = np.asarray(subset, dtype=int)
@@ -290,7 +296,7 @@ def _make_summary_provider(data, labels, bags, keyphrase_cfg, seed):
             vocab, bow = build_bow(sub_bags, min_df=keyphrase_cfg.min_df)
         except ValueError:
             return []
-        return _residual_summary(vocab, bow, design, labels[rows], keyphrase_cfg, seed)
+        return _residual_summary(vocab, bow, design, labels[rows], keyphrase_cfg)
     return provider
 
 
@@ -325,10 +331,9 @@ def cmd_run(args) -> int:
         bags = oracle.extract_keyphrases(observations)
         data = gibbs_data_from_oracle(observations, labels, oracle)
         if isinstance(oracle, LLMOracle):
-            oracle.summary_provider = _make_summary_provider(
-                data, labels, bags, cfg.keyphrase, cfg.sampler.seed)
+            oracle.summary_provider = _make_summary_provider(data, labels, bags, cfg.keyphrase)
         if resume_payload is None:
-            summary = _fit_initial_summary(bags, labels, cfg.keyphrase, cfg.sampler.seed)
+            summary = _fit_initial_summary(bags, labels, cfg.keyphrase)
             init = oracle.initialize_concepts(summary, cfg.sampler.k)
         else:  # the chain resumes from its checkpoint, which holds its state
             init = resume_payload["state"]

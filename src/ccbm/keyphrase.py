@@ -1,6 +1,10 @@
-"""Keyphrase residual model: bag-of-words design, ridge-penalized binary
-logistic fit with cross-validated penalty, and the keyphrase summary used to
-prompt concept proposals: a list of phrases, strongest first.
+"""Keyphrase residual model: bag-of-words design, one ridge-penalized binary
+logistic fit at a fixed penalty on the concept model's Newton solver, and the
+keyphrase summary used to prompt concept proposals: a list of phrases,
+strongest first.
+
+The summary only chooses which phrases a proposal prompt lists, so nothing in
+the sampler's exactness reads the penalty.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import setting
-from .model import SharedDesign, log1pexp
+from .model import map_fit
 from .oracle import KeyphraseBag
 
 CONCEPT_RIDGE = 1e-6  # tiny fixed ridge on concept columns, conditioning only
-DEFAULT_LAMBDA_GRID = tuple(np.logspace(-3, 3, 10))
+KEYPHRASE_LAMBDA = 10 ** (1 / 3)  # ridge on phrase coefficients, about 2.154
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,6 @@ class KeyphraseModelFit:
     beta_w: np.ndarray          # (V,) phrase coefficients
     beta_c: np.ndarray          # (C,) concept coefficients
     intercept: np.ndarray       # (1,)
-    lambda_: float
-    cv_scores: list[tuple[float, float]]
 
 
 def _design(bow, concepts: Optional[np.ndarray]) -> tuple[np.ndarray, int, int]:
@@ -65,60 +67,22 @@ def _design(bow, concepts: Optional[np.ndarray]) -> tuple[np.ndarray, int, int]:
     return X, X_c.shape[1], X_w.shape[1]
 
 
-def _penalties(n_concepts: int, n_words: int, lam: float) -> np.ndarray:
-    return np.concatenate([
-        np.full(n_concepts, CONCEPT_RIDGE),
-        np.full(n_words, lam),
-        [0.0],  # unpenalized intercept
-    ])
+def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray) -> KeyphraseModelFit:
+    """Fit the binary keyphrase model: one ridge-penalized logistic MAP fit.
 
-
-def fit_keyphrase_model(bow, concepts: Optional[np.ndarray], y: np.ndarray,
-                        lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-                        folds: int = 5, seed: int = 0) -> KeyphraseModelFit:
-    """Fit the binary keyphrase model with lambda chosen by k-fold cross-validation.
-
-    Only the bag-of-words block is penalized by lambda; concept columns carry
-    a tiny fixed ridge for conditioning and the intercept is unpenalized.
-    The whole grid is one stacked solve over the shared design: each
-    (lambda, fold) pair weights its training rows 1 and its held-out rows 0.
-    A fold whose training rows hold one class is skipped. The argmin lambda
-    is the first occurrence in grid order. y must hold 0/1 labels of both
-    classes; a fit that does not converge raises OptimizationError.
+    The phrase coefficients carry the ridge KEYPHRASE_LAMBDA, the concept
+    columns a tiny ridge for conditioning, and the intercept a prior variance
+    of 1e10, flat in effect. y must hold 0/1 labels of both classes; a fit
+    that does not converge raises OptimizationError.
     """
     y = np.asarray(y)
-    if folds < 2:
-        raise ValueError("cross-validation requires folds >= 2")
     if set(np.unique(y).tolist()) != {0, 1}:
         raise ValueError("the keyphrase model needs 0/1 labels of both classes")
     X, n_c, n_w = _design(bow, concepts)
-    y = y.astype(float)
-    n = X.shape[0]
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[order] = np.arange(n) % folds
-    train = [fold_of != f for f in range(folds)]
-    train = [tr for tr in train if 0 < y[tr].sum() < np.count_nonzero(tr)]
-
-    design = SharedDesign(X, y)
-    cv_scores: list[tuple[float, float]] = []
-    if train:
-        penalties = [_penalties(n_c, n_w, lam) for lam in lambda_grid]
-        beta = design.fit(np.tile(np.array(train, dtype=float), (len(lambda_grid), 1)),
-                          np.repeat(penalties, len(train), axis=0))
-        z = beta @ X.T
-        losses = (-y * z + log1pexp(z)).reshape(len(lambda_grid), len(train), n)
-    for i, lam in enumerate(lambda_grid):
-        heldout = [float(np.mean(losses[i, f][~tr])) for f, tr in enumerate(train)]
-        cv_scores.append((float(lam), float(np.mean(heldout)) if heldout else float("nan")))
-    best_lambda = min(cv_scores, key=lambda t: t[1])[0]
-
-    beta = design.fit(np.ones((1, n)), _penalties(n_c, n_w, best_lambda)[None])[0]
-    return KeyphraseModelFit(beta_w=beta[n_c:n_c + n_w], beta_c=beta[:n_c],
-                             intercept=beta[-1:], lambda_=best_lambda,
-                             cv_scores=cv_scores)
+    variance = np.concatenate([np.full(n_c, 1.0 / CONCEPT_RIDGE),
+                               np.full(n_w, 1.0 / KEYPHRASE_LAMBDA), [1e10]])
+    beta = map_fit(X, y, variance)
+    return KeyphraseModelFit(beta_w=beta[n_c:n_c + n_w], beta_c=beta[:n_c], intercept=beta[-1:])
 
 
 def top_keyphrases(vocabulary: Sequence[str], beta_w: np.ndarray,

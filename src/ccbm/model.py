@@ -1,7 +1,8 @@
 """Probability core for the logistic concept model.
 
 Gaussian-prior MAP estimation, Laplace-approximated log marginal likelihoods,
-the damped Newton solver that every penalized logistic fit runs through, and
+the one damped Newton solver that every penalized logistic fit runs through
+(the concept model's stacked fits and the keyphrase model's ridge fit), and
 the posterior-predictive ensemble. Everything here is a pure function of its
 inputs.
 """
@@ -113,106 +114,45 @@ def sigmoid_predict_many(X: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 class _Designs:
-    """Stacked designs X (E, n, d) sharing the labels y and the N(0, gamma^2 I)
-    prior: the fits of the concept model.
+    """Stacked designs X (E, n, d) sharing the labels y and the
+    N(0, gamma^2 diag(variance)) prior: the fits of the concept model, and the
+    keyphrase model's one ridge fit.
 
     theta holds one (d, 1) column per design, so each product is a
-    matrix-vector product per design, as in a fit of that design alone.
+    matrix-vector product per design, as in a fit of that design alone. At
+    the default variance, a scalar 1.0, each prior term is multiplied by
+    exactly 1.0, so a concept-model fit rounds bit for bit as the plain
+    N(0, gamma^2 I) fit would.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, gamma: float):
+    def __init__(self, X: np.ndarray, y: np.ndarray, gamma: float, variance=1.0):
         y = np.asarray(y, dtype=float)
         if X.shape[1] != y.shape[0]:
             raise ValueError("rows of phi must align with labels")
-        self.X, self.y, self.gamma = X, y[:, None], gamma
+        self.X, self.y, self.gamma, self.variance = X, y[:, None], gamma, variance
         self.Xt = X.transpose(0, 2, 1)
         self.size, self.d = X.shape[0], X.shape[2]
-        self.prior = np.eye(self.d) / gamma**2
+        # the prior precision times gamma^2: a scalar, or a (d, 1) column, one per coordinate
+        self.precision = 1.0 / variance
+        self.prior = np.eye(self.d) * self.precision / gamma**2
 
     def take(self, keep: np.ndarray) -> "_Designs":
-        return _Designs(self.X[keep], self.y[:, 0], self.gamma)
+        return _Designs(self.X[keep], self.y[:, 0], self.gamma, self.variance)
 
     def objective(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = self.X @ theta
         loss, p = log1pexp_sigmoid(z)
-        # (0.5 theta)^T theta as a (1, d) @ (d, 1) product, one per design
+        # (0.5 theta)^T (precision theta) as a (1, d) @ (d, 1) product, one per design
         return ((-self.y * z + loss).sum(axis=1)[:, 0]
-                + ((0.5 * theta).transpose(0, 2, 1) @ theta)[:, 0, 0] / self.gamma**2), p
+                + ((0.5 * theta).transpose(0, 2, 1) @ (self.precision * theta))[:, 0, 0]
+                / self.gamma**2), p
 
     def gradient(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.Xt @ (p - self.y) + theta / self.gamma**2
+        return self.Xt @ (p - self.y) + self.precision * theta / self.gamma**2
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         w = p * (1.0 - p)
         return (self.X * w).transpose(0, 2, 1) @ self.X + self.prior
-
-
-class SharedDesign:
-    """One (n, d) design X with 0/1 labels y, fitted under many row weightings
-    and per-coordinate ridge penalties in one stacked solve.
-
-    The Hessian of every fit is one product W @ Q of the (E, n) weighted
-    curvatures with the (n, d(d+1)/2) table Q of column-pair products, which
-    is built once here. Q takes n d(d+1)/2 floats.
-    """
-
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        n, d = self.X.shape
-        if self.y.shape != (n,):
-            raise ValueError("labels must align with design rows")
-        rows, cols = np.triu_indices(d)
-        self.pairs = np.empty((n, len(rows)))
-        for j in range(d):  # filled in place, one block of columns per j
-            start = j * d - j * (j - 1) // 2
-            np.multiply(self.X[:, j:j + 1], self.X[:, j:], out=self.pairs[:, start:start + d - j])
-        # column of pairs holding each entry of the symmetric d x d Hessian
-        self.unpack = np.empty((d, d), dtype=int)
-        self.unpack[rows, cols] = self.unpack[cols, rows] = np.arange(len(rows))
-        self.unpack = self.unpack.ravel()
-
-    def fit(self, weights: np.ndarray, penalty: np.ndarray, tol: float = 1e-8,
-            max_iter: int = 200) -> np.ndarray:
-        """MAP coefficients (E, d) of the E losses
-        sum_i weights[e, i] [-y_i z_i + log(1 + exp(z_i))] + 1/2 sum_j penalty[e, j] beta_j^2,
-        by damped Newton from 0; raises OptimizationError if one does not converge."""
-        return _newton(_Penalized(self, np.asarray(weights, dtype=float),
-                                  np.asarray(penalty, dtype=float)), tol, max_iter)[0]
-
-
-class _Penalized:
-    """The fits of a SharedDesign under row weights (E, n) and penalties (E, d).
-
-    The curvature is floored at 1e-10 and 1e-10 is added to the Hessian's
-    diagonal, so an unpenalized coordinate stays solvable on saturated rows.
-    """
-
-    def __init__(self, design: SharedDesign, weights: np.ndarray, penalty: np.ndarray):
-        self.design, self.weights, self.penalty = design, weights, penalty
-        self.size, self.d = penalty.shape
-
-    def take(self, keep: np.ndarray) -> "_Penalized":
-        return _Penalized(self.design, self.weights[keep], self.penalty[keep])
-
-    def objective(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        beta = theta[:, :, 0]
-        z = beta @ self.design.X.T
-        loss, p = log1pexp_sigmoid(z)
-        return ((self.weights * (-self.design.y * z + loss)).sum(axis=1)
-                + 0.5 * (self.penalty * beta * beta).sum(axis=1)), p
-
-    def gradient(self, theta: np.ndarray, p: np.ndarray) -> np.ndarray:
-        beta = theta[:, :, 0]
-        grad = (self.weights * (p - self.design.y)) @ self.design.X + self.penalty * beta
-        return grad[:, :, None]
-
-    def hessian(self, p: np.ndarray) -> np.ndarray:
-        packed = (self.weights * np.maximum(p * (1.0 - p), 1e-10)) @ self.design.pairs
-        H = packed[:, self.design.unpack].reshape(self.size, self.d, self.d)
-        diag = np.arange(self.d)
-        H[:, diag, diag] += self.penalty + 1e-10
-        return H
 
 
 class _Stack:
@@ -270,8 +210,7 @@ def _line_search(problem, theta, g, grad, step):
 
 
 def _newton(problem, tol: float, max_iter: int) -> Sequence[np.ndarray]:
-    """Damped Newton from 0 for a stack of penalized logistic fits (_Designs
-    or _Penalized).
+    """Damped Newton from 0 for a stack of penalized logistic fits (_Designs).
 
     Returns theta (E, d), the objective (E,) and the fitted probabilities at
     the optimum. Fits leave the stack as they converge; one that fails
@@ -323,6 +262,15 @@ def log_marginal_likelihoods(X: np.ndarray, y: np.ndarray, gamma: float,
     if not np.all(np.isfinite(value)):
         raise NumericalError("non-finite log marginal likelihood")
     return value, theta, log_det
+
+
+def map_fit(X: np.ndarray, y: np.ndarray, variance: np.ndarray, tol: float = 1e-8,
+            max_iter: int = 200) -> np.ndarray:
+    """MAP coefficients (d,) of one logistic design X (n, d) with labels y
+    under the N(0, diag(variance)) prior, by the damped Newton every fit runs
+    through; raises OptimizationError if it does not converge."""
+    problem = _Designs(X[None], y, 1.0, np.asarray(variance, dtype=float)[:, None])
+    return _newton(problem, tol, max_iter)[0][0]
 
 
 @dataclass

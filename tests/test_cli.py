@@ -54,6 +54,15 @@ def write_config(ws, run_dir, **extra):
     return path
 
 
+def dataset_with_text(ws, tmp_path, text) -> Path:
+    """A copy of the workspace dataset whose third record's text is text."""
+    lines = (ws / "data" / "dataset.ndjson").read_text().splitlines()
+    lines[2] = json.dumps(dict(json.loads(lines[2]), text=text))
+    path = tmp_path / "bad.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def lock_is_free(run_dir) -> bool:
     """Whether a new open of run_dir/.lock can take its flock, so that no run
     holds it; closing the file releases the lock again."""
@@ -517,6 +526,17 @@ class TestRunErrors:
         assert not (run_dir / "checkpoints" / "chain.log").exists()
         assert lock_is_free(run_dir)
 
+    @pytest.mark.parametrize("text", [None, 5, ["feat0"]], ids=["null", "number", "list"])
+    def test_non_string_text_exits_2_naming_the_line(self, workspace, tmp_path, capsys, text):
+        bad = dataset_with_text(workspace, tmp_path, text)
+        run_dir = tmp_path / "run"
+        config = write_config(workspace, run_dir, dataset=str(bad))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: bad dataset record: text must be a string" in err
+        assert "Traceback" not in err
+        assert not (run_dir / "checkpoints" / "chain.log").exists()
+
     def test_duplicate_dataset_ids(self, workspace, tmp_path):
         bad = tmp_path / "bad.ndjson"
         row = json.dumps({"id": "dup", "text": "feat0", "label": 1})
@@ -703,9 +723,10 @@ class TestLLMRunCounts:
         assert results[True][0] == results[False][0]
 
 
-def run_with_edited_llm_answers(tmp_path, monkeypatch, edit) -> tuple[int, Path]:
+def run_with_edited_llm_answers(tmp_path, monkeypatch, edit, **extra) -> tuple[int, Path]:
     """The exit code of an LLM run over the benchmark's fake transport, each
-    of whose answers goes through edit, and the run directory."""
+    of whose answers goes through edit, and the run directory; extra holds
+    further top-level config fields."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from fake_llm import FakeChatTransport, chat_body
     from ccbm.llm import ChatClient
@@ -726,8 +747,41 @@ def run_with_edited_llm_answers(tmp_path, monkeypatch, edit) -> tuple[int, Path]
         "dataset": str(data / "dataset.ndjson"), "output_dir": str(run_dir),
         "oracle": {"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "fake",
                    "max_in_flight": 2, "backoff_seconds": [0, 0, 0]},
-        "sampler": dict(SAMPLER, k=4, t_epochs=1, m_candidates=4)}))
+        "sampler": dict(SAMPLER, k=4, t_epochs=1, m_candidates=4), **extra}))
     return cli.main(["run", "--config", str(config)]), run_dir
+
+
+def test_llm_truth_naming_a_question_twice_is_one_concept(tmp_path, monkeypatch, capsys):
+    """On an LLM run, truth questions equal up to case and whitespace are one
+    true concept, for run and for eval --truth."""
+    truth = ["Does the note mention chest pain?", "  does the note mention  CHEST pain? "]
+    code, run_dir = run_with_edited_llm_answers(tmp_path, monkeypatch, lambda answer: answer,
+                                                truth=truth)
+    assert code == 0
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    assert cli.main(["eval", "--run", str(run_dir), "--truth", str(path)]) == 0
+    assert "recovery" in json.loads((run_dir / "reports" / "metrics.json").read_text())
+    assert [c.question for c in cli._truth_concepts(truth, oracle=None)] == [truth[0]]
+
+
+def test_llm_blank_truth_question_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    truth = ["Does the note mention chest pain?", " \t"]
+    code, run_dir = run_with_edited_llm_answers(tmp_path, monkeypatch, lambda answer: answer,
+                                                truth=truth)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "must not be blank: [' \\t']" in err
+    assert "Traceback" not in err and not (run_dir / "samples.jsonl").exists()
+    # eval --truth on a finished LLM run
+    code, run_dir = run_with_edited_llm_answers(tmp_path / "ok", monkeypatch,
+                                                lambda answer: answer)
+    assert code == 0
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    assert cli.main(["eval", "--run", str(run_dir), "--truth", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must not be blank: [' \\t']" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["keyphrases", "concepts", "candidates"],
@@ -1028,7 +1082,7 @@ class TestResidualSummary:
         labels = np.array([0, 1] * 6)
         data = GibbsData(labels, lambda concepts: np.zeros((12, len(concepts))))
         provider = cli._make_summary_provider(data, labels, self.bags(12),
-                                              cli.KeyphraseConfig(), 0)
+                                              cli.KeyphraseConfig())
         assert provider([Concept("Is it a?")], np.arange(1, 12, 2)) == []
 
     def test_unconverged_fit_is_reported_and_gives_no_signal(self, workspace, tmp_path,
@@ -1037,7 +1091,7 @@ class TestResidualSummary:
             raise OptimizationError("Newton did not converge in 200 iterations", np.zeros(3))
         monkeypatch.setattr(cli, "fit_keyphrase_model", unconverged)
         assert cli._fit_initial_summary(self.bags(12), np.array([0, 1] * 6),
-                                         cli.KeyphraseConfig(), 0) == []
+                                         cli.KeyphraseConfig()) == []
         assert "did not converge" in capsys.readouterr().err
         config = write_config(workspace, tmp_path / "run")
         assert cli.main(["run", "--config", str(config)]) == 3
@@ -1188,6 +1242,17 @@ class TestPredict:
         (run_dir / "cache" / "annotations.ndjson").unlink()
         predict(run_dir, dataset, tmp_path / "p.ndjson")
         assert calls
+
+    @pytest.mark.parametrize("text", [None, 5, ["feat0"]], ids=["null", "number", "list"])
+    def test_non_string_text_exits_2_naming_the_line(self, workspace, finished_run, tmp_path,
+                                                     capsys, text):
+        bad = dataset_with_text(workspace, tmp_path, text)
+        out = tmp_path / "p.ndjson"
+        assert cli.main(["predict", "--run", str(finished_run), "--input", str(bad),
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: bad dataset record: text must be a string" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_missing_run_dir(self, workspace, tmp_path):
         assert cli.main(["predict", "--run", str(tmp_path),

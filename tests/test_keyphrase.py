@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ccbm import keyphrase
-from ccbm.keyphrase import (DEFAULT_LAMBDA_GRID, build_bow, fit_keyphrase_model,
-                            top_keyphrases)
+from ccbm.keyphrase import (CONCEPT_RIDGE, KEYPHRASE_LAMBDA, build_bow,
+                            fit_keyphrase_model, top_keyphrases)
 from ccbm.model import OptimizationError, log1pexp, sigmoid
 from ccbm.oracle import KeyphraseBag
 from ccbm.synthetic import clinical_spec, generate_synthetic
@@ -54,7 +54,9 @@ class TestBuildBow:
 
 
 def _fit_binary(X, y, pen, max_iter=200, tol=1e-8):
-    """The serial damped Newton the stacked CV solve replaced, kept as its reference."""
+    """A serial damped Newton for the penalized logistic loss, kept as the
+    reference of the keyphrase fit: an unpenalized coordinate stays solvable
+    through the curvature floor and the 1e-10 on the Hessian's diagonal."""
     d = X.shape[1]
     beta = np.zeros(d)
 
@@ -85,30 +87,12 @@ def _fit_binary(X, y, pen, max_iter=200, tol=1e-8):
     return beta
 
 
-def reference_cv(bow, concepts, y, folds=5, seed=0, lambda_grid=DEFAULT_LAMBDA_GRID):
-    """(lambda, cv_scores, coefficients) as one _fit_binary per (lambda, fold)
-    and a final fit computed them."""
+def reference_fit(bow, concepts, y):
+    """The coefficients (concepts, phrases, intercept) one _fit_binary at
+    KEYPHRASE_LAMBDA computes, with the intercept unpenalized."""
     X, n_c, n_w = keyphrase._design(bow, concepts)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    order = np.random.default_rng(seed).permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[order] = np.arange(n) % folds
-    cv_scores = []
-    for lam in lambda_grid:
-        pen = keyphrase._penalties(n_c, n_w, lam)
-        losses = []
-        for f in range(folds):
-            te = fold_of == f
-            tr = ~te
-            if len(np.unique(y[tr])) < 2:
-                continue
-            beta = _fit_binary(X[tr], y[tr], pen)
-            z = X[te] @ beta
-            losses.append(float(np.mean(-y[te] * z + log1pexp(z))))
-        cv_scores.append((float(lam), float(np.mean(losses))))
-    best = min(cv_scores, key=lambda t: t[1])[0]
-    return best, cv_scores, _fit_binary(X, y, keyphrase._penalties(n_c, n_w, best))
+    pen = np.concatenate([np.full(n_c, CONCEPT_RIDGE), np.full(n_w, KEYPHRASE_LAMBDA), [0.0]])
+    return _fit_binary(X, np.asarray(y, dtype=float), pen)
 
 
 def clinical_subset(seed, n=100, k=6):
@@ -123,14 +107,12 @@ def clinical_subset(seed, n=100, k=6):
 
 
 class TestStackedCV:
+    """The ridge fit on the concept model's solver against the serial reference."""
+
     def assert_matches_reference(self, bags, concepts, y):
         vocab, bow = build_bow(bags, min_df=2)
         fit = fit_keyphrase_model(bow, concepts, y)
-        best, cv_scores, beta = reference_cv(bow, concepts, y)
-        assert fit.lambda_ == best
-        assert [lam for lam, _ in fit.cv_scores] == [lam for lam, _ in cv_scores]
-        np.testing.assert_allclose([s for _, s in fit.cv_scores], [s for _, s in cv_scores],
-                                   rtol=0, atol=1e-8)
+        beta = reference_fit(bow, concepts, y)
         n_c = 0 if concepts is None else concepts.shape[1]
         np.testing.assert_allclose(np.concatenate([fit.beta_c, fit.beta_w, fit.intercept]),
                                    beta, rtol=0, atol=1e-8)
@@ -147,7 +129,7 @@ class TestStackedCV:
         self.assert_matches_reference(bags, concepts, y)
 
     def test_degenerate_fold_skipped_as_in_serial_fits(self):
-        # one positive: the fold holding it trains on a single class
+        # one positive: a nearly separable fit
         bags, y = planted_corpus(n=40, seed=5)
         y = np.zeros_like(y)
         y[3] = 1
@@ -160,9 +142,9 @@ class TestStackedCV:
             fit_keyphrase_model(bow, None, np.ones_like(y))
 
     def test_unconverged_fit_raises(self, monkeypatch):
-        fit = keyphrase.SharedDesign.fit
-        monkeypatch.setattr(keyphrase.SharedDesign, "fit",
-                            lambda self, w, p: fit(self, w, p, max_iter=1))
+        fit = keyphrase.map_fit
+        monkeypatch.setattr(keyphrase, "map_fit",
+                            lambda X, y, variance: fit(X, y, variance, max_iter=1))
         bags, y = planted_corpus()
         vocab, bow = build_bow(bags, min_df=2)
         with pytest.raises(OptimizationError):
@@ -188,30 +170,17 @@ class TestFitKeyphraseModel:
         conditioned = fit_keyphrase_model(bow, concept_col, y)
         assert abs(conditioned.beta_w[j]) < abs(plain.beta_w[j]) / 2
 
-    def test_lambda_is_first_occurrence_argmin(self):
-        bags, y = planted_corpus(seed=3)
-        vocab, bow = build_bow(bags, min_df=2)
-        fit = fit_keyphrase_model(bow, None, y)
-        best = min(score for _, score in fit.cv_scores)
-        expected = next(lam for lam, score in fit.cv_scores if score == best)
-        assert fit.lambda_ == expected
-
-    def test_intercept_is_unpenalized(self):
+    def test_intercept_is_unpenalized(self, monkeypatch):
         # with an overwhelming phrase penalty the fit reduces to the base rate
+        monkeypatch.setattr(keyphrase, "KEYPHRASE_LAMBDA", 1e8)
         rng = np.random.default_rng(4)
         y = (rng.random(200) < 0.9).astype(int)
         bags = bags_from_lists([["x"] if rng.random() < 0.5 else ["z"]
                                 for _ in range(200)])
         vocab, bow = build_bow(bags, min_df=1)
-        fit = fit_keyphrase_model(bow, None, y, lambda_grid=(1e8,), folds=2)
+        fit = fit_keyphrase_model(bow, None, y)
         assert np.max(np.abs(fit.beta_w)) < 1e-3
         assert sigmoid(fit.intercept)[0] == pytest.approx(np.mean(y), abs=0.01)
-
-    def test_folds_validated(self):
-        bags, y = planted_corpus()
-        vocab, bow = build_bow(bags, min_df=2)
-        with pytest.raises(ValueError):
-            fit_keyphrase_model(bow, None, y, folds=1)
 
     def test_misaligned_concepts_rejected(self):
         bags, y = planted_corpus()

@@ -89,7 +89,7 @@ class TestStackedSolver:
         rng = np.random.default_rng(2024)
         for _ in range(120):
             E, n, d = int(rng.integers(1, 10)), int(rng.integers(0, 400)), int(rng.integers(2, 7))
-            gamma = float(rng.choice([0.5, 1.0, 2.0]))
+            gamma = float(rng.choice([0.5, 0.7, 1.0, 1.5, 2.0, 3.0]))
             X = random_stack(rng, E, n, d)
             y = (rng.random(n) < 0.5).astype(float)
             values, thetas, log_dets = log_marginal_likelihoods(X, y, gamma)
@@ -102,7 +102,7 @@ class TestStackedSolver:
         rng = np.random.default_rng(7)
         for _ in range(60):
             n, d = int(rng.integers(0, 400)), int(rng.integers(2, 7))
-            gamma = float(rng.choice([0.5, 1.0, 2.0]))
+            gamma = float(rng.choice([0.5, 0.7, 1.0, 1.5, 2.0, 3.0]))
             X = random_stack(rng, 1, n, d)
             y = (rng.random(n) < 0.5).astype(float)
             value, theta, log_det = serial_laplace(X[0], y, gamma)
