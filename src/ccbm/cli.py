@@ -189,20 +189,21 @@ def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> Concep
 
 
 def _truth_concepts(questions: list[str], oracle: ConceptOracle) -> ConceptSet:
-    """The true concepts that questions name: pool concepts, in pool order, on
-    a pool run, and new concepts otherwise, in first-mention order. A question
-    named twice is one concept. A question that is not in the pool, or a blank
-    one, raises ConfigError naming it."""
+    """The true concepts that questions name, up to case and whitespace: pool
+    concepts, in pool order, on a pool run, and new concepts otherwise, in
+    first-mention order. A question that is blank, or not in the pool on a
+    pool run, raises ConfigError naming it."""
+    blank = [q for q in questions if not q.strip()]
+    if blank:
+        raise ConfigError(f"truth questions must not be blank: {blank}")
+    named = dict.fromkeys(map(Concept, questions))
     if not isinstance(oracle, PoolOracle):
-        blank = [q for q in questions if not q.strip()]
-        if blank:
-            raise ConfigError(f"truth questions must not be blank: {blank}")
-        return ConceptSet(dict.fromkeys(map(Concept, questions)))
-    pooled = {pc.concept.question: pc.concept for pc in oracle.pool}
-    missing = [q for q in questions if q not in pooled]
+        return ConceptSet(named)
+    pooled = dict.fromkeys(pc.concept for pc in oracle.pool)
+    missing = [q for q in questions if Concept(q) not in pooled]
     if missing:
         raise ConfigError(f"truth questions not in the concept pool: {missing}")
-    return ConceptSet(c for q, c in pooled.items() if q in questions)
+    return ConceptSet(c for c in pooled if c in named)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .oracle import (AnnotationCache, AnnotationError, ConceptOracle,
                      OracleProposal, ProposalError, Scorer, append_lines,
                      cached_table, fresh_pairs, normalize_phrase, read_log)
 
-WEIGHT_FLOOR = 1e-3  # floor for zero/missing weights, as a fraction of candidate mass
+WEIGHT_FLOOR = 1e-3  # floor for proposal weights, as a fraction of the listed candidates' mass
 # how every line of the keyphrase bag log begins
 BAG_LINE_HEAD = b'{"observation_id": "'
 
@@ -266,15 +266,9 @@ class LLMOracle(ConceptOracle):
             k=k, top_keyphrases="\n".join(f"- {p}" for p in phrases))
         for attempt in range(self.config.max_retries):
             body = self.client.complete_json(prompt, self.config.propose_temperature)
-            questions = [q for q in _list_field(body, "concepts")
-                         if isinstance(q, str) and q.strip()]
-            concepts = []
-            seen = set()
-            for q in questions:
-                c = Concept(q.strip())
-                if c.id not in seen:
-                    seen.add(c.id)
-                    concepts.append(c)
+            # distinct concepts, each as first spelled
+            concepts = list(dict.fromkeys(Concept(q.strip()) for q in _list_field(body, "concepts")
+                                          if isinstance(q, str) and q.strip()))
             if len(concepts) >= k:
                 return ConceptSet(concepts[:k])
         raise InitializationError(
@@ -286,9 +280,10 @@ class LLMOracle(ConceptOracle):
     def propose(self, context: Sequence[Concept], incumbent: Concept,
                 subset: np.ndarray, m: int, rng: np.random.Generator,
                 score: Optional[Scorer] = None) -> OracleProposal:
+        """m i.i.d. tries from the answer's q; see _support_weights."""
         if self.summary_provider is None:
             raise ProposalError("LLM oracle needs a summary_provider to propose")
-        phrases = self.summary_provider(list(context) + [incumbent], subset)
+        phrases = self.summary_provider(list(context), subset)
         existing = "\n".join(f"{i + 1}. {c.question}" for i, c in enumerate(context))
         prompt = self._template("propose_concepts").format(
             k=len(context) + 1,
@@ -300,59 +295,9 @@ class LLMOracle(ConceptOracle):
             body = self.client.complete_json(prompt, self.config.propose_temperature)
         except OracleError as exc:
             raise ProposalError(str(exc)) from exc
-        return self._parse_proposal(body, context, incumbent, m)
-
-    def _parse_proposal(self, body: dict, context: Sequence[Concept],
-                        incumbent: Concept, m: int) -> OracleProposal:
-        context_ids = {c.id for c in context}
-        candidates: list[Concept] = []
-        raw_weights: list[Optional[float]] = []
-        seen = set()
-        for entry in _list_field(body, "candidates"):
-            if isinstance(entry, str):
-                question, weight = entry, None
-            elif isinstance(entry, dict):
-                question, weight = entry.get("question"), entry.get("weight")
-            else:  # a malformed entry counts as absent
-                continue
-            if not isinstance(question, str) or not question.strip():
-                continue
-            c = Concept(question.strip())
-            if c.id in context_ids or c.id in seen:
-                continue
-            seen.add(c.id)
-            candidates.append(c)
-            raw_weights.append(_finite(weight))
-            if len(candidates) == m:
-                break
-        if not candidates:
-            raise ProposalError("oracle proposed no usable candidates")
-
-        # a missing weight counts as 1
-        weights = np.clip([1.0 if w is None else w for w in raw_weights], 0.0, None)
-
-        q_current = _finite(body.get("incumbent_weight")) or 0.0
-        if incumbent.id in {c.id for c in candidates}:
-            # the oracle re-proposed the incumbent; its candidate weight wins
-            idx = [c.id for c in candidates].index(incumbent.id)
-            q_current = max(q_current, float(weights[idx]))
-
-        total = float(weights.sum())
-        if total <= 0:
-            weights = np.full(len(candidates), 1.0)
-            total = float(len(candidates))
-        floor = WEIGHT_FLOOR * total
-        weights = np.maximum(weights, floor)
-        if q_current <= 0:
-            q_current = floor
-        norm = float(weights.sum()) + q_current
-        try:
-            return OracleProposal(candidates=candidates, q_weights=weights / norm,
-                                  q_current=q_current / norm)
-        except ValueError as exc:  # weights far apart underflow to q = 0; huge ones overflow
-            raise ProposalError(
-                f"candidate weights {raw_weights} and incumbent weight "
-                f"{body.get('incumbent_weight')!r} give no valid proposal: {exc}") from exc
+        support, weights = _support_weights(body, context, incumbent, m)
+        return OracleProposal.draw(support, weights, support.index(incumbent), m, rng,
+                                   on_subset=True)
 
     # -- annotation -------------------------------------------------------
 
@@ -405,10 +350,45 @@ class LLMOracle(ConceptOracle):
         return table
 
 
-def _finite(value) -> Optional[float]:
-    """value as a float if it is a finite number, else None: json.loads also
-    gives NaN, Infinity and ints beyond the float range."""
+def _support_weights(body: dict, context: Sequence[Concept], incumbent: Concept,
+                     m: int) -> tuple[list[Concept], np.ndarray]:
+    """The answer's support, its first m distinct listed candidates outside
+    the context plus the incumbent if unlisted, and their weights: missing
+    ones count as 1 (all of them if all are 0), the incumbent's is the larger
+    of incumbent_weight and its listed one, and none is below WEIGHT_FLOOR
+    times the listed mass, so the incumbent's q is never 0."""
+    listed: dict[Concept, float] = {}
+    for entry in _list_field(body, "candidates"):
+        if isinstance(entry, str):
+            question, weight = entry, None
+        elif isinstance(entry, dict):
+            question, weight = entry.get("question"), entry.get("weight")
+        else:  # a malformed entry counts as absent
+            continue
+        if not isinstance(question, str) or not question.strip():
+            continue
+        c = Concept(question.strip())
+        if c in context or c in listed:
+            continue
+        listed[c] = _weight(weight, absent=1.0)
+        if len(listed) == m:
+            break
+    if not listed:
+        raise ProposalError("oracle proposed no usable candidates")
+    if not any(listed.values()):
+        listed = dict.fromkeys(listed, 1.0)
+    support = dict(listed)  # the incumbent last, unless it is listed
+    support[incumbent] = max(_weight(body.get("incumbent_weight"), absent=0.0),
+                             listed.get(incumbent, 0.0))
+    weights = np.array(list(support.values()))
+    weights /= weights.max()  # a largest weight of 1, so the mass cannot overflow
+    return list(support), np.maximum(weights, WEIGHT_FLOOR * weights[:len(listed)].sum())
+
+
+def _weight(value, absent: float) -> float:
+    """value as a weight, 0 if negative, if it is a finite number, else absent:
+    json.loads also gives NaN, Infinity and ints beyond the float range."""
     if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-        return float(value)
-    return None
+        return max(float(value), 0.0)
+    return absent
 

@@ -88,6 +88,18 @@ class OracleProposal:
         if not (np.isfinite(self.q_current) and self.q_current > 0):
             raise ValueError("q_current must be finite and positive")
 
+    @classmethod
+    def draw(cls, support: Sequence[Concept], weights: np.ndarray, incumbent: int,
+             m: int, rng: np.random.Generator, on_subset: bool) -> "OracleProposal":
+        """m i.i.d. tries, by the one rng.choice of both oracles, from q over
+        support, q proportional to weights (finite, nonnegative, not all 0)
+        and q_current that of support[incumbent]."""
+        q = weights / weights.max()
+        q /= q.sum()
+        draws = rng.choice(len(support), size=m, p=q)
+        return cls(candidates=[support[i] for i in draws], q_weights=q[draws],
+                   q_current=float(q[incumbent]), on_subset=on_subset)
+
 
 _WORD_RE = re.compile(r"[^\w\s]")
 
@@ -450,15 +462,13 @@ class PoolOracle(ConceptOracle):
 
     def partial_posterior_weights(self, context: Sequence[Concept], score: Scorer
                                   ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices,
-        and the log marginal on the rows that each probability is
-        proportional to: score's value of the set of the context's concepts,
-        then the eligible concept."""
+        """Enumerated p(C_k | c_-k, y_rows, X) over eligible pool indices, up
+        to a constant: weights of largest value 1, and the log marginal on the
+        rows that each weight is proportional to: score's value of the set of
+        the context's concepts, then the eligible concept."""
         eligible = self._eligible(context)
         log_marginals = score([[*context, self.pool[i].concept] for i in eligible])
-        probs = np.exp(log_marginals - log_marginals.max())
-        probs /= probs.sum()
-        return eligible, probs, log_marginals
+        return eligible, np.exp(log_marginals - log_marginals.max()), log_marginals
 
     def propose(self, context: Sequence[Concept], incumbent: Concept,
                 subset: np.ndarray, m: int, rng: np.random.Generator,
@@ -471,15 +481,11 @@ class PoolOracle(ConceptOracle):
             raise ProposalError(f"concept {incumbent.question!r} is not in the pool")
         if self.weight_mode == "uniform":
             eligible = self._eligible(context)
-            probs = np.full(len(eligible), 1.0 / len(eligible))
+            weights = np.ones(len(eligible))
         elif score is None:
             raise ProposalError("the exact pool oracle needs a score to propose")
         else:
-            eligible, probs, _ = self.partial_posterior_weights(context, score)
-        draws = rng.choice(len(eligible), size=m, p=probs)
-        return OracleProposal(
-            candidates=[self.pool[eligible[i]].concept for i in draws],
-            q_weights=probs[draws],
-            q_current=float(probs[eligible.index(inc_idx)]),
-            on_subset=self.weight_mode == "exact",
-        )
+            eligible, weights, _ = self.partial_posterior_weights(context, score)
+        return OracleProposal.draw([self.pool[i].concept for i in eligible], weights,
+                                   eligible.index(inc_idx), m, rng,
+                                   on_subset=self.weight_mode == "exact")

@@ -248,12 +248,18 @@ def multi_ss_mh_update(state: ConceptSet, slot: int, subset: np.ndarray, data: G
     cand_state = states[pick]
     if cand_state is state:
         return UpdateResult(state, True, 0.0, proposal, chosen, log_ws)
-    rest = np.concatenate([log_ws[:pick], log_ws[pick + 1:], [log_w0]])
-    log_alpha = min(0.0, (np.log(proposal.q_current) + logsumexp(log_ws)
-                          - np.log(proposal.q_weights[pick]) - logsumexp(rest)))
+    log_alpha = multi_try_log_alpha(proposal, log_ws, log_w0, pick)
     accepted = np.log(rng.random()) < log_alpha
     return UpdateResult(cand_state if accepted else state, bool(accepted),
-                        float(log_alpha), proposal, chosen, log_ws)
+                        log_alpha, proposal, chosen, log_ws)
+
+
+def multi_try_log_alpha(proposal: OracleProposal, log_ws: np.ndarray, log_w0: float,
+                        pick: int) -> float:
+    """The log acceptance probability of try pick (see multi_ss_mh_update)."""
+    rest = np.concatenate([log_ws[:pick], log_ws[pick + 1:], [log_w0]])
+    return float(min(0.0, (np.log(proposal.q_current) + logsumexp(log_ws)
+                           - np.log(proposal.q_weights[pick]) - logsumexp(rest))))
 
 
 def greedy_warm_start_update(state: ConceptSet, slot: int, subset: np.ndarray,
@@ -421,6 +427,7 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
             except OracleError as exc:
                 raise OracleFailure(f"oracle failed at epoch {epoch} slot {slot}: {exc}",
                                     checkpoint_path) from exc
+            moved = result.state is not state
             state = result.state
             lml, theta = marginals.full(state.concepts)
             trace.samples.append(PosteriorSample(
@@ -433,6 +440,7 @@ def run_gibbs(data: GibbsData, oracle: ConceptOracle, cfg: SamplerConfig,
                 "n_candidates": len(result.proposal.candidates),
                 "log_alpha": float(result.log_alpha),
                 "accepted": result.accepted,
+                "outcome": "move" if moved else "stay" if result.accepted or warm else "reject",
                 "phase": "warm_start" if warm else "sample",
             })
         if checkpoint_path is not None:

@@ -20,7 +20,7 @@ from ccbm.concepts import Concept
 from ccbm.evaluate import auc, brier
 from ccbm.model import (OptimizationError, PosteriorSample, posterior_predictive,
                         sigmoid_predict)
-from ccbm.oracle import AnnotationCache, KeyphraseBag, OracleError, PoolOracle
+from ccbm.oracle import AnnotationCache, KeyphraseBag, OracleError, PoolConcept, PoolOracle
 from ccbm.sampler import GibbsData, load_checkpoint
 
 SAMPLER = {"k": 2, "t_epochs": 4, "m_candidates": 4, "omega": 0.5,
@@ -809,42 +809,66 @@ def test_llm_extraction_without_a_keyphrase_list_exits_3(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("weight, incumbent_weight", [(1e-30, 1e308), (1e308, 1.0)],
-                         ids=["q-underflows-to-0", "sum-overflows-to-nan"])
-def test_float_edge_llm_weights_exit_3(tmp_path, monkeypatch, capsys, weight, incumbent_weight):
-    """LLM weights whose normalized q is 0 or NaN are a proposal failure: the
-    run exits 3 naming the weights and its checkpoint, not with a traceback."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from fake_llm import FakeChatTransport, chat_body
-    from ccbm.llm import ChatClient
-    data = tmp_path / "data"
-    assert cli.main(["simulate", "--out", str(data), "--n", "40", "--seed", "4",
-                     "--clinical", "--n-decoys", "5"]) == 0
-    fake = FakeChatTransport(json.loads(line)["text"]
-                             for line in (data / "dataset.ndjson").read_text().splitlines())
-
-    def transport(url, headers, payload):
-        answer = json.loads(fake(url, headers, payload)["choices"][0]["message"]["content"])
+                         ids=["q-underflows-to-0", "sum-overflows"])
+def test_float_edge_llm_weights_give_valid_proposals(tmp_path, monkeypatch, capsys,
+                                                     weight, incumbent_weight):
+    """LLM weights far apart, or whose sum overflows, still define a q: the
+    run finishes. A candidate whose q underflows to 0 is never tried, so the
+    chain stays where it is."""
+    def edit(answer):
         if "candidates" not in answer:
-            return chat_body(answer)
-        for entry in answer["candidates"]:
-            entry["weight"] = weight
-        return chat_body(dict(answer, incumbent_weight=incumbent_weight))
+            return answer
+        return dict(answer, incumbent_weight=incumbent_weight,
+                    candidates=[dict(entry, weight=weight) for entry in answer["candidates"]])
 
-    monkeypatch.setattr(ChatClient, "_http_post", staticmethod(transport))
-    run_dir = tmp_path / "run"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "dataset": str(data / "dataset.ndjson"), "output_dir": str(run_dir),
-        "oracle": {"type": "llm", "endpoint": "http://127.0.0.1:9/v1", "model": "fake",
-                   "max_in_flight": 2, "backoff_seconds": [0, 0, 0]},
-        "sampler": dict(SAMPLER, k=4, t_epochs=1, m_candidates=4)}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["run", "--config", str(config)]) == 3
-    err = capsys.readouterr().err
-    assert f"incumbent weight {incumbent_weight!r} give no valid proposal" in err
-    assert repr(weight) in err and "Traceback" not in err
-    assert f"checkpoint at {run_dir / 'checkpoints' / 'chain.log'}" in err
+    code, run_dir = run_with_edited_llm_answers(tmp_path, monkeypatch, edit)
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    outcomes = [json.loads(line)["outcome"] for line in
+                (run_dir / "reports" / "update_log.jsonl").read_text().splitlines()]
+    assert len(outcomes) == 8
+    if weight < incumbent_weight:
+        assert outcomes == ["stay"] * 8
     assert lock_is_free(run_dir)
+
+
+def test_llm_run_stopped_after_epoch_1_resumes_to_the_clean_samples(tmp_path, monkeypatch,
+                                                                    capsys):
+    """An LLM run whose proposal calls fail after epoch 1 exits 3; --resume
+    with the transport mended writes the samples.jsonl of a run that never
+    failed: the proposal tries come from the checkpointed RNG alone."""
+    sampler = dict(SAMPLER, k=4, t_epochs=3, m_candidates=4)
+    code, clean = run_with_edited_llm_answers(tmp_path / "clean", monkeypatch,
+                                              lambda answer: answer, sampler=sampler)
+    assert code == 0
+    proposals = {"made": 0, "up_to": 8}  # k proposals in each of epochs 0 and 1
+
+    def fail_late(answer):
+        if "candidates" in answer:
+            proposals["made"] += 1
+            if proposals["made"] > proposals["up_to"]:
+                raise OSError("endpoint down")
+        return answer
+
+    tmp = tmp_path / "stopped"
+    code, run_dir = run_with_edited_llm_answers(tmp, monkeypatch, fail_late, sampler=sampler)
+    assert code == 3 and not (run_dir / "samples.jsonl").exists()
+    epochs = (run_dir / "checkpoints" / "chain.log").read_text().splitlines()[1:]
+    assert [json.loads(line)["epoch"] for line in epochs] == [0, 1]
+    proposals["up_to"] = float("inf")
+    assert cli.main(["run", "--config", str(tmp / "config.json"), "--resume"]) == 0
+    assert (run_dir / "samples.jsonl").read_bytes() == (clean / "samples.jsonl").read_bytes()
+
+
+def test_pool_truth_matches_the_pool_up_to_case_and_whitespace(tmp_path, capsys):
+    """A pool run's truth question names the pool concept it equals as a
+    concept, in any case or spacing, as on an LLM run."""
+    pool = [PoolConcept(Concept(f"Is feature {i} present?"), f"feat{i}") for i in range(3)]
+    oracle = PoolOracle(pool, [])
+    truth = cli._truth_concepts(["  is FEATURE 2 present?", "is feature 0 present?",
+                                 "Is feature 2 present?"], oracle)
+    assert [c.question for c in truth] == ["Is feature 0 present?", "Is feature 2 present?"]
+    with pytest.raises(cli.ConfigError, match="must not be blank"):
+        cli._truth_concepts(["Is feature 0 present?", " "], oracle)
 
 
 def edit_record(line: bytes, edit) -> bytes:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -11,7 +12,7 @@ import requests
 from ccbm.concepts import Concept
 from ccbm.config import load
 from ccbm.llm import (WEIGHT_FLOOR, ChatClient, LLMConfig, LLMOracle,
-                      load_template, parse_json_content)
+                      _support_weights, load_template, parse_json_content)
 from ccbm.oracle import (AnnotationCache, InitializationError, Observation,
                          OracleError, ProposalError)
 
@@ -403,24 +404,33 @@ class TestPropose:
     context = [Concept("Is it a context concept?")]
     incumbent = Concept("Is it the incumbent?")
 
-    def propose(self, body, m=3, **kwargs):
+    def propose(self, body, m=3, rng=None, **kwargs):
         oracle, post, _ = proposal_oracle(body, **kwargs)
-        proposal = oracle.propose(self.context, self.incumbent,
-                                  np.arange(5), m, np.random.default_rng(0))
+        proposal = oracle.propose(self.context, self.incumbent, np.arange(5), m,
+                                  rng or np.random.default_rng(0))
         return oracle, post, proposal
+
+    def law(self, body, m=3, incumbent_weight=None):
+        """q of each support concept, by question: the answer's weights,
+        normalized as OracleProposal.draw normalizes them."""
+        if incumbent_weight is not None:
+            body = dict(body, incumbent_weight=incumbent_weight)
+        support, weights = _support_weights(body, self.context, self.incumbent, m)
+        assert np.all(np.isfinite(weights)) and weights.max() == 1.0
+        return dict(zip([c.question for c in support], (weights / weights.sum()).tolist()))
 
     def test_weights_normalized_with_incumbent(self):
         body = {"candidates": [{"question": "A?", "weight": 3.0},
                                {"question": "B?", "weight": 1.0}]}
+        law = self.law(body, incumbent_weight=1.0)
+        assert law == pytest.approx({"A?": 0.6, "B?": 0.2, self.incumbent.question: 0.2})
         _, _, p = self.propose(body, incumbent_weight=1.0)
-        assert p.q_weights.sum() + p.q_current == pytest.approx(1.0, abs=1e-12)
-        assert p.q_weights[0] / p.q_weights[1] == pytest.approx(3.0)
         assert p.q_current == pytest.approx(0.2)
+        assert p.q_weights.tolist() == pytest.approx([law[c.question] for c in p.candidates])
 
     def test_missing_weights_imputed_uniform(self):
-        body = {"candidates": ["A?", "B?"]}
-        _, _, p = self.propose(body, incumbent_weight=1.0)
-        assert p.q_weights[0] == p.q_weights[1]
+        law = self.law({"candidates": ["A?", "B?"]}, incumbent_weight=1.0)
+        assert law["A?"] == law["B?"] == law[self.incumbent.question]
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
                              ids=["nan", "inf", "-inf", "huge-int"])
@@ -428,48 +438,54 @@ class TestPropose:
         # json.loads reads NaN, Infinity and ints beyond the float range
         body = {"candidates": [{"question": "A?", "weight": weight},
                                {"question": "B?", "weight": 2.0}]}
-        _, _, p = self.propose(body, incumbent_weight=1.0)
-        assert p.q_weights.tolist() == [0.25, 0.5] and p.q_current == 0.25
+        assert self.law(body, incumbent_weight=1.0) == \
+            {"A?": 0.25, "B?": 0.5, self.incumbent.question: 0.25}
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_incumbent_weight_not_a_finite_number_floored(self, weight):
         body = {"candidates": [{"question": "A?", "weight": 1.0}]}
-        _, _, p = self.propose(body, incumbent_weight=weight)
-        assert p.q_current == pytest.approx(WEIGHT_FLOOR * p.q_weights.sum(), rel=1e-9)
+        law = self.law(body, incumbent_weight=weight)
+        assert law[self.incumbent.question] == pytest.approx(WEIGHT_FLOOR * law["A?"],
+                                                             rel=1e-9)
 
     def test_zero_incumbent_weight_floored(self):
         body = {"candidates": [{"question": "A?", "weight": 1.0}]}
+        law = self.law(body)
+        assert law[self.incumbent.question] == pytest.approx(WEIGHT_FLOOR * law["A?"],
+                                                             rel=1e-9)
         _, _, p = self.propose(body)
-        assert p.q_current > 0
-        assert p.q_current == pytest.approx(WEIGHT_FLOOR * p.q_weights.sum(),
-                                            rel=1e-9)
+        assert p.q_current == law[self.incumbent.question] > 0
 
     def test_all_zero_weights_fall_back_to_uniform(self):
         body = {"candidates": [{"question": "A?", "weight": 0.0},
                                {"question": "B?", "weight": 0.0}]}
-        _, _, p = self.propose(body, incumbent_weight=1.0)
-        assert p.q_weights[0] == p.q_weights[1] > 0
+        law = self.law(body, incumbent_weight=1.0)
+        assert law["A?"] == law["B?"] == law[self.incumbent.question]
 
-    @pytest.mark.parametrize("weights, incumbent_weight", [
-        ([1e-30], 1e308),  # the candidate's q underflows to 0
-        ([1e308, 1e308], 1.0)],  # the weights' sum overflows, so every q is NaN
+    @pytest.mark.parametrize("weights, incumbent_weight, law", [
+        # the candidate's q underflows to 0, so every try is the incumbent
+        ([1e-30], 1e308, {"A?": 0.0, "Is it the incumbent?": 1.0}),
+        # the weights' sum would overflow; the incumbent gets the floor
+        ([1e308, 1e308], 1.0, {"A?": 1 / 2.002, "B?": 1 / 2.002,
+                               "Is it the incumbent?": 0.002 / 2.002})],
         ids=["underflow", "overflow"])
-    def test_float_edge_weights_raise_proposal_error(self, weights, incumbent_weight):
+    def test_float_edge_weights_give_a_valid_law(self, weights, incumbent_weight, law):
         body = {"candidates": [{"question": f"{name}?", "weight": w}
                                for name, w in zip("AB", weights)]}
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ProposalError, match="give no valid proposal") as failure:
-            self.propose(body, incumbent_weight=incumbent_weight)
-        assert str(weights) in str(failure.value)
-        assert repr(incumbent_weight) in str(failure.value)
+        assert self.law(body, incumbent_weight=incumbent_weight) == pytest.approx(law)
+        _, _, p = self.propose(body, m=8, incumbent_weight=incumbent_weight)
+        assert p.q_weights.tolist() == pytest.approx([law[c.question] for c in p.candidates])
+        assert p.q_current == pytest.approx(law[self.incumbent.question])
 
     def test_context_duplicates_and_repeats_skipped(self):
         body = {"candidates": [self.context[0].question, "A?", "a?", "B?"]}
-        _, _, p = self.propose(body, incumbent_weight=1.0)
-        assert [c.question for c in p.candidates] == ["A?", "B?"]
+        assert list(self.law(body, incumbent_weight=1.0)) == \
+            ["A?", "B?", self.incumbent.question]
 
     def test_candidate_list_truncated_at_m(self):
         body = {"candidates": ["A?", "B?", "C?", "D?"]}
+        assert list(self.law(body, m=2, incumbent_weight=1.0)) == \
+            ["A?", "B?", self.incumbent.question]
         _, _, p = self.propose(body, m=2, incumbent_weight=1.0)
         assert len(p.candidates) == 2
 
@@ -478,8 +494,8 @@ class TestPropose:
         [{"question": 5, "weight": 1.0}, {"question": "A?", "weight": 1.0}]],
         ids=["entries-not-strings-or-objects", "question-a-number"])
     def test_malformed_candidates_count_as_absent(self, candidates):
-        _, _, p = self.propose({"candidates": candidates}, incumbent_weight=1.0)
-        assert [c.question for c in p.candidates] == ["A?"]
+        law = self.law({"candidates": candidates}, incumbent_weight=1.0)
+        assert list(law) == ["A?", self.incumbent.question]
 
     def test_a_candidates_string_counts_as_absent(self):
         # not the candidates "I", "s", ... of its characters
@@ -508,7 +524,8 @@ class TestPropose:
         oracle, post, _ = make_oracle([chat_body({"candidates": ["A?"]})],
                                       summary_provider=provider)
         oracle.propose(self.context, self.incumbent, np.arange(5), 3, np.random.default_rng(0))
-        assert asked == [(self.context + [self.incumbent], [0, 1, 2, 3, 4])]
+        # the summary is fitted on the other slots alone, never on the incumbent
+        assert asked == [(self.context, [0, 1, 2, 3, 4])]
         assert "\n- zeta\n- alpha\n- mu\n" in post.prompts[0]
 
     def test_missing_summary_provider_raises(self):
@@ -520,8 +537,52 @@ class TestPropose:
     def test_reproposed_incumbent_keeps_its_weight(self):
         body = {"candidates": [{"question": self.incumbent.question, "weight": 4.0},
                                {"question": "A?", "weight": 1.0}]}
+        assert self.law(body) == {self.incumbent.question: 0.8, "A?": 0.2}
         _, _, p = self.propose(body)
-        assert p.q_current == pytest.approx(p.q_weights[0])
+        assert p.q_current == 0.8
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_tries_are_one_choice_of_a_twin_rng(self, seed, m):
+        # support A?, B?, the incumbent; q exactly 0.5, 0.25, 0.25
+        body = {"candidates": [{"question": "A?", "weight": 2.0},
+                               {"question": "B?", "weight": 1.0}]}
+        _, _, p = self.propose(body, m=m, rng=np.random.default_rng(seed),
+                               incumbent_weight=1.0)
+        q = np.array([0.5, 0.25, 0.25])
+        draws = np.random.default_rng(seed).choice(3, size=m, p=q)
+        support = ["A?", "B?", self.incumbent.question]
+        assert [c.question for c in p.candidates] == [support[i] for i in draws]
+        assert p.q_weights.tolist() == q[draws].tolist()
+        assert p.q_current == 0.25 and p.on_subset
+
+    def test_q_does_not_depend_on_the_incumbent(self):
+        """With an answer that ignores the incumbent line, two incumbents get
+        one law over the listed candidates: the prompt differs only in that
+        line, since the summary is fitted without the incumbent."""
+        def transport(url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            head = prompt[:prompt.index("The current incumbent")]
+            digest = hashlib.sha256(head.encode()).digest()
+            return chat_body({"candidates": [{"question": f"Is it {name}?", "weight": 1 + b}
+                                             for name, b in zip("ABC", digest)],
+                              "incumbent_weight": 1 + digest[3]})
+
+        def provider(concepts, subset):
+            return [c.question for c in concepts]
+
+        proposals = []
+        for incumbent in (self.incumbent, Concept("Is it another incumbent?")):
+            client = ChatClient(make_config(), post_fn=transport, sleep_fn=lambda s: None)
+            oracle = LLMOracle(make_config(), client=client, summary_provider=provider)
+            proposals.append(oracle.propose(self.context, incumbent, np.arange(5), 3,
+                                            np.random.default_rng(1)))
+        first, second = proposals
+        assert first.q_current == second.q_current
+        assert first.q_weights.tolist() == second.q_weights.tolist()
+        rename = {self.incumbent.question: "Is it another incumbent?"}
+        assert [rename.get(c.question, c.question) for c in first.candidates] == \
+            [c.question for c in second.candidates]
 
 
 class TestAnnotate:

@@ -340,8 +340,9 @@ class TestPoolProposals:
         oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[4].concept]
         subset = np.arange(30)
-        eligible, probs, _ = oracle.partial_posterior_weights(
+        eligible, weights, _ = oracle.partial_posterior_weights(
             context, subset_scorer(pool_dataset, oracle, subset, gamma))
+        probs = weights / weights.sum()
 
         pool = [pc.concept for pc in pool_dataset.pool_concepts]
         exact = enumerate_posterior(pool, 2, pool_dataset.labels[subset],
@@ -359,7 +360,7 @@ class TestPoolProposals:
         oracle = make_oracle(pool_dataset)
         context = [pool_dataset.pool_concepts[j].concept for j in (4, 1)]
         rows = np.sort(np.random.default_rng(3).choice(60, size=30, replace=False))
-        eligible, probs, log_marginals = oracle.partial_posterior_weights(
+        eligible, weights, log_marginals = oracle.partial_posterior_weights(
             context, subset_scorer(pool_dataset, oracle, rows))
         # the loop the stacked solve replaced: context columns, candidate, intercept
         cols = [4, 1]
@@ -367,11 +368,8 @@ class TestPoolProposals:
             stack_designs(pool_dataset.annotations[np.ix_(rows, cols + [j])], [range(3)]),
             pool_dataset.labels[rows], 1.0)[0][0] for j in eligible])
         assert np.array_equal(log_marginals, log_scores)
-        log_scores -= log_scores.max()
-        want = np.exp(log_scores)
-        want /= want.sum()
         assert eligible == [0, 2, 3, 5, 6, 7, 8, 9]
-        assert np.array_equal(probs, want)
+        assert np.array_equal(weights, np.exp(log_scores - log_scores.max()))
 
     def test_out_of_range_annotations_rejected(self, pool_dataset):
         matrix = pool_dataset.annotations.copy()
@@ -385,7 +383,8 @@ class TestPoolProposals:
         oracle = make_oracle(pool_dataset, weight_mode=weight_mode)
         context = [pool_dataset.pool_concepts[4].concept]
         score = subset_scorer(pool_dataset, oracle, np.arange(30))
-        eligible, probs, _ = oracle.partial_posterior_weights(context, score)
+        eligible, weights, _ = oracle.partial_posterior_weights(context, score)
+        probs = weights / weights.sum()
         if weight_mode == "uniform":
             probs = np.full(9, 1.0 / 9)
         # m past the 9 eligible concepts still gives m tries
@@ -403,7 +402,8 @@ class TestPoolProposals:
         for weight_mode in ("exact", "uniform"):
             oracle = make_oracle(pool_dataset, weight_mode=weight_mode)
             score = subset_scorer(pool_dataset, oracle, np.arange(30))
-            eligible, probs, _ = oracle.partial_posterior_weights(context, score)
+            eligible, weights, _ = oracle.partial_posterior_weights(context, score)
+            probs = weights / weights.sum()
             if weight_mode == "uniform":
                 probs = np.full(9, 1.0 / 9)
             for i, q in zip(eligible, probs):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from types import SimpleNamespace
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.config import load
 from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
-from ccbm.model import log_marginal_likelihoods
+from ccbm.model import log_marginal_likelihoods, logsumexp
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
                          OracleProposal, PoolConcept, PoolOracle)
 import ccbm.sampler as sampler
 from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, _MarginalCache,
-                          _multi_try_weights, draw_subset,
+                          _multi_try_weights, draw_subset, multi_try_log_alpha,
                           gibbs_data_from_oracle, greedy_warm_start_update,
                           load_checkpoint, multi_ss_mh_update, run_gibbs,
                           save_checkpoint)
@@ -321,6 +322,21 @@ class TestRunGibbs:
         assert chain_log_rng_states(ckpt_a) == chain_log_rng_states(ckpt_b)
         assert a.update_log == b.update_log
 
+    def test_outcome_tells_moves_from_stays_and_rejections(self, pool_dataset):
+        # M=3 of 9 eligible: every outcome occurs
+        trace = pool_chain(pool_dataset, "exact", "multi_try",
+                           dict(k=2, t_epochs=10, m_candidates=3, seed=2, keep_last=2))
+        before = [ConceptSet([pool_dataset.pool_concepts[i].concept for i in (5, 7)]),
+                  *(s.concept_set for s in trace.samples)]
+        outcomes = []
+        for prev, sample, line in zip(before, trace.samples, trace.update_log):
+            moved = sample.concept_set.concepts != prev.concepts
+            expected = ("move" if moved else "stay" if sample.accepted or
+                        sample.phase == "warm_start" else "reject")
+            assert line["outcome"] == expected
+            outcomes.append(expected)
+        assert set(outcomes[2:]) == {"move", "stay", "reject"}
+
     def test_no_duplicate_concepts_in_any_state(self, pool_dataset):
         trace = pool_chain(pool_dataset, "uniform", "multi_try",
                            dict(k=2, t_epochs=10, m_candidates=3, seed=1, keep_last=2))
@@ -612,6 +628,73 @@ class TestDetailedBalance:
                              + pi[b.id]**2 * p_ba * (1 - p_ba) / trials)
                 assert abs(flow_ab - flow_ba) <= 3 * se + 1e-12, \
                     f"flow {flow_ab:.5f} vs {flow_ba:.5f}, se {se:.5f}"
+
+
+def enumerated_kernel(context, slot, support, q, subset, m, on_subset, marginals):
+    """K_S[a, b], a != b, of the multiple-try update of slot with the other
+    slots held at context, for fixed rows S: every M-tuple of tries from the
+    support with probability prod q, the pick law w_j / sum_i w_i of the
+    update's own weights, and its own acceptance probability. A chosen
+    incumbent stays, so the diagonal is left 0."""
+    kernel = np.zeros((len(support), len(support)))
+    for a, incumbent in enumerate(support):
+        state = ConceptSet([*context[:slot], incumbent, *context[slot:]])
+        for tries in itertools.product(range(len(support)), repeat=m):
+            tries = list(tries)
+            proposal = OracleProposal([support[i] for i in tries], q[tries], q[a], on_subset)
+            log_ws, _, log_w0 = _multi_try_weights(state, slot, subset, proposal, marginals)
+            pick = np.exp(log_ws - logsumexp(log_ws)) * np.prod(q[tries])
+            for j, b in enumerate(tries):
+                if b != a:
+                    kernel[a, b] += pick[j] * np.exp(
+                        multi_try_log_alpha(proposal, log_ws, log_w0, j))
+    return kernel
+
+
+class TestExactDetailedBalance:
+    """pi(a) K_S(a, b) = pi(b) K_S(b, a) to 1e-12 of the largest flow, for
+    each of a few fixed subsets S, with K_S enumerated (enumerated_kernel):
+    no sampling, no seed, no standard errors. On TestDetailedBalance's k=1,
+    4-concept pool (6 subsets) and on criterion 2's k=2, 10-concept testbed
+    (2 contexts, one subset each; slot 0 or 1 over the 9 concepts outside
+    the context)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("weight_mode", ["exact", "uniform"])
+    @pytest.mark.parametrize("testbed", ["k1-pool", "criterion-2"])
+    def test_flows_balance_exactly(self, testbed, weight_mode, m):
+        if testbed == "k1-pool":
+            data = make_pool_dataset(n=30, pool_size=4, coefficients=(2.0,),
+                                     true_support=(0,), seed=4)
+            cases, k, n_subsets = [((), 0)], 1, 6
+        else:
+            data = make_pool_dataset()
+            cases, k, n_subsets = [((0,), 1), ((5,), 0)], 2, 1
+        oracle = make_oracle(data, weight_mode=weight_mode)
+        gibbs = gibbs_data_from_oracle(data.observations, data.labels, oracle)
+        marginals = _MarginalCache(gibbs, 1.0)
+        concepts = [pc.concept for pc in data.pool_concepts]
+        posterior = enumerate_posterior(concepts, k, data.labels, data.annotations, gamma=1.0)
+        rng = np.random.default_rng(17)
+        for context_indices, slot in cases:
+            context = [concepts[i] for i in context_indices]
+            support = [c for c in concepts if c not in context]
+            pi = np.array([posterior[frozenset(c.id for c in [*context, s])]
+                           for s in support])
+            for _ in range(n_subsets):
+                subset = draw_subset(gibbs.n, 0.5, rng)
+                if weight_mode == "exact":
+                    _, weights, _ = oracle.partial_posterior_weights(
+                        context, lambda sets: marginals.subset(sets, subset))
+                    q = weights / weights.sum()
+                else:
+                    q = np.full(len(support), 1.0 / len(support))
+                kernel = enumerated_kernel(context, slot, support, q, subset, m,
+                                           weight_mode == "exact", marginals)
+                flows = pi[:, None] * kernel
+                assert flows.max() > 0
+                gap = np.abs(flows - flows.T).max() / flows.max()
+                assert gap <= 1e-12, f"relative flow gap {gap:.2e}"
 
 
 class TestSamplerConfig:
