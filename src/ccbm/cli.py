@@ -117,8 +117,6 @@ class RunConfig:
                     (raw if key in ("dataset", "output_dir") else raw["sampler"])[key] = value
         cfg = load(RunConfig, raw)
         cfg.given = raw
-        if not Path(cfg.dataset).exists():
-            raise ConfigError(f"dataset file {cfg.dataset} does not exist")
         if isinstance(cfg.oracle, PoolOracleConfig):
             cfg.pool = load_pool(cfg.oracle.pool)
         return cfg
@@ -130,9 +128,21 @@ class RunConfig:
                     keyphrase=self.given.get("keyphrase", {}), truth=self.truth)
 
 
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str):
+    """json.loads of a stripped line, by one raw_decode without json.loads'
+    wrappers; json.loads words a failure."""
+    try:
+        value, end = _DECODE(line)
+    except ValueError:
+        end = None
+    return value if end == len(line) else json.loads(line)
+
+
 def load_dataset(path: Path, require_labels: bool = True):
     observations: list[Observation] = []
-    labels: list[Optional[int]] = []
     try:
         lines = Path(path).read_text().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
@@ -142,7 +152,7 @@ def load_dataset(path: Path, require_labels: bool = True):
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec = _parse_line(line)
             obs = Observation(id=str(rec["id"]), payload=rec["text"],
                               label=rec.get("label"))
             if not isinstance(obs.payload, str):
@@ -152,13 +162,12 @@ def load_dataset(path: Path, require_labels: bool = True):
         if require_labels and obs.label not in (0, 1):
             raise ConfigError(f"{path}:{lineno}: label must be 0 or 1")
         observations.append(obs)
-        labels.append(obs.label)
     if not observations:
         raise ConfigError(f"dataset {path} is empty")
     ids = [o.id for o in observations]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"dataset {path} contains duplicate observation ids")
-    y = np.array([l if l is not None else -1 for l in labels])
+    y = np.array([o.label if o.label is not None else -1 for o in observations])
     return observations, y
 
 
@@ -176,7 +185,8 @@ def load_pool(spec) -> list[PoolConcept]:
     return pool
 
 
-def build_oracle(cfg: RunConfig, observations, cache: AnnotationCache) -> ConceptOracle:
+def build_oracle(cfg: RunConfig, observations,
+                 cache: Optional[AnnotationCache]) -> ConceptOracle:
     """The configured oracle, over cfg's pool on a pool run; a corrupt bag
     cache raises ConfigError."""
     if isinstance(cfg.oracle, PoolOracleConfig):
@@ -308,6 +318,8 @@ def cmd_run(args) -> int:
         "dataset": args.dataset, "output_dir": args.output_dir,
     }
     cfg = RunConfig.load(args.config, overrides)
+    if not Path(cfg.dataset).exists():
+        raise ConfigError(f"dataset file {cfg.dataset} does not exist")
     if isinstance(cfg.oracle, PoolOracleConfig) and cfg.sampler.k > len(cfg.pool):
         raise ConfigError(f"sampler.k {cfg.sampler.k} is more than the "
                           f"{len(cfg.pool)} concepts of oracle.pool")
@@ -509,21 +521,20 @@ def _annotate_rows(oracle, observations, concepts) -> tuple[np.ndarray, dict[int
     return values, errors
 
 
-def _scoring_oracle(cfg: RunConfig, run_dir: Path, observations) -> ConceptOracle:
-    """The oracle predict and eval annotate through. A pool answer is a pure
-    function of the keyword and the text, cheaper to recompute than to read
-    back, so a pool run's oracle gets an empty in-memory cache and the run's
-    annotation log is neither read nor extended. An LLM run's answers cost
-    calls, so its oracle reads and extends the log."""
-    if isinstance(cfg.oracle, PoolOracleConfig):
-        return build_oracle(cfg, observations, AnnotationCache())
-    return build_oracle(cfg, observations, _open_cache(run_dir))
+def _scoring_oracle(cfg: RunConfig, run_dir: Path) -> ConceptOracle:
+    """The oracle predict and eval annotate through. A pool value is a pure
+    function of the keyword and the text, so a pool run's oracle has no
+    training rows and no cache: every row is scored on its own text, and
+    neither the training set nor the run's annotation log is read. An LLM
+    run's answers cost calls, so its oracle reads and extends the log."""
+    pool = isinstance(cfg.oracle, PoolOracleConfig)
+    return build_oracle(cfg, [], None if pool else _open_cache(run_dir))
 
 
 def _check_training_ids(observations, train_obs):
-    """A training row's annotations are looked up by its id (in the pool
-    oracle's training matrix or the LLM cache), so an input row that reuses a
-    training id with other text would be scored on the training row's values."""
+    """An LLM run's cached answers are looked up by observation id, so an input
+    row that reuses a training id with other text would be scored on the
+    training row's answers. A pool run scores each row on its own text."""
     train_text = {o.id: o.payload for o in train_obs}
     for obs in observations:
         if train_text.get(obs.id, obs.payload) != obs.payload:
@@ -535,9 +546,9 @@ def cmd_predict(args) -> int:
     run_dir = Path(args.run)
     cfg, samples = _load_run(run_dir)
     observations, _ = load_dataset(Path(args.input), require_labels=False)
-    train_obs, _ = load_dataset(cfg.dataset)
-    _check_training_ids(observations, train_obs)
-    oracle = _scoring_oracle(cfg, run_dir, train_obs)
+    if isinstance(cfg.oracle, LLMOracleConfig):
+        _check_training_ids(observations, load_dataset(cfg.dataset)[0])
+    oracle = _scoring_oracle(cfg, run_dir)
 
     concepts = list({c.id: c for s in samples for c in s.concept_set}.values())
     column = {c.id: j for j, c in enumerate(concepts)}
@@ -547,11 +558,12 @@ def cmd_predict(args) -> int:
     probs, ensemble = _record_probabilities(records, record_of,
                                             stack_designs(values, set_columns))
 
-    # Lines are written one at a time. Each value of a row is encoded once, as
-    # its repr, which is how json.dumps writes a finite float (oracle values lie
-    # in [0, 1]); each (row, concept set) part of a record is encoded once, and
-    # each record's sample indices once for all rows. The bytes equal json.dumps
-    # of the whole row.
+    # Lines are written one at a time. All of a line after its id depends only
+    # on the row's values, so it is encoded once per distinct values row (an
+    # error row's zeros are not its values). Each value is encoded as its repr,
+    # which is how json.dumps writes a finite float (oracle values lie in
+    # [0, 1]), and each record's sample indices once for all rows. The bytes
+    # equal json.dumps of the whole row.
     heads = ['{"concepts": ' + json.dumps([c.question for c in cs]) + ', "values": ['
              for cs in sets]
     record_set = [g for g, _ in records]
@@ -559,19 +571,22 @@ def cmd_predict(args) -> int:
     for i, u in enumerate(record_of):
         uses[u].append(i)
     tails = [', "samples": ' + json.dumps(used) + "}" for used in uses]
+    bodies: dict[bytes, str] = {}
     with _open_output(args.output) as fh:
-        for i, (obs, row, row_probs) in enumerate(zip(observations, values.tolist(),
-                                                      probs.tolist())):
+        for i, obs in enumerate(observations):
             if i in errors:
                 fh.write(json.dumps({"id": obs.id, "error": errors[i]}) + "\n")
                 continue
-            cells = list(map(repr, row))
-            prefixes = [head + ", ".join([cells[j] for j in cols]) + '], "probability": '
-                        for head, cols in zip(heads, set_columns)]
-            encoded = ", ".join([prefixes[g] + repr(p) + tail
-                                 for g, p, tail in zip(record_set, row_probs, tails)])
-            fh.write(f'{{"id": {json.dumps(obs.id)}, "probability": {float(ensemble[i])!r}, '
-                     f'"version": {PREDICTIONS_VERSION}, "records": [{encoded}]}}\n')
+            key = values[i].tobytes()
+            if key not in bodies:
+                cells = list(map(repr, values[i].tolist()))
+                prefixes = [head + ", ".join([cells[j] for j in cols]) + '], "probability": '
+                            for head, cols in zip(heads, set_columns)]
+                encoded = ", ".join([prefixes[g] + repr(p) + tail for g, p, tail
+                                     in zip(record_set, probs[i].tolist(), tails)])
+                bodies[key] = (f'{float(ensemble[i])!r}, "version": {PREDICTIONS_VERSION}, '
+                               f'"records": [{encoded}]}}\n')
+            fh.write(f'{{"id": {json.dumps(obs.id)}, "probability": {bodies[key]}')
     return EXIT_OK
 
 
@@ -579,7 +594,7 @@ def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     cfg, samples = _load_run(run_dir)
     observations, labels = load_dataset(cfg.dataset)
-    oracle = _scoring_oracle(cfg, run_dir, observations)
+    oracle = _scoring_oracle(cfg, run_dir)
     truth = (_truth_concepts(load(list[str], _read_json(args.truth, "truth file"),
                                   f"truth file {args.truth}", {"nonempty": True}), oracle)
              if args.truth else None)
@@ -675,8 +690,7 @@ def cmd_enumerate(args) -> int:
 def cmd_extract_keyphrases(args) -> int:
     cfg = RunConfig.load(args.config)
     observations, _ = load_dataset(Path(args.input or cfg.dataset), require_labels=False)
-    cache = AnnotationCache()
-    oracle = build_oracle(cfg, observations, cache)
+    oracle = build_oracle(cfg, observations, None)
     bags = oracle.extract_keyphrases(observations)
     with _open_output(args.output) as fh:
         for bag in bags:

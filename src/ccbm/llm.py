@@ -26,10 +26,9 @@ import numpy as np
 
 from .concepts import Concept, ConceptSet
 from .config import check_fields, setting
-from .oracle import (AnnotationCache, AnnotationError, ConceptOracle,
-                     InitializationError, KeyphraseBag, Observation, OracleError,
-                     OracleProposal, ProposalError, Scorer, append_lines,
-                     cached_table, fresh_pairs, normalize_phrase, read_log)
+from .oracle import (AnnotationCache, ConceptOracle, InitializationError, KeyphraseBag,
+                     Observation, OracleError, OracleProposal, ProposalError, Scorer,
+                     append_lines, cached_table, fresh_pairs, normalize_phrase, read_log)
 
 WEIGHT_FLOOR = 1e-3  # floor for proposal weights, as a fraction of the listed candidates' mass
 # how every line of the keyphrase bag log begins
@@ -88,6 +87,23 @@ def _list_field(body: dict, name: str) -> list:
     return value if isinstance(value, list) else []
 
 
+def _required_list(body: dict, name: str) -> list:
+    """The answer's field name, which must be a list: else ValueError."""
+    value = body.get(name)
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list under {name!r}, got {value!r}")
+    return value
+
+
+def _answers(body: dict, n: int) -> list[float]:
+    """The n numbers of an annotation answer; another count, an entry that is
+    not a number, or a NaN raises ValueError or TypeError."""
+    values = [float(a) for a in _required_list(body, "answers")]
+    if len(values) != n or any(v != v for v in values):
+        raise ValueError(f"expected {n} numbers as answers, got {body['answers']!r}")
+    return values
+
+
 class ChatClient:
     """Minimal chat-completions client with retry/backoff.
 
@@ -129,9 +145,10 @@ class ChatClient:
         return headers
 
     def complete_json(self, prompt: str, temperature: float,
-                      list_field: Optional[str] = None) -> dict:
-        """One prompt -> parsed JSON object, with retries. When list_field is
-        given, an answer whose list_field is not a list is a parse failure."""
+                      parse: Callable[[dict], object] = lambda answer: answer):
+        """One prompt -> parse of the JSON object answered, with retries. An
+        answer that parse rejects (KeyError, TypeError, ValueError) is a parse
+        failure."""
         payload = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -149,11 +166,7 @@ class ChatClient:
                 with self._count_lock:
                     self.call_count += 1
                 body = self.post_fn(self.config.endpoint, self._headers(), payload)
-                answer = parse_json_content(body["choices"][0]["message"]["content"])
-                if list_field is not None and not isinstance(answer.get(list_field), list):
-                    raise ValueError(f"expected a list under {list_field!r}, "
-                                     f"got {answer.get(list_field)!r}")
-                return answer
+                return parse(parse_json_content(body["choices"][0]["message"]["content"]))
             except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
         raise OracleError(
@@ -227,10 +240,11 @@ class LLMOracle(ConceptOracle):
             prompt = self._template("extract_keyphrases").format(note=obs.payload)
             # an answer without a keyphrase list is retried, never cached as
             # an empty bag; {"keyphrases": []} is an answer
-            body = self.client.complete_json(prompt, self.config.annotate_temperature,
-                                             list_field="keyphrases")
+            entries = self.client.complete_json(
+                prompt, self.config.annotate_temperature,
+                parse=lambda body: _required_list(body, "keyphrases"))
             phrases = []
-            for entry in body["keyphrases"]:
+            for entry in entries:
                 if isinstance(entry, dict):
                     phrases += [entry.get("descriptor"), *_list_field(entry, "synonyms")]
                 else:
@@ -303,20 +317,14 @@ class LLMOracle(ConceptOracle):
 
     def _annotate_one(self, obs: Observation,
                       concepts: Sequence[Concept]) -> Optional[list[float]]:
-        """The observation's answers, or None after a failed call."""
+        """The observation's answers, or None after a failed call. An answer
+        that is not one number per concept, or holds a NaN, is asked again."""
         questions = "\n".join(f"{i + 1}. {c.question}" for i, c in enumerate(concepts))
         prompt = self._template("annotate").format(questions=questions, note=obs.payload)
         try:
-            body = self.client.complete_json(prompt, self.config.annotate_temperature)
-            answers = body["answers"]
-            if not isinstance(answers, list) or len(answers) != len(concepts):
-                raise AnnotationError(
-                    f"expected {len(concepts)} answers, got {answers!r}")
-            values = [float(a) for a in answers]
-            if any(v != v for v in values):
-                raise ValueError("NaN answer")
-            return values
-        except (OracleError, AnnotationError, KeyError, TypeError, ValueError):
+            return self.client.complete_json(prompt, self.config.annotate_temperature,
+                                             parse=lambda body: _answers(body, len(concepts)))
+        except OracleError:
             with self._lock:
                 self.imputed_values += len(concepts)
             return None

@@ -339,7 +339,7 @@ class PoolOracle(ConceptOracle):
         self.pool = list(pool)
         self.observations = list(observations)
         self.weight_mode = weight_mode
-        self.cache = cache if cache is not None else AnnotationCache()
+        self.cache = cache
         self._by_id = {pc.concept.id: i for i, pc in enumerate(self.pool)}
         self._obs_row = {obs.id: i for i, obs in enumerate(self.observations)}
         # a word-run keyword's lowercase form, any other keyword's own pattern:
@@ -376,36 +376,42 @@ class PoolOracle(ConceptOracle):
         return [1.0 if (m in words if isinstance(m, str) else m.search(text)) else 0.0
                 for m in map(self._matchers.__getitem__, pool_indices)]
 
-    def _values(self, obs: Observation, pool_indices: Sequence[int]) -> list[float]:
-        """The given pool concepts' values for one observation: its row of the
-        training matrix, or else keyword matches on its text."""
-        row = self._obs_row.get(obs.id)
-        if row is not None:
-            return self.matrix[row, list(pool_indices)].tolist()
-        return self._keyword_values(obs.payload, pool_indices)
+    def _table(self, observations: Sequence[Observation], concepts: Sequence[Concept],
+               cols: Sequence[int]) -> np.ndarray:
+        """The (n, len(cols)) values of concepts[cols]: a training row's from
+        the matrix, any other row's from keyword matches on its text. A
+        concept outside the pool raises AnnotationError."""
+        pool_index = [self._by_id.get(concepts[j].id) for j in cols]
+        if None in pool_index:
+            raise AnnotationError(f"concept {concepts[cols[pool_index.index(None)]].question!r}"
+                                  " is not in the pool")
+        train = [self._obs_row.get(obs.id) for obs in observations]
+        other = [r for r, row in enumerate(train) if row is None]
+        table = np.empty((len(observations), len(pool_index)))
+        if len(other) < len(train):
+            on_train = [r for r, row in enumerate(train) if row is not None]
+            table[on_train] = self.matrix[np.ix_([train[r] for r in on_train], pool_index)]
+        if other:
+            table[other] = [self._keyword_values(observations[r].payload, pool_index)
+                            for r in other]
+        return table
 
     def annotate(self, observations: Sequence[Observation],
                  concepts: Sequence[Concept]) -> np.ndarray:
-        """Cached values; the rest from the training matrix for training rows
-        and from keyword matches on the text for any other row."""
+        """Every value from _table; with a cache, only the cells it lacks,
+        which are then cached."""
+        if self.cache is None:
+            table = self._table(observations, concepts, range(len(concepts)))
+            self.annotation_pairs += table.size
+            return table
         table, missing = cached_table(self.cache, observations, concepts)
         rows, cols = np.nonzero(missing)
         if not rows.size:
             return table
-        pool_index = np.array([self._by_id.get(c.id, -1) for c in concepts], dtype=int)
-        unknown = cols[pool_index[cols] < 0]
-        if unknown.size:
-            raise AnnotationError(
-                f"concept {concepts[unknown.min()].question!r} is not in the pool")
-        train = np.array([self._obs_row.get(obs.id, -1) for obs in observations], dtype=int)
-        on_train = train[rows] >= 0
-        if on_train.any():
-            r, c = rows[on_train], cols[on_train]
-            table[r, c] = self.matrix[train[r], pool_index[c]]
-        for r in np.unique(rows[~on_train]).tolist():
-            lacking = np.flatnonzero(missing[r])
-            table[r, lacking] = self._keyword_values(observations[r].payload,
-                                                     pool_index[lacking].tolist())
+        todo, lacking = np.unique(rows), np.unique(cols)
+        block = np.ix_(todo, lacking)
+        table[block] = np.where(missing[block], self._table(
+            [observations[r] for r in todo.tolist()], concepts, lacking.tolist()), table[block])
         self.cache.put_many(fresh_pairs(observations, concepts, rows.tolist(), cols.tolist()),
                             table[rows, cols].tolist(), "pool")
         self.annotation_pairs += len(rows)
@@ -413,9 +419,9 @@ class PoolOracle(ConceptOracle):
 
     def extract_keyphrases(self, observations: Sequence[Observation]) -> list[KeyphraseBag]:
         keys = [normalize_phrase(pc.keyword) for pc in self.pool]
-        return [KeyphraseBag(obs.id, frozenset(
-                    key for key, v in zip(keys, self._values(obs, range(len(keys)))) if v >= 0.5))
-                for obs in observations]
+        table = self._table(observations, [pc.concept for pc in self.pool], range(len(keys)))
+        return [KeyphraseBag(obs.id, frozenset(key for key, v in zip(keys, row) if v >= 0.5))
+                for obs, row in zip(observations, table.tolist())]
 
     # -- initialization ---------------------------------------------------
 

@@ -2,6 +2,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -536,6 +537,41 @@ class TestRunErrors:
         assert f"{bad}:3: bad dataset record: text must be a string" in err
         assert "Traceback" not in err
         assert not (run_dir / "checkpoints" / "chain.log").exists()
+
+    @pytest.mark.parametrize("lines, error", [
+        (['{"id": "a", "text": "x", "label": 1}', "", '{"id": "b", "text":', "{"],
+         "3: bad dataset record: Expecting value"),
+        (["", '{"id": "a", "text": "x", "label": 1}', "  ", '{"id": "b", "text": "y"}',
+          "{"], "4: label must be 0 or 1"),
+        (["[1", "2], 5"], "1: bad dataset record: Expecting ',' delimiter"),
+        (['{"id": "a", "text": "x", "label": 1, "z": [1',
+          '2]}, {"id": "b", "text": "y", "label": 0}'],
+         "1: bad dataset record: Expecting ',' delimiter")],
+        ids=["after-a-blank-line", "label", "one-array-over-two-lines",
+             "one-record-over-two-lines"])
+    def test_bad_dataset_line_is_named_by_its_number(self, tmp_path, lines, error):
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(f'{path}:{error}')}"):
+            cli.load_dataset(path)
+
+    def test_dataset_with_blank_lines_and_padding(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        path.write_text('\n  {"id": 7, "text": "x", "label": 1}\t\n\n'
+                        '{"id": "b", "text": "y [1", "label": 0}')
+        observations, labels = cli.load_dataset(path)
+        assert [(o.id, o.payload, o.label) for o in observations] == [
+            ("7", "x", 1), ("b", "y [1", 0)]
+        assert labels.tolist() == [1, 0]
+        assert cli.load_dataset(path, require_labels=False)[1].tolist() == [1, 0]
+
+    def test_missing_dataset_makes_no_run_directory(self, workspace, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        missing = tmp_path / "none.ndjson"
+        config = write_config(workspace, run_dir, dataset=str(missing))
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert f"dataset file {missing} does not exist" in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_duplicate_dataset_ids(self, workspace, tmp_path):
         bad = tmp_path / "bad.ndjson"
@@ -1206,9 +1242,10 @@ class TestPredict:
         assert json.loads(got[3]) == {"id": bad_id, "error": f"cannot annotate {bad_id}"}
         assert got[:3] + got[4:] == clean[:3] + clean[4:]
 
-    def test_reused_training_id_with_other_text(self, tmp_path, capsys):
+    def test_reused_training_id_with_other_text(self, tmp_path):
         # the recorded case: after a clinical fit on simulate seed 2, this text
-        # was scored on the training row obs-2-00013's values (0.005, not 0.997)
+        # was once scored on the training row obs-2-00013's values (0.005, not
+        # 0.997); a pool run scores every input row on its own text
         assert cli.main(["simulate", "--out", str(tmp_path / "data"), "--n", "200",
                          "--seed", "2", "--clinical", "--n-decoys", "5"]) == 0
         config = {"dataset": str(tmp_path / "data" / "dataset.ndjson"),
@@ -1222,14 +1259,76 @@ class TestPredict:
         text = "unemployed, retired, alcohol, drugs"
         reused = tmp_path / "reused.ndjson"
         reused.write_text(json.dumps({"id": "obs-2-00013", "text": text}) + "\n")
-        assert cli.main(["predict", "--run", str(tmp_path / "run"), "--input", str(reused),
-                         "--output", str(tmp_path / "o.ndjson")]) == 2
-        assert "obs-2-00013" in capsys.readouterr().err
-        assert not (tmp_path / "o.ndjson").exists()
+        got = json.loads(predict(tmp_path / "run", reused, tmp_path / "o.ndjson"))
         fresh = tmp_path / "fresh.ndjson"
         fresh.write_text(json.dumps({"id": "fresh-1", "text": text}) + "\n")
         rec = json.loads(predict(tmp_path / "run", fresh, tmp_path / "o.ndjson"))
-        assert rec["probability"] > 0.9
+        assert got["probability"] == rec["probability"] > 0.9
+        assert got["records"] == rec["records"]
+
+    def test_llm_run_rejects_a_reused_training_id_with_other_text(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # an LLM run's cached answers are looked up by id
+        code, run_dir = run_with_edited_llm_answers(tmp_path, monkeypatch, lambda answer: answer)
+        assert code == 0
+        first = json.loads((tmp_path / "data" / "dataset.ndjson").read_text().splitlines()[0])
+        reused = tmp_path / "reused.ndjson"
+        reused.write_text(json.dumps({"id": first["id"], "text": first["text"] + " more"})
+                          + "\n")
+        out = tmp_path / "o.ndjson"
+        assert cli.main(["predict", "--run", str(run_dir), "--input", str(reused),
+                         "--output", str(out)]) == 2
+        assert f"input observation {first['id']!r} reuses a training id" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # the same id with the training text is scored
+        reused.write_text(json.dumps({"id": first["id"], "text": first["text"]}) + "\n")
+        assert "error" not in json.loads(predict(run_dir, reused, out))
+
+    def test_pool_predict_never_reads_the_training_set(self, workspace, finished_run,
+                                                       tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(finished_run, run_dir)
+        dataset = tmp_path / "train.ndjson"
+        shutil.copy(workspace / "data" / "dataset.ndjson", dataset)
+        snapshot = run_dir / "config.snapshot"
+        snapshot.write_text(json.dumps(dict(json.loads(snapshot.read_text()),
+                                            dataset=str(dataset)), indent=2))
+        inputs = unseen_rows(workspace)
+        before = predict(run_dir, inputs, tmp_path / "before.ndjson")
+        dataset.rename(tmp_path / "moved.ndjson")
+        assert predict(run_dir, inputs, tmp_path / "after.ndjson") == before
+        assert before == predict(finished_run, inputs, tmp_path / "main.ndjson")
+        # eval scores the training set, so it still reads it
+        assert cli.main(["eval", "--run", str(run_dir)]) == 2
+        assert f"cannot read dataset {dataset}" in capsys.readouterr().err
+
+    def test_rows_with_one_text_share_their_line_but_not_an_error(
+            self, workspace, many_sets_run, tmp_path, monkeypatch):
+        # two ids with one text and a failing row between them, after a row
+        # whose values are the zeros a failing row keeps
+        rows = [json.loads(line) for line in unseen_rows(workspace).read_text().splitlines()]
+        rows = [{"id": "no-keyword", "text": "Nothing to note."}] + rows
+        twin = dict(rows[2], id="twin")
+        bad_id = rows[3]["id"]
+        inputs = tmp_path / "twins.ndjson"
+        inputs.write_text("".join(json.dumps(r) + "\n" for r in rows[:4] + [twin] + rows[4:]))
+        original = PoolOracle.annotate
+
+        def failing(self, observations, concepts):
+            if any(o.id == bad_id for o in observations):
+                raise OracleError(f"cannot annotate {bad_id}")
+            return original(self, observations, concepts)
+
+        monkeypatch.setattr(PoolOracle, "annotate", failing)
+        got = predict(many_sets_run, inputs, tmp_path / "p.ndjson")
+        assert got == reference_predictions(many_sets_run, inputs)
+        lines = [json.loads(line) for line in got.splitlines()]
+        assert all(v == 0.0 for r in lines[0]["records"] for v in r["values"])
+        assert lines[3] == {"id": bad_id, "error": f"cannot annotate {bad_id}"}
+        assert lines[2]["id"] == rows[2]["id"] and lines[4]["id"] == "twin"
+        assert {k: v for k, v in lines[2].items() if k != "id"} == \
+            {k: v for k, v in lines[4].items() if k != "id"}
 
     def test_an_id_reused_across_inputs_is_scored_on_its_own_text(self, finished_run,
                                                                  tmp_path):

@@ -72,8 +72,7 @@ LLM_SNAPSHOT = """{
 
 @pytest.mark.parametrize("text", [POOL_SNAPSHOT, LLM_SNAPSHOT], ids=["pool", "llm"])
 def test_a_snapshot_loads_and_gives_itself_back(tmp_path, text):
-    # the files a config names must exist: RunConfig.load checks the dataset
-    # and reads a pool oracle's pool
+    # RunConfig.load reads a pool oracle's pool, which must exist
     dataset = tmp_path / "dataset.ndjson"
     dataset.write_text('{"id": "a", "text": "x", "label": 1}\n')
     pool = tmp_path / "pool.json"

@@ -641,10 +641,25 @@ class TestAnnotate:
             assert c.question in prompts[0]
 
     def test_failure_imputes_half_and_flags(self):
-        oracle, post, _ = make_oracle([chat_body({"answers": [1]})])  # wrong length
+        # a wrong-length answer at every attempt
+        oracle, post, _ = make_oracle([chat_body({"answers": [1]})] * 3)
         table = oracle.annotate([Observation("o1", "note")], self.concepts)
         assert table.tolist() == [[0.5, 0.5]]
         assert oracle.imputed_values == 2
+        assert len(post.requests) == 3 and oracle.client.retry_count == 2
+
+    @pytest.mark.parametrize("bad", [[1], [1, 0, 1], [float("nan"), 1], "1, 0", None],
+                             ids=["short", "long", "nan", "string", "none"])
+    def test_a_malformed_answer_is_asked_again(self, tmp_path, bad):
+        log = tmp_path / "annotations.ndjson"
+        oracle, post, _ = make_oracle([chat_body({"answers": bad}),
+                                       chat_body({"answers": [0.25, 1]})],
+                                      cache=AnnotationCache(log))
+        table = oracle.annotate([Observation("o1", "note")], self.concepts)
+        assert table.tolist() == [[0.25, 1.0]]
+        assert len(post.requests) == 2 and oracle.imputed_values == 0
+        assert AnnotationCache(log).get_many([("o1", c.id) for c in self.concepts]) == \
+            [0.25, 1.0]
 
     def test_transport_failure_imputes_after_retries(self):
         oracle, post, sleeps = make_oracle([requests.ConnectionError("down")] * 3)
@@ -720,10 +735,12 @@ class TestAnnotationTable:
             [None] * 3
 
     def test_nan_answer_is_imputed_not_cached(self):
-        oracle, _, _ = make_oracle([chat_body({"answers": [float("nan"), 1]})])
+        # a NaN at every attempt
+        oracle, post, _ = make_oracle([chat_body({"answers": [float("nan"), 1]})] * 3)
         table = oracle.annotate([Observation("o1", "note")], self.concepts[:2])
         assert table.tolist() == [[0.5, 0.5]]
         assert oracle.imputed_values == 2 and len(oracle.cache) == 0
+        assert len(post.requests) == 3
 
 
 class TestLLMCounts:

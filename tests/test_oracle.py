@@ -267,6 +267,22 @@ class TestPoolAnnotationTable:
         n = len(pool_dataset.observations) + len(rows)
         assert searches == Counter({kw: n for kw in extra})
 
+    def test_without_a_cache(self, pool_dataset):
+        """Without a cache every value is computed, as the cached path
+        computes the cells it lacks, and an unknown concept always raises."""
+        oracle = PoolOracle(pool_dataset.pool_concepts, pool_dataset.observations,
+                            annotation_matrix=pool_dataset.annotations)
+        assert oracle.cache is None
+        concepts = [pool_dataset.pool_concepts[j].concept for j in (7, 2, 5, 0)]
+        rows = pool_dataset.observations[10:30] + self.unseen() + pool_dataset.observations[:3]
+        table = oracle.annotate(rows, concepts)
+        assert np.array_equal(table, self.reference(pool_dataset, rows, concepts))
+        assert np.array_equal(table, make_oracle(pool_dataset).annotate(rows, concepts))
+        assert oracle.annotation_pairs == table.size
+        alien = Concept("Is this concept from outer space?")
+        with pytest.raises(AnnotationError, match="outer space"):
+            oracle.annotate(rows[:2], [concepts[0], alien])
+
     def test_partly_cached_rows(self, pool_dataset):
         oracle = make_oracle(pool_dataset)
         concepts = [pool_dataset.pool_concepts[j].concept for j in (1, 4, 9)]
