@@ -381,7 +381,6 @@ def cmd_run(args) -> int:
                 # this invocation's LLM work; null for the pool oracle
                 "llm_calls": llm.client.call_count if llm else None,
                 "llm_retries": llm.client.retry_count if llm else None,
-                "imputed_values": llm.imputed_values if llm else None,
                 "cost_accounting": {
                     "n": len(observations),
                     "k": cfg.sampler.k,

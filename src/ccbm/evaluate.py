@@ -81,18 +81,6 @@ def _match_corr(a: Concept, b: Concept, rule: ConceptMatchRule,
     return abs(float(np.corrcoef(col_a, col_b)[0, 1]))
 
 
-def concepts_match(a: Concept, b: Concept, rule: ConceptMatchRule,
-                   annotations: Mapping[str, np.ndarray]) -> bool:
-    """True iff the two concepts' annotation columns correlate past the cutoff.
-
-    Constant columns never match anything (their correlation is undefined).
-    Raises InconclusiveMatchError when the shared panel is too small, which is
-    deliberately distinct from returning False.
-    """
-    corr = _match_corr(a, b, rule, annotations)
-    return corr is not None and corr > rule.threshold
-
-
 @dataclass
 class RecoveryReport:
     concept_precision: float
@@ -172,12 +160,6 @@ def recovery_report(samples: Sequence[ConceptSet], truth: ConceptSet,
         borderline_pairs=borderline,
         warnings=warnings,
     )
-
-
-def tv_distance(p: Mapping, q: Mapping) -> float:
-    """Total variation distance between two distributions over hashable states."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def enumerate_posterior(pool: Sequence[Concept], k: int, y: np.ndarray,

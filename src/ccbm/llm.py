@@ -15,7 +15,6 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
@@ -26,8 +25,8 @@ import numpy as np
 
 from .concepts import Concept, ConceptSet
 from .config import check_fields, setting
-from .oracle import (AnnotationCache, ConceptOracle, InitializationError, KeyphraseBag,
-                     Observation, OracleError, OracleProposal, ProposalError, Scorer,
+from .oracle import (AnnotationCache, AnnotationError, ConceptOracle, InitializationError,
+                     KeyphraseBag, Observation, OracleError, OracleProposal, ProposalError, Scorer,
                      append_lines, cached_table, fresh_pairs, normalize_phrase, read_log)
 
 WEIGHT_FLOOR = 1e-3  # floor for proposal weights, as a fraction of the listed candidates' mass
@@ -102,6 +101,43 @@ def _answers(body: dict, n: int) -> list[float]:
     if len(values) != n or any(v != v for v in values):
         raise ValueError(f"expected {n} numbers as answers, got {body['answers']!r}")
     return values
+
+
+def _fan_out(fn: Callable, items: Sequence, max_in_flight: int) -> list:
+    """[fn(item) for item in items] on min(max_in_flight, len(items)) loops, the
+    calling thread one of them, each taking the next index from a shared
+    iterator. As with ThreadPoolExecutor.map, every item runs and results keep
+    input order; the lowest-index exception is raised once every loop joined."""
+    results: list = [None] * len(items)
+    errors: dict[int, Exception] = {}
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def loop():
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:  # raised by the caller, after the join
+                errors[i] = exc
+
+    threads = [threading.Thread(target=loop, daemon=True)
+               for _ in range(min(max_in_flight, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        loop()
+    finally:
+        with lock:  # if the caller was interrupted, no loop starts another item
+            indices = iter(())
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class ChatClient:
@@ -194,8 +230,6 @@ class LLMOracle(ConceptOracle):
         self.client = client if client is not None else ChatClient(config)
         self.summary_provider = summary_provider
         self.annotation_pairs = 0
-        self.imputed_values = 0  # counted under _lock: worker threads impute
-        self._lock = threading.Lock()
         self._templates: dict[str, str] = {}  # prompt template text by name, read once
         self._bag_cache_path = Path(bag_cache_path) if bag_cache_path else None
         self._bag_cache: dict[str, list[str]] = {}
@@ -258,10 +292,9 @@ class LLMOracle(ConceptOracle):
     def extract_keyphrases(self, observations: Sequence[Observation]) -> list[KeyphraseBag]:
         known = len(self._bag_cache)
         try:
-            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                results = list(pool.map(self._extract_one, observations))
+            results = _fan_out(self._extract_one, observations, self.config.max_in_flight)
         finally:
-            # one append per call, after the workers are done, so what they
+            # one append per call, after the loops are done, so what they
             # extracted before a failure is kept; lines go in input order
             if self._bag_cache_path is not None and len(self._bag_cache) > known:
                 fresh = set(islice(self._bag_cache, known, None))
@@ -316,45 +349,42 @@ class LLMOracle(ConceptOracle):
     # -- annotation -------------------------------------------------------
 
     def _annotate_one(self, obs: Observation,
-                      concepts: Sequence[Concept]) -> Optional[list[float]]:
-        """The observation's answers, or None after a failed call. An answer
-        that is not one number per concept, or holds a NaN, is asked again."""
+                      concepts: Sequence[Concept]) -> list[float] | OracleError:
+        """The observation's answers, or the error of a call still failing after
+        its retries; an answer with a NaN or the wrong count of numbers is retried."""
         questions = "\n".join(f"{i + 1}. {c.question}" for i, c in enumerate(concepts))
         prompt = self._template("annotate").format(questions=questions, note=obs.payload)
         try:
             return self.client.complete_json(prompt, self.config.annotate_temperature,
                                              parse=lambda body: _answers(body, len(concepts)))
-        except OracleError:
-            with self._lock:
-                self.imputed_values += len(concepts)
-            return None
+        except OracleError as exc:
+            return exc
 
     def annotate(self, observations: Sequence[Observation],
                  concepts: Sequence[Concept]) -> np.ndarray:
         """Cached values; for the rest, one call per observation asking only
-        for its uncached concepts. Answers are clamped to [0, 1] and cached."""
+        for its uncached concepts. Answers are clamped to [0, 1] and cached.
+        A failed call is missing data, never a value: once every answer is
+        cached, AnnotationError names the first row left unanswered."""
         table, missing = cached_table(self.cache, observations, concepts)
-        todo = [(r, np.flatnonzero(missing[r]).tolist())
-                for r in np.flatnonzero(missing.any(axis=1)).tolist()]
-        if not todo:
-            return table
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            answers = list(pool.map(
-                lambda job: self._annotate_one(observations[job[0]],
-                                               [concepts[j] for j in job[1]]), todo))
+        todo = [(r, [j for j, lacks in enumerate(row) if lacks])
+                for r, row in enumerate(missing.tolist()) if any(row)]
+        answers = _fan_out(lambda job: self._annotate_one(
+            observations[job[0]], [concepts[j] for j in job[1]]), todo, self.config.max_in_flight)
         rows, cols, values = [], [], []
+        failed = [(r, got) for (r, _), got in zip(todo, answers) if isinstance(got, OracleError)]
         for (r, lacking), got in zip(todo, answers):
-            # never drop an observation: a failed call imputes 0.5 for this
-            # call only and is not cached, so a later call asks again
-            if got is None:
-                table[r, lacking] = 0.5
-                continue
-            table[r, lacking] = np.clip(got, 0.0, 1.0)
-            rows += [r] * len(lacking)
-            cols += lacking
-            values += got
+            if not isinstance(got, OracleError):
+                rows += [r] * len(lacking)
+                cols += lacking
+                values += got
+        table[rows, cols] = np.clip(values, 0.0, 1.0)
         self.cache.put_many(fresh_pairs(observations, concepts, rows, cols), values, "llm")
-        self.annotation_pairs += int(missing.sum())
+        self.annotation_pairs += len(values)
+        if failed:
+            r, exc = failed[0]
+            raise AnnotationError(f"no answer for {len(failed)} of {len(todo)} observations, "
+                                  f"first {observations[r].id!r}: {exc}") from exc
         return table
 
 

@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class AnnotationError(OracleError):
     pass
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):  # cheaper to build than a frozen dataclass
     """One data point: stable id, opaque payload, optional binary label."""
 
     id: str

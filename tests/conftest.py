@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ccbm.concepts import Concept, ConceptSet
+from ccbm.evaluate import _match_corr
 from ccbm.oracle import AnnotationCache, PoolConcept, PoolOracle
 from ccbm.synthetic import SyntheticSpec, generate_synthetic
 
@@ -22,6 +23,23 @@ def make_pool_dataset(n=60, pool_size=10, coefficients=(2.5, -2.5), seed=11,
 def pool_dataset():
     """10-feature testbed with a concentrated 2-concept posterior."""
     return make_pool_dataset()
+
+
+def concepts_match(a, b, rule, annotations) -> bool:
+    """True iff the two concepts' annotation columns correlate past the cutoff.
+
+    Constant columns never match anything (their correlation is undefined).
+    Raises InconclusiveMatchError when the shared panel is too small, which is
+    deliberately distinct from returning False.
+    """
+    corr = _match_corr(a, b, rule, annotations)
+    return corr is not None and corr > rule.threshold
+
+
+def tv_distance(p, q) -> float:
+    """Total variation distance between two distributions over hashable states."""
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def make_oracle(data, weight_mode="exact"):

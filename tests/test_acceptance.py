@@ -12,15 +12,15 @@ import pytest
 
 from ccbm import cli
 from ccbm.concepts import Concept, ConceptSet
-from ccbm.evaluate import (ConceptMatchRule, auc, brier, concepts_match,
-                           enumerate_posterior, recovery_report,
-                           support_frequencies, tv_distance)
+from ccbm.evaluate import (ConceptMatchRule, auc, brier, enumerate_posterior,
+                           recovery_report, support_frequencies)
 from ccbm.model import log_marginal_likelihoods, sigmoid, stack_designs
 from ccbm.oracle import AnnotationCache, OracleError, PoolOracle
 from ccbm.sampler import SamplerConfig, gibbs_data_from_oracle, run_gibbs
 from ccbm.synthetic import clinical_spec, generate_synthetic
 
-from conftest import make_oracle, make_pool_dataset, quadrature_log_marginal
+from conftest import (concepts_match, make_oracle, make_pool_dataset,
+                      quadrature_log_marginal, tv_distance)
 from test_sampler import _paired_updates
 
 

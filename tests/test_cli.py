@@ -257,7 +257,8 @@ class TestRun:
         assert manifest["config"]["sampler"]["seed"] == 3
         assert 0.0 <= manifest["acceptance_rate"] <= 1.0
         # LLM work is not counted for the pool oracle
-        assert oracle["llm_calls"] is oracle["llm_retries"] is oracle["imputed_values"] is None
+        assert oracle["llm_calls"] is oracle["llm_retries"] is None
+        assert "imputed_values" not in oracle  # a failed LLM answer is never imputed
 
     def test_recovery_report_on_concentrated_testbed(self, finished_run):
         report = json.loads((finished_run / "reports" / "recovery.json").read_text())
@@ -705,9 +706,9 @@ class TestRunErrors:
 
 
 class TestLLMRunCounts:
-    """The manifest counts LLM calls, retries and imputations as the transport
-    saw them, and a flaky transport that always answers on a retry leaves the
-    samples as they were."""
+    """The manifest counts LLM calls and retries as the transport saw them, and
+    a flaky transport that always answers on a retry leaves the samples as
+    they were."""
 
     class Transport:
         def __init__(self, fake, flaky):
@@ -752,7 +753,7 @@ class TestLLMRunCounts:
             oracle = json.loads((run_dir / "manifest.json").read_text())["oracle"]
             assert oracle["llm_calls"] == transport.calls
             assert oracle["llm_retries"] == transport.failures
-            assert oracle["imputed_values"] == 0
+            assert "imputed_values" not in oracle
             results[flaky] = (run_dir / "samples.jsonl").read_bytes(), transport
         assert results[True][1].failures > 0 and results[False][1].failures == 0
         assert results[True][1].calls == results[False][1].calls + results[True][1].failures
@@ -891,6 +892,43 @@ def test_llm_run_stopped_after_epoch_1_resumes_to_the_clean_samples(tmp_path, mo
     epochs = (run_dir / "checkpoints" / "chain.log").read_text().splitlines()[1:]
     assert [json.loads(line)["epoch"] for line in epochs] == [0, 1]
     proposals["up_to"] = float("inf")
+    assert cli.main(["run", "--config", str(tmp / "config.json"), "--resume"]) == 0
+    assert (run_dir / "samples.jsonl").read_bytes() == (clean / "samples.jsonl").read_bytes()
+
+
+def test_llm_annotation_failure_exits_3_and_resumes_to_the_clean_samples(tmp_path,
+                                                                         monkeypatch, capsys):
+    """An LLM run whose annotation calls start failing mid-chain exits 3: a
+    failed answer is missing data, never a value. What was answered is
+    cached, and --resume with the transport mended asks for the rest and
+    writes the samples.jsonl of a run that never failed."""
+    sampler = dict(SAMPLER, k=4, t_epochs=3, m_candidates=4)
+    code, clean = run_with_edited_llm_answers(tmp_path / "clean", monkeypatch,
+                                              lambda answer: answer, sampler=sampler)
+    assert code == 0
+    lock = threading.Lock()
+    # the first fill's 40 rows, three more fills of 40, and half of the next
+    answered = {"count": 0, "up_to": 180}
+
+    def fail_late(answer):
+        if "answers" in answer:
+            with lock:
+                if answered["count"] >= answered["up_to"]:
+                    raise OSError("endpoint down")
+                answered["count"] += 1
+        return answer
+
+    tmp = tmp_path / "stopped"
+    code, run_dir = run_with_edited_llm_answers(tmp, monkeypatch, fail_late, sampler=sampler)
+    assert code == 3 and not (run_dir / "samples.jsonl").exists()
+    err = capsys.readouterr().err
+    assert "oracle failure: oracle failed at epoch" in err and "no answer for" in err
+    assert "after 3 attempts: endpoint down; checkpoint at" in err and "Traceback" not in err
+    assert len((run_dir / "checkpoints" / "chain.log").read_text().splitlines()) >= 2
+    # every answer received was cached; no value was made up for the rest
+    log = (run_dir / "cache" / "annotations.ndjson").read_text().splitlines()
+    assert len(log) == 4 * 40 + (answered["count"] - 40)
+    answered["up_to"] = float("inf")
     assert cli.main(["run", "--config", str(tmp / "config.json"), "--resume"]) == 0
     assert (run_dir / "samples.jsonl").read_bytes() == (clean / "samples.jsonl").read_bytes()
 
@@ -1365,6 +1403,36 @@ class TestPredict:
         (run_dir / "cache" / "annotations.ndjson").unlink()
         predict(run_dir, dataset, tmp_path / "p.ndjson")
         assert calls
+
+    def test_llm_predict_writes_an_error_line_for_a_row_left_unanswered(self, tmp_path,
+                                                                        monkeypatch):
+        """A row whose LLM annotation call fails after its retries gets an
+        {"id", "error"} line, not a score from made-up values; every other
+        row is scored as on a clean predict."""
+        code, run_dir = run_with_edited_llm_answers(tmp_path, monkeypatch, lambda answer: answer)
+        assert code == 0
+        dataset = tmp_path / "data" / "dataset.ndjson"
+        clean = predict(run_dir, dataset, tmp_path / "clean.ndjson").splitlines()
+        (run_dir / "cache" / "annotations.ndjson").unlink()
+        bad = json.loads(dataset.read_text().splitlines()[3])
+        from ccbm.llm import ChatClient
+        answer = ChatClient._http_post
+
+        def failing(url, headers, payload):
+            if bad["text"] in payload["messages"][0]["content"]:
+                raise OSError("endpoint down")
+            return answer(url, headers, payload)
+
+        monkeypatch.setattr(ChatClient, "_http_post", staticmethod(failing))
+        got = predict(run_dir, dataset, tmp_path / "patched.ndjson").splitlines()
+        assert len(got) == len(clean)
+        rows = [i for i, line in enumerate(got) if json.loads(line).get("id") == bad["id"]]
+        assert len(rows) == 1
+        row = rows[0]
+        assert json.loads(got[row]) == {
+            "id": bad["id"], "error": f"no answer for 1 of 1 observations, first {bad['id']!r}: "
+                                      "request failed after 3 attempts: endpoint down"}
+        assert got[:row] + got[row + 1:] == clean[:row] + clean[row + 1:]
 
     @pytest.mark.parametrize("text", [None, 5, ["feat0"]], ids=["null", "number", "list"])
     def test_non_string_text_exits_2_naming_the_line(self, workspace, finished_run, tmp_path,

@@ -12,13 +12,12 @@ import ccbm
 from ccbm import evaluate
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.evaluate import (ConceptMatchRule, InconclusiveMatchError,
-                           MetricUndefinedError, auc, brier, concepts_match,
-                           enumerate_posterior, recovery_report,
-                           support_frequencies, tv_distance)
+                           MetricUndefinedError, auc, brier, enumerate_posterior,
+                           recovery_report, support_frequencies)
 from ccbm.model import log_marginal_likelihoods, logsumexp, stack_designs
 from ccbm.sampler import GibbsData, _MarginalCache
 
-from conftest import make_pool_dataset
+from conftest import concepts_match, make_pool_dataset, tv_distance
 
 SRC = str(Path(ccbm.__file__).resolve().parents[1])
 

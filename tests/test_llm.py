@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -13,8 +14,8 @@ from ccbm.concepts import Concept
 from ccbm.config import load
 from ccbm.llm import (WEIGHT_FLOOR, ChatClient, LLMConfig, LLMOracle,
                       _support_weights, load_template, parse_json_content)
-from ccbm.oracle import (AnnotationCache, InitializationError, Observation,
-                         OracleError, ProposalError)
+from ccbm.oracle import (AnnotationCache, AnnotationError, InitializationError,
+                         Observation, OracleError, ProposalError)
 
 
 def chat_body(obj):
@@ -640,13 +641,14 @@ class TestAnnotate:
         for c in self.concepts:
             assert c.question in prompts[0]
 
-    def test_failure_imputes_half_and_flags(self):
-        # a wrong-length answer at every attempt
+    def test_a_failed_answer_raises_after_retries(self):
+        # a wrong-length answer at every attempt: missing data, never a value
         oracle, post, _ = make_oracle([chat_body({"answers": [1]})] * 3)
-        table = oracle.annotate([Observation("o1", "note")], self.concepts)
-        assert table.tolist() == [[0.5, 0.5]]
-        assert oracle.imputed_values == 2
+        with pytest.raises(AnnotationError, match=r"^no answer for 1 of 1 observations, "
+                                                  r"first 'o1': request failed after 3 "):
+            oracle.annotate([Observation("o1", "note")], self.concepts)
         assert len(post.requests) == 3 and oracle.client.retry_count == 2
+        assert len(oracle.cache) == 0 and oracle.annotation_pairs == 0
 
     @pytest.mark.parametrize("bad", [[1], [1, 0, 1], [float("nan"), 1], "1, 0", None],
                              ids=["short", "long", "nan", "string", "none"])
@@ -657,28 +659,29 @@ class TestAnnotate:
                                       cache=AnnotationCache(log))
         table = oracle.annotate([Observation("o1", "note")], self.concepts)
         assert table.tolist() == [[0.25, 1.0]]
-        assert len(post.requests) == 2 and oracle.imputed_values == 0
+        assert len(post.requests) == 2
         assert AnnotationCache(log).get_many([("o1", c.id) for c in self.concepts]) == \
             [0.25, 1.0]
 
-    def test_transport_failure_imputes_after_retries(self):
+    def test_transport_failure_raises_after_retries(self):
         oracle, post, sleeps = make_oracle([requests.ConnectionError("down")] * 3)
-        table = oracle.annotate([Observation("o1", "note")], self.concepts)
-        assert table.tolist() == [[0.5, 0.5]]
-        assert oracle.imputed_values == 2
+        with pytest.raises(AnnotationError, match="after 3 attempts: down$"):
+            oracle.annotate([Observation("o1", "note")], self.concepts)
+        assert len(post.requests) == 3 and sleeps == [1.0, 4.0]
 
-    def test_imputed_values_are_not_cached(self, tmp_path):
+    def test_answered_rows_are_cached_and_the_failed_row_asked_again(self, tmp_path):
         log = tmp_path / "annotations.ndjson"
         obs = [Observation("o1", "note one"), Observation("o2", "note two")]
         oracle, _, _ = make_oracle([chat_body({"answers": [1, 0]})]
                                    + [requests.ConnectionError("down")] * 3,
                                    cache=AnnotationCache(log))
-        table = oracle.annotate(obs, self.concepts)
-        assert table.tolist() == [[1.0, 0.0], [0.5, 0.5]]
-        assert oracle.imputed_values == 2
+        with pytest.raises(AnnotationError, match="^no answer for 1 of 2 observations, "
+                                                  "first 'o2'"):
+            oracle.annotate(obs, self.concepts)
+        assert oracle.annotation_pairs == 2
         assert [json.loads(line)["observation_id"]
                 for line in log.read_text().splitlines()] == ["o1", "o1"]
-        # the next run asks again for what was imputed, and only for that
+        # the next call asks again for the failed row, and only for that
         oracle, post, _ = make_oracle([chat_body({"answers": [0, 1]})],
                                       cache=AnnotationCache(log))
         table = oracle.annotate(obs, self.concepts)
@@ -695,7 +698,7 @@ class TestAnnotate:
 class TestAnnotationTable:
     concepts = [Concept("Is it red?"), Concept("Is it large?"), Concept("Is it round?")]
 
-    def test_clamped_imputed_and_partly_cached_rows(self, tmp_path):
+    def test_clamped_failed_and_partly_cached_rows(self, tmp_path):
         log = tmp_path / "annotations.ndjson"
         obs = [Observation(f"o{i}", f"note {i}") for i in range(4)]
         a, b, c = self.concepts
@@ -703,9 +706,11 @@ class TestAnnotationTable:
         cache.put_many([("o2", a.id), ("o3", a.id), ("o3", b.id), ("o3", c.id)],
                        [0.25, 1.0, 0.0, 1.0], "llm")
         answers = {"note 0": [1.4, -0.2, 0.5], "note 2": [0.75, 2.0]}
+        asked = []
 
         def post(url, headers, payload):
             prompt = payload["messages"][0]["content"]
+            asked.append(prompt)
             for note, values in answers.items():
                 if note in prompt:
                     return chat_body({"answers": values})
@@ -714,13 +719,10 @@ class TestAnnotationTable:
         config = make_config(max_in_flight=3)
         oracle = LLMOracle(config, cache=cache,
                            client=ChatClient(config, post_fn=post, sleep_fn=lambda s: None))
-        table = oracle.annotate(obs, self.concepts)
-        assert table.tolist() == [[1.0, 0.0, 0.5],
-                                  [0.5, 0.5, 0.5],   # imputed for this call only
-                                  [0.25, 0.75, 1.0],
-                                  [1.0, 0.0, 1.0]]
-        assert oracle.imputed_values == 3
-        assert oracle.annotation_pairs == 8
+        with pytest.raises(AnnotationError, match="^no answer for 1 of 3 observations, "
+                                                  "first 'o1'"):
+            oracle.annotate(obs, self.concepts)
+        assert oracle.annotation_pairs == 5
         assert cache.clamp_events == 3
         assert (cache.hits, cache.misses) == (4, 8)
         # the per-record reference: every record the call cached, clamped,
@@ -733,19 +735,27 @@ class TestAnnotationTable:
         assert len({r["timestamp"] for r in written}) == 1
         assert AnnotationCache(log).get_many([("o1", x.id) for x in self.concepts]) == \
             [None] * 3
+        # once note 1 is answered, the next call asks only for it
+        answers["note 1"] = [0.0, 1.0, 0.0]
+        asked.clear()
+        table = oracle.annotate(obs, self.concepts)
+        assert table.tolist() == [[1.0, 0.0, 0.5],
+                                  [0.0, 1.0, 0.0],
+                                  [0.25, 0.75, 1.0],
+                                  [1.0, 0.0, 1.0]]
+        assert len(asked) == 1 and "note 1" in asked[0]
 
-    def test_nan_answer_is_imputed_not_cached(self):
+    def test_nan_answer_raises_and_is_not_cached(self):
         # a NaN at every attempt
         oracle, post, _ = make_oracle([chat_body({"answers": [float("nan"), 1]})] * 3)
-        table = oracle.annotate([Observation("o1", "note")], self.concepts[:2])
-        assert table.tolist() == [[0.5, 0.5]]
-        assert oracle.imputed_values == 2 and len(oracle.cache) == 0
-        assert len(post.requests) == 3
+        with pytest.raises(AnnotationError, match=r"got \[nan, 1\]$"):
+            oracle.annotate([Observation("o1", "note")], self.concepts[:2])
+        assert len(oracle.cache) == 0 and len(post.requests) == 3
 
 
 class TestLLMCounts:
-    """call_count, retry_count and imputed_values are counted from the worker
-    threads; with a flaky transport they equal the transport's own counts."""
+    """call_count and retry_count are counted from the worker threads; with a
+    flaky transport they equal the transport's own counts."""
 
     class FlakyPost:
         def __init__(self, fail_first, fail_always=()):
@@ -767,37 +777,169 @@ class TestLLMCounts:
                 raise requests.ConnectionError("flaky")
             return chat_body({"answers": [note % 2, 1]})
 
-    def run(self, post, n=300):
+    @staticmethod
+    def oracle(post):
         config = make_config(max_in_flight=4)
-        oracle = LLMOracle(config, client=ChatClient(config, post_fn=post,
-                                                     sleep_fn=lambda s: None))
+        return LLMOracle(config, client=ChatClient(config, post_fn=post, sleep_fn=lambda s: None))
+
+    @staticmethod
+    def annotate(oracle, n=300):
         observations = [Observation(f"o{i}", f"note number {i}") for i in range(n)]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            table = oracle.annotate(observations, TestAnnotate.concepts)
+            return oracle.annotate(observations, TestAnnotate.concepts)
         finally:
             sys.setswitchinterval(switch)
-        return oracle, table
 
     def test_retries_counted_like_the_transport(self):
         post = self.FlakyPost(fail_first=3)
-        oracle, table = self.run(post)
+        oracle = self.oracle(post)
+        table = self.annotate(oracle)
         assert post.failures == 100
         assert oracle.client.call_count == post.calls == 400
         assert oracle.client.retry_count == post.failures
-        assert oracle.imputed_values == 0
         assert table[:, 0].tolist() == [float(i % 2) for i in range(300)]
 
-    def test_imputations_counted_like_the_transport(self):
+    def test_failures_counted_like_the_transport(self):
         always = range(0, 300, 7)
         post = self.FlakyPost(fail_first=5, fail_always=always)
-        oracle, table = self.run(post)
+        oracle = self.oracle(post)
+        with pytest.raises(AnnotationError, match="^no answer for 43 of 300 observations, "
+                                                  "first 'o0'"):
+            self.annotate(oracle)
         retries = post.failures - len(always)  # the last failed attempt is not retried
         assert oracle.client.call_count == post.calls
         assert oracle.client.retry_count == retries
-        assert oracle.imputed_values == 2 * len(always)
-        assert table[list(always)].tolist() == [[0.5, 0.5]] * len(always)
+        # every row was asked, and every answered row cached
+        assert post.seen == set(range(300))
+        cached = oracle.cache.get_many([(f"o{i}", TestAnnotate.concepts[0].id)
+                                        for i in range(300)])
+        assert cached == [None if i in always else float(i % 2) for i in range(300)]
+
+
+class TestFanOut:
+    """annotate and extract_keyphrases call on at most max_in_flight loops,
+    the calling thread one of them: results in input order, every item run,
+    the lowest-index failure raised, and no thread left behind."""
+
+    notes = [Observation(f"o{i}", f"note number {i}") for i in range(5)]
+    concepts = [Concept("Is it red?")]
+
+    class Transport:
+        """Answers note i's annotation with i / 10 and its extraction with
+        "phrase i". Later notes answer sooner, so calls end out of input
+        order. Records the peak of requests in flight and the threads asking."""
+
+        def __init__(self, fail=(), barrier=None):
+            self.fail, self.barrier = set(fail), barrier
+            self.lock = threading.Lock()
+            self.in_flight = self.peak = 0
+            self.threads = set()
+            self.asked = []
+
+        def __call__(self, url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            note = int(re.search(r"note number (\d+)", prompt).group(1))
+            with self.lock:
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+                self.threads.add(threading.get_ident())
+                self.asked.append(note)
+                first_two = len(self.asked) <= 2
+            try:
+                if self.barrier is not None and first_two:
+                    self.barrier.wait()  # only two calls in flight at once get past
+                time.sleep(0.002 * (5 - note % 5))
+                if note in self.fail:
+                    raise requests.ConnectionError(f"note {note} down")
+                if "keyphrases" in prompt:
+                    return chat_body({"keyphrases": [f"phrase {note}"]})
+                return chat_body({"answers": [note / 10]})
+            finally:
+                with self.lock:
+                    self.in_flight -= 1
+
+    def oracle(self, transport, m):
+        config = make_config(max_in_flight=m)
+        return LLMOracle(config, client=ChatClient(config, post_fn=transport,
+                                                   sleep_fn=lambda s: None))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_results_in_input_order(self, m):
+        transport = self.Transport()
+        oracle = self.oracle(transport, m)
+        assert oracle.annotate(self.notes, self.concepts)[:, 0].tolist() == \
+            [0.0, 0.1, 0.2, 0.3, 0.4]
+        assert [(b.observation_id, b.phrases) for b in oracle.extract_keyphrases(self.notes)] \
+            == [(f"o{i}", {f"phrase {i}"}) for i in range(5)]
+        assert transport.peak <= m
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_in_flight_never_exceeds_max_in_flight(self, m):
+        # at 2, the first two calls wait for each other, so they must overlap
+        transport = self.Transport(barrier=threading.Barrier(2, timeout=10) if m == 2 else None)
+        oracle = self.oracle(transport, m)
+        many = [Observation(f"o{i}", f"note number {i}") for i in range(12)]
+        oracle.annotate(many, self.concepts)
+        oracle.extract_keyphrases(many)
+        assert len(transport.asked) == 24
+        assert transport.peak <= m and (m != 2 or transport.peak == 2)
+
+    def test_at_one_every_request_comes_from_the_calling_thread(self):
+        transport = self.Transport()
+        oracle = self.oracle(transport, 1)
+        oracle.annotate(self.notes, self.concepts)
+        oracle.extract_keyphrases(self.notes)
+        assert transport.threads == {threading.get_ident()} and len(transport.asked) == 10
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_a_failure_leaves_every_other_item_run_and_raises_the_lowest(self, m):
+        # notes 1 and 3 fail every attempt; at 4, note 3 fails first
+        transport = self.Transport(fail={1, 3})
+        oracle = self.oracle(transport, m)
+        with pytest.raises(AnnotationError, match="^no answer for 2 of 5 observations, "
+                                                  "first 'o1': .*note 1 down$"):
+            oracle.annotate(self.notes, self.concepts)
+        with pytest.raises(OracleError, match="note 1 down$"):
+            oracle.extract_keyphrases(self.notes)
+        assert sorted(transport.asked) == sorted([0, 2, 4] * 2 + [1, 3] * 6)
+        # what the other items got was kept: asking for them again costs nothing
+        answered = self.notes[::2]
+        assert oracle.annotate(answered, self.concepts)[:, 0].tolist() == [0.0, 0.2, 0.4]
+        assert [b.phrases for b in oracle.extract_keyphrases(answered)] == \
+            [{"phrase 0"}, {"phrase 2"}, {"phrase 4"}]
+        assert len(transport.asked) == 18
+
+    def test_an_interrupted_caller_leaves_the_rest_unasked(self):
+        transport = self.Transport()
+
+        def interrupting(url, headers, payload):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            return transport(url, headers, payload)
+
+        start = threading.active_count()
+        oracle = self.oracle(interrupting, 2)
+        many = [Observation(f"o{i}", f"note number {i}") for i in range(50)]
+        with pytest.raises(KeyboardInterrupt):
+            oracle.annotate(many, self.concepts)
+        assert len(transport.asked) <= 2 and threading.active_count() == start
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_no_thread_outlives_the_call(self, m):
+        start = threading.active_count()
+        oracle = self.oracle(self.Transport(), m)
+        oracle.annotate(self.notes, self.concepts)
+        oracle.extract_keyphrases(self.notes)
+        assert threading.active_count() == start
+        oracle = self.oracle(self.Transport(fail={2}), m)
+        with pytest.raises(AnnotationError):
+            oracle.annotate(self.notes, self.concepts)
+        assert threading.active_count() == start
+        with pytest.raises(OracleError):
+            oracle.extract_keyphrases(self.notes)
+        assert threading.active_count() == start
 
 
 class TestLLMConfig:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ccbm.concepts import Concept, ConceptSet
 from ccbm.config import load
-from ccbm.evaluate import enumerate_posterior, support_frequencies, tv_distance
+from ccbm.evaluate import enumerate_posterior, support_frequencies
 from ccbm.model import log_marginal_likelihoods, logsumexp
 from ccbm.oracle import (AnnotationCache, Observation, OracleError,
                          OracleProposal, PoolConcept, PoolOracle)
@@ -21,7 +21,7 @@ from ccbm.sampler import (ChainTrace, OracleFailure, SamplerConfig, _MarginalCac
                           load_checkpoint, multi_ss_mh_update, run_gibbs,
                           save_checkpoint)
 
-from conftest import make_oracle, make_pool_dataset, quadrature_log_marginal
+from conftest import make_oracle, make_pool_dataset, quadrature_log_marginal, tv_distance
 
 
 def make_env(seed, n=20, n_concepts=4, k=2):
